@@ -92,14 +92,15 @@ void BM_RsaKeygen(benchmark::State& state) {
 BENCHMARK(BM_RsaKeygen)->Arg(512)->Unit(benchmark::kMillisecond);
 
 void BM_TimestampStamp(benchmark::State& state) {
-  crypto::TimestampService tss(core::Federation::shared_keypair(512, 1),
+  std::size_t bits = static_cast<std::size_t>(state.range(0));
+  crypto::TimestampService tss(core::Federation::shared_keypair(bits, 1),
                                [] { return std::uint64_t{42}; });
   Bytes evidence = bytes_of("an evidence record payload");
   for (auto _ : state) {
     benchmark::DoNotOptimize(tss.stamp(evidence));
   }
 }
-BENCHMARK(BM_TimestampStamp)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_TimestampStamp)->Arg(512)->Arg(1024)->Arg(2048)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -111,12 +111,6 @@ Coordinator::Coordinator(Config config, net::Transport& transport,
   if (pipeline_) {
     signature_cache_ = std::make_unique<crypto::SignatureCache>(
         config.signature_cache_capacity);
-    // The screening rng only needs unpredictability to an adversary who
-    // crafted the batch; a per-party deterministic seed keeps sim runs
-    // reproducible.
-    screen_rng_ = std::make_unique<crypto::ChaCha20Rng>(
-        config.rng_seed ^ std::hash<std::string>{}(self_.str()) ^
-        0x5c5c5c5c5c5c5c5cULL);
   }
   anchor_ = std::make_shared<TimerAnchor>();
   anchor_->coordinator = this;
@@ -552,28 +546,13 @@ void Coordinator::on_message(const PartyId& from, const Bytes& payload) {
 
 std::vector<bool> Coordinator::verify_many(const std::vector<VerifyJob>& jobs) {
   std::vector<bool> results(jobs.size(), false);
-  std::vector<crypto::BatchVerifyItem> items;
-  std::vector<std::size_t> index_of;  // items index -> jobs index
-  items.reserve(jobs.size());
-  index_of.reserve(jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     // key_of hands out a pointer into known_keys_, stable for the
     // coordinator's lifetime (keys are never erased).
     const crypto::RsaPublicKey* key = key_of(jobs[i].signer);
-    if (key == nullptr) continue;  // unknown signer stays false
-    crypto::BatchVerifyItem item;
-    item.key = key;
-    item.digest = crypto::Sha256::hash(jobs[i].message);
-    item.signature = jobs[i].signature;
-    items.push_back(std::move(item));
-    index_of.push_back(i);
-  }
-  if (items.empty()) return results;
-  std::lock_guard<std::mutex> lock(batch_verify_mutex_);
-  crypto::BatchVerifyResult out =
-      crypto::batch_verify(items, *screen_rng_, signature_cache_.get());
-  for (std::size_t j = 0; j < items.size(); ++j) {
-    results[index_of[j]] = out.ok[j];
+    results[i] = key != nullptr &&  // unknown signer stays false
+                 signature_cache_->verify(*key, jobs[i].message,
+                                          jobs[i].signature);
   }
   return results;
 }

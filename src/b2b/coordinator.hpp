@@ -48,7 +48,6 @@
 
 #include "b2b/deal.hpp"
 #include "b2b/replica.hpp"
-#include "crypto/chacha20.hpp"
 #include "crypto/timestamp.hpp"
 #include "net/reactor.hpp"  // TaskPool / Strand (pool-backed shard lanes)
 #include "net/runtime.hpp"
@@ -410,9 +409,8 @@ class Coordinator {
   void on_message(const PartyId& from, const Bytes& payload);
   void record_evidence(const std::string& kind, const Bytes& payload);
   void send(const PartyId& to, const Envelope& envelope);
-  /// Pipeline mode: verify a batch of signature jobs via crypto::
-  /// batch_verify (screening + verified-signature cache). Unknown
-  /// signers come back false.
+  /// Pipeline mode: verify each signature job through the verified-
+  /// signature cache. Unknown signers come back false.
   std::vector<bool> verify_many(const std::vector<VerifyJob>& jobs);
 
   PartyId self_;
@@ -429,12 +427,9 @@ class Coordinator {
   /// verification with a cache, and evidence-chain anchoring.
   bool pipeline_ = false;
   std::uint64_t evidence_anchor_interval_ = 0;
-  /// Verified-signature cache plus the screening rng, shared by every
-  /// shard's verify_many behind one lock (batch verification is already
-  /// a bulk operation; contention is per batch, not per signature).
+  /// Verified-signature cache shared by every shard's verify_many (it
+  /// locks internally).
   std::unique_ptr<crypto::SignatureCache> signature_cache_;
-  std::unique_ptr<crypto::ChaCha20Rng> screen_rng_;
-  std::mutex batch_verify_mutex_;
   /// Backing pool for strand-mode lanes (null = thread-mode lanes).
   std::shared_ptr<net::TaskPool> lane_pool_;
   SponsorPolicy sponsor_policy_;

@@ -2012,9 +2012,8 @@ void Replica::conclude_batch_responder_run(const std::string& label,
   const std::vector<BatchItem>& items = run.batch->propose.items;
 
   // Signature pass first, in bulk: the coordinator's verify_many backs
-  // this with batch verification + the verified-signature cache, so a
-  // batch decide costs one screened RSA pass, and a retransmitted decide
-  // costs none.
+  // this with the verified-signature cache, so a retransmitted decide
+  // costs no RSA at all.
   std::vector<bool> sig_ok(msg.responses.size(), false);
   if (callbacks_.verify_many) {
     std::vector<VerifyJob> jobs;

@@ -194,11 +194,10 @@ class Replica {
     std::function<void(const char* point)> crash_point;
     /// Bulk signature verification (DESIGN.md §13): verify every job and
     /// return one bool per job, in order. A coordinator with pipelining
-    /// enabled backs this with crypto::batch_verify plus a verified-
-    /// signature cache, so a batch decide's K response signatures cost
-    /// far less than K full RSA verifications and retransmitted decides
-    /// never re-enter RSA at all. Null falls back to per-job key_of +
-    /// verify, which is bit-for-bit the unbatched behaviour.
+    /// enabled backs this with a verified-signature cache, so
+    /// retransmitted decides never re-enter RSA at all. Null falls back
+    /// to per-job key_of + verify, which is bit-for-bit the unbatched
+    /// behaviour.
     std::function<std::vector<bool>(const std::vector<VerifyJob>&)>
         verify_many;
   };

@@ -397,68 +397,82 @@ MontgomeryContext::MontgomeryContext(const BigInt& modulus)
   if (!modulus.is_odd() || modulus <= BigInt(1)) {
     throw std::invalid_argument("MontgomeryContext: modulus must be odd > 1");
   }
+  if (limbs_ > kMaxLimbs) {
+    throw std::invalid_argument("MontgomeryContext: modulus too wide");
+  }
   // n0_inv = -modulus^{-1} mod 2^64 via Newton iteration on 64-bit words.
-  std::uint64_t m0 = modulus.limb(0);
-  std::uint64_t inv = m0;  // correct to 3 bits initially (m0 odd)
+  u64 m0 = modulus.limb(0);
+  u64 inv = m0;  // correct to 3 bits initially (m0 odd)
   for (int i = 0; i < 6; ++i) inv *= 2 - m0 * inv;
   n0_inv_ = ~inv + 1;  // -inv mod 2^64
 
-  BigInt r = BigInt(1) << (64 * limbs_);
-  r_mod_ = r % modulus_;
-  r2_mod_ = (r_mod_ * r_mod_) % modulus_;
+  BigInt r_mod = (BigInt(1) << (64 * limbs_)) % modulus_;
+  one_.resize(limbs_);
+  r2_.resize(limbs_);
+  load(one_.data(), r_mod);
+  load(r2_.data(), (r_mod * r_mod) % modulus_);
+}
+
+void MontgomeryContext::mul_limbs(u64* out, const u64* a, const u64* b,
+                                  u64* t) const {
+  // CIOS Montgomery multiplication over 64-bit limbs, with the product
+  // and reduction passes fused: each step adds a_i * b and m * modulus,
+  // m chosen so the low limb cancels, and shifts t down one limb. t stays
+  // below 2 * modulus, so one conditional subtraction reduces it.
+  const std::size_t n = limbs_;
+  const u64* mod = modulus_.limbs_.data();
+  std::fill(t, t + n + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const u64 a_i = a[i];
+    u128 prod = static_cast<u128>(a_i) * b[0] + t[0];
+    const u64 m = static_cast<u64>(prod) * n0_inv_;
+    u128 red = static_cast<u128>(m) * mod[0] + static_cast<u64>(prod);
+    u64 prod_carry = static_cast<u64>(prod >> 64);
+    u64 red_carry = static_cast<u64>(red >> 64);
+    for (std::size_t j = 1; j < n; ++j) {
+      prod = static_cast<u128>(a_i) * b[j] + t[j] + prod_carry;
+      prod_carry = static_cast<u64>(prod >> 64);
+      red = static_cast<u128>(m) * mod[j] + static_cast<u64>(prod) + red_carry;
+      red_carry = static_cast<u64>(red >> 64);
+      t[j - 1] = static_cast<u64>(red);
+    }
+    u128 top = static_cast<u128>(t[n]) + prod_carry + red_carry;
+    t[n - 1] = static_cast<u64>(top);
+    t[n] = static_cast<u64>(top >> 64);
+  }
+  // out = t - modulus unless that borrows past t's top limb.
+  u64 borrow = 0;
+  for (std::size_t j = 0; j < n; ++j) {
+    u128 diff = static_cast<u128>(t[j]) - mod[j] - borrow;
+    out[j] = static_cast<u64>(diff);
+    borrow = static_cast<u64>(diff >> 64) & 1;
+  }
+  if (t[n] < borrow) std::copy(t, t + n, out);
+}
+
+void MontgomeryContext::load(u64* out, const BigInt& value) const {
+  for (std::size_t i = 0; i < limbs_; ++i) out[i] = value.limb(i);
+}
+
+BigInt MontgomeryContext::store(const u64* limbs) const {
+  BigInt out;
+  out.limbs_.assign(limbs, limbs + limbs_);
+  out.normalize();
+  return out;
 }
 
 BigInt MontgomeryContext::mul(const BigInt& a, const BigInt& b) const {
-  // CIOS Montgomery multiplication over 64-bit limbs.
-  using u128 = unsigned __int128;
-  const std::size_t n = limbs_;
-  std::vector<std::uint64_t> t(n + 2, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::uint64_t a_i = a.limb(i);
-    // t += a_i * b
-    std::uint64_t carry = 0;
-    for (std::size_t j = 0; j < n; ++j) {
-      u128 cur = static_cast<u128>(a_i) * b.limb(j) + t[j] + carry;
-      t[j] = static_cast<std::uint64_t>(cur);
-      carry = static_cast<std::uint64_t>(cur >> 64);
-    }
-    u128 cur = static_cast<u128>(t[n]) + carry;
-    t[n] = static_cast<std::uint64_t>(cur);
-    t[n + 1] = static_cast<std::uint64_t>(cur >> 64);
-
-    // m = t[0] * n0_inv mod 2^64;  t += m * modulus;  t >>= 64
-    std::uint64_t m_factor = t[0] * n0_inv_;
-    carry = 0;
-    for (std::size_t j = 0; j < n; ++j) {
-      u128 cur2 = static_cast<u128>(m_factor) * modulus_.limb(j) + t[j] + carry;
-      t[j] = static_cast<std::uint64_t>(cur2);
-      carry = static_cast<std::uint64_t>(cur2 >> 64);
-    }
-    u128 cur3 = static_cast<u128>(t[n]) + carry;
-    t[n] = static_cast<std::uint64_t>(cur3);
-    t[n + 1] += static_cast<std::uint64_t>(cur3 >> 64);
-    // shift down one limb
-    for (std::size_t j = 0; j <= n; ++j) t[j] = t[j + 1];
-    t[n + 1] = 0;
-  }
-  // Assemble and reduce once if needed.
-  BigInt result = BigInt::from_bytes_be({});  // zero
-  {
-    Bytes be((n + 1) * 8, 0);
-    for (std::size_t i = 0; i <= n; ++i) {
-      for (int bbyte = 0; bbyte < 8; ++bbyte) {
-        be[(n - i) * 8 + (7 - bbyte)] =
-            static_cast<std::uint8_t>((t[i] >> (8 * bbyte)) & 0xff);
-      }
-    }
-    result = BigInt::from_bytes_be(be);
-  }
-  if (result >= modulus_) result = result - modulus_;
-  return result;
+  u64 x[kMaxLimbs] = {};
+  u64 y[kMaxLimbs] = {};
+  u64 t[kMaxLimbs + 1] = {};
+  load(x, a);
+  load(y, b);
+  mul_limbs(x, x, y, t);
+  return store(x);
 }
 
 BigInt MontgomeryContext::to_mont(const BigInt& value) const {
-  return mul(value % modulus_, r2_mod_);
+  return mul(value % modulus_, store(r2_.data()));
 }
 
 BigInt MontgomeryContext::from_mont(const BigInt& value) const {
@@ -466,24 +480,66 @@ BigInt MontgomeryContext::from_mont(const BigInt& value) const {
 }
 
 BigInt MontgomeryContext::pow(const BigInt& base, const BigInt& exponent) const {
-  BigInt result = r_mod_;  // 1 in Montgomery form
-  BigInt acc = to_mont(base);
-  std::size_t bits = exponent.bit_length();
-  for (std::size_t i = bits; i-- > 0;) {
-    result = mul(result, result);
-    if (exponent.bit(i)) result = mul(result, acc);
+  constexpr std::size_t kWindowBits = 4;
+  constexpr std::size_t kTableSize = std::size_t{1} << kWindowBits;
+  const std::size_t n = limbs_;
+  // table[d] = base^d in Montgomery form; the short path uses only
+  // table[1]. Stride n, so a 4-limb modulus keeps the table in 512 bytes.
+  u64 table[kTableSize * kMaxLimbs] = {};
+  u64 acc[kMaxLimbs] = {};
+  u64 t[kMaxLimbs + 1] = {};
+
+  if (base < modulus_) {
+    load(acc, base);
+  } else {
+    load(acc, base % modulus_);
   }
-  return from_mont(result);
+  u64* x = table + n;
+  mul_limbs(x, acc, r2_.data(), t);  // to Montgomery form
+
+  const std::size_t bits = exponent.bit_length();
+  if (bits <= 64) {
+    std::copy(one_.begin(), one_.end(), acc);
+    for (std::size_t i = bits; i-- > 0;) {
+      mul_limbs(acc, acc, acc, t);
+      if (exponent.bit(i)) mul_limbs(acc, acc, x, t);
+    }
+  } else {
+    std::copy(one_.begin(), one_.end(), table);
+    for (std::size_t d = 2; d < kTableSize; ++d) {
+      mul_limbs(table + d * n, table + (d - 1) * n, x, t);
+    }
+    // A digit never straddles a limb: 64 is a multiple of kWindowBits.
+    auto digit = [&exponent](std::size_t window) {
+      std::size_t bit = window * kWindowBits;
+      return static_cast<std::size_t>(exponent.limb(bit / 64) >> (bit % 64)) &
+             (kTableSize - 1);
+    };
+    std::size_t windows = (bits + kWindowBits - 1) / kWindowBits;
+    const u64* top = table + digit(windows - 1) * n;
+    std::copy(top, top + n, acc);
+    for (std::size_t w = windows - 1; w-- > 0;) {
+      for (std::size_t s = 0; s < kWindowBits; ++s) {
+        mul_limbs(acc, acc, acc, t);
+      }
+      mul_limbs(acc, acc, table + digit(w) * n, t);
+    }
+  }
+  // Out of Montgomery form: multiply by plain 1.
+  u64 unit[kMaxLimbs] = {1};
+  mul_limbs(acc, acc, unit, t);
+  return store(acc);
 }
 
 BigInt mod_exp(const BigInt& base, const BigInt& exponent,
                const BigInt& modulus) {
   if (modulus.is_zero()) throw std::domain_error("mod_exp: zero modulus");
   if (modulus == BigInt(1)) return {};
-  if (modulus.is_odd()) {
+  if (modulus.is_odd() &&
+      modulus.limb_count() <= MontgomeryContext::kMaxLimbs) {
     return MontgomeryContext(modulus).pow(base, exponent);
   }
-  // Even modulus: plain left-to-right square-and-multiply.
+  // Even or very wide modulus: plain left-to-right square-and-multiply.
   BigInt result(1);
   BigInt acc = base % modulus;
   std::size_t bits = exponent.bit_length();

@@ -80,6 +80,8 @@ class BigInt {
   friend std::strong_ordering operator<=>(const BigInt& a, const BigInt& b);
 
  private:
+  friend class MontgomeryContext;  // moves raw limbs in and out
+
   void normalize();
 
   std::vector<std::uint64_t> limbs_;
@@ -101,18 +103,26 @@ BigInt lcm(const BigInt& a, const BigInt& b);
 /// does not exist (gcd(a, m) != 1).
 BigInt mod_inverse(const BigInt& a, const BigInt& m);
 
-/// base^exponent mod modulus. Uses Montgomery multiplication when the
-/// modulus is odd (the RSA case), plain square-and-multiply otherwise.
-/// Throws std::domain_error for modulus == 0.
+/// base^exponent mod modulus without a cached context. Builds a
+/// MontgomeryContext when the modulus is odd and fits one (the RSA case),
+/// plain square-and-multiply otherwise. Throws std::domain_error for
+/// modulus == 0.
 BigInt mod_exp(const BigInt& base, const BigInt& exponent,
                const BigInt& modulus);
 
-/// Montgomery context for repeated multiplications modulo one odd modulus.
-/// Exposed so Miller-Rabin and RSA share the machinery, and so tests can
-/// exercise it directly against the reference path.
+/// Montgomery arithmetic modulo one odd modulus, built once and reused:
+/// RSA keys hold one per modulus (p, q and n), Miller-Rabin one per
+/// candidate. Immutable after construction; every operation keeps its
+/// scratch on the caller's stack, so any number of threads may share one
+/// context without a lock.
 class MontgomeryContext {
  public:
-  /// Throws std::invalid_argument unless modulus is odd and > 1.
+  /// Widest modulus supported, in 64-bit limbs (4096 bits); this bounds
+  /// the stack scratch of pow().
+  static constexpr std::size_t kMaxLimbs = 64;
+
+  /// Throws std::invalid_argument unless modulus is odd, > 1 and at most
+  /// kMaxLimbs limbs wide.
   explicit MontgomeryContext(const BigInt& modulus);
 
   const BigInt& modulus() const { return modulus_; }
@@ -121,18 +131,29 @@ class MontgomeryContext {
   BigInt to_mont(const BigInt& value) const;
   BigInt from_mont(const BigInt& value) const;
 
-  /// Montgomery product of two values already in Montgomery form.
+  /// Montgomery product of two values already in Montgomery form (< modulus).
   BigInt mul(const BigInt& a, const BigInt& b) const;
 
-  /// base^exponent mod modulus (inputs/outputs in ordinary form).
+  /// base^exponent mod modulus (inputs/outputs in ordinary form). Exponents
+  /// up to 64 bits (e = 65537) use square-and-multiply; longer ones a fixed
+  /// 4-bit window that multiplies on every digit, zero included, so the
+  /// sequence of multiplications depends only on the exponent's length.
   BigInt pow(const BigInt& base, const BigInt& exponent) const;
 
  private:
+  /// out = a * b * R^-1 mod modulus over limbs_-wide arrays (CIOS).
+  /// `out` may alias `a` or `b`; `t` is limbs_ + 1 limbs of scratch.
+  void mul_limbs(std::uint64_t* out, const std::uint64_t* a,
+                 const std::uint64_t* b, std::uint64_t* t) const;
+  /// Copy `value` (< modulus) into a limbs_-wide array, and back.
+  void load(std::uint64_t* out, const BigInt& value) const;
+  BigInt store(const std::uint64_t* limbs) const;
+
   BigInt modulus_;
   std::size_t limbs_;       // width of the modulus in limbs
   std::uint64_t n0_inv_;    // -modulus^{-1} mod 2^64
-  BigInt r_mod_;            // R mod modulus (Montgomery form of 1)
-  BigInt r2_mod_;           // R^2 mod modulus, used by to_mont
+  std::vector<std::uint64_t> one_;  // R mod modulus (Montgomery form of 1)
+  std::vector<std::uint64_t> r2_;   // R^2 mod modulus: into Montgomery form
 };
 
 }  // namespace b2b::crypto

@@ -1,6 +1,5 @@
 #include "crypto/rsa.hpp"
 
-#include <map>
 #include <stdexcept>
 
 #include "common/error.hpp"
@@ -18,6 +17,8 @@ constexpr std::uint8_t kSha256DigestInfo[] = {
 Bytes pkcs1_encode(const Digest& digest, std::size_t em_len) {
   constexpr std::size_t kPrefixLen = sizeof(kSha256DigestInfo);
   std::size_t t_len = kPrefixLen + digest.size();
+  static_assert(kPrefixLen + sizeof(Digest) + 11 ==
+                RsaPublicKey::kMinModulusBytes);
   if (em_len < t_len + 11) {
     throw CryptoError("pkcs1_encode: modulus too small for SHA-256");
   }
@@ -41,7 +42,9 @@ constexpr std::uint64_t kSmallPrimes[] = {
 }  // namespace
 
 RsaPublicKey::RsaPublicKey(BigInt n, BigInt e)
-    : n_(std::move(n)), e_(std::move(e)) {}
+    : n_(std::move(n)), e_(std::move(e)) {
+  if (!n_.is_zero()) mont_n_ = std::make_shared<const MontgomeryContext>(n_);
+}
 
 bool RsaPublicKey::verify(BytesView message, BytesView signature) const {
   return verify_digest(Sha256::hash(message), signature);
@@ -49,19 +52,12 @@ bool RsaPublicKey::verify(BytesView message, BytesView signature) const {
 
 bool RsaPublicKey::verify_digest(const Digest& digest,
                                  BytesView signature) const {
-  if (n_.is_zero()) return false;
-  if (signature.size() != modulus_bytes()) return false;
+  const std::size_t k = modulus_bytes();
+  if (k < kMinModulusBytes || signature.size() != k) return false;
   BigInt s = BigInt::from_bytes_be(signature);
   if (s >= n_) return false;
-  BigInt m = mod_exp(s, e_, n_);
-  Bytes em;
-  try {
-    em = m.to_bytes_be(modulus_bytes());
-  } catch (const std::invalid_argument&) {
-    return false;
-  }
-  Bytes expected = pkcs1_encode(digest, modulus_bytes());
-  return em == expected;
+  // s < n, so s^e mod n always fits in k bytes.
+  return mont_n_->pow(s, e_).to_bytes_be(k) == pkcs1_encode(digest, k);
 }
 
 Bytes RsaPublicKey::encrypt(BytesView plaintext, ChaCha20Rng& rng) const {
@@ -83,8 +79,7 @@ Bytes RsaPublicKey::encrypt(BytesView plaintext, ChaCha20Rng& rng) const {
   em[2 + ps_len] = 0x00;
   std::copy(plaintext.begin(), plaintext.end(),
             em.begin() + static_cast<std::ptrdiff_t>(3 + ps_len));
-  BigInt m = BigInt::from_bytes_be(em);
-  return mod_exp(m, e_, n_).to_bytes_be(k);
+  return mont_n_->pow(BigInt::from_bytes_be(em), e_).to_bytes_be(k);
 }
 
 Bytes RsaPublicKey::encode() const {
@@ -123,6 +118,13 @@ RsaPublicKey RsaPublicKey::decode(BytesView data) {
   std::uint32_t e_len = get_u32();
   BigInt e = BigInt::from_bytes_be(get_blob(e_len));
   if (pos != data.size()) throw CodecError("RsaPublicKey: trailing bytes");
+  // Refuse what verification could not use: an even modulus has no
+  // Montgomery form, a short one cannot hold a PKCS#1 signature, and a
+  // wide one would not fit the Montgomery kernel's scratch.
+  if (!n.is_odd() || (n.bit_length() + 7) / 8 < kMinModulusBytes ||
+      n.limb_count() > MontgomeryContext::kMaxLimbs) {
+    throw CodecError("RsaPublicKey: unusable modulus");
+  }
   return RsaPublicKey(std::move(n), std::move(e));
 }
 
@@ -135,6 +137,17 @@ RsaPrivateKey::RsaPrivateKey(BigInt n, BigInt e, BigInt d, BigInt p, BigInt q)
   d_p_ = d_ % (p_ - one);
   d_q_ = d_ % (q_ - one);
   q_inv_ = mod_inverse(q_, p_);
+  mont_p_ = std::make_shared<const MontgomeryContext>(p_);
+  mont_q_ = std::make_shared<const MontgomeryContext>(q_);
+}
+
+BigInt RsaPrivateKey::crt_exp(const BigInt& x) const {
+  BigInt m1 = mont_p_->pow(x, d_p_);
+  BigInt m2 = mont_q_->pow(x, d_q_);
+  // h = q_inv * (m1 - m2) mod p (adjusting when m1 < m2)
+  BigInt diff = (m1 >= m2) ? (m1 - m2) : (p_ - ((m2 - m1) % p_)) % p_;
+  BigInt h = (q_inv_ * diff) % p_;
+  return m2 + h * q_;
 }
 
 Bytes RsaPrivateKey::sign(BytesView message) const {
@@ -143,15 +156,7 @@ Bytes RsaPrivateKey::sign(BytesView message) const {
 
 Bytes RsaPrivateKey::sign_digest(const Digest& digest) const {
   std::size_t k = public_key_.modulus_bytes();
-  BigInt m = BigInt::from_bytes_be(pkcs1_encode(digest, k));
-  // CRT: s = m^d mod n computed as two half-size exponentiations.
-  BigInt m1 = mod_exp(m % p_, d_p_, p_);
-  BigInt m2 = mod_exp(m % q_, d_q_, q_);
-  // h = q_inv * (m1 - m2) mod p (adjusting when m1 < m2)
-  BigInt diff = (m1 >= m2) ? (m1 - m2) : (p_ - ((m2 - m1) % p_)) % p_;
-  BigInt h = (q_inv_ * diff) % p_;
-  BigInt s = m2 + h * q_;
-  return s.to_bytes_be(k);
+  return crt_exp(BigInt::from_bytes_be(pkcs1_encode(digest, k))).to_bytes_be(k);
 }
 
 std::optional<Bytes> RsaPrivateKey::decrypt(BytesView ciphertext) const {
@@ -159,18 +164,8 @@ std::optional<Bytes> RsaPrivateKey::decrypt(BytesView ciphertext) const {
   if (ciphertext.size() != k || k < 11) return std::nullopt;
   BigInt c = BigInt::from_bytes_be(ciphertext);
   if (c >= public_key_.n()) return std::nullopt;
-  // CRT, same shape as sign_digest.
-  BigInt m1 = mod_exp(c % p_, d_p_, p_);
-  BigInt m2 = mod_exp(c % q_, d_q_, q_);
-  BigInt diff = (m1 >= m2) ? (m1 - m2) : (p_ - ((m2 - m1) % p_)) % p_;
-  BigInt h = (q_inv_ * diff) % p_;
-  BigInt m = m2 + h * q_;
-  Bytes em;
-  try {
-    em = m.to_bytes_be(k);
-  } catch (const std::invalid_argument&) {
-    return std::nullopt;
-  }
+  // c < n, so c^d mod n always fits in k bytes.
+  Bytes em = crt_exp(c).to_bytes_be(k);
   if (em[0] != 0x00 || em[1] != 0x02) return std::nullopt;
   std::size_t sep = 2;
   while (sep < k && em[sep] != 0x00) ++sep;
@@ -256,88 +251,6 @@ std::size_t SignatureCache::size() const {
   return entries_.size();
 }
 
-BatchVerifyResult batch_verify(const std::vector<BatchVerifyItem>& items,
-                               ChaCha20Rng& rng, SignatureCache* cache) {
-  BatchVerifyResult out;
-  out.ok.assign(items.size(), false);
-
-  // Pass 1: cache answers, and group the remainder by public key.
-  std::map<std::string, std::vector<std::size_t>> groups;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    const BatchVerifyItem& item = items[i];
-    if (item.key == nullptr) continue;
-    if (cache != nullptr &&
-        cache->contains(*item.key, item.digest, item.signature)) {
-      out.ok[i] = true;
-      ++out.cache_hits;
-      continue;
-    }
-    Bytes key_id = item.key->encode();
-    groups[std::string(key_id.begin(), key_id.end())].push_back(i);
-  }
-
-  auto verify_one = [&](std::size_t i) {
-    const BatchVerifyItem& item = items[i];
-    out.ok[i] = item.key->verify_digest(item.digest, item.signature);
-    if (out.ok[i] && cache != nullptr) {
-      cache->insert(*item.key, item.digest, item.signature);
-    }
-  };
-
-  for (auto& [key_id, indices] : groups) {
-    const RsaPublicKey& key = *items[indices.front()].key;
-    const std::size_t k = key.modulus_bytes();
-    bool screened = indices.size() >= 2;
-    if (screened) {
-      // Bellare–Garay–Rabin small-exponents screening over the group:
-      // accept iff (prod s_i^{l_i})^e == prod m_i^{l_i} (mod n) for
-      // random 32-bit l_i >= 1. Any malformed member (wrong length,
-      // s >= n) drops the group to per-item verification instead.
-      BigInt sig_acc(1);
-      BigInt msg_acc(1);
-      for (std::size_t i : indices) {
-        const BatchVerifyItem& item = items[i];
-        if (item.signature.size() != k) {
-          screened = false;
-          break;
-        }
-        BigInt s = BigInt::from_bytes_be(item.signature);
-        if (s >= key.n()) {
-          screened = false;
-          break;
-        }
-        BigInt m = BigInt::from_bytes_be(pkcs1_encode(item.digest, k));
-        BigInt l(static_cast<std::uint64_t>(rng.next_u64() & 0xffffffffULL) |
-                 1ULL);
-        sig_acc = (sig_acc * mod_exp(s, l, key.n())) % key.n();
-        msg_acc = (msg_acc * mod_exp(m, l, key.n())) % key.n();
-      }
-      if (screened && mod_exp(sig_acc, key.e(), key.n()) == msg_acc) {
-        ++out.screened_groups;
-        for (std::size_t i : indices) {
-          out.ok[i] = true;
-          if (cache != nullptr) {
-            cache->insert(key, items[i].digest, items[i].signature);
-          }
-        }
-        continue;
-      }
-    }
-    // Singleton group, malformed member, or screening failed: verify each
-    // member individually so the caller learns exactly which are bad.
-    for (std::size_t i : indices) verify_one(i);
-  }
-
-  out.all_ok = true;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (!out.ok[i]) {
-      out.all_ok = false;
-      out.bad.push_back(i);
-    }
-  }
-  return out;
-}
-
 bool is_probable_prime(const BigInt& candidate, ChaCha20Rng& rng, int rounds) {
   if (candidate < BigInt(2)) return false;
   for (std::uint64_t sp : kSmallPrimes) {
@@ -400,8 +313,8 @@ BigInt generate_prime(std::size_t bits, ChaCha20Rng& rng) {
 }
 
 RsaPrivateKey generate_rsa_keypair(std::size_t bits, ChaCha20Rng& rng) {
-  if (bits < 512) {
-    throw std::invalid_argument("generate_rsa_keypair: need >= 512 bits");
+  if (bits < 512 || bits > 64 * MontgomeryContext::kMaxLimbs) {
+    throw std::invalid_argument("generate_rsa_keypair: need 512..4096 bits");
   }
   BigInt e(65537);
   for (;;) {

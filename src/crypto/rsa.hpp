@@ -7,11 +7,15 @@
 // usable in the extra-protocol dispute resolution the paper describes.
 //
 // Key generation uses Miller-Rabin probable primes from the ChaCha20 CSPRNG
-// and Chinese-Remainder-Theorem signing for speed.
+// and Chinese-Remainder-Theorem signing for speed. Each key builds one
+// Montgomery context per modulus (n; p and q) when it is constructed;
+// copies share them, and every operation keeps its scratch on the caller's
+// stack, so any number of threads can sign or verify with one key at once.
 #pragma once
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -28,7 +32,12 @@ namespace b2b::crypto {
 /// Public half of an RSA keypair: (n, e). Serializable for distribution.
 class RsaPublicKey {
  public:
+  /// Smallest modulus, in bytes, that fits a PKCS#1 v1.5 SHA-256 signature.
+  static constexpr std::size_t kMinModulusBytes = 62;
+
   RsaPublicKey() = default;
+  /// Throws std::invalid_argument unless n is zero (the empty key) or odd,
+  /// > 1 and at most 4096 bits.
   RsaPublicKey(BigInt n, BigInt e);
 
   const BigInt& n() const { return n_; }
@@ -37,7 +46,7 @@ class RsaPublicKey {
   std::size_t modulus_bytes() const { return (n_.bit_length() + 7) / 8; }
 
   /// Verify `signature` over SHA-256(message). Returns false on any
-  /// mismatch (never throws for a well-formed key).
+  /// mismatch, and for a key too small to carry a signature; never throws.
   bool verify(BytesView message, BytesView signature) const;
 
   /// Verify a signature over a precomputed digest.
@@ -51,13 +60,18 @@ class RsaPublicKey {
   Bytes encrypt(BytesView plaintext, ChaCha20Rng& rng) const;
 
   Bytes encode() const;
-  static RsaPublicKey decode(BytesView data);  // throws CodecError
+  /// Throws CodecError on malformed bytes and on a modulus that is even,
+  /// shorter than kMinModulusBytes or wider than 4096 bits.
+  static RsaPublicKey decode(BytesView data);
 
-  friend bool operator==(const RsaPublicKey&, const RsaPublicKey&) = default;
+  friend bool operator==(const RsaPublicKey& a, const RsaPublicKey& b) {
+    return a.n_ == b.n_ && a.e_ == b.e_;
+  }
 
  private:
   BigInt n_;
   BigInt e_;
+  std::shared_ptr<const MontgomeryContext> mont_n_;  // null for the empty key
 };
 
 /// Full keypair. The private exponent never leaves this object.
@@ -80,10 +94,14 @@ class RsaPrivateKey {
   std::optional<Bytes> decrypt(BytesView ciphertext) const;
 
  private:
+  /// x^d mod n by CRT: two half-size exponentiations recombined.
+  BigInt crt_exp(const BigInt& x) const;
+
   RsaPublicKey public_key_;
   BigInt d_;
   // CRT components for ~4x faster signing.
   BigInt p_, q_, d_p_, d_q_, q_inv_;
+  std::shared_ptr<const MontgomeryContext> mont_p_, mont_q_;
 };
 
 /// Bounded, thread-safe cache of signatures that have already verified.
@@ -143,47 +161,8 @@ class SignatureCache {
   mutable Stats stats_;
 };
 
-/// One signature for batch_verify: `key` must outlive the call.
-struct BatchVerifyItem {
-  const RsaPublicKey* key = nullptr;
-  Digest digest{};
-  Bytes signature;
-};
-
-struct BatchVerifyResult {
-  /// True iff every item verified.
-  bool all_ok = false;
-  /// Per-item verdicts, parallel to the input.
-  std::vector<bool> ok;
-  /// Indices of the items that failed (the batch localises bad members).
-  std::vector<std::size_t> bad;
-  /// Items answered from the cache without any modular arithmetic.
-  std::size_t cache_hits = 0;
-  /// Same-key groups accepted via one screening equation instead of
-  /// per-item full verifications.
-  std::size_t screened_groups = 0;
-};
-
-/// Verify many signatures at once, cheaper than one-by-one.
-///
-/// Items are first answered from `cache` (when given). The remainder are
-/// grouped by public key; each same-key group of two or more is screened
-/// with one Bellare–Garay–Rabin small-exponents test — random 32-bit
-/// multipliers l_i drawn from `rng`, accepting iff
-/// (prod s_i^{l_i})^e == prod m_i^{l_i} (mod n) — which costs one e-ary
-/// exponentiation for the whole group. A group that fails screening (or
-/// contains a malformed signature) is re-checked one by one so the result
-/// names exactly the bad indices; a cheating signature survives screening
-/// with probability ~2^-32 per batch and never survives localisation.
-/// Verified items are inserted into `cache`. Distinct keys can never be
-/// aggregated (different moduli), so cross-signer batches degrade
-/// gracefully to per-key groups.
-BatchVerifyResult batch_verify(const std::vector<BatchVerifyItem>& items,
-                               ChaCha20Rng& rng,
-                               SignatureCache* cache = nullptr);
-
 /// Generate a keypair with an n of `bits` bits (e = 65537).
-/// `bits` must be >= 512; tests use 512 for speed, benches go larger.
+/// `bits` must be in [512, 4096]; tests use 512 for speed, benches go larger.
 RsaPrivateKey generate_rsa_keypair(std::size_t bits, ChaCha20Rng& rng);
 
 /// Miller-Rabin probable-prime test with `rounds` random bases.

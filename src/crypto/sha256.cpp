@@ -1,5 +1,6 @@
 #include "crypto/sha256.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -45,7 +46,8 @@ Sha256& Sha256::update(BytesView data) {
   std::size_t offset = 0;
   if (buffer_len_ > 0) {
     std::size_t take = std::min(data.size(), buffer_.size() - buffer_len_);
-    std::memcpy(buffer_.data() + buffer_len_, data.data(), take);
+    // copy_n, not memcpy: an empty span may carry a null pointer.
+    std::copy_n(data.data(), take, buffer_.data() + buffer_len_);
     buffer_len_ += take;
     offset += take;
     if (buffer_len_ == buffer_.size()) {

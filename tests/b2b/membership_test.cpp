@@ -508,6 +508,41 @@ TEST(MembershipBounds, ReplayedRequestStillRejectedAfterNonceEviction) {
   fs::remove_all(root);
 }
 
+// An outsider's connect request carrying a key no signature fits (a 2-byte
+// modulus; PKCS#1 SHA-256 needs 62 bytes) is refused at decode and blamed
+// on the sender. Nothing throws through the delivery path, and the group
+// agrees on its next change.
+TEST(Membership, ConnectRequestWithUnusableKeyIsAViolation) {
+  ConnectFixture t;
+  MembershipRequest request;
+  request.kind = MembershipKind::kConnect;
+  request.sender = PartyId{"gamma"};
+  request.object = kObj;
+  request.subjects = {PartyId{"gamma"}};
+  request.subject_public_key =
+      crypto::RsaPublicKey(crypto::BigInt(257), crypto::BigInt(65537))
+          .encode();
+  request.request_nonce = bytes_of("tiny-key");
+  wire::Encoder enc;
+  request.encode_into(enc);
+  enc.blob(Bytes{0x01, 0x00});  // a "signature" as wide as the modulus
+  t.fed.endpoint("gamma").send(
+      PartyId{"beta"},
+      Envelope{MsgType::kConnectRequest, kObj, std::move(enc).take()}
+          .encode());
+  t.fed.settle();
+  EXPECT_EQ(t.fed.coordinator("beta").violations_detected(), 1u);
+  EXPECT_EQ(t.fed.coordinator("beta").replica(kObj).members().size(), 2u);
+
+  t.alpha_obj.value = bytes_of("after-the-outsider");
+  RunHandle h = t.fed.coordinator("alpha").propagate_new_state(
+      kObj, t.alpha_obj.get_state());
+  ASSERT_TRUE(t.fed.run_until_done(h));
+  EXPECT_EQ(h->outcome, RunResult::Outcome::kAgreed);
+  t.fed.settle();
+  EXPECT_EQ(t.beta_obj.value, bytes_of("after-the-outsider"));
+}
+
 // --- sponsor rotation under eviction (§4.5.1) ---------------------------------
 
 // The eviction subject set contains the legitimate sponsor itself: the

@@ -190,27 +190,57 @@ TEST(BigIntModExpTest, EvenModulusPathAgrees) {
 }
 
 TEST(BigIntModExpTest, MontgomeryMatchesNaiveOnRandomInputs) {
+  // Every modulus width from one limb to the kernel's 64, exponents on
+  // both sides of the square-and-multiply / 4-bit-window boundary (64
+  // bits) and at full width, and the edge bases.
   ChaCha20Rng rng(7);
-  for (int i = 0; i < 10; ++i) {
-    Bytes mod_bytes = rng.bytes(24);
-    mod_bytes.back() |= 1;  // odd
-    mod_bytes.front() |= 0x80;
-    BigInt m = BigInt::from_bytes_be(mod_bytes);
-    BigInt base = BigInt::from_bytes_be(rng.bytes(24)) % m;
-    BigInt exp = BigInt::from_bytes_be(rng.bytes(8));
-    // Naive: repeated square-and-multiply with divmod reduction.
-    BigInt expect(1);
-    for (std::size_t bit = exp.bit_length(); bit-- > 0;) {
-      expect = (expect * expect) % m;
-      if (exp.bit(bit)) expect = (expect * base) % m;
+  auto random_bits = [&rng](std::size_t bits) {
+    if (bits == 0) return BigInt();
+    BigInt value = BigInt::from_bytes_be(rng.bytes((bits + 7) / 8));
+    value = value % (BigInt(1) << (bits - 1));
+    return value + (BigInt(1) << (bits - 1));  // exactly `bits` bits
+  };
+  for (std::size_t limbs : {1u, 2u, 4u, 8u, 16u, 32u, 64u}) {
+    BigInt m = random_bits(64 * limbs);
+    if (!m.is_odd()) m = m + BigInt(1);
+    for (std::size_t exp_bits : {std::size_t{0}, std::size_t{1},
+                                 std::size_t{17}, std::size_t{64},
+                                 std::size_t{65}, 64 * limbs}) {
+      BigInt exp = random_bits(exp_bits);
+      for (const BigInt& base :
+           {BigInt(0), BigInt(1), m - BigInt(1), random_bits(64 * limbs) % m,
+            m + random_bits(64 * limbs)}) {
+        // Naive: repeated square-and-multiply with divmod reduction.
+        BigInt reduced = base % m;
+        BigInt expect(1);
+        for (std::size_t bit = exp.bit_length(); bit-- > 0;) {
+          expect = (expect * expect) % m;
+          if (exp.bit(bit)) expect = (expect * reduced) % m;
+        }
+        EXPECT_EQ(mod_exp(base, exp, m), expect)
+            << limbs << " limbs, " << exp_bits << "-bit exponent, base "
+            << base.to_hex();
+      }
     }
-    EXPECT_EQ(mod_exp(base, exp, m), expect) << "iteration " << i;
   }
+}
+
+// One limb wider than MontgomeryContext supports.
+BigInt too_wide_modulus() {
+  return (BigInt(1) << (64 * MontgomeryContext::kMaxLimbs)) + BigInt(1);
+}
+
+TEST(BigIntModExpTest, ModulusWiderThanTheKernelUsesPlainPath) {
+  BigInt wide = too_wide_modulus();
+  EXPECT_EQ(mod_exp(BigInt(3), BigInt(5), wide), BigInt(243));
+  EXPECT_EQ(mod_exp(wide - BigInt(1), BigInt(2), wide), BigInt(1));
 }
 
 TEST(MontgomeryContextTest, RequiresOddModulus) {
   EXPECT_THROW(MontgomeryContext(BigInt(10)), std::invalid_argument);
   EXPECT_THROW(MontgomeryContext(BigInt(1)), std::invalid_argument);
+  // Wider than the kernel's stack scratch.
+  EXPECT_THROW(MontgomeryContext{too_wide_modulus()}, std::invalid_argument);
 }
 
 TEST(MontgomeryContextTest, ToFromMontRoundTrip) {

@@ -4,12 +4,27 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "common/bytes.hpp"
 #include "common/error.hpp"
 #include "tests/support/test_keys.hpp"
 
 namespace b2b::crypto {
 namespace {
+
+/// The RsaPublicKey wire format (u32 length + big-endian bytes, for n then
+/// e), built by hand so that tests can encode keys the constructor refuses.
+Bytes encode_raw_key(const Bytes& n, const Bytes& e) {
+  Bytes out;
+  for (const Bytes* part : {&n, &e}) {
+    for (int i = 3; i >= 0; --i) {
+      out.push_back(static_cast<std::uint8_t>(part->size() >> (8 * i)));
+    }
+    out.insert(out.end(), part->begin(), part->end());
+  }
+  return out;
+}
 
 TEST(PrimeTest, KnownSmallPrimesAccepted) {
   ChaCha20Rng rng(std::uint64_t{1});
@@ -115,6 +130,131 @@ TEST(RsaTest, PublicKeyDecodeRejectsGarbage) {
   encoded.pop_back();
   encoded.pop_back();  // truncation
   EXPECT_THROW(RsaPublicKey::decode(encoded), CodecError);
+
+  // Moduli verification could not use: too short for a PKCS#1 SHA-256
+  // signature (2 and 61 bytes), even, or wider than 4096 bits.
+  const Bytes e{0x01, 0x00, 0x01};
+  EXPECT_THROW(RsaPublicKey::decode(encode_raw_key({0x01, 0x01}, e)),
+               CodecError);
+  EXPECT_THROW(RsaPublicKey::decode(encode_raw_key(Bytes(61, 0xff), e)),
+               CodecError);
+  Bytes even = test::shared_test_key(0).public_key().n().to_bytes_be();
+  even.back() ^= 0x01;
+  EXPECT_THROW(RsaPublicKey::decode(encode_raw_key(even, e)), CodecError);
+  EXPECT_THROW(RsaPublicKey::decode(encode_raw_key(Bytes(513, 0xff), e)),
+               CodecError);
+  // Leading zero bytes do not count towards the modulus length.
+  Bytes padded(2, 0x00);
+  padded.resize(63, 0xff);
+  EXPECT_THROW(RsaPublicKey::decode(encode_raw_key(padded, e)), CodecError);
+  // The smallest usable modulus still decodes.
+  EXPECT_NO_THROW(RsaPublicKey::decode(encode_raw_key(Bytes(62, 0xff), e)));
+}
+
+TEST(RsaTest, VerifyWithUnusableKeyReturnsFalse) {
+  // Keys too small to carry a signature never throw from verification.
+  Digest digest = Sha256::hash(bytes_of("message"));
+  RsaPublicKey tiny(BigInt(257), BigInt(65537));
+  EXPECT_FALSE(tiny.verify_digest(digest, Bytes{0x01, 0x00}));
+  RsaPublicKey short_key(BigInt::from_bytes_be(Bytes(61, 0xff)), BigInt(3));
+  EXPECT_FALSE(short_key.verify_digest(digest, Bytes(61, 0x01)));
+  EXPECT_FALSE(RsaPublicKey{}.verify_digest(digest, Bytes{}));
+  EXPECT_THROW(RsaPublicKey(BigInt(10), BigInt(3)), std::invalid_argument);
+}
+
+TEST(RsaTest, KnownAnswerSignatures) {
+  // PKCS#1 v1.5 signing is deterministic: these signatures were recorded
+  // before the Montgomery kernel was rewritten and must never change. The
+  // 1024-bit key is generated here, so key generation is pinned too.
+  Digest zeros{};
+  Digest counting{};
+  for (std::size_t i = 0; i < counting.size(); ++i) {
+    counting[i] = static_cast<std::uint8_t>(i);
+  }
+  Digest abc = Sha256::hash(bytes_of("abc"));
+  ChaCha20Rng rng(std::uint64_t{0xb2b0400});
+  RsaPrivateKey key1024 = generate_rsa_keypair(1024, rng);
+
+  struct Case {
+    const RsaPrivateKey* key;
+    const Digest* digest;
+    const char* signature;
+  };
+  const Case cases[] = {
+      {&test::shared_test_key(0), &zeros,
+       "400d8d068968cb8f6bb3d76af9a72f37da20a163b6a2de745cd3b9337631f1bc"
+       "9c0e88749eebc539852cd1e64608907cad066e3f8871acd8a66723b3a064a5e3"},
+      {&test::shared_test_key(0), &counting,
+       "5f00fa68ea473cee7be54bc9088aea37f8b1730864d99746f506c9376b038d76"
+       "46b7f76bafe1741db4a390d24ce5634dfa5413ed916f589501f4e9d2610ba970"},
+      {&test::shared_test_key(0), &abc,
+       "4b69560d673fee27aecde7c0335087d60dbbfbdda0bbea80d1f1fdb8d248b375"
+       "9e9de92ea913685c30642034bf21a808bed92dc176858e0af3a0f30f38623202"},
+      {&key1024, &zeros,
+       "90b0f9d79f22ed67e7d36096df88c8b896541fcea9ddde3ffa7f2a63e4dd0d20"
+       "ae0831c662a7e474ac7902ea55c9f20a48a41d7601021bd12de624a1166de96a"
+       "666de30ec27c63586c9aeb5f78c74dac6f1fc4e05782f46d2c91ab579f0d8b90"
+       "984d99747219ba38968a7ed8e4733a020004b170669905fae817f2f2fa1dfa40"},
+      {&key1024, &counting,
+       "16e96f788e131718e1663682ac13e925ca4468c9d1c82a6b63e5f0bf8c888f3f"
+       "f8b1a1c6dcd661fa61db6fafee5dd09a54a4defac4e23e10176b0afdbb1abe1e"
+       "ea4e41dc76eb4deefc15d53b315d3a5df958af63ea8d53f22ab2bb6eab11b014"
+       "eae7870a637b5e739ec90d3018b92ed4d7aa5daa7f5222856260b1482b2a5a2d"},
+      {&key1024, &abc,
+       "a54a26286277d1f400f8f1b42a0acf9568f277dd11a7a58a4d2baf31ad02abbc"
+       "027bf4ad9d4bd8ca548ba8bf55c734daced001a937a4948632d7efa12cae85cd"
+       "5cf55261fdf0395a69378293309937b19b38ebb2b2096c9cc5fc48db3fa694a5"
+       "4c6ab5ac8a09d6c32332eb42de134bb289811eda8ef44ce246e5c3df286b4db9"},
+  };
+  for (const Case& c : cases) {
+    Bytes signature = c.key->sign_digest(*c.digest);
+    EXPECT_EQ(to_hex(signature), c.signature);
+    EXPECT_TRUE(c.key->public_key().verify_digest(*c.digest, signature));
+  }
+}
+
+TEST(RsaTest, ConcurrentSignAndVerifyWithOneKeyAgree) {
+  // Shard lanes, reactor workers and the TSS sign with one key at once.
+  // The key's Montgomery contexts are immutable and shared by its copies,
+  // and all scratch lives on each caller's stack, so no lock is needed
+  // and every thread gets the single-threaded bytes.
+  const RsaPrivateKey& key = test::shared_test_key(0);
+  std::vector<Digest> digests;
+  std::vector<Bytes> expected;
+  for (int i = 0; i < 8; ++i) {
+    digests.push_back(
+        Sha256::hash(bytes_of("concurrent-" + std::to_string(i))));
+    expected.push_back(key.sign_digest(digests.back()));
+  }
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 4;
+  std::vector<std::vector<Bytes>> signed_by(kThreads);
+  std::vector<int> verified(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      RsaPrivateKey copy = key;
+      const RsaPrivateKey& signer = (t % 2 == 0) ? key : copy;
+      for (int round = 0; round < kRounds; ++round) {
+        for (const Digest& digest : digests) {
+          Bytes signature = signer.sign_digest(digest);
+          if (signer.public_key().verify_digest(digest, signature)) {
+            ++verified[t];
+          }
+          signed_by[t].push_back(std::move(signature));
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(verified[t], kRounds * static_cast<int>(digests.size()));
+    ASSERT_EQ(signed_by[t].size(), kRounds * digests.size());
+    for (std::size_t i = 0; i < signed_by[t].size(); ++i) {
+      EXPECT_EQ(signed_by[t][i], expected[i % digests.size()])
+          << "thread " << t << " signature " << i;
+    }
+  }
 }
 
 TEST(RsaTest, EncryptDecryptRoundTrip) {
@@ -169,8 +309,8 @@ TEST(RsaTest, DecryptWithWrongKeyFails) {
   }
 }
 
-// --- SignatureCache: the verified-signature cache behind the batch /
-// --- pipelining work (DESIGN.md §13).
+// --- SignatureCache: the verified-signature cache behind the pipelining
+// --- work (DESIGN.md §13).
 
 TEST(SignatureCacheTest, HitAfterVerifyMissBefore) {
   const RsaPrivateKey& key = test::shared_test_key(0);
@@ -257,118 +397,67 @@ TEST(SignatureCacheTest, CannotBePoisonedByPrefixCollision) {
   EXPECT_TRUE(cache.contains(key_a.public_key(), digest, signature));
 }
 
-// --- batch_verify: many signatures at once, agreeing with one-by-one
-// --- verification and localising corrupted members.
-
-TEST(BatchVerifyTest, AgreesWithOneByOneOnAThousandMessages) {
+TEST(SignatureCacheTest, AgreesWithOneByOneOnAThousandMessages) {
   const RsaPrivateKey& key_a = test::shared_test_key(0);
   const RsaPrivateKey& key_b = test::shared_test_key(1);
   ChaCha20Rng data_rng(std::uint64_t{41});
-  ChaCha20Rng batch_rng(std::uint64_t{42});
-
-  std::vector<BatchVerifyItem> items;
-  std::vector<bool> expected;
-  items.reserve(1000);
+  SignatureCache cache(1024);
+  std::size_t good = 0;
   for (int i = 0; i < 1000; ++i) {
     const RsaPrivateKey& key = (i % 3 == 0) ? key_b : key_a;
     Bytes message = data_rng.bytes(16 + (i % 48));
-    BatchVerifyItem item;
-    item.key = &key.public_key();
-    item.digest = Sha256::hash(message);
-    item.signature = key.sign_digest(item.digest);
-    bool good = true;
-    if (i % 97 == 13) {  // corrupt a scattering of members
-      item.signature[i % item.signature.size()] ^= 0x01;
-      good = false;
-    }
-    items.push_back(std::move(item));
-    expected.push_back(good);
-  }
-
-  BatchVerifyResult result = batch_verify(items, batch_rng);
-  ASSERT_EQ(result.ok.size(), items.size());
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    EXPECT_EQ(result.ok[i],
-              items[i].key->verify_digest(items[i].digest,
-                                          items[i].signature))
+    Digest digest = Sha256::hash(message);
+    Bytes signature = key.sign_digest(digest);
+    bool corrupt = i % 97 == 13;  // corrupt a scattering of members
+    if (corrupt) signature[i % signature.size()] ^= 0x01;
+    bool direct = key.public_key().verify_digest(digest, signature);
+    EXPECT_EQ(direct, !corrupt) << "index " << i;
+    EXPECT_EQ(cache.verify_digest(key.public_key(), digest, signature), direct)
         << "index " << i;
-    EXPECT_EQ(result.ok[i], expected[i]) << "index " << i;
+    if (direct) ++good;
   }
-  EXPECT_FALSE(result.all_ok);
-  // The batch localises exactly the corrupted indices.
-  std::vector<std::size_t> expected_bad;
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    if (!expected[i]) expected_bad.push_back(i);
-  }
-  EXPECT_EQ(result.bad, expected_bad);
+  // Only the signatures that verified were remembered.
+  EXPECT_EQ(cache.size(), good);
 }
 
-TEST(BatchVerifyTest, AllGoodBatchScreensWholeGroups) {
-  const RsaPrivateKey& key = test::shared_test_key(0);
-  ChaCha20Rng batch_rng(std::uint64_t{43});
-  std::vector<BatchVerifyItem> items;
-  for (int i = 0; i < 8; ++i) {
-    Bytes message = bytes_of("screen-" + std::to_string(i));
-    BatchVerifyItem item;
-    item.key = &key.public_key();
-    item.digest = Sha256::hash(message);
-    item.signature = key.sign_digest(item.digest);
-    items.push_back(std::move(item));
-  }
-  BatchVerifyResult result = batch_verify(items, batch_rng);
-  EXPECT_TRUE(result.all_ok);
-  EXPECT_TRUE(result.bad.empty());
-  EXPECT_EQ(result.screened_groups, 1u);
-}
-
-TEST(BatchVerifyTest, WrongKeyRegression) {
-  // A signature made under key A presented as key B's must fail in the
-  // batch exactly as it does one-by-one, and must not poison its group.
+TEST(SignatureCacheTest, WrongKeyRegression) {
+  // A signature made under key A presented as key B's must fail through
+  // the cache exactly as it does directly, and must not be remembered.
   const RsaPrivateKey& key_a = test::shared_test_key(0);
   const RsaPrivateKey& key_b = test::shared_test_key(1);
-  ChaCha20Rng batch_rng(std::uint64_t{44});
-  std::vector<BatchVerifyItem> items;
+  SignatureCache cache(16);
   for (int i = 0; i < 4; ++i) {
-    Bytes message = bytes_of("wrong-key-" + std::to_string(i));
-    BatchVerifyItem item;
-    item.key = &key_b.public_key();
-    item.digest = Sha256::hash(message);
+    Digest digest = Sha256::hash(bytes_of("wrong-key-" + std::to_string(i)));
     // Item 2 carries key A's signature, claimed to be from key B.
-    item.signature = (i == 2) ? key_a.sign_digest(item.digest)
-                              : key_b.sign_digest(item.digest);
-    items.push_back(std::move(item));
+    Bytes signature = (i == 2) ? key_a.sign_digest(digest)
+                               : key_b.sign_digest(digest);
+    EXPECT_EQ(cache.verify_digest(key_b.public_key(), digest, signature),
+              i != 2)
+        << "index " << i;
   }
-  BatchVerifyResult result = batch_verify(items, batch_rng);
-  EXPECT_FALSE(result.all_ok);
-  ASSERT_EQ(result.bad.size(), 1u);
-  EXPECT_EQ(result.bad[0], 2u);
-  EXPECT_TRUE(result.ok[0]);
-  EXPECT_TRUE(result.ok[1]);
-  EXPECT_TRUE(result.ok[3]);
+  EXPECT_EQ(cache.size(), 3u);
 }
 
-TEST(BatchVerifyTest, PopulatesAndConsultsCache) {
+TEST(SignatureCacheTest, PopulatesAndConsultsCache) {
   const RsaPrivateKey& key = test::shared_test_key(0);
-  ChaCha20Rng batch_rng(std::uint64_t{45});
   SignatureCache cache(64);
-  std::vector<BatchVerifyItem> items;
+  std::vector<Digest> digests;
+  std::vector<Bytes> signatures;
   for (int i = 0; i < 6; ++i) {
-    Bytes message = bytes_of("cache-batch-" + std::to_string(i));
-    BatchVerifyItem item;
-    item.key = &key.public_key();
-    item.digest = Sha256::hash(message);
-    item.signature = key.sign_digest(item.digest);
-    items.push_back(std::move(item));
+    digests.push_back(
+        Sha256::hash(bytes_of("cache-batch-" + std::to_string(i))));
+    signatures.push_back(key.sign_digest(digests.back()));
+    EXPECT_TRUE(cache.verify_digest(key.public_key(), digests.back(),
+                                    signatures.back()));
   }
-  BatchVerifyResult first = batch_verify(items, batch_rng, &cache);
-  EXPECT_TRUE(first.all_ok);
-  EXPECT_EQ(first.cache_hits, 0u);
+  EXPECT_EQ(cache.stats().hits, 0u);
   EXPECT_EQ(cache.size(), 6u);
-  // A retransmission of the same batch never re-enters RSA.
-  BatchVerifyResult second = batch_verify(items, batch_rng, &cache);
-  EXPECT_TRUE(second.all_ok);
-  EXPECT_EQ(second.cache_hits, 6u);
-  EXPECT_EQ(second.screened_groups, 0u);
+  // A retransmission of the same responses never re-enters RSA.
+  for (std::size_t i = 0; i < digests.size(); ++i) {
+    EXPECT_TRUE(
+        cache.verify_digest(key.public_key(), digests[i], signatures[i]));
+  }
+  EXPECT_EQ(cache.stats().hits, 6u);
 }
 
 TEST(RsaTest, KeypairGenerationRejectsTinyKeys) {
