@@ -287,6 +287,135 @@ TEST(PipelineLockModeAblation, CoarseAndPerObjectAgree) {
 }
 
 // ---------------------------------------------------------------------------
+// Golden-digest determinism for pipelined runs
+// ---------------------------------------------------------------------------
+
+// Frozen fingerprints of the pipelined scenario below at seed 37 (captured
+// on the deterministic simulator while single runs and batches still had
+// separate code paths; both coordinator lock modes must match). They give
+// K >= 2 the bit-for-bit oracle that kGoldenPlain (sharding_test.cpp) and
+// kDealGolden* (deal_test.cpp) give single runs. Never edit them.
+constexpr char kPipelineGoldenPlain[] =
+    "b496fb72a0840e2c664146ea20500130220db268e960ee2af21f2ff7afec2475";
+constexpr char kPipelineGoldenJournaled[] =
+    "7a55189eb686147f4f512acc7dc39c2e94454bec6f62f53bfca24cb85da4cff5";
+
+/// A fixed pipelined scenario with evidence anchors: warm-up, the mixed
+/// batch, a 16-item batch, a vetoed batch and a plain run. The whole
+/// deployment (evidence sizes and tails, tuples, values, per-type send
+/// counts, executed event count) is hashed.
+std::string run_pipeline_golden(Federation::Options options,
+                                const std::string& journal_tag = "") {
+  if (!journal_tag.empty()) {
+    options.journal_root = fresh_journal_root(journal_tag);
+    options.journal_fsync = false;
+  }
+  options.pipeline = true;
+  options.evidence_anchor_interval = 8;
+
+  std::string digest_hex;
+  {
+    Parties p(options);
+    p.warm_up();
+    auto drive = [&](const RunHandle& h, RunResult::Outcome outcome) {
+      if (!p.fed.run_until_done(h)) {
+        ADD_FAILURE() << "pipeline golden run did not terminate";
+        return;
+      }
+      EXPECT_EQ(h->outcome, outcome) << h->diagnostic;
+      p.fed.settle();
+    };
+
+    drive(p.fed.coordinator("alpha").propagate_batch(kObj, mixed_batch()),
+          RunResult::Outcome::kAgreed);
+
+    // Sixteen items at another proposer, overwrites and updates alternating.
+    std::vector<Replica::BatchOp> sixteen;
+    Bytes value = p.beta_obj.value;
+    for (int i = 0; i < 16; ++i) {
+      if (i % 2 == 0) {
+        value = bytes_of("k" + std::to_string(i));
+        sixteen.push_back({false, value, value});
+      } else {
+        Bytes suffix = bytes_of("+" + std::to_string(i));
+        value.insert(value.end(), suffix.begin(), suffix.end());
+        sixteen.push_back({true, suffix, value});
+      }
+    }
+    drive(p.fed.coordinator("beta").propagate_batch(kObj, std::move(sixteen)),
+          RunResult::Outcome::kAgreed);
+
+    p.gamma_obj.policy = [](BytesView proposed, const ValidationContext&) {
+      std::string text(proposed.begin(), proposed.end());
+      return text.find("poison") != std::string::npos
+                 ? Decision::rejected("poisoned value")
+                 : Decision::accepted();
+    };
+    std::vector<Replica::BatchOp> vetoed;
+    vetoed.push_back({false, bytes_of("fine"), bytes_of("fine")});
+    vetoed.push_back({false, bytes_of("poison"), bytes_of("poison")});
+    drive(p.fed.coordinator("alpha").propagate_batch(kObj, std::move(vetoed)),
+          RunResult::Outcome::kVetoed);
+    p.gamma_obj.policy = nullptr;
+
+    p.gamma_obj.value = bytes_of("plain");
+    drive(p.fed.coordinator("gamma").propagate_new_state(
+              kObj, p.gamma_obj.get_state()),
+          RunResult::Outcome::kAgreed);
+
+    crypto::Sha256 hasher;
+    auto mix = [&](const Bytes& bytes) {
+      const std::uint64_t n = bytes.size();
+      Bytes len(8);
+      for (int i = 0; i < 8; ++i) {
+        len[i] = static_cast<std::uint8_t>(n >> (8 * i));
+      }
+      hasher.update(len);
+      hasher.update(bytes);
+    };
+    for (const std::string name : {"alpha", "beta", "gamma"}) {
+      Coordinator& coord = p.fed.coordinator(name);
+      const store::EvidenceLog& evidence = coord.evidence();
+      EXPECT_TRUE(evidence.verify_chain()) << name;
+      mix(bytes_of(std::to_string(evidence.size())));
+      if (!evidence.empty()) {
+        mix(evidence.at(evidence.size() - 1).encode());
+      }
+      mix(coord.replica(kObj).agreed_tuple().encode());
+      mix(coord.replica(kObj).group_tuple().encode());
+      mix(p.obj(name).value);
+      for (const auto& [type, count] : coord.protocol_stats().sent_by_type) {
+        mix(bytes_of(std::to_string(static_cast<int>(type)) + "=" +
+                     std::to_string(count)));
+      }
+      EXPECT_EQ(coord.violations_detected(), 0u) << name;
+    }
+    mix(bytes_of(std::to_string(p.fed.scheduler().events_executed())));
+    digest_hex = to_hex(crypto::digest_bytes(hasher.finish()));
+  }
+  if (!journal_tag.empty()) {
+    fs::remove_all(fs::temp_directory_path() / ("b2b_pipeline_" + journal_tag));
+  }
+  return digest_hex;
+}
+
+TEST(PipelineGolden, PerObjectMatchesFrozenDigest) {
+  Federation::Options options = test::runtime_options(RuntimeKind::kSim, 37);
+  options.lock_mode = Coordinator::LockMode::kPerObject;
+  EXPECT_EQ(run_pipeline_golden(options), kPipelineGoldenPlain);
+  EXPECT_EQ(run_pipeline_golden(options, "golden_j1"),
+            kPipelineGoldenJournaled);
+}
+
+TEST(PipelineGolden, CoarseMatchesFrozenDigest) {
+  Federation::Options options = test::runtime_options(RuntimeKind::kSim, 37);
+  options.lock_mode = Coordinator::LockMode::kCoarse;
+  EXPECT_EQ(run_pipeline_golden(options), kPipelineGoldenPlain);
+  EXPECT_EQ(run_pipeline_golden(options, "golden_j2"),
+            kPipelineGoldenJournaled);
+}
+
+// ---------------------------------------------------------------------------
 // The batch crash-point campaign
 // ---------------------------------------------------------------------------
 
