@@ -718,6 +718,20 @@ void Coordinator::replay_journal() {
   }
 }
 
+namespace {
+
+/// Every item of a journaled run enters replay protection and the
+/// sequence watermark.
+void note_run_items(Replica::RecoveredObjectState& rec,
+                    const BatchProposeMsg& propose) {
+  for (const BatchItem& item : propose.items) {
+    rec.seen_labels.insert(item.proposed.label());
+    rec.max_sequence = std::max(rec.max_sequence, item.proposed.sequence);
+  }
+}
+
+}  // namespace
+
 void Coordinator::replay_object_record(std::uint8_t type,
                                        const ObjectId& object,
                                        Replica::RecoveredObjectState& rec,
@@ -734,9 +748,7 @@ void Coordinator::replay_object_record(std::uint8_t type,
     case walrec::kProposerRun: {
       auto run = Replica::ProposerRunRecord::decode(dec.blob());
       dec.expect_done();
-      const StateTuple& proposed = run.propose.proposal.proposed;
-      rec.seen_labels.insert(proposed.label());
-      rec.max_sequence = std::max(rec.max_sequence, proposed.sequence);
+      note_run_items(rec, run.propose);
       rec.proposer_run = std::move(run);
       rec.proposer_responses.clear();
       rec.proposer_decide.reset();
@@ -745,17 +757,9 @@ void Coordinator::replay_object_record(std::uint8_t type,
     case walrec::kResponseReceived: {
       RespondMsg response = RespondMsg::decode(dec.blob());
       dec.expect_done();
-      // A response belongs to the open plain run or the open batch run
-      // (both accumulate in proposer_responses; at most one is open).
-      const bool matches_plain =
-          rec.proposer_run.has_value() &&
-          response.response.proposed ==
-              rec.proposer_run->propose.proposal.proposed;
-      const bool matches_batch =
-          rec.batch_proposer_run.has_value() &&
-          response.response.proposed ==
-              rec.batch_proposer_run->propose.proposal.proposed;
-      if (!matches_plain && !matches_batch) {
+      if (!rec.proposer_run.has_value() ||
+          response.response.proposed !=
+              rec.proposer_run->propose.proposal.proposed) {
         break;  // response for an already-closed run
       }
       const bool duplicate = std::any_of(
@@ -767,7 +771,7 @@ void Coordinator::replay_object_record(std::uint8_t type,
       break;
     }
     case walrec::kDecideSent: {
-      DecideMsg decide = DecideMsg::decode(dec.blob());
+      BatchDecideMsg decide = BatchDecideMsg::decode_from(dec);
       dec.expect_done();
       if (rec.proposer_run.has_value() &&
           decide.proposed == rec.proposer_run->propose.proposal.proposed) {
@@ -785,12 +789,6 @@ void Coordinator::replay_object_record(std::uint8_t type,
         rec.proposer_responses.clear();
         rec.proposer_decide.reset();
       }
-      if (rec.batch_proposer_run.has_value() &&
-          rec.batch_proposer_run->propose.proposal.proposed.label() == label) {
-        rec.batch_proposer_run.reset();
-        rec.proposer_responses.clear();
-        rec.batch_proposer_decide.reset();
-      }
       rec.termination_submissions.erase(label);
       rec.verdicts.erase(label);
       rec.staged_runs.erase(label);
@@ -799,14 +797,13 @@ void Coordinator::replay_object_record(std::uint8_t type,
     case walrec::kResponderRun: {
       auto run = Replica::ResponderRunRecord::decode(dec.blob());
       dec.expect_done();
-      const StateTuple& proposed = run.propose.proposal.proposed;
-      rec.seen_labels.insert(proposed.label());
-      rec.max_sequence = std::max(rec.max_sequence, proposed.sequence);
-      rec.responder_runs.insert_or_assign(proposed.label(), std::move(run));
+      note_run_items(rec, run.propose);
+      const std::string label = run.propose.proposal.proposed.label();
+      rec.responder_runs.insert_or_assign(label, std::move(run));
       break;
     }
     case walrec::kDecideDelivered: {
-      DecideMsg decide = DecideMsg::decode(dec.blob());
+      BatchDecideMsg decide = BatchDecideMsg::decode_from(dec);
       dec.expect_done();
       const std::string label = decide.proposed.label();
       if (rec.responder_runs.contains(label)) {
@@ -820,8 +817,6 @@ void Coordinator::replay_object_record(std::uint8_t type,
       rec.seen_labels.insert(label);
       rec.responder_runs.erase(label);
       rec.responder_decides.erase(label);
-      rec.batch_responder_runs.erase(label);
-      rec.batch_responder_decides.erase(label);
       rec.termination_submissions.erase(label);
       rec.verdicts.erase(label);
       break;
@@ -957,51 +952,10 @@ void Coordinator::replay_object_record(std::uint8_t type,
       }
       break;
     }
-    case walrec::kBatchProposerRun: {
-      auto run = Replica::BatchProposerRunRecord::decode(dec.blob());
-      dec.expect_done();
-      for (const BatchItem& item : run.propose.items) {
-        rec.seen_labels.insert(item.proposed.label());
-        rec.max_sequence = std::max(rec.max_sequence, item.proposed.sequence);
-      }
-      rec.batch_proposer_run = std::move(run);
-      rec.proposer_responses.clear();
-      rec.batch_proposer_decide.reset();
-      break;
-    }
-    case walrec::kBatchDecideSent: {
-      BatchDecideMsg decide = BatchDecideMsg::decode(dec.blob());
-      dec.expect_done();
-      if (rec.batch_proposer_run.has_value() &&
-          decide.proposed ==
-              rec.batch_proposer_run->propose.proposal.proposed) {
-        rec.batch_proposer_decide = std::move(decide);
-      }
-      break;
-    }
-    case walrec::kBatchResponderRun: {
-      auto run = Replica::BatchResponderRunRecord::decode(dec.blob());
-      dec.expect_done();
-      for (const BatchItem& item : run.propose.items) {
-        rec.seen_labels.insert(item.proposed.label());
-        rec.max_sequence = std::max(rec.max_sequence, item.proposed.sequence);
-      }
-      const std::string label = run.propose.proposal.proposed.label();
-      rec.batch_responder_runs.insert_or_assign(label, std::move(run));
-      break;
-    }
-    case walrec::kBatchDecideDelivered: {
-      BatchDecideMsg decide = BatchDecideMsg::decode(dec.blob());
-      dec.expect_done();
-      const std::string label = decide.proposed.label();
-      if (rec.batch_responder_runs.contains(label)) {
-        rec.batch_responder_decides.insert_or_assign(label, std::move(decide));
-      }
-      break;
-    }
     default:
-      // Unknown record type: written by a newer version. The CRC vouched
-      // for its integrity; skipping it is the conservative choice.
+      // Unknown record type: written by a newer version, or a retired one
+      // (31–34). The CRC vouched for its integrity; skipping it is the
+      // conservative choice.
       break;
   }
 }

@@ -111,8 +111,8 @@ class Coordinator {
     /// Shared ownership: a queued drain task survives the coordinator.
     std::shared_ptr<net::TaskPool> lane_pool;
     /// Run pipelining (DESIGN.md §13): enables propagate_batch, routes
-    /// batch-decide signature checks through batch verification with a
-    /// verified-signature cache, and (with evidence_anchor_interval > 0)
+    /// every response-signature check through a verified-signature
+    /// cache, and (with evidence_anchor_interval > 0)
     /// anchors the evidence chain with periodic signed chain heads. Must
     /// match federation-wide, like the decision rule.
     bool pipeline = false;
@@ -200,8 +200,8 @@ class Coordinator {
   RunHandle propagate_update(const ObjectId& object, Bytes update,
                              Bytes new_state);
   /// Pipeline a hash-chained batch of state changes through ONE
-  /// propose/respond/decide round (DESIGN.md §13). Requires
-  /// Config::pipeline; aborts otherwise.
+  /// propose/respond/decide round (DESIGN.md §13); a batch of one is the
+  /// paper's plain run. Requires Config::pipeline; aborts otherwise.
   RunHandle propagate_batch(const ObjectId& object,
                             std::vector<Replica::BatchOp> ops);
   RunHandle propagate_connect(const ObjectId& object, const PartyId& via);
@@ -423,8 +423,8 @@ class Coordinator {
 
   LockMode lock_mode_;
   bool shard_lanes_ = false;
-  /// Pipeline mode (DESIGN.md §13): batch proposals, batched signature
-  /// verification with a cache, and evidence-chain anchoring.
+  /// Pipeline mode (DESIGN.md §13): batch proposals, cached signature
+  /// verification, and evidence-chain anchoring.
   bool pipeline_ = false;
   std::uint64_t evidence_anchor_interval_ = 0;
   /// Verified-signature cache shared by every shard's verify_many (it

@@ -49,8 +49,9 @@ inline constexpr const char* kDealDecisionReceived = "deal.decision.recv";
 inline constexpr const char* kDealClosed = "deal.closed";
 inline constexpr const char* kDealTtpRequest = "deal.ttp.request";
 inline constexpr const char* kDealTtpVerdict = "deal.ttp.verdict";
-// Pipelined batches (DESIGN.md §13). Responses ride under the standard
-// respond.* kinds — a batch responder sends one ordinary signed response.
+// State runs of K >= 2 items (DESIGN.md §13); a single run uses the kinds
+// above. Responses ride under the standard respond.* kinds — a batch
+// responder sends one ordinary signed response.
 inline constexpr const char* kBatchProposeSent = "batch.propose.sent";
 inline constexpr const char* kBatchProposeReceived = "batch.propose.recv";
 inline constexpr const char* kBatchDecideSent = "batch.decide.sent";

@@ -119,7 +119,7 @@ class Federation {
     /// runtime, so settle() keeps meaning "nothing left to do anywhere".
     bool shard_lanes = true;
     /// Run pipelining (DESIGN.md §13): enables propagate_batch at every
-    /// party, batched decide-signature verification with a verified-
+    /// party, response-signature verification through a verified-
     /// signature cache, and periodic signed evidence-chain anchors.
     bool pipeline = false;
     /// Signed evidence-chain anchor cadence (records per anchor); 0

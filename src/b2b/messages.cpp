@@ -1,5 +1,6 @@
 #include "b2b/messages.hpp"
 
+#include "b2b/evidence.hpp"
 #include "common/error.hpp"
 
 namespace b2b::core {
@@ -17,6 +18,8 @@ constexpr std::uint8_t kTagConnectWelcome = 0x06;
 constexpr std::uint8_t kTagConnectReject = 0x07;
 constexpr std::uint8_t kTagBatchProposal = 0x08;
 
+}  // namespace
+
 void encode_party_list(wire::Encoder& enc, const std::vector<PartyId>& list) {
   enc.varint(list.size());
   for (const auto& p : list) enc.str(p.str());
@@ -30,7 +33,18 @@ std::vector<PartyId> decode_party_list(wire::Decoder& dec) {
   return out;
 }
 
-}  // namespace
+void encode_blob_list(wire::Encoder& enc, const std::vector<Bytes>& list) {
+  enc.varint(list.size());
+  for (const Bytes& blob : list) enc.blob(blob);
+}
+
+std::vector<Bytes> decode_blob_list(wire::Decoder& dec) {
+  std::uint64_t n = dec.varint();
+  std::vector<Bytes> out;
+  out.reserve(n);
+  for (std::uint64_t i = 0; i < n; ++i) out.push_back(dec.blob());
+  return out;
+}
 
 // --------------------------------------------------------------------------
 // Envelope
@@ -190,7 +204,7 @@ DecideMsg DecideMsg::decode(BytesView data) {
 }
 
 // --------------------------------------------------------------------------
-// Pipelined batches (DESIGN.md §13)
+// State runs of K >= 1 items (DESIGN.md §13)
 // --------------------------------------------------------------------------
 
 void BatchItem::encode_into(wire::Encoder& enc) const {
@@ -243,7 +257,48 @@ Bytes batch_proposal_signed_bytes(const Proposal& proposal) {
   return std::move(enc).take();
 }
 
+const RunFormat& RunFormat::of(std::size_t items) {
+  static const RunFormat kSingle{
+      false,
+      MsgType::kPropose,
+      MsgType::kDecide,
+      "propose",
+      "decide",
+      evidence_kind::kProposeSent,
+      evidence_kind::kProposeReceived,
+      evidence_kind::kDecideSent,
+      evidence_kind::kDecideReceived,
+  };
+  static const RunFormat kBatch{
+      true,
+      MsgType::kBatchPropose,
+      MsgType::kBatchDecide,
+      "batch-propose",
+      "batch-decide",
+      evidence_kind::kBatchProposeSent,
+      evidence_kind::kBatchProposeReceived,
+      evidence_kind::kBatchDecideSent,
+      evidence_kind::kBatchDecideReceived,
+  };
+  return items > 1 ? kBatch : kSingle;
+}
+
+crypto::Digest BatchProposeMsg::payload_digest() const {
+  if (!format().batched) return crypto::Sha256::hash(items.front().payload);
+  return batch_chain_head(proposal.object, proposal.agreed, items);
+}
+
+Bytes BatchProposeMsg::signed_bytes() const {
+  return format().batched ? batch_proposal_signed_bytes(proposal)
+                          : proposal.signed_bytes();
+}
+
+ProposeMsg BatchProposeMsg::single() const {
+  return ProposeMsg{proposal, items.front().payload, signature};
+}
+
 Bytes BatchProposeMsg::encode() const {
+  if (!format().batched) return single().encode();
   wire::Encoder enc;
   proposal.encode_into(enc);
   enc.varint(items.size());
@@ -252,11 +307,22 @@ Bytes BatchProposeMsg::encode() const {
   return std::move(enc).take();
 }
 
-BatchProposeMsg BatchProposeMsg::decode(BytesView data) {
-  wire::Decoder dec{data};
+BatchProposeMsg BatchProposeMsg::decode(MsgType type, BytesView data) {
   BatchProposeMsg msg;
+  if (type == MsgType::kPropose) {
+    ProposeMsg single = ProposeMsg::decode(data);
+    msg.proposal = single.proposal;
+    msg.items.push_back(BatchItem{single.proposal.is_update,
+                                  std::move(single.payload),
+                                  single.proposal.proposed});
+    msg.signature = std::move(single.signature);
+    return msg;
+  }
+  if (type != MsgType::kBatchPropose) throw CodecError("not a propose");
+  wire::Decoder dec{data};
   msg.proposal = Proposal::decode_from(dec);
   std::uint64_t n = dec.varint();
+  if (n < 2) throw CodecError("batch propose with fewer than two items");
   msg.items.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     msg.items.push_back(BatchItem::decode_from(dec));
@@ -266,20 +332,43 @@ BatchProposeMsg BatchProposeMsg::decode(BytesView data) {
   return msg;
 }
 
+void BatchProposeMsg::encode_into(wire::Encoder& enc) const {
+  enc.u8(static_cast<std::uint8_t>(format().propose)).blob(encode());
+}
+
+BatchProposeMsg BatchProposeMsg::decode_from(wire::Decoder& dec) {
+  auto type = static_cast<MsgType>(dec.u8());
+  return decode(type, dec.blob());
+}
+
 Bytes BatchDecideMsg::encode() const {
+  if (!format().batched) {
+    return DecideMsg{proposer, object, proposed, responses,
+                     authenticators.front()}
+        .encode();
+  }
   wire::Encoder enc;
   enc.str(proposer.str()).str(object.str());
   proposed.encode_into(enc);
   enc.varint(responses.size());
   for (const auto& r : responses) r.encode_into(enc);
-  enc.varint(authenticators.size());
-  for (const auto& a : authenticators) enc.blob(a);
+  encode_blob_list(enc, authenticators);
   return std::move(enc).take();
 }
 
-BatchDecideMsg BatchDecideMsg::decode(BytesView data) {
-  wire::Decoder dec{data};
+BatchDecideMsg BatchDecideMsg::decode(MsgType type, BytesView data) {
   BatchDecideMsg msg;
+  if (type == MsgType::kDecide) {
+    DecideMsg single = DecideMsg::decode(data);
+    msg.proposer = std::move(single.proposer);
+    msg.object = std::move(single.object);
+    msg.proposed = single.proposed;
+    msg.responses = std::move(single.responses);
+    msg.authenticators.push_back(std::move(single.authenticator));
+    return msg;
+  }
+  if (type != MsgType::kBatchDecide) throw CodecError("not a decide");
+  wire::Decoder dec{data};
   msg.proposer = PartyId{dec.str()};
   msg.object = ObjectId{dec.str()};
   msg.proposed = StateTuple::decode_from(dec);
@@ -288,13 +377,21 @@ BatchDecideMsg BatchDecideMsg::decode(BytesView data) {
   for (std::uint64_t i = 0; i < n; ++i) {
     msg.responses.push_back(RespondMsg::decode_from(dec));
   }
-  std::uint64_t k = dec.varint();
-  msg.authenticators.reserve(k);
-  for (std::uint64_t i = 0; i < k; ++i) {
-    msg.authenticators.push_back(dec.blob());
+  msg.authenticators = decode_blob_list(dec);
+  if (msg.authenticators.size() < 2) {
+    throw CodecError("batch decide with fewer than two items");
   }
   dec.expect_done();
   return msg;
+}
+
+void BatchDecideMsg::encode_into(wire::Encoder& enc) const {
+  enc.u8(static_cast<std::uint8_t>(format().decide)).blob(encode());
+}
+
+BatchDecideMsg BatchDecideMsg::decode_from(wire::Decoder& dec) {
+  auto type = static_cast<MsgType>(dec.u8());
+  return decode(type, dec.blob());
 }
 
 // --------------------------------------------------------------------------

@@ -27,8 +27,8 @@ enum class MsgType : std::uint8_t {
   kPropose = 1,
   kRespond = 2,
   kDecide = 3,
-  // Pipelined runs (DESIGN.md §13): one signed proposal opens a hash-
-  // chained batch of K state changes; one decide closes all of them.
+  // A state run of K >= 2 items (DESIGN.md §13): one signed proposal
+  // opens a hash-chained batch; one decide closes all of them.
   kBatchPropose = 4,
   kBatchDecide = 5,
   kConnectRequest = 10,
@@ -47,6 +47,12 @@ enum class MsgType : std::uint8_t {
   kDealTerminationRequest = 32,  // initiator -> TTP (atomic registration)
   kDealTerminationVerdict = 33,  // TTP -> initiator
 };
+
+/// Length-prefixed lists, shared by the message and journal-record codecs.
+void encode_party_list(wire::Encoder& enc, const std::vector<PartyId>& list);
+std::vector<PartyId> decode_party_list(wire::Decoder& dec);
+void encode_blob_list(wire::Encoder& enc, const std::vector<Bytes>& list);
+std::vector<Bytes> decode_blob_list(wire::Decoder& dec);
 
 /// Outermost wire frame: which object, which message kind, body.
 struct Envelope {
@@ -145,14 +151,14 @@ struct DecideMsg {
 };
 
 // ---------------------------------------------------------------------------
-// Pipelined runs (DESIGN.md §13): K state changes, one signature round
+// State runs of K >= 1 items (DESIGN.md §13): a single run is a batch of one
 // ---------------------------------------------------------------------------
 
-/// One member of a pipelined batch: a sub-proposal in the hash chain.
-/// `proposed` is the sub-tuple this item installs — sequence numbers are
-/// consecutive across the batch, and each rand_hash commits to its own
-/// authenticator, so installed tuples are bit-identical to the tuples K
-/// sequential runs would have produced.
+/// One item of a state run: a sub-proposal in the hash chain. `proposed`
+/// is the sub-tuple this item installs — sequence numbers are consecutive
+/// across the run, and each rand_hash commits to its own authenticator, so
+/// installed tuples are bit-identical to the tuples K sequential runs would
+/// have produced.
 struct BatchItem {
   bool is_update = false;
   Bytes payload;        // full state (overwrite) or delta (update)
@@ -185,27 +191,65 @@ crypto::Digest batch_chain_head(const ObjectId& object,
 /// single-run proposal or vice versa.
 Bytes batch_proposal_signed_bytes(const Proposal& proposal);
 
-/// Pipelined protocol message 1: one signed proposal carrying the whole
-/// batch. Responders validate the items in order against scratch state,
-/// recompute the chain head, and answer with a single standard RespondMsg
-/// whose payload_integrity echoes the head they computed.
-struct BatchProposeMsg {
-  Proposal proposal;             // proposed = final sub-tuple
-  std::vector<BatchItem> items;  // in application order
-  Bytes signature;               // over batch_proposal_signed_bytes()
+/// How a K-item state run goes on the wire — chosen by K alone, here and
+/// nowhere else. K = 1 is exactly the paper's §4.3 run: kPropose carries a
+/// ProposeMsg (payload_hash = H(payload), signed over
+/// Proposal::signed_bytes()) and kDecide closes it. K >= 2 is the
+/// pipelined batch: kBatchPropose carries every item (payload_hash = the
+/// chain head, signed under the batch tag) and kBatchDecide closes it by
+/// revealing every authenticator. A run closes only with the decide of
+/// its own format (§4.4).
+struct RunFormat {
+  bool batched = false;
+  MsgType propose{};
+  MsgType decide{};
+  const char* propose_kind = "";  // message-store kinds
+  const char* decide_kind = "";
+  const char* propose_sent = "";  // evidence kinds
+  const char* propose_received = "";
+  const char* decide_sent = "";
+  const char* decide_received = "";
 
+  static const RunFormat& of(std::size_t items);
+};
+
+/// Protocol message 1 of a K-item run: ONE signed proposal for the whole
+/// run, `proposal.proposed` = the final item's sub-tuple. Responders
+/// validate the items in order against scratch state and answer with a
+/// single standard RespondMsg whose payload_integrity echoes the
+/// payload_digest() they computed.
+struct BatchProposeMsg {
+  Proposal proposal;
+  std::vector<BatchItem> items;  // in application order, K >= 1
+  Bytes signature;
+
+  const RunFormat& format() const { return RunFormat::of(items.size()); }
+  /// What proposal.payload_hash must commit to: H(payload) for one item,
+  /// the chain head (over proposal.object/agreed) for a batch.
+  crypto::Digest payload_digest() const;
+  /// The bytes the proposer signs.
+  Bytes signed_bytes() const;
+  /// The paper's propose message; only meaningful for a single item.
+  ProposeMsg single() const;
+
+  /// The wire body in format().
   Bytes encode() const;
-  static BatchProposeMsg decode(BytesView data);
+  /// Decodes a body that arrived as `type`; throws CodecError, also for a
+  /// kBatchPropose of fewer than two items.
+  static BatchProposeMsg decode(MsgType type, BytesView data);
+  /// u8(wire type) blob(encode()) — for journal records.
+  void encode_into(wire::Encoder& enc) const;
+  static BatchProposeMsg decode_from(wire::Decoder& dec);
 
   friend bool operator==(const BatchProposeMsg&,
                          const BatchProposeMsg&) = default;
 };
 
-/// Pipelined protocol message 3: closes the whole batch. Reveals EVERY
-/// item's authenticator (auth[i] is the preimage of item i's rand_hash;
-/// the final one is the preimage of the signed proposal's commitment), so
-/// a responder installs each sub-tuple only against its own revealed
-/// preimage — no sub-state can be forged by replaying a prefix.
+/// Protocol message 3 of a K-item run: aggregates every signed response
+/// and reveals EVERY item's authenticator (auth[i] is the preimage of
+/// item i's rand_hash), so a responder installs each sub-tuple only
+/// against its own revealed preimage — no sub-state can be forged by
+/// replaying a prefix. Unsigned by design.
 struct BatchDecideMsg {
   PartyId proposer;
   ObjectId object;
@@ -213,8 +257,15 @@ struct BatchDecideMsg {
   std::vector<RespondMsg> responses;
   std::vector<Bytes> authenticators;  // one per item, in order
 
+  const RunFormat& format() const {
+    return RunFormat::of(authenticators.size());
+  }
+  /// The wire body in format(); throws like BatchProposeMsg::decode.
   Bytes encode() const;
-  static BatchDecideMsg decode(BytesView data);
+  static BatchDecideMsg decode(MsgType type, BytesView data);
+  /// u8(wire type) blob(encode()) — for journal records.
+  void encode_into(wire::Encoder& enc) const;
+  static BatchDecideMsg decode_from(wire::Decoder& dec);
 
   friend bool operator==(const BatchDecideMsg&,
                          const BatchDecideMsg&) = default;

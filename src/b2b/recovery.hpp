@@ -15,12 +15,19 @@
 //   kMessage           str(label)  str(direction) str(kind) str(peer)
 //                      blob(payload)
 //   kSnapshot          str(object) blob(ReplicaSnapshot::encode)
+//
+// A state run carries K >= 1 hash-chained items (a single run is a batch
+// of one, DESIGN.md §13), so one record family covers both wire formats;
+// proposes and decides are journaled as u8(MsgType) blob(wire body), the
+// format K chose on the wire. A run is identified by its final item's
+// label; the run records below put every item's label into replay
+// protection:
 //   kProposerRun       str(object) blob(Replica::ProposerRunRecord::encode)
 //   kResponseReceived  str(object) blob(RespondMsg::encode)
-//   kDecideSent        str(object) blob(DecideMsg::encode)
+//   kDecideSent        str(object) u8(MsgType) blob(BatchDecideMsg::encode)
 //   kProposerClosed    str(object) str(run label)
 //   kResponderRun      str(object) blob(Replica::ResponderRunRecord::encode)
-//   kDecideDelivered   str(object) blob(DecideMsg::encode)
+//   kDecideDelivered   str(object) u8(MsgType) blob(BatchDecideMsg::encode)
 //   kResponderClosed   str(object) str(run label)
 //
 // Membership runs (§4.5 connect/disconnect/evict) mirror the state-run
@@ -54,18 +61,6 @@
 //   kDealVerdictDelivered  blob(signed DealTerminationVerdict) [coordinator]
 //   kDealStaged            str(object) str(run label) str(deal id)
 //   kDealEnlisted          str(object) blob(DealEnlistMsg::encode)
-//
-// Pipelined batches (DESIGN.md §13) mirror the state-run taxonomy: the
-// batch proposer journals its whole run (items, ALL per-item
-// authenticators, recipients) before the propose leaves, the batch
-// decide before it is sent, and a responder journals the validated batch
-// (per-item scratch states included) before its single signed response
-// leaves. Responses reuse kResponseReceived; closes reuse
-// kProposerClosed / kResponderClosed (replay routes on the label).
-//   kBatchProposerRun      str(object) blob(BatchProposerRunRecord::encode)
-//   kBatchResponderRun     str(object) blob(BatchResponderRunRecord::encode)
-//   kBatchDecideSent       str(object) blob(BatchDecideMsg::encode)
-//   kBatchDecideDelivered  str(object) blob(BatchDecideMsg::encode)
 //
 // Append ordering under sharding (DESIGN.md §9): all shards feed ONE
 // journal stream, serialised by the coordinator's journal mutex, so
@@ -117,11 +112,9 @@ inline constexpr std::uint8_t kDealTtpSubmitted = 27;
 inline constexpr std::uint8_t kDealVerdictDelivered = 28;
 inline constexpr std::uint8_t kDealStaged = 29;
 inline constexpr std::uint8_t kDealEnlisted = 30;
-// Pipelined batches (DESIGN.md §13), object-scoped.
-inline constexpr std::uint8_t kBatchProposerRun = 31;
-inline constexpr std::uint8_t kBatchResponderRun = 32;
-inline constexpr std::uint8_t kBatchDecideSent = 33;
-inline constexpr std::uint8_t kBatchDecideDelivered = 34;
+// 31–34 were separate pipelined-batch records, retired when a batch became
+// a K-item state run under types 6–12. Never reuse these numbers: replay
+// skips them as unknown.
 }  // namespace walrec
 
 /// Raised by an armed crash point to kill a coordinator mid-operation.

@@ -9,6 +9,19 @@
 
 namespace b2b::core {
 
+namespace {
+
+/// An accept whose view fields agree with the proposal: only these count
+/// towards agreement (an accept contradicting the proposal is internally
+/// inconsistent content, §4.4).
+bool consistent_accept(const Response& r, const Proposal& prop) {
+  return r.decision.accept && r.agreed_view == prop.agreed &&
+         r.current_view == prop.agreed && r.group_view == prop.group &&
+         r.payload_integrity == prop.payload_hash;
+}
+
+}  // namespace
+
 Replica::Replica(PartyId self, ObjectId object, B2BObject& impl,
                  const crypto::RsaPrivateKey& key, net::Rng& rng,
                  Callbacks callbacks, store::CheckpointStore& checkpoints,
@@ -85,10 +98,13 @@ bool Replica::maybe_resend_decide(const std::string& label,
                                   const PartyId& to) {
   if (!journaling()) return false;
   for (const auto& stored : messages_.run(label)) {
-    if (stored.direction == "sent" && stored.kind == "decide") {
-      record_anomaly("re-sent decide of closed run " + label, to);
-      send_envelope(to, MsgType::kDecide, stored.payload);
-      return true;
+    if (stored.direction != "sent") continue;
+    for (const RunFormat* format : {&RunFormat::of(1), &RunFormat::of(2)}) {
+      if (stored.kind == format->decide_kind) {
+        record_anomaly("re-sent decide of closed run " + label, to);
+        send_envelope(to, format->decide, stored.payload);
+        return true;
+      }
     }
   }
   return false;
@@ -103,23 +119,13 @@ void Replica::arm_run_probe(const std::string& label, bool as_proposer,
   callbacks_.schedule(
       run_probe_interval_micros_, [this, label, as_proposer, attempt] {
         if (as_proposer) {
-          if (!proposer_run_.has_value() ||
-              proposer_run_->propose.proposal.proposed.label() != label) {
+          if (!proposer_run_.has_value() || proposer_run_->label() != label) {
             return;  // run concluded; probe dies
           }
           // Re-drive recipients whose responses are still missing: either
           // our propose or their response was acked-then-lost in a crash
           // window, and retransmission alone cannot recover an acked frame.
-          const bool batch = proposer_run_->batch.has_value();
-          Bytes encoded = batch ? proposer_run_->batch->propose.encode()
-                                : proposer_run_->propose.encode();
-          for (const PartyId& recipient : proposer_run_->recipients) {
-            if (!proposer_run_->responses.contains(recipient)) {
-              send_envelope(recipient,
-                            batch ? MsgType::kBatchPropose : MsgType::kPropose,
-                            encoded);
-            }
-          }
+          resend_propose_to_silent();
         } else {
           auto it = responder_runs_.find(label);
           if (it == responder_runs_.end()) return;
@@ -166,9 +172,13 @@ void Replica::record_violation(const std::string& what,
   event.object = object_;
   event.party = suspect;
   event.detail = what;
+  emit(event);
+  B2B_INFO(self_, " detected violation: ", what, " (suspect ", suspect, ")");
+}
+
+void Replica::emit(const CoordEvent& event) {
   impl_.coord_callback(event);
   if (callbacks_.notify) callbacks_.notify(event);
-  B2B_INFO(self_, " detected violation: ", what, " (suspect ", suspect, ")");
 }
 
 void Replica::record_anomaly(const std::string& what, const PartyId& party) {
@@ -246,7 +256,7 @@ PartyId Replica::disconnect_sponsor(const PartyId& subject) const {
 std::vector<std::string> Replica::active_run_labels() const {
   std::vector<std::string> out;
   if (proposer_run_.has_value()) {
-    out.push_back(proposer_run_->propose.proposal.proposed.label());
+    out.push_back(proposer_run_->label());
   }
   for (const auto& [label, run] : responder_runs_) out.push_back(label);
   if (sponsor_run_.has_value()) {
@@ -270,8 +280,7 @@ bool Replica::busy() const {
 bool Replica::resolve_blocked_run(const std::string& run_label) {
   wire::Encoder note;
   note.str(run_label).str(self_.str());
-  if (proposer_run_.has_value() &&
-      proposer_run_->propose.proposal.proposed.label() == run_label) {
+  if (proposer_run_.has_value() && proposer_run_->label() == run_label) {
     // Abandoning our own proposal: roll the object back to agreed state.
     impl_.apply_state(agreed_state_);
     callbacks_.record_evidence(evidence_kind::kStateRolledBack,
@@ -401,30 +410,34 @@ void Replica::restore_snapshot(const ReplicaSnapshot& snapshot) {
 
 Bytes Replica::ProposerRunRecord::encode() const {
   wire::Encoder enc;
-  enc.blob(propose.encode()).blob(authenticator).blob(new_state);
-  enc.varint(recipients.size());
-  for (const PartyId& recipient : recipients) enc.str(recipient.str());
+  propose.encode_into(enc);
+  encode_blob_list(enc, authenticators);
+  encode_blob_list(enc, states);
+  encode_party_list(enc, recipients);
   return std::move(enc).take();
 }
 
 Replica::ProposerRunRecord Replica::ProposerRunRecord::decode(BytesView data) {
   wire::Decoder dec{data};
   ProposerRunRecord record;
-  record.propose = ProposeMsg::decode(dec.blob());
-  record.authenticator = dec.blob();
-  record.new_state = dec.blob();
-  std::uint64_t n = dec.varint();
-  record.recipients.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) record.recipients.emplace_back(dec.str());
+  record.propose = BatchProposeMsg::decode_from(dec);
+  record.authenticators = decode_blob_list(dec);
+  record.states = decode_blob_list(dec);
+  record.recipients = decode_party_list(dec);
   dec.expect_done();
+  if (record.authenticators.size() != record.propose.items.size() ||
+      record.states.size() != record.propose.items.size()) {
+    throw CodecError("proposer run record: item count mismatch");
+  }
   return record;
 }
 
 Bytes Replica::ResponderRunRecord::encode() const {
   wire::Encoder enc;
-  enc.blob(propose.encode()).blob(pending_state).blob(my_response.encode());
-  enc.varint(members_at_response.size());
-  for (const PartyId& member : members_at_response) enc.str(member.str());
+  propose.encode_into(enc);
+  encode_blob_list(enc, pending_states);
+  enc.blob(my_response.encode());
+  encode_party_list(enc, members_at_response);
   return std::move(enc).take();
 }
 
@@ -432,14 +445,10 @@ Replica::ResponderRunRecord Replica::ResponderRunRecord::decode(
     BytesView data) {
   wire::Decoder dec{data};
   ResponderRunRecord record;
-  record.propose = ProposeMsg::decode(dec.blob());
-  record.pending_state = dec.blob();
+  record.propose = BatchProposeMsg::decode_from(dec);
+  record.pending_states = decode_blob_list(dec);
   record.my_response = RespondMsg::decode(dec.blob());
-  std::uint64_t n = dec.varint();
-  record.members_at_response.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    record.members_at_response.emplace_back(dec.str());
-  }
+  record.members_at_response = decode_party_list(dec);
   dec.expect_done();
   return record;
 }
@@ -447,8 +456,7 @@ Replica::ResponderRunRecord Replica::ResponderRunRecord::decode(
 Bytes Replica::SponsorRunRecord::encode() const {
   wire::Encoder enc;
   enc.blob(propose.encode()).blob(authenticator);
-  enc.varint(recipients.size());
-  for (const PartyId& recipient : recipients) enc.str(recipient.str());
+  encode_party_list(enc, recipients);
   return std::move(enc).take();
 }
 
@@ -457,11 +465,7 @@ Replica::SponsorRunRecord Replica::SponsorRunRecord::decode(BytesView data) {
   SponsorRunRecord record;
   record.propose = MembershipProposeMsg::decode(dec.blob());
   record.authenticator = dec.blob();
-  std::uint64_t n = dec.varint();
-  record.recipients.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    record.recipients.emplace_back(dec.str());
-  }
+  record.recipients = decode_party_list(dec);
   dec.expect_done();
   return record;
 }
@@ -469,8 +473,7 @@ Replica::SponsorRunRecord Replica::SponsorRunRecord::decode(BytesView data) {
 Bytes Replica::MembershipResponderRunRecord::encode() const {
   wire::Encoder enc;
   enc.blob(propose.encode()).blob(my_response.encode());
-  enc.varint(members_at_response.size());
-  for (const PartyId& member : members_at_response) enc.str(member.str());
+  encode_party_list(enc, members_at_response);
   return std::move(enc).take();
 }
 
@@ -480,11 +483,7 @@ Replica::MembershipResponderRunRecord::decode(BytesView data) {
   MembershipResponderRunRecord record;
   record.propose = MembershipProposeMsg::decode(dec.blob());
   record.my_response = MembershipRespondMsg::decode(dec.blob());
-  std::uint64_t n = dec.varint();
-  record.members_at_response.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    record.members_at_response.emplace_back(dec.str());
-  }
+  record.members_at_response = decode_party_list(dec);
   dec.expect_done();
   return record;
 }
@@ -504,65 +503,6 @@ Replica::SubjectRequestRecord Replica::SubjectRequestRecord::decode(
   record.signature = dec.blob();
   record.sent_to = PartyId{dec.str()};
   record.relayed_eviction = dec.u8() != 0;
-  dec.expect_done();
-  return record;
-}
-
-Bytes Replica::BatchProposerRunRecord::encode() const {
-  wire::Encoder enc;
-  enc.blob(propose.encode());
-  enc.varint(authenticators.size());
-  for (const Bytes& authenticator : authenticators) enc.blob(authenticator);
-  enc.varint(states.size());
-  for (const Bytes& state : states) enc.blob(state);
-  enc.varint(recipients.size());
-  for (const PartyId& recipient : recipients) enc.str(recipient.str());
-  return std::move(enc).take();
-}
-
-Replica::BatchProposerRunRecord Replica::BatchProposerRunRecord::decode(
-    BytesView data) {
-  wire::Decoder dec{data};
-  BatchProposerRunRecord record;
-  record.propose = BatchProposeMsg::decode(dec.blob());
-  std::uint64_t n = dec.varint();
-  record.authenticators.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) record.authenticators.push_back(dec.blob());
-  n = dec.varint();
-  record.states.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) record.states.push_back(dec.blob());
-  n = dec.varint();
-  record.recipients.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) record.recipients.emplace_back(dec.str());
-  dec.expect_done();
-  return record;
-}
-
-Bytes Replica::BatchResponderRunRecord::encode() const {
-  wire::Encoder enc;
-  enc.blob(propose.encode());
-  enc.varint(pending_states.size());
-  for (const Bytes& state : pending_states) enc.blob(state);
-  enc.blob(my_response.encode());
-  enc.varint(members_at_response.size());
-  for (const PartyId& member : members_at_response) enc.str(member.str());
-  return std::move(enc).take();
-}
-
-Replica::BatchResponderRunRecord Replica::BatchResponderRunRecord::decode(
-    BytesView data) {
-  wire::Decoder dec{data};
-  BatchResponderRunRecord record;
-  record.propose = BatchProposeMsg::decode(dec.blob());
-  std::uint64_t n = dec.varint();
-  record.pending_states.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) record.pending_states.push_back(dec.blob());
-  record.my_response = RespondMsg::decode(dec.blob());
-  n = dec.varint();
-  record.members_at_response.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    record.members_at_response.emplace_back(dec.str());
-  }
   dec.expect_done();
   return record;
 }
@@ -587,21 +527,16 @@ void Replica::restore_recovered(const RecoveredObjectState& recovered) {
   note_sequence(recovered.max_sequence);
 
   if (recovered.proposer_run.has_value()) {
-    const ProposerRunRecord& record = *recovered.proposer_run;
     ProposerRun run;
-    run.propose = record.propose;
-    run.authenticator = record.authenticator;
-    run.new_state = record.new_state;
-    run.recipients = record.recipients;
+    static_cast<ProposerRunRecord&>(run) = *recovered.proposer_run;
     run.result = std::make_shared<RunResult>();
     for (const RespondMsg& resp : recovered.proposer_responses) {
       run.responses.emplace(resp.response.responder, resp);
     }
     // Invariant 2: while our proposal is open the local object holds the
-    // proposed state, not the agreed one.
-    if (connected_) impl_.apply_state(run.new_state);
-    const std::string run_label = record.propose.proposal.proposed.label();
-    auto staged = recovered.staged_runs.find(run_label);
+    // proposed (final) state, not the agreed one.
+    if (connected_) impl_.apply_state(run.states.back());
+    auto staged = recovered.staged_runs.find(run.label());
     if (staged != recovered.staged_runs.end()) {
       run.deal_staged = true;
       run.deal_id = staged->second;
@@ -609,44 +544,6 @@ void Replica::restore_recovered(const RecoveredObjectState& recovered) {
     proposer_run_ = std::move(run);
     recovered_decide_ = recovered.proposer_decide;
   }
-
-  if (recovered.batch_proposer_run.has_value()) {
-    // At most one proposer run (batch or plain) is open at a time; the
-    // journal replay guarantees mutual exclusion via kProposerClosed.
-    const BatchProposerRunRecord& record = *recovered.batch_proposer_run;
-    ProposerRun run;
-    run.propose.proposal = record.propose.proposal;
-    run.propose.signature = record.propose.signature;
-    run.recipients = record.recipients;
-    run.result = std::make_shared<RunResult>();
-    run.batch = BatchProposerState{record.propose, record.authenticators,
-                                   record.states};
-    for (const RespondMsg& resp : recovered.proposer_responses) {
-      run.responses.emplace(resp.response.responder, resp);
-    }
-    // Invariant 2: the object holds the batch's final proposed state.
-    if (connected_ && !record.states.empty()) {
-      impl_.apply_state(record.states.back());
-    }
-    proposer_run_ = std::move(run);
-    recovered_batch_decide_ = recovered.batch_proposer_decide;
-  }
-
-  for (const auto& [label, record] : recovered.batch_responder_runs) {
-    ResponderRun run;
-    run.propose.proposal = record.propose.proposal;
-    run.propose.signature = record.propose.signature;
-    if (!record.pending_states.empty()) {
-      run.pending_state = record.pending_states.back();
-    }
-    run.my_response = record.my_response;
-    run.my_decision = record.my_response.response.decision;
-    run.members_at_response = record.members_at_response;
-    run.batch = BatchResponderState{record.propose, record.pending_states};
-    if (run.my_decision.accept) accept_lock_ = label;
-    responder_runs_.emplace(label, std::move(run));
-  }
-  pending_redo_batch_decides_ = recovered.batch_responder_decides;
 
   for (const auto& [label, encoded] : recovered.deal_enlists) {
     try {
@@ -658,14 +555,8 @@ void Replica::restore_recovered(const RecoveredObjectState& recovered) {
   }
 
   for (const auto& [label, record] : recovered.responder_runs) {
-    ResponderRun run;
-    run.propose = record.propose;
-    run.pending_state = record.pending_state;
-    run.my_response = record.my_response;
-    run.my_decision = record.my_response.response.decision;
-    run.members_at_response = record.members_at_response;
-    if (run.my_decision.accept) accept_lock_ = label;
-    responder_runs_.emplace(label, std::move(run));
+    if (record.my_response.response.decision.accept) accept_lock_ = label;
+    responder_runs_.emplace(label, record);
   }
   pending_redo_decides_ = recovered.responder_decides;
   restore_recovered_membership(recovered);
@@ -706,83 +597,37 @@ std::vector<RunHandle> Replica::resume_recovered_runs() {
   }
   pending_redo_decides_.clear();
 
-  // Batch-responder redo, same discipline: a batch decide journaled as
-  // delivered is concluded again (per-item installation is idempotent).
-  for (auto& [label, decide] : pending_redo_batch_decides_) {
-    auto it = responder_runs_.find(label);
-    if (it == responder_runs_.end()) continue;
-    ResponderRun run = std::move(it->second);
-    responder_runs_.erase(it);
-    conclude_batch_responder_run(label, std::move(run), decide,
-                                 decide.proposer);
-  }
-  pending_redo_batch_decides_.clear();
-
-  // Batch proposer side (DESIGN.md §13): a half-decided batch finishes to
-  // the journaled outcome — the journaled batch decide carries the exact
-  // response set our previous incarnation decided from.
-  if (proposer_run_.has_value() && proposer_run_->batch.has_value()) {
-    handles.push_back(proposer_run_->result);
-    const std::string label =
-        proposer_run_->propose.proposal.proposed.label();
-    if (recovered_batch_decide_.has_value()) {
-      BatchDecideMsg decide = std::move(*recovered_batch_decide_);
-      recovered_batch_decide_.reset();
-      proposer_run_->responses.clear();
-      for (const RespondMsg& resp : decide.responses) {
-        proposer_run_->responses.emplace(resp.response.responder, resp);
-      }
-      finish_batch_run_as_proposer();
-    } else if (proposer_run_->responses.size() ==
-               proposer_run_->recipients.size()) {
-      finish_batch_run_as_proposer();
-    } else {
-      Bytes encoded = proposer_run_->batch->propose.encode();
-      for (const PartyId& recipient : proposer_run_->recipients) {
-        if (!proposer_run_->responses.contains(recipient)) {
-          send_envelope(recipient, MsgType::kBatchPropose, encoded);
-        }
-      }
-      arm_run_probe(label, /*as_proposer=*/true, 1);
-    }
-  }
-
   // Proposer side.
-  if (proposer_run_.has_value() && !proposer_run_->batch.has_value()) {
+  if (proposer_run_.has_value()) {
     handles.push_back(proposer_run_->result);
-    const std::string label =
-        proposer_run_->propose.proposal.proposed.label();
+    const std::string label = proposer_run_->label();
     if (recovered_decide_.has_value()) {
-      // The decide phase was journaled: redo it from the journaled
-      // response set. Re-sent decides are deduplicated by recipients.
-      // For a deal leg this only happens after the deal decision itself
-      // was journaled (commit_staged_run runs the same decide phase), so
+      // The decide phase was journaled: redo it to the journaled outcome,
+      // from the exact response set our previous incarnation decided
+      // from. Re-sent decides are deduplicated by recipients. For a deal
+      // leg this only happens after the deal decision itself was
+      // journaled (commit_staged_run runs the same decide phase), so
       // redoing it unconditionally is correct — clear the staging flag.
       proposer_run_->deal_staged = false;
-      DecideMsg decide = std::move(*recovered_decide_);
+      BatchDecideMsg decide = std::move(*recovered_decide_);
       recovered_decide_.reset();
       proposer_run_->responses.clear();
       for (const RespondMsg& resp : decide.responses) {
         proposer_run_->responses.emplace(resp.response.responder, resp);
       }
-      finish_state_run_as_proposer();
+      finish_run_as_proposer();
     } else if (proposer_run_->deal_staged) {
       // A staged deal leg is resumed by the deal layer (which re-drives
       // or aborts the whole deal), not by the per-run resume: neither
       // auto-finish nor re-send here.
     } else if (proposer_run_->responses.size() ==
                proposer_run_->recipients.size()) {
-      finish_state_run_as_proposer();
+      finish_run_as_proposer();
     } else {
       // Still collecting responses: re-drive the silent recipients (our
       // propose, or their response, may have died with us) and re-arm
       // the capped probe.
-      Bytes encoded = proposer_run_->propose.encode();
-      for (const PartyId& recipient : proposer_run_->recipients) {
-        if (!proposer_run_->responses.contains(recipient)) {
-          send_envelope(recipient, MsgType::kPropose, encoded);
-        }
-      }
+      resend_propose_to_silent();
       arm_run_probe(label, /*as_proposer=*/true, 1);
       arm_deadline(label, /*as_proposer=*/true);
     }
@@ -809,8 +654,7 @@ std::vector<RunHandle> Replica::resume_recovered_runs() {
     for (const auto& [label, as_proposer] : submissions) {
       bool still_active =
           as_proposer
-              ? (proposer_run_.has_value() &&
-                 proposer_run_->propose.proposal.proposed.label() == label)
+              ? (proposer_run_.has_value() && proposer_run_->label() == label)
               : responder_runs_.contains(label);
       if (!still_active) continue;
       if (!ttp_.has_value()) {
@@ -835,19 +679,15 @@ void Replica::handle(const PartyId& from, const Envelope& envelope) {
   try {
     switch (envelope.type) {
       case MsgType::kPropose:
-        handle_propose(from, envelope.body);
+      case MsgType::kBatchPropose:
+        handle_propose(from, envelope.type, envelope.body);
         break;
       case MsgType::kRespond:
         handle_respond(from, envelope.body);
         break;
       case MsgType::kDecide:
-        handle_decide(from, envelope.body);
-        break;
-      case MsgType::kBatchPropose:
-        handle_batch_propose(from, envelope.body);
-        break;
       case MsgType::kBatchDecide:
-        handle_batch_decide(from, envelope.body);
+        handle_decide(from, envelope.type, envelope.body);
         break;
       case MsgType::kConnectRequest:
         handle_connect_request(from, envelope.body);
@@ -897,83 +737,136 @@ void Replica::handle(const PartyId& from, const Envelope& envelope) {
 // ---------------------------------------------------------------------------
 
 RunHandle Replica::propose_state(Bytes new_state) {
-  Bytes payload = new_state;
-  return start_state_run(/*is_update=*/false, std::move(payload),
-                         std::move(new_state));
+  std::vector<BatchOp> ops;
+  ops.push_back(BatchOp{false, std::move(new_state), {}});
+  return open_run(std::move(ops), /*object_holds_proposal=*/true);
 }
 
 RunHandle Replica::propose_update(Bytes update, Bytes new_state) {
-  return start_state_run(/*is_update=*/true, std::move(update),
-                         std::move(new_state));
+  std::vector<BatchOp> ops;
+  ops.push_back(BatchOp{true, std::move(update), std::move(new_state)});
+  return open_run(std::move(ops), /*object_holds_proposal=*/true);
 }
 
-RunHandle Replica::start_state_run(bool is_update, Bytes payload,
-                                   Bytes new_state) {
+RunHandle Replica::propose_batch(std::vector<BatchOp> ops) {
+  return open_run(std::move(ops), /*object_holds_proposal=*/false);
+}
+
+RunHandle Replica::open_run(std::vector<BatchOp> ops,
+                            bool object_holds_proposal,
+                            const std::string& deal_id) {
   auto handle = std::make_shared<RunResult>();
   if (!connected_) {
     complete(handle, RunResult::Outcome::kAborted, "not connected", {}, 0, "");
     return handle;
   }
+  if (ops.empty()) {
+    complete(handle, RunResult::Outcome::kAborted, "empty batch", {}, 0, "");
+    return handle;
+  }
   if (busy()) {
-    // The caller already mutated the object for this (aborted) proposal;
-    // restore what the object must hold: our own still-active proposal's
-    // state (invariant 2) if one is in flight, else the agreed state.
-    impl_.apply_state(proposer_run_.has_value() ? proposer_run_->new_state
-                                                : agreed_state_);
+    // A caller that already mutated the object for this (aborted)
+    // proposal needs it restored to what the object must hold: our own
+    // still-active proposal's state (invariant 2) if one is in flight,
+    // else the agreed state.
+    if (object_holds_proposal) {
+      impl_.apply_state(proposer_run_.has_value() ? proposer_run_->states.back()
+                                                  : agreed_state_);
+    }
     complete(handle, RunResult::Outcome::kAborted,
              "busy: another coordination run is active", {}, 0, "");
     return handle;
   }
-  crypto::Digest new_state_hash = crypto::Sha256::hash(new_state);
-  if (!is_update && new_state_hash == agreed_tuple_.state_hash) {
-    complete(handle, RunResult::Outcome::kAborted, "null state transition", {},
-             0, "");
-    return handle;
-  }
 
+  // Build the hash-chained items, drawing one 32-byte authenticator per
+  // item in exactly the order K sequential runs would draw them (the
+  // bit-for-bit tuple-equivalence guarantee the pipeline battery pins).
   ProposerRun run;
-  run.authenticator = fresh_random();
-  run.new_state = std::move(new_state);
   run.result = handle;
+  run.deal_staged = !deal_id.empty();
+  run.deal_id = deal_id;
+  std::vector<BatchItem>& items = run.propose.items;
+  const std::uint64_t first_sequence = next_sequence();
+  crypto::Digest prev_state_hash = agreed_tuple_.state_hash;
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    BatchOp& op = ops[i];
+    Bytes state = op.is_update ? std::move(op.new_state) : op.payload;
+    crypto::Digest state_hash = crypto::Sha256::hash(state);
+    if (!op.is_update && state_hash == prev_state_hash) {
+      complete(handle, RunResult::Outcome::kAborted, "null state transition",
+               {}, 0, "");
+      return handle;
+    }
+    Bytes authenticator = fresh_random();
+    StateTuple proposed{first_sequence + i,
+                        crypto::Sha256::hash(authenticator), state_hash};
+    items.push_back(BatchItem{op.is_update, std::move(op.payload), proposed});
+    run.authenticators.push_back(std::move(authenticator));
+    run.states.push_back(std::move(state));
+    prev_state_hash = state_hash;
+  }
 
   Proposal& prop = run.propose.proposal;
   prop.proposer = self_;
   prop.object = object_;
   prop.group = group_tuple_;
   prop.agreed = agreed_tuple_;
-  prop.proposed = StateTuple{next_sequence(),
-                             crypto::Sha256::hash(run.authenticator),
-                             new_state_hash};
-  prop.is_update = is_update;
-  prop.payload_hash = crypto::Sha256::hash(payload);
-  run.propose.payload = std::move(payload);
-  run.propose.signature = key_.sign(prop.signed_bytes());
+  prop.proposed = items.back().proposed;
+  // A batch is a composite delta; only a single item's flag is meaningful.
+  prop.is_update = run.propose.format().batched || items.front().is_update;
+  prop.payload_hash = run.propose.payload_digest();
+  // ONE signature covers the whole run.
+  run.propose.signature = key_.sign(run.propose.signed_bytes());
 
   note_sequence(prop.proposed.sequence);
   const std::string label = prop.proposed.label();
-  seen_run_labels_.insert(label);
-
+  for (const BatchItem& item : items) {
+    seen_run_labels_.insert(item.proposed.label());
+  }
   for (const PartyId& member : members_) {
     if (member != self_) run.recipients.push_back(member);
   }
+  // Invariant 2: the proposer's object holds the proposed (final) state
+  // while its run is open.
+  if (!object_holds_proposal) impl_.apply_state(run.states.back());
 
+  const RunFormat& format = run.propose.format();
   Bytes encoded = run.propose.encode();
-  hit_crash_point("propose.pre-journal");
+  if (run.deal_staged) {
+    hit_crash_point("deal-stage.pre-journal");
+  } else {
+    hit_crash_point("propose.pre-journal");
+  }
   if (journaling()) {
-    ProposerRunRecord record{run.propose, run.authenticator, run.new_state,
-                             run.recipients};
+    if (run.deal_staged) {
+      // kDealStaged strictly BEFORE kProposerRun: a crash between the two
+      // must never leave a bare proposer-run record, which the per-run
+      // resume would re-drive as a standalone run and decide
+      // independently of the (never-opened) deal — breaking
+      // all-or-nothing. The reverse orphan (staged marker without a run)
+      // is inert.
+      wire::Encoder staged;
+      staged.str(label).str(deal_id);
+      journal_record(walrec::kDealStaged, std::move(staged).take());
+    }
     wire::Encoder enc;
-    enc.blob(record.encode());
+    enc.blob(run.encode());
     journal_record(walrec::kProposerRun, std::move(enc).take());
   }
-  callbacks_.record_evidence(evidence_kind::kProposeSent, encoded);
+  callbacks_.record_evidence(format.propose_sent, encoded);
   journal_barrier();
+  if (run.deal_staged) {
+    // Staged: the deal layer sends it (launch_staged_run) once the deal
+    // is open, and decides it across all legs.
+    proposer_run_ = std::move(run);
+    return handle;
+  }
   hit_crash_point("propose.journaled");
 
   if (run.recipients.empty()) {
     // Singleton group: trivially unanimous.
-    install_agreed_state(prop.proposed, run.new_state,
-                         /*apply_to_object=*/false);
+    install_run(items, std::move(run.states), /*apply_to_object=*/false,
+                std::nullopt);
     journal_run_closed(walrec::kProposerClosed, label);
     complete(handle, RunResult::Outcome::kAgreed, "", {},
              prop.proposed.sequence, label);
@@ -982,8 +875,8 @@ RunHandle Replica::start_state_run(bool is_update, Bytes payload,
 
   bool first_send = true;
   for (const PartyId& recipient : run.recipients) {
-    messages_.add(label, {"sent", "propose", recipient.str(), encoded});
-    send_envelope(recipient, MsgType::kPropose, encoded);
+    messages_.add(label, {"sent", format.propose_kind, recipient.str(), encoded});
+    send_envelope(recipient, format.propose, encoded);
     if (first_send) {
       first_send = false;
       hit_crash_point("propose.mid-send");
@@ -994,6 +887,37 @@ RunHandle Replica::start_state_run(bool is_update, Bytes payload,
   arm_run_probe(label, /*as_proposer=*/true, 1);
   hit_crash_point("propose.sent");
   return handle;
+}
+
+void Replica::resend_propose_to_silent() {
+  const ProposerRun& run = *proposer_run_;
+  Bytes encoded = run.propose.encode();
+  for (const PartyId& recipient : run.recipients) {
+    if (!run.responses.contains(recipient)) {
+      send_envelope(recipient, run.propose.format().propose, encoded);
+    }
+  }
+}
+
+std::vector<bool> Replica::verify_responses(
+    const std::vector<RespondMsg>& responses) const {
+  if (callbacks_.verify_many) {
+    std::vector<VerifyJob> jobs;
+    jobs.reserve(responses.size());
+    for (const RespondMsg& msg : responses) {
+      jobs.push_back(VerifyJob{msg.response.responder,
+                               msg.response.signed_bytes(), msg.signature});
+    }
+    return callbacks_.verify_many(jobs);
+  }
+  std::vector<bool> ok;
+  ok.reserve(responses.size());
+  for (const RespondMsg& msg : responses) {
+    const crypto::RsaPublicKey* pub = callbacks_.key_of(msg.response.responder);
+    ok.push_back(pub != nullptr &&
+                 pub->verify(msg.response.signed_bytes(), msg.signature));
+  }
+  return ok;
 }
 
 void Replica::handle_respond(const PartyId& from, const Bytes& body) {
@@ -1014,7 +938,6 @@ void Replica::handle_respond(const PartyId& from, const Bytes& body) {
       // Aborted deal legs have no decide — re-answer with the stored
       // signed deal decision instead.
       if (maybe_resend_decide(stray_label, from)) return;
-      if (maybe_resend_batch_decide(stray_label, from)) return;
       if (maybe_resend_deal_decision(stray_label, from)) return;
       record_anomaly("response for closed run " + stray_label, from);
       return;
@@ -1028,8 +951,7 @@ void Replica::handle_respond(const PartyId& from, const Bytes& body) {
     record_violation("response from non-recipient", from);
     return;
   }
-  const crypto::RsaPublicKey* pub = callbacks_.key_of(from);
-  if (pub == nullptr || !pub->verify(resp.signed_bytes(), msg.signature)) {
+  if (!verify_responses({msg}).front()) {
     record_violation("bad signature on response", from);
     return;
   }
@@ -1058,48 +980,36 @@ void Replica::handle_respond(const PartyId& from, const Bytes& body) {
   hit_crash_point("response.journaled");
   run.responses.emplace(from, std::move(msg));
 
-  if (run.responses.size() == run.recipients.size()) {
-    if (run.deal_staged) {
-      // Deal leg: the prepare is complete — park the response set
-      // undecided and let the deal layer decide across all legs
-      // (DESIGN.md §12). The hook runs under this shard's lock and may
-      // only touch deal-internal state / schedule work.
-      std::vector<PartyId> vetoers;
-      bool all_accept = true;
-      for (const PartyId& recipient : run.recipients) {
-        const Response& r = run.responses.at(recipient).response;
-        const Proposal& prop = run.propose.proposal;
-        if (!r.decision.accept || r.agreed_view != prop.agreed ||
-            r.current_view != prop.agreed || r.group_view != prop.group ||
-            r.payload_integrity != prop.payload_hash) {
-          all_accept = false;
-          vetoers.push_back(recipient);
-        }
-      }
-      callbacks_.record_evidence(evidence_kind::kDealPrepared,
-                                 run.propose.proposal.proposed.encode());
-      if (deal_hooks_.on_leg_prepared) {
-        deal_hooks_.on_leg_prepared(object_, label, all_accept, vetoers);
-      }
-    } else if (run.batch.has_value()) {
-      finish_batch_run_as_proposer();
-    } else {
-      finish_state_run_as_proposer();
-    }
+  if (run.responses.size() < run.recipients.size()) return;
+  if (!run.deal_staged) {
+    finish_run_as_proposer();
+    return;
+  }
+  // Deal leg: the prepare is complete — park the response set undecided
+  // and let the deal layer decide across all legs (DESIGN.md §12). The
+  // hook runs under this shard's lock and may only touch deal-internal
+  // state / schedule work.
+  callbacks_.record_evidence(evidence_kind::kDealPrepared,
+                             run.propose.proposal.proposed.encode());
+  if (deal_hooks_.on_leg_prepared) {
+    StagedRunStatus status = staged_run_status(label);
+    deal_hooks_.on_leg_prepared(object_, label, status.all_accept,
+                                status.vetoers);
   }
 }
 
-void Replica::finish_state_run_as_proposer() {
+void Replica::finish_run_as_proposer() {
   ProposerRun run = std::move(*proposer_run_);
   proposer_run_.reset();
   const Proposal& prop = run.propose.proposal;
+  const RunFormat& format = run.propose.format();
   const std::string label = prop.proposed.label();
 
-  DecideMsg decide;
+  BatchDecideMsg decide;
   decide.proposer = self_;
   decide.object = object_;
   decide.proposed = prop.proposed;
-  decide.authenticator = run.authenticator;
+  decide.authenticators = run.authenticators;
   std::vector<PartyId> vetoers;
   std::string first_diagnostic;
   std::size_t consistent_accepts = 0;
@@ -1110,11 +1020,7 @@ void Replica::finish_state_run_as_proposer() {
     if (!r.decision.accept) {
       vetoers.push_back(recipient);
       if (first_diagnostic.empty()) first_diagnostic = r.decision.diagnostic;
-    } else if (r.agreed_view != prop.agreed || r.current_view != prop.agreed ||
-               r.group_view != prop.group ||
-               r.payload_integrity != prop.payload_hash) {
-      // An accept whose view fields contradict the proposal is internally
-      // inconsistent content (§4.4): it cannot count towards agreement.
+    } else if (!consistent_accept(r, prop)) {
       record_violation("inconsistent accept response", recipient);
       vetoers.push_back(recipient);
       if (first_diagnostic.empty()) {
@@ -1131,16 +1037,16 @@ void Replica::finish_state_run_as_proposer() {
   hit_crash_point("decide.pre-journal");
   if (journaling()) {
     wire::Encoder enc;
-    enc.blob(encoded);
+    decide.encode_into(enc);
     journal_record(walrec::kDecideSent, std::move(enc).take());
   }
-  callbacks_.record_evidence(evidence_kind::kDecideSent, encoded);
+  callbacks_.record_evidence(format.decide_sent, encoded);
   journal_barrier();
   hit_crash_point("decide.journaled");
   bool first_send = true;
   for (const PartyId& recipient : run.recipients) {
-    messages_.add(label, {"sent", "decide", recipient.str(), encoded});
-    send_envelope(recipient, MsgType::kDecide, encoded);
+    messages_.add(label, {"sent", format.decide_kind, recipient.str(), encoded});
+    send_envelope(recipient, format.decide, encoded);
     if (first_send) {
       first_send = false;
       hit_crash_point("decide.mid-send");
@@ -1151,15 +1057,12 @@ void Replica::finish_state_run_as_proposer() {
   CoordEvent event;
   event.object = object_;
   event.party = self_;
-  event.sequence = prop.proposed.sequence;
   if (agreed) {
-    // The proposer's object already holds the new state (invariant 2);
-    // record it as agreed and checkpoint.
-    install_agreed_state(prop.proposed, std::move(run.new_state),
-                         /*apply_to_object=*/false);
+    // The proposer's object already holds the final state (invariant 2);
+    // record every item as agreed and checkpoint.
     event.kind = CoordEvent::Kind::kStateAgreed;
-    impl_.coord_callback(event);
-    if (callbacks_.notify) callbacks_.notify(event);
+    install_run(run.propose.items, std::move(run.states),
+                /*apply_to_object=*/false, event);
     // Under the majority rule, `vetoers` lists overridden dissenters.
     complete(run.result, RunResult::Outcome::kAgreed, "", std::move(vetoers),
              prop.proposed.sequence, label);
@@ -1168,9 +1071,9 @@ void Replica::finish_state_run_as_proposer() {
     callbacks_.record_evidence(evidence_kind::kStateRolledBack,
                                prop.proposed.encode());
     event.kind = CoordEvent::Kind::kStateVetoed;
+    event.sequence = prop.proposed.sequence;
     event.detail = first_diagnostic;
-    impl_.coord_callback(event);
-    if (callbacks_.notify) callbacks_.notify(event);
+    emit(event);
     complete(run.result, RunResult::Outcome::kVetoed, first_diagnostic,
              std::move(vetoers), prop.proposed.sequence, label);
   }
@@ -1179,23 +1082,45 @@ void Replica::finish_state_run_as_proposer() {
   drain_deferred_membership();
 }
 
+void Replica::install_run(const std::vector<BatchItem>& items,
+                          std::vector<Bytes> states, bool apply_to_object,
+                          std::optional<CoordEvent> event) {
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    install_agreed_state(items[i].proposed, std::move(states[i]),
+                         apply_to_object, /*bookkeep=*/i + 1 == items.size());
+    if (event.has_value()) {
+      event->sequence = items[i].proposed.sequence;
+      emit(*event);
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // State coordination — responder side (§4.3, checks of §4.4)
 // ---------------------------------------------------------------------------
 
-void Replica::handle_propose(const PartyId& from, const Bytes& body) {
-  ProposeMsg msg = ProposeMsg::decode(body);
+void Replica::handle_propose(const PartyId& from, MsgType type,
+                             const Bytes& body) {
+  BatchProposeMsg msg = BatchProposeMsg::decode(type, body);
   const Proposal& prop = msg.proposal;
+  const RunFormat& format = msg.format();
 
   if (prop.proposer != from) {
     record_violation("proposal sender does not match proposer field", from);
     return;
   }
   const crypto::RsaPublicKey* pub = callbacks_.key_of(from);
-  if (pub == nullptr || !pub->verify(prop.signed_bytes(), msg.signature)) {
+  if (pub == nullptr || !pub->verify(msg.signed_bytes(), msg.signature)) {
     record_violation("bad signature on proposal", from);
     return;
   }
+  if (msg.items.back().proposed != prop.proposed) {
+    record_violation("proposal items inconsistent with head tuple", from);
+    return;
+  }
+  // H(payload) for a single item; the recomputed chain head for a batch,
+  // which a mutated, reordered or dropped item breaks.
+  const crypto::Digest digest = msg.payload_digest();
   if (!is_member(from) || !connected_) {
     // Either a verifiable proposal from a party outside the current group
     // (typically an evicted member with a stale view — §4.5.4: "any
@@ -1211,7 +1136,7 @@ void Replica::handle_propose(const PartyId& from, const Bytes& body) {
     stale.agreed_view = agreed_tuple_;
     stale.current_view = agreed_tuple_;
     stale.group_view = group_tuple_;
-    stale.payload_integrity = crypto::Sha256::hash(msg.payload);
+    stale.payload_integrity = digest;
     stale.decision = Decision::rejected(
         connected_ ? "inconsistent group view"
                    : "recipient has disconnected from this group");
@@ -1250,16 +1175,20 @@ void Replica::handle_propose(const PartyId& from, const Bytes& body) {
     record_violation("replayed proposal " + label, from);
     return;
   }
-  seen_run_labels_.insert(label);
+  for (const BatchItem& item : msg.items) {
+    seen_run_labels_.insert(item.proposed.label());
+  }
   note_sequence(prop.proposed.sequence);
   hit_crash_point("respond.pre-journal");
-  callbacks_.record_evidence(evidence_kind::kProposeReceived, msg.encode());
-  messages_.add(label, {"received", "propose", from.str(), body});
+  callbacks_.record_evidence(format.propose_received, msg.encode());
+  messages_.add(label, {"received", format.propose_kind, from.str(), body});
 
-  Bytes pending_state;
-  Decision decision = evaluate_proposal(msg, &pending_state);
+  ResponderRun run;
+  Decision decision = validate_run(msg, digest, &run.pending_states);
+  if (!decision.accept) run.pending_states.clear();
 
-  Response resp;
+  // ONE standard signed response answers the whole run.
+  Response& resp = run.my_response.response;
   resp.responder = self_;
   resp.object = object_;
   resp.proposed = prop.proposed;
@@ -1268,26 +1197,16 @@ void Replica::handle_propose(const PartyId& from, const Bytes& body) {
                           ? proposer_run_->propose.proposal.proposed
                           : agreed_tuple_;
   resp.group_view = group_tuple_;
-  resp.payload_integrity = crypto::Sha256::hash(msg.payload);
+  resp.payload_integrity = digest;
   resp.decision = decision;
-
-  RespondMsg out;
-  out.response = resp;
-  out.signature = key_.sign(resp.signed_bytes());
-
-  ResponderRun run;
-  run.propose = msg;
-  run.pending_state = std::move(pending_state);
-  run.my_decision = decision;
-  run.my_response = out;
+  run.my_response.signature = key_.sign(resp.signed_bytes());
+  run.propose = std::move(msg);
   run.members_at_response = members_;
 
-  Bytes encoded = out.encode();
+  Bytes encoded = run.my_response.encode();
   if (journaling()) {
-    ResponderRunRecord record{run.propose, run.pending_state,
-                              run.my_response, run.members_at_response};
     wire::Encoder enc;
-    enc.blob(record.encode());
+    enc.blob(run.encode());
     journal_record(walrec::kResponderRun, std::move(enc).take());
   }
   responder_runs_.emplace(label, std::move(run));
@@ -1303,31 +1222,66 @@ void Replica::handle_propose(const PartyId& from, const Bytes& body) {
   hit_crash_point("respond.sent");
 }
 
-Decision Replica::evaluate_proposal(const ProposeMsg& msg,
-                                    Bytes* new_state_out) {
+Decision Replica::validate_run(const BatchProposeMsg& msg,
+                               const crypto::Digest& digest,
+                               std::vector<Bytes>* states) {
   const Proposal& prop = msg.proposal;
-
   if (prop.group != group_tuple_) {
     return Decision::rejected("inconsistent group view");
   }
   if (prop.agreed != agreed_tuple_) {
     return Decision::rejected("inconsistent agreed-state view");
   }
-  if (prop.proposed.sequence <= agreed_tuple_.sequence) {
+  // §4.4: the run must advance past the agreed state (its later items
+  // follow one by one, checked below).
+  if (msg.items.front().proposed.sequence <= agreed_tuple_.sequence) {
     return Decision::rejected("sequence number did not advance");
   }
-  if (crypto::Sha256::hash(msg.payload) != prop.payload_hash) {
+  if (digest != prop.payload_hash) {
     // The unsigned payload was modified in flight or at source (§4.4).
     record_violation("payload does not match signed hash", prop.proposer);
     return Decision::rejected("payload integrity failure");
   }
-  if (!prop.is_update) {
-    if (prop.proposed.state_hash != prop.payload_hash) {
+  // Item i is judged with the object holding the state item i-1 produced,
+  // exactly as i sequential runs would judge it; the object's own state
+  // is restored afterwards.
+  std::optional<Bytes> original;
+  Decision decision = Decision::accepted();
+  for (std::size_t i = 0; i < msg.items.size(); ++i) {
+    const BatchItem& item = msg.items[i];
+    crypto::Digest prev_state_hash = agreed_tuple_.state_hash;
+    if (i > 0) {
+      const StateTuple& prev = msg.items[i - 1].proposed;
+      if (item.proposed.sequence != prev.sequence + 1) {
+        record_violation("batch sequence numbers not consecutive",
+                         prop.proposer);
+        decision = Decision::rejected("batch sequence numbers not consecutive");
+        break;
+      }
+      prev_state_hash = prev.state_hash;
+      if (!original.has_value()) original = impl_.get_state();
+      impl_.apply_state(states->back());
+    }
+    Bytes state;
+    decision = evaluate_proposal(prop, item, prev_state_hash, &state);
+    if (!decision.accept) break;
+    states->push_back(std::move(state));
+  }
+  if (original.has_value()) impl_.apply_state(*original);
+  return decision;
+}
+
+Decision Replica::evaluate_proposal(const Proposal& prop,
+                                    const BatchItem& item,
+                                    const crypto::Digest& prev_state_hash,
+                                    Bytes* state_out) {
+  if (!item.is_update) {
+    if (item.proposed.state_hash != crypto::Sha256::hash(item.payload)) {
       record_violation("overwrite proposal internally inconsistent",
                        prop.proposer);
       return Decision::rejected("proposal internally inconsistent");
     }
-    if (prop.proposed.state_hash == agreed_tuple_.state_hash) {
+    if (item.proposed.state_hash == prev_state_hash) {
       // §4.4: any member can detect and reject a null state transition.
       return Decision::rejected("null state transition");
     }
@@ -1340,16 +1294,16 @@ Decision Replica::evaluate_proposal(const ProposeMsg& msg,
   ctx.local_party = self_;
   ctx.proposer = prop.proposer;
   ctx.object = object_;
-  ctx.sequence = prop.proposed.sequence;
+  ctx.sequence = item.proposed.sequence;
 
-  if (prop.is_update) {
+  if (item.is_update) {
     // Apply the update to a scratch incarnation of the object to confirm
     // that "if the update is agreed and applied, a consistent new state
     // will result" (§4.3.1), then validate the result.
     Bytes snapshot = impl_.get_state();
     Bytes resulting;
     try {
-      impl_.apply_update(msg.payload);
+      impl_.apply_update(item.payload);
       resulting = impl_.get_state();
     } catch (const std::exception& e) {
       impl_.apply_state(snapshot);
@@ -1357,24 +1311,25 @@ Decision Replica::evaluate_proposal(const ProposeMsg& msg,
                                 e.what());
     }
     impl_.apply_state(snapshot);
-    if (crypto::Sha256::hash(resulting) != prop.proposed.state_hash) {
+    if (crypto::Sha256::hash(resulting) != item.proposed.state_hash) {
       record_violation("update does not yield the proposed state",
                        prop.proposer);
       return Decision::rejected("update does not yield the proposed state");
     }
-    Decision decision = impl_.validate_update(msg.payload, resulting, ctx);
-    if (decision.accept) *new_state_out = std::move(resulting);
+    Decision decision = impl_.validate_update(item.payload, resulting, ctx);
+    if (decision.accept) *state_out = std::move(resulting);
     return decision;
   }
 
-  Decision decision = impl_.validate_state(msg.payload, ctx);
-  if (decision.accept) *new_state_out = msg.payload;
+  Decision decision = impl_.validate_state(item.payload, ctx);
+  if (decision.accept) *state_out = item.payload;
   return decision;
 }
 
-void Replica::handle_decide(const PartyId& from, const Bytes& body) {
+void Replica::handle_decide(const PartyId& from, MsgType type,
+                            const Bytes& body) {
   if (!connected_) return;
-  DecideMsg msg = DecideMsg::decode(body);
+  BatchDecideMsg msg = BatchDecideMsg::decode(type, body);
   const std::string label = msg.proposed.label();
 
   auto it = responder_runs_.find(label);
@@ -1385,33 +1340,38 @@ void Replica::handle_decide(const PartyId& from, const Bytes& body) {
     record_anomaly("decide for unknown or finished run " + label, from);
     return;
   }
-  ResponderRun& run = it->second;
-  const Proposal& prop = run.propose.proposal;
-  if (run.batch.has_value()) {
-    // A pipelined batch concludes only via kBatchDecide (which reveals
-    // every per-item authenticator); a plain decide cannot authenticate
-    // the intermediate items and would install a hole in the sequence.
-    record_violation("plain decide for pipelined batch run " + label, from);
+  const BatchProposeMsg& propose = it->second.propose;
+  if (msg.authenticators.size() != propose.items.size()) {
+    // A run closes only with the decide of its own format: a single-run
+    // decide cannot authenticate a batch's intermediate items (it would
+    // install a hole in the sequence), and vice versa.
+    record_violation("decide of the wrong format for run " + label, from);
     return;
   }
-  if (msg.proposer != prop.proposer || from != prop.proposer) {
+  if (msg.proposer != propose.proposal.proposer ||
+      from != propose.proposal.proposer) {
     record_violation("decide not from the proposer", from);
     return;
   }
-  if (crypto::Sha256::hash(msg.authenticator) != prop.proposed.rand_hash) {
-    // Only the proposer can produce the authenticator; a mismatch means
-    // forgery. The run stays active (we keep waiting for the genuine one).
-    record_violation("decide authenticator mismatch (forgery)", from);
-    return;
+  // EVERY item's authenticator must be revealed and check out: only the
+  // proposer can produce them, and each sub-tuple is installed on the
+  // strength of its own. A mismatch means forgery; the run stays active
+  // (we keep waiting for the genuine decide).
+  for (std::size_t i = 0; i < propose.items.size(); ++i) {
+    if (crypto::Sha256::hash(msg.authenticators[i]) !=
+        propose.items[i].proposed.rand_hash) {
+      record_violation("decide authenticator mismatch (forgery)", from);
+      return;
+    }
   }
   hit_crash_point("decide-recv.pre-journal");
   if (journaling()) {
     wire::Encoder enc;
-    enc.blob(msg.encode());
+    msg.encode_into(enc);
     journal_record(walrec::kDecideDelivered, std::move(enc).take());
   }
-  callbacks_.record_evidence(evidence_kind::kDecideReceived, msg.encode());
-  messages_.add(label, {"received", "decide", from.str(), body});
+  callbacks_.record_evidence(msg.format().decide_received, msg.encode());
+  messages_.add(label, {"received", msg.format().decide_kind, from.str(), body});
   journal_barrier();
   hit_crash_point("decide-recv.journaled");
 
@@ -1427,15 +1387,17 @@ void Replica::conclude_responder_run(const std::string& label,
   const Proposal& prop = run.propose.proposal;
   // Verify the aggregation: every response signed, every response for this
   // run, our own response present and unaltered, full recipient coverage.
+  const std::vector<bool> signed_ok = verify_responses(responses);
   bool intact = true;
   std::size_t consistent_accepts = 0;
   std::size_t expected_recipients = 0;
   std::set<PartyId> responders;
-  for (const RespondMsg& resp_msg : responses) {
+  bool any_reject = false;
+  for (std::size_t i = 0; i < responses.size(); ++i) {
+    const RespondMsg& resp_msg = responses[i];
     const Response& resp = resp_msg.response;
-    const crypto::RsaPublicKey* pub = callbacks_.key_of(resp.responder);
-    if (pub == nullptr ||
-        !pub->verify(resp.signed_bytes(), resp_msg.signature)) {
+    if (!resp.decision.accept) any_reject = true;
+    if (!signed_ok[i]) {
       record_violation("decide aggregates badly signed response from " +
                            resp.responder.str(),
                        from);
@@ -1448,19 +1410,11 @@ void Replica::conclude_responder_run(const std::string& label,
       continue;
     }
     if (!responders.insert(resp.responder).second) continue;  // duplicate
-    if (resp.decision.accept && resp.agreed_view == prop.agreed &&
-        resp.current_view == prop.agreed && resp.group_view == prop.group &&
-        resp.payload_integrity == prop.payload_hash) {
-      ++consistent_accepts;
-    }
+    if (consistent_accept(resp, prop)) ++consistent_accepts;
     if (resp.responder == self_ && !(resp_msg == run.my_response)) {
       record_violation("own response misrepresented in decide", from);
       intact = false;
     }
-  }
-  bool any_reject = false;
-  for (const RespondMsg& resp_msg : responses) {
-    if (!resp_msg.response.decision.accept) any_reject = true;
   }
   for (const PartyId& member : run.members_at_response) {
     if (member == prop.proposer) continue;
@@ -1484,23 +1438,21 @@ void Replica::conclude_responder_run(const std::string& label,
   CoordEvent event;
   event.object = object_;
   event.party = prop.proposer;
-  event.sequence = prop.proposed.sequence;
   if (agreed) {
-    std::optional<Bytes> to_install;
-    if (run.my_decision.accept && !run.pending_state.empty()) {
-      to_install = std::move(run.pending_state);
+    std::optional<std::vector<Bytes>> to_install;
+    if (run.my_response.response.decision.accept &&
+        run.pending_states.size() == run.propose.items.size()) {
+      to_install = std::move(run.pending_states);
     } else {
-      // Majority rule overrode our veto: derive the agreed state from the
+      // Majority rule overrode our veto: derive the agreed states from the
       // proposal we hold (never install anything whose hash we cannot
-      // confirm against the agreed tuple).
-      to_install = derive_agreed_state(run);
+      // confirm against the agreed tuples).
+      to_install = derive_agreed_states(run.propose);
     }
     if (to_install.has_value()) {
-      install_agreed_state(prop.proposed, std::move(*to_install),
-                           /*apply_to_object=*/true);
       event.kind = CoordEvent::Kind::kStateInstalled;
-      impl_.coord_callback(event);
-      if (callbacks_.notify) callbacks_.notify(event);
+      install_run(run.propose.items, std::move(*to_install),
+                  /*apply_to_object=*/true, event);
     } else {
       // Our local copy of the payload cannot reproduce the agreed state
       // (e.g. we rejected it for integrity). We hold the evidence but need
@@ -1511,8 +1463,8 @@ void Replica::conclude_responder_run(const std::string& label,
     }
   } else {
     event.kind = CoordEvent::Kind::kStateVetoed;
-    impl_.coord_callback(event);
-    if (callbacks_.notify) callbacks_.notify(event);
+    event.sequence = prop.proposed.sequence;
+    emit(event);
   }
 
   if (accept_lock_ == label) accept_lock_.reset();
@@ -1521,659 +1473,31 @@ void Replica::conclude_responder_run(const std::string& label,
   drain_deferred_membership();
 }
 
-// ---------------------------------------------------------------------------
-// Pipelined batches (DESIGN.md §13): K state changes, one signature each way
-// ---------------------------------------------------------------------------
-
-RunHandle Replica::propose_batch(std::vector<BatchOp> ops) {
-  auto handle = std::make_shared<RunResult>();
-  if (!connected_) {
-    complete(handle, RunResult::Outcome::kAborted, "not connected", {}, 0, "");
-    return handle;
-  }
-  if (ops.empty()) {
-    complete(handle, RunResult::Outcome::kAborted, "empty batch", {}, 0, "");
-    return handle;
-  }
-  if (busy()) {
-    complete(handle, RunResult::Outcome::kAborted,
-             "busy: another coordination run is active", {}, 0, "");
-    return handle;
-  }
-
-  // Build the hash-chained item list, drawing one 32-byte authenticator
-  // per item in exactly the order K sequential runs would draw them (the
-  // bit-for-bit tuple-equivalence guarantee the pipeline battery pins).
-  const std::uint64_t seq_base = next_sequence();
-  ProposerRun run;
-  run.batch.emplace();
-  BatchProposerState& batch = *run.batch;
-  crypto::Digest prev_state_hash = agreed_tuple_.state_hash;
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    BatchOp& op = ops[i];
-    crypto::Digest state_hash =
-        crypto::Sha256::hash(op.is_update ? op.new_state : op.payload);
-    if (!op.is_update && state_hash == prev_state_hash) {
-      complete(handle, RunResult::Outcome::kAborted,
-               "null state transition in batch", {}, 0, "");
-      return handle;
-    }
-    Bytes authenticator = fresh_random();
-    BatchItem item;
-    item.is_update = op.is_update;
-    item.payload = std::move(op.payload);
-    item.proposed = StateTuple{seq_base + i,
-                               crypto::Sha256::hash(authenticator),
-                               state_hash};
-    batch.states.push_back(op.is_update ? std::move(op.new_state)
-                                        : item.payload);
-    batch.propose.items.push_back(std::move(item));
-    batch.authenticators.push_back(std::move(authenticator));
-    prev_state_hash = state_hash;
-  }
-
-  Proposal& prop = run.propose.proposal;
-  prop.proposer = self_;
-  prop.object = object_;
-  prop.group = group_tuple_;
-  prop.agreed = agreed_tuple_;
-  prop.proposed = batch.propose.items.back().proposed;
-  // A batch is a composite delta; only batch-aware paths process it, so
-  // the overwrite/update flag is informational.
-  prop.is_update = true;
-  prop.payload_hash =
-      batch_chain_head(object_, agreed_tuple_, batch.propose.items);
-  batch.propose.proposal = prop;
-  hit_crash_point("batch-open.pre-journal");
-  // ONE signature covers the chain head and therefore every item.
-  batch.propose.signature = key_.sign(batch_proposal_signed_bytes(prop));
-  run.propose.signature = batch.propose.signature;
-  hit_crash_point("batch-chain-head.signed");
-
-  note_sequence(prop.proposed.sequence);
-  const std::string label = prop.proposed.label();
-  for (const BatchItem& item : batch.propose.items) {
-    seen_run_labels_.insert(item.proposed.label());
-  }
-  run.result = handle;
-  for (const PartyId& member : members_) {
-    if (member != self_) run.recipients.push_back(member);
-  }
-
-  Bytes encoded = batch.propose.encode();
-  if (journaling()) {
-    BatchProposerRunRecord record{batch.propose, batch.authenticators,
-                                  batch.states, run.recipients};
-    wire::Encoder enc;
-    enc.blob(record.encode());
-    journal_record(walrec::kBatchProposerRun, std::move(enc).take());
-  }
-  callbacks_.record_evidence(evidence_kind::kBatchProposeSent, encoded);
-  journal_barrier();
-  hit_crash_point("batch-open.journaled");
-
-  // Invariant 2: the proposer's object holds the proposed (final) state
-  // while the run is open.
-  impl_.apply_state(batch.states.back());
-
-  if (run.recipients.empty()) {
-    // Singleton group: trivially unanimous — install every item in order
-    // (only the final item carries the batch's bookkeeping).
-    for (std::size_t i = 0; i < batch.propose.items.size(); ++i) {
-      install_agreed_state(batch.propose.items[i].proposed, batch.states[i],
-                           /*apply_to_object=*/false,
-                           /*bookkeep=*/i + 1 == batch.propose.items.size());
-    }
-    journal_run_closed(walrec::kProposerClosed, label);
-    complete(handle, RunResult::Outcome::kAgreed, "", {},
-             prop.proposed.sequence, label);
-    return handle;
-  }
-
-  bool first_send = true;
-  for (const PartyId& recipient : run.recipients) {
-    messages_.add(label, {"sent", "batch-propose", recipient.str(), encoded});
-    send_envelope(recipient, MsgType::kBatchPropose, encoded);
-    if (first_send) {
-      first_send = false;
-      hit_crash_point("batch-open.mid-send");
-    }
-  }
-  proposer_run_ = std::move(run);
-  arm_run_probe(label, /*as_proposer=*/true, 1);
-  hit_crash_point("batch-open.sent");
-  return handle;
-}
-
-void Replica::finish_batch_run_as_proposer() {
-  ProposerRun run = std::move(*proposer_run_);
-  proposer_run_.reset();
-  BatchProposerState& batch = *run.batch;
-  const Proposal& prop = run.propose.proposal;
-  const std::string label = prop.proposed.label();
-
-  BatchDecideMsg decide;
-  decide.proposer = self_;
-  decide.object = object_;
-  decide.proposed = prop.proposed;
-  decide.authenticators = batch.authenticators;
-  std::vector<PartyId> vetoers;
-  std::string first_diagnostic;
-  std::size_t consistent_accepts = 0;
-  for (const PartyId& recipient : run.recipients) {
-    const RespondMsg& resp = run.responses.at(recipient);
-    decide.responses.push_back(resp);
-    const Response& r = resp.response;
-    if (!r.decision.accept) {
-      vetoers.push_back(recipient);
-      if (first_diagnostic.empty()) first_diagnostic = r.decision.diagnostic;
-    } else if (r.agreed_view != prop.agreed || r.current_view != prop.agreed ||
-               r.group_view != prop.group ||
-               r.payload_integrity != prop.payload_hash) {
-      record_violation("inconsistent accept response", recipient);
-      vetoers.push_back(recipient);
-      if (first_diagnostic.empty()) {
-        first_diagnostic =
-            "inconsistent accept response from " + recipient.str();
-      }
-    } else {
-      ++consistent_accepts;
-    }
-  }
-  bool agreed = group_accepts(consistent_accepts, run.recipients.size());
-
-  Bytes encoded = decide.encode();
-  hit_crash_point("batch-decide.pre-journal");
-  if (journaling()) {
-    wire::Encoder enc;
-    enc.blob(encoded);
-    journal_record(walrec::kBatchDecideSent, std::move(enc).take());
-  }
-  callbacks_.record_evidence(evidence_kind::kBatchDecideSent, encoded);
-  journal_barrier();
-  hit_crash_point("batch-decide.journaled");
-  bool first_send = true;
-  for (const PartyId& recipient : run.recipients) {
-    messages_.add(label, {"sent", "batch-decide", recipient.str(), encoded});
-    send_envelope(recipient, MsgType::kBatchDecide, encoded);
-    if (first_send) {
-      first_send = false;
-      hit_crash_point("batch-decide.mid-send");
-    }
-  }
-  hit_crash_point("batch-decide.sent");
-
-  CoordEvent event;
-  event.object = object_;
-  event.party = self_;
-  if (agreed) {
-    // Install every item in order; only the final item checkpoints,
-    // records kStateInstalled evidence and journals a snapshot. The
-    // intermediate bookkeeping K sequential runs would have written is
-    // subsumed by the final item's (and the batch decide evidence holds
-    // every item tuple); skipping it keeps per-item cost free of the
-    // TSS-stamp RSA work. The object already holds the final state
-    // (invariant 2).
-    for (std::size_t i = 0; i < batch.propose.items.size(); ++i) {
-      install_agreed_state(batch.propose.items[i].proposed, batch.states[i],
-                           /*apply_to_object=*/false,
-                           /*bookkeep=*/i + 1 == batch.propose.items.size());
-      event.kind = CoordEvent::Kind::kStateAgreed;
-      event.sequence = batch.propose.items[i].proposed.sequence;
-      impl_.coord_callback(event);
-      if (callbacks_.notify) callbacks_.notify(event);
-    }
-    complete(run.result, RunResult::Outcome::kAgreed, "", std::move(vetoers),
-             prop.proposed.sequence, label);
-  } else {
-    impl_.apply_state(agreed_state_);
-    callbacks_.record_evidence(evidence_kind::kStateRolledBack,
-                               prop.proposed.encode());
-    event.kind = CoordEvent::Kind::kStateVetoed;
-    event.sequence = prop.proposed.sequence;
-    event.detail = first_diagnostic;
-    impl_.coord_callback(event);
-    if (callbacks_.notify) callbacks_.notify(event);
-    complete(run.result, RunResult::Outcome::kVetoed, first_diagnostic,
-             std::move(vetoers), prop.proposed.sequence, label);
-  }
-  journal_run_closed(walrec::kProposerClosed, label);
-  hit_crash_point("batch-decide.installed");
-  drain_deferred_membership();
-}
-
-void Replica::handle_batch_propose(const PartyId& from, const Bytes& body) {
-  BatchProposeMsg msg = BatchProposeMsg::decode(body);
-  const Proposal& prop = msg.proposal;
-
-  if (prop.proposer != from) {
-    record_violation("batch proposal sender does not match proposer field",
-                     from);
-    return;
-  }
-  const crypto::RsaPublicKey* pub = callbacks_.key_of(from);
-  if (pub == nullptr ||
-      !pub->verify(batch_proposal_signed_bytes(prop), msg.signature)) {
-    record_violation("bad signature on batch proposal", from);
-    return;
-  }
-  if (msg.items.empty() || !(msg.items.back().proposed == prop.proposed)) {
-    record_violation("batch proposal items inconsistent with head tuple",
-                     from);
-    return;
-  }
-  if (!is_member(from) || !connected_) {
-    if (!is_member(from)) {
-      record_anomaly("batch proposal from non-member", from);
-    }
-    Response stale;
-    stale.responder = self_;
-    stale.object = object_;
-    stale.proposed = prop.proposed;
-    stale.agreed_view = agreed_tuple_;
-    stale.current_view = agreed_tuple_;
-    stale.group_view = group_tuple_;
-    stale.payload_integrity = batch_chain_head(object_, prop.agreed, msg.items);
-    stale.decision = Decision::rejected(
-        connected_ ? "inconsistent group view"
-                   : "recipient has disconnected from this group");
-    RespondMsg out;
-    out.response = stale;
-    out.signature = key_.sign(stale.signed_bytes());
-    callbacks_.record_evidence(evidence_kind::kRespondSent, out.encode());
-    send_envelope(from, MsgType::kRespond, out.encode());
-    return;
-  }
-  if (prop.object != object_) {
-    record_violation("batch proposal for wrong object", from);
-    return;
-  }
-  const std::string label = prop.proposed.label();
-  if (seen_run_labels_.contains(label)) {
-    if (journaling()) {
-      auto it = responder_runs_.find(label);
-      if (it != responder_runs_.end() &&
-          it->second.propose.proposal.proposer == from) {
-        record_anomaly("duplicate batch proposal re-answered " + label, from);
-        send_envelope(from, MsgType::kRespond,
-                      it->second.my_response.encode());
-        return;
-      }
-      if (it == responder_runs_.end()) {
-        record_anomaly("duplicate batch proposal for closed run " + label,
-                       from);
-        return;
-      }
-    }
-    record_violation("replayed batch proposal " + label, from);
-    return;
-  }
-  for (const BatchItem& item : msg.items) {
-    seen_run_labels_.insert(item.proposed.label());
-  }
-  note_sequence(prop.proposed.sequence);
-  callbacks_.record_evidence(evidence_kind::kBatchProposeReceived,
-                             msg.encode());
-  messages_.add(label, {"received", "batch-propose", from.str(), body});
-
-  // Integrity first: the single signature covers the chain head, so a
-  // mutated/reordered/dropped item breaks the recomputed head.
-  const crypto::Digest recomputed_head =
-      batch_chain_head(object_, prop.agreed, msg.items);
-  std::vector<Bytes> pending_states;
-  Decision decision = [&]() -> Decision {
-    if (recomputed_head != prop.payload_hash) {
-      record_violation("batch payload does not match signed chain head",
-                       prop.proposer);
-      return Decision::rejected("batch payload integrity failure");
-    }
-    if (prop.group != group_tuple_) {
-      return Decision::rejected("inconsistent group view");
-    }
-    if (prop.agreed != agreed_tuple_) {
-      return Decision::rejected("inconsistent agreed-state view");
-    }
-    for (std::size_t i = 0; i < msg.items.size(); ++i) {
-      if (msg.items[i].proposed.sequence != prop.agreed.sequence + 1 + i) {
-        record_violation("batch sequence numbers not consecutive",
-                         prop.proposer);
-        return Decision::rejected("batch sequence numbers not consecutive");
-      }
-    }
-    if (busy()) {
-      return Decision::rejected("busy: concurrent coordination in progress");
-    }
-    // Validate the items sequentially on a scratch incarnation: item i is
-    // validated against the state item i-1 produced, exactly as i
-    // sequential runs would validate them.
-    Bytes snapshot = impl_.get_state();
-    crypto::Digest prev_hash = agreed_tuple_.state_hash;
-    impl_.apply_state(agreed_state_);
-    for (std::size_t i = 0; i < msg.items.size(); ++i) {
-      const BatchItem& item = msg.items[i];
-      ValidationContext ctx;
-      ctx.local_party = self_;
-      ctx.proposer = prop.proposer;
-      ctx.object = object_;
-      ctx.sequence = item.proposed.sequence;
-      Bytes resulting;
-      if (item.is_update) {
-        try {
-          impl_.apply_update(item.payload);
-          resulting = impl_.get_state();
-        } catch (const std::exception& e) {
-          impl_.apply_state(snapshot);
-          return Decision::rejected(
-              std::string("batch update not applicable: ") + e.what());
-        }
-        if (crypto::Sha256::hash(resulting) != item.proposed.state_hash) {
-          impl_.apply_state(snapshot);
-          record_violation("batch item does not yield the proposed state",
-                           prop.proposer);
-          return Decision::rejected(
-              "batch item does not yield the proposed state");
-        }
-        Decision verdict = impl_.validate_update(item.payload, resulting, ctx);
-        if (!verdict.accept) {
-          impl_.apply_state(snapshot);
-          return verdict;
-        }
-      } else {
-        if (item.proposed.state_hash != crypto::Sha256::hash(item.payload)) {
-          impl_.apply_state(snapshot);
-          record_violation("batch overwrite item internally inconsistent",
-                           prop.proposer);
-          return Decision::rejected("batch item internally inconsistent");
-        }
-        if (item.proposed.state_hash == prev_hash) {
-          impl_.apply_state(snapshot);
-          return Decision::rejected("null state transition in batch");
-        }
-        Decision verdict = impl_.validate_state(item.payload, ctx);
-        if (!verdict.accept) {
-          impl_.apply_state(snapshot);
-          return verdict;
-        }
-        resulting = item.payload;
-        impl_.apply_state(resulting);
-      }
-      pending_states.push_back(std::move(resulting));
-      prev_hash = item.proposed.state_hash;
-      if (i == 0) hit_crash_point("batch-respond.mid");
-    }
-    impl_.apply_state(snapshot);
-    return Decision::accepted();
-  }();
-  if (!decision.accept) pending_states.clear();
-
-  Response resp;
-  resp.responder = self_;
-  resp.object = object_;
-  resp.proposed = prop.proposed;
-  resp.agreed_view = agreed_tuple_;
-  resp.current_view = proposer_run_.has_value()
-                          ? proposer_run_->propose.proposal.proposed
-                          : agreed_tuple_;
-  resp.group_view = group_tuple_;
-  resp.payload_integrity = recomputed_head;
-  resp.decision = decision;
-
-  // ONE standard signed response answers the whole batch.
-  RespondMsg out;
-  out.response = resp;
-  out.signature = key_.sign(resp.signed_bytes());
-
-  ResponderRun run;
-  run.propose.proposal = prop;
-  run.propose.signature = msg.signature;
-  if (!pending_states.empty()) run.pending_state = pending_states.back();
-  run.my_decision = decision;
-  run.my_response = out;
-  run.members_at_response = members_;
-  run.batch = BatchResponderState{std::move(msg), std::move(pending_states)};
-
-  Bytes encoded = out.encode();
-  if (journaling()) {
-    BatchResponderRunRecord record{run.batch->propose,
-                                   run.batch->pending_states,
-                                   run.my_response, run.members_at_response};
-    wire::Encoder enc;
-    enc.blob(record.encode());
-    journal_record(walrec::kBatchResponderRun, std::move(enc).take());
-  }
-  responder_runs_.emplace(label, std::move(run));
-  if (decision.accept) accept_lock_ = label;
-
-  callbacks_.record_evidence(evidence_kind::kRespondSent, encoded);
-  messages_.add(label, {"sent", "respond", from.str(), encoded});
-  journal_barrier();
-  hit_crash_point("batch-respond.journaled");
-  send_envelope(from, MsgType::kRespond, encoded);
-  arm_run_probe(label, /*as_proposer=*/false, 1);
-  hit_crash_point("batch-respond.sent");
-}
-
-void Replica::handle_batch_decide(const PartyId& from, const Bytes& body) {
-  if (!connected_) return;
-  BatchDecideMsg msg = BatchDecideMsg::decode(body);
-  const std::string label = msg.proposed.label();
-
-  auto it = responder_runs_.find(label);
-  if (it == responder_runs_.end()) {
-    record_anomaly("batch decide for unknown or finished run " + label, from);
-    return;
-  }
-  ResponderRun& run = it->second;
-  if (!run.batch.has_value()) {
-    record_violation("batch decide for non-batch run " + label, from);
-    return;
-  }
-  const Proposal& prop = run.propose.proposal;
-  if (msg.proposer != prop.proposer || from != prop.proposer) {
-    record_violation("batch decide not from the proposer", from);
-    return;
-  }
-  // EVERY per-item authenticator must be revealed and check out: the
-  // intermediate tuples are installed on their strength alone.
-  const std::vector<BatchItem>& items = run.batch->propose.items;
-  if (msg.authenticators.size() != items.size()) {
-    record_violation("batch decide authenticator count mismatch", from);
-    return;
-  }
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (crypto::Sha256::hash(msg.authenticators[i]) !=
-        items[i].proposed.rand_hash) {
-      record_violation("batch decide authenticator mismatch (forgery)", from);
-      return;
-    }
-  }
-  hit_crash_point("batch-decide-recv.pre-journal");
-  if (journaling()) {
-    wire::Encoder enc;
-    enc.blob(msg.encode());
-    journal_record(walrec::kBatchDecideDelivered, std::move(enc).take());
-  }
-  callbacks_.record_evidence(evidence_kind::kBatchDecideReceived,
-                             msg.encode());
-  messages_.add(label, {"received", "batch-decide", from.str(), body});
-  journal_barrier();
-  hit_crash_point("batch-decide-recv.journaled");
-
-  ResponderRun finished = std::move(it->second);
-  responder_runs_.erase(it);
-  conclude_batch_responder_run(label, std::move(finished), msg, from);
-}
-
-void Replica::conclude_batch_responder_run(const std::string& label,
-                                           ResponderRun run,
-                                           const BatchDecideMsg& msg,
-                                           const PartyId& from) {
-  const Proposal& prop = run.propose.proposal;
-  const std::vector<BatchItem>& items = run.batch->propose.items;
-
-  // Signature pass first, in bulk: the coordinator's verify_many backs
-  // this with the verified-signature cache, so a retransmitted decide
-  // costs no RSA at all.
-  std::vector<bool> sig_ok(msg.responses.size(), false);
-  if (callbacks_.verify_many) {
-    std::vector<VerifyJob> jobs;
-    jobs.reserve(msg.responses.size());
-    for (const RespondMsg& resp_msg : msg.responses) {
-      jobs.push_back(VerifyJob{resp_msg.response.responder,
-                               resp_msg.response.signed_bytes(),
-                               resp_msg.signature});
-    }
-    sig_ok = callbacks_.verify_many(jobs);
-  } else {
-    for (std::size_t i = 0; i < msg.responses.size(); ++i) {
-      const RespondMsg& resp_msg = msg.responses[i];
-      const crypto::RsaPublicKey* pub =
-          callbacks_.key_of(resp_msg.response.responder);
-      sig_ok[i] = pub != nullptr && pub->verify(resp_msg.response.signed_bytes(),
-                                                resp_msg.signature);
-    }
-  }
-
-  bool intact = true;
-  std::size_t consistent_accepts = 0;
-  std::size_t expected_recipients = 0;
-  std::set<PartyId> responders;
-  for (std::size_t i = 0; i < msg.responses.size(); ++i) {
-    const RespondMsg& resp_msg = msg.responses[i];
-    const Response& resp = resp_msg.response;
-    if (!sig_ok[i]) {
-      record_violation("batch decide aggregates badly signed response from " +
-                           resp.responder.str(),
-                       from);
-      intact = false;
-      continue;
-    }
-    if (resp.proposed != prop.proposed) {
-      record_violation("batch decide aggregates response from another run",
-                       from);
-      intact = false;
-      continue;
-    }
-    if (!responders.insert(resp.responder).second) continue;  // duplicate
-    if (resp.decision.accept && resp.agreed_view == prop.agreed &&
-        resp.current_view == prop.agreed && resp.group_view == prop.group &&
-        resp.payload_integrity == prop.payload_hash) {
-      ++consistent_accepts;
-    }
-    if (resp.responder == self_ && !(resp_msg == run.my_response)) {
-      record_violation("own response misrepresented in batch decide", from);
-      intact = false;
-    }
-  }
-  bool any_reject = false;
-  for (const RespondMsg& resp_msg : msg.responses) {
-    if (!resp_msg.response.decision.accept) any_reject = true;
-  }
-  for (const PartyId& member : run.members_at_response) {
-    if (member == prop.proposer) continue;
-    ++expected_recipients;
-    if (!responders.contains(member)) {
-      if (any_reject) {
-        record_anomaly("batch decide lacks response from " + member.str(),
-                       from);
-      } else {
-        record_violation("batch decide omits response from " + member.str(),
-                         from);
-      }
-      intact = false;
-    }
-  }
-
-  bool agreed = intact && !msg.responses.empty() &&
-                group_accepts(consistent_accepts, expected_recipients);
-
-  CoordEvent event;
-  event.object = object_;
-  event.party = prop.proposer;
-  if (agreed) {
-    std::optional<std::vector<Bytes>> to_install;
-    if (run.my_decision.accept &&
-        run.batch->pending_states.size() == items.size()) {
-      to_install = std::move(run.batch->pending_states);
-    } else {
-      // Majority rule overrode our veto: re-derive every item state from
-      // the payloads we hold, confirming each hash.
-      to_install = derive_batch_agreed_states(run);
-    }
-    if (to_install.has_value()) {
-      for (std::size_t i = 0; i < items.size(); ++i) {
-        install_agreed_state(items[i].proposed, std::move((*to_install)[i]),
-                             /*apply_to_object=*/true,
-                             /*bookkeep=*/i + 1 == items.size());
-        event.kind = CoordEvent::Kind::kStateInstalled;
-        event.sequence = items[i].proposed.sequence;
-        impl_.coord_callback(event);
-        if (callbacks_.notify) callbacks_.notify(event);
-      }
-    } else {
-      callbacks_.record_evidence("state.transfer-required",
-                                 prop.proposed.encode());
-      B2B_WARN(self_, " cannot materialise agreed batch states for run ",
-               label);
-    }
-  } else {
-    event.kind = CoordEvent::Kind::kStateVetoed;
-    event.sequence = prop.proposed.sequence;
-    impl_.coord_callback(event);
-    if (callbacks_.notify) callbacks_.notify(event);
-  }
-
-  if (accept_lock_ == label) accept_lock_.reset();
-  journal_run_closed(walrec::kResponderClosed, label);
-  hit_crash_point("batch-decide-recv.installed");
-  drain_deferred_membership();
-}
-
-std::optional<std::vector<Bytes>> Replica::derive_batch_agreed_states(
-    ResponderRun& run) {
-  const std::vector<BatchItem>& items = run.batch->propose.items;
+std::optional<std::vector<Bytes>> Replica::derive_agreed_states(
+    const BatchProposeMsg& propose) {
   std::vector<Bytes> states;
-  states.reserve(items.size());
+  states.reserve(propose.items.size());
   Bytes snapshot = impl_.get_state();
   try {
-    impl_.apply_state(agreed_state_);
-    for (const BatchItem& item : items) {
+    for (const BatchItem& item : propose.items) {
+      Bytes state;
       if (item.is_update) {
+        // Apply the delta to a scratch copy of the previous state.
+        impl_.apply_state(states.empty() ? agreed_state_ : states.back());
         impl_.apply_update(item.payload);
-        Bytes result = impl_.get_state();
-        if (crypto::Sha256::hash(result) != item.proposed.state_hash) {
-          impl_.apply_state(snapshot);
-          return std::nullopt;
-        }
-        states.push_back(std::move(result));
+        state = impl_.get_state();
       } else {
-        if (crypto::Sha256::hash(item.payload) != item.proposed.state_hash) {
-          impl_.apply_state(snapshot);
-          return std::nullopt;
-        }
-        impl_.apply_state(item.payload);
-        states.push_back(item.payload);
+        state = item.payload;
       }
+      if (crypto::Sha256::hash(state) != item.proposed.state_hash) break;
+      states.push_back(std::move(state));
     }
-    impl_.apply_state(snapshot);
-    return states;
   } catch (const std::exception&) {
-    impl_.apply_state(snapshot);
-    return std::nullopt;
+    // An inapplicable update leaves `states` short: nothing is derived.
   }
-}
-
-bool Replica::maybe_resend_batch_decide(const std::string& label,
-                                        const PartyId& to) {
-  if (!journaling()) return false;
-  for (const auto& stored : messages_.run(label)) {
-    if (stored.direction == "sent" && stored.kind == "batch-decide") {
-      record_anomaly("re-sent batch decide of closed run " + label, to);
-      send_envelope(to, MsgType::kBatchDecide, stored.payload);
-      return true;
-    }
-  }
-  return false;
+  impl_.apply_state(snapshot);
+  if (states.size() != propose.items.size()) return std::nullopt;
+  return states;
 }
 
 // ---------------------------------------------------------------------------
@@ -2192,11 +1516,15 @@ void Replica::enable_ttp_termination(TtpConfig config) {
 
 void Replica::arm_deadline(const std::string& label, bool as_proposer) {
   if (!ttp_.has_value()) return;
+  // A §7 verdict certifies one tuple: batches (K >= 2) are never referred.
+  const BatchProposeMsg& propose = as_proposer
+                                       ? proposer_run_->propose
+                                       : responder_runs_.at(label).propose;
+  if (propose.format().batched) return;
   callbacks_.schedule(ttp_->deadline_micros, [this, label, as_proposer] {
     bool still_active =
         as_proposer
-            ? (proposer_run_.has_value() &&
-               proposer_run_->propose.proposal.proposed.label() == label)
+            ? (proposer_run_.has_value() && proposer_run_->label() == label)
             : responder_runs_.contains(label);
     if (!still_active) return;
     if (as_proposer && proposer_run_->deal_staged) {
@@ -2219,7 +1547,7 @@ void Replica::request_termination(const std::string& label,
   if (as_proposer) {
     const ProposerRun& run = *proposer_run_;
     request.proposed = run.propose.proposal.proposed;
-    request.propose = run.propose;
+    request.propose = run.propose.single();
     for (const auto& [responder, resp] : run.responses) {
       request.responses.push_back(resp);
     }
@@ -2290,24 +1618,20 @@ void Replica::handle_termination_verdict(const PartyId& from,
     } else {
       // A certified decision carries the full verified response set; we
       // conclude exactly as if we had assembled the decide ourselves.
-      std::size_t consistent_accepts = 0;
       const Proposal& prop = run.propose.proposal;
-      for (const RespondMsg& resp_msg : verdict.responses) {
-        const Response& r = resp_msg.response;
-        const crypto::RsaPublicKey* pub = callbacks_.key_of(r.responder);
-        if (pub != nullptr &&
-            pub->verify(r.signed_bytes(), resp_msg.signature) &&
-            r.proposed == prop.proposed && r.decision.accept &&
-            r.agreed_view == prop.agreed && r.current_view == prop.agreed &&
-            r.group_view == prop.group &&
-            r.payload_integrity == prop.payload_hash) {
+      const std::vector<bool> signed_ok = verify_responses(verdict.responses);
+      std::size_t consistent_accepts = 0;
+      for (std::size_t i = 0; i < verdict.responses.size(); ++i) {
+        const Response& r = verdict.responses[i].response;
+        if (signed_ok[i] && r.proposed == prop.proposed &&
+            consistent_accept(r, prop)) {
           ++consistent_accepts;
         }
       }
       bool agreed = group_accepts(consistent_accepts, run.recipients.size());
       if (agreed) {
-        install_agreed_state(prop.proposed, std::move(run.new_state),
-                             /*apply_to_object=*/false);
+        install_run(run.propose.items, std::move(run.states),
+                    /*apply_to_object=*/false, std::nullopt);
         complete(run.result, RunResult::Outcome::kAgreed,
                  "TTP-certified decision", {}, prop.proposed.sequence, label);
       } else {
@@ -2335,8 +1659,7 @@ void Replica::handle_termination_verdict(const PartyId& from,
     event.party = run.propose.proposal.proposer;
     event.sequence = verdict.proposed.sequence;
     event.detail = "TTP-certified abort";
-    impl_.coord_callback(event);
-    if (callbacks_.notify) callbacks_.notify(event);
+    emit(event);
     drain_deferred_membership();
     return;
   }
@@ -2347,97 +1670,41 @@ void Replica::handle_termination_verdict(const PartyId& from,
 // Deal legs (DESIGN.md §12)
 // ---------------------------------------------------------------------------
 
+bool Replica::staged(const std::string& label) const {
+  return proposer_run_.has_value() && proposer_run_->deal_staged &&
+         proposer_run_->label() == label;
+}
+
 Replica::StagedLeg Replica::stage_deal_run(bool is_update, Bytes payload,
                                            Bytes new_state,
                                            const std::string& deal_id) {
+  BatchOp op{is_update, std::move(payload), std::move(new_state)};
+  if (!is_update) op.payload = op.new_state;  // an overwrite's payload IS it
+  std::vector<BatchOp> ops;
+  ops.push_back(std::move(op));
   StagedLeg leg;
-  leg.handle = std::make_shared<RunResult>();
-  if (!connected_) {
-    complete(leg.handle, RunResult::Outcome::kAborted, "not connected", {}, 0,
-             "");
-    return leg;
-  }
-  if (busy()) {
-    complete(leg.handle, RunResult::Outcome::kAborted,
-             "busy: another coordination run is active", {}, 0, "");
-    return leg;
-  }
-  crypto::Digest new_state_hash = crypto::Sha256::hash(new_state);
-  if (!is_update && new_state_hash == agreed_tuple_.state_hash) {
-    complete(leg.handle, RunResult::Outcome::kAborted, "null state transition",
-             {}, 0, "");
-    return leg;
-  }
-
-  ProposerRun run;
-  run.authenticator = fresh_random();
-  run.new_state = std::move(new_state);
-  run.result = leg.handle;
-  run.deal_staged = true;
-  run.deal_id = deal_id;
-
-  Proposal& prop = run.propose.proposal;
-  prop.proposer = self_;
-  prop.object = object_;
-  prop.group = group_tuple_;
-  prop.agreed = agreed_tuple_;
-  prop.proposed = StateTuple{next_sequence(),
-                             crypto::Sha256::hash(run.authenticator),
-                             new_state_hash};
-  prop.is_update = is_update;
-  prop.payload_hash = crypto::Sha256::hash(payload);
-  run.propose.payload = std::move(payload);
-  run.propose.signature = key_.sign(prop.signed_bytes());
-
-  note_sequence(prop.proposed.sequence);
-  leg.label = prop.proposed.label();
-  leg.proposed = prop.proposed;
-  seen_run_labels_.insert(leg.label);
-  for (const PartyId& member : members_) {
-    if (member != self_) run.recipients.push_back(member);
-  }
-  leg.recipient_count = run.recipients.size();
-
-  // Invariant 2: the proposer's object holds the proposed state while its
-  // run is open (the deal layer hands us the payload instead of mutating
-  // the object first, so apply it here).
-  impl_.apply_state(run.new_state);
-
-  hit_crash_point("deal-stage.pre-journal");
-  if (journaling()) {
-    // kDealStaged strictly BEFORE kProposerRun: a crash between the two
-    // must never leave a bare proposer-run record, which the per-run
-    // resume would re-drive as a standalone run and decide independently
-    // of the (never-opened) deal — breaking all-or-nothing. The reverse
-    // orphan (staged marker without a run) is inert.
-    wire::Encoder staged;
-    staged.str(leg.label).str(deal_id);
-    journal_record(walrec::kDealStaged, std::move(staged).take());
-    ProposerRunRecord record{run.propose, run.authenticator, run.new_state,
-                             run.recipients};
-    wire::Encoder enc;
-    enc.blob(record.encode());
-    journal_record(walrec::kProposerRun, std::move(enc).take());
-  }
-  callbacks_.record_evidence(evidence_kind::kProposeSent, run.propose.encode());
-  journal_barrier();
-  proposer_run_ = std::move(run);
+  leg.handle = open_run(std::move(ops), /*object_holds_proposal=*/false,
+                        deal_id);
+  if (leg.handle->done()) return leg;
+  leg.label = proposer_run_->label();
+  leg.proposed = proposer_run_->propose.proposal.proposed;
+  leg.recipient_count = proposer_run_->recipients.size();
   return leg;
 }
 
 void Replica::launch_staged_run(const std::string& label,
                                 const DealEnlistMsg& enlist) {
-  if (!proposer_run_.has_value() || !proposer_run_->deal_staged ||
-      proposer_run_->propose.proposal.proposed.label() != label) {
+  if (!staged(label)) {
     return;
   }
   ProposerRun& run = *proposer_run_;
+  const RunFormat& format = run.propose.format();
   Bytes encoded = run.propose.encode();
   Bytes enlist_encoded = enlist.encode();
   bool first_send = true;
   for (const PartyId& recipient : run.recipients) {
-    messages_.add(label, {"sent", "propose", recipient.str(), encoded});
-    send_envelope(recipient, MsgType::kPropose, encoded);
+    messages_.add(label, {"sent", format.propose_kind, recipient.str(), encoded});
+    send_envelope(recipient, format.propose, encoded);
     messages_.add(label,
                   {"sent", "deal.enlist", recipient.str(), enlist_encoded});
     send_envelope(recipient, MsgType::kDealEnlist, enlist_encoded);
@@ -2453,8 +1720,7 @@ void Replica::launch_staged_run(const std::string& label,
 
 void Replica::commit_staged_run(const std::string& label,
                                 const DealDecisionMsg& decision) {
-  if (!proposer_run_.has_value() || !proposer_run_->deal_staged ||
-      proposer_run_->propose.proposal.proposed.label() != label) {
+  if (!staged(label)) {
     return;
   }
   ProposerRun& run = *proposer_run_;
@@ -2470,13 +1736,12 @@ void Replica::commit_staged_run(const std::string& label,
     send_envelope(recipient, MsgType::kDealDecision, encoded);
   }
   run.deal_staged = false;
-  finish_state_run_as_proposer();
+  finish_run_as_proposer();
 }
 
 void Replica::abort_staged_run(const std::string& label,
                                const DealDecisionMsg& decision) {
-  if (!proposer_run_.has_value() || !proposer_run_->deal_staged ||
-      proposer_run_->propose.proposal.proposed.label() != label) {
+  if (!staged(label)) {
     return;
   }
   ProposerRun run = std::move(*proposer_run_);
@@ -2500,8 +1765,7 @@ void Replica::abort_staged_run(const std::string& label,
 }
 
 void Replica::cancel_staged_run(const std::string& label) {
-  if (!proposer_run_.has_value() || !proposer_run_->deal_staged ||
-      proposer_run_->propose.proposal.proposed.label() != label) {
+  if (!staged(label)) {
     return;
   }
   ProposerRun run = std::move(*proposer_run_);
@@ -2518,8 +1782,7 @@ void Replica::cancel_staged_run(const std::string& label) {
 
 bool Replica::resume_staged_run(const std::string& label,
                                 const DealEnlistMsg& enlist) {
-  if (!proposer_run_.has_value() || !proposer_run_->deal_staged ||
-      proposer_run_->propose.proposal.proposed.label() != label) {
+  if (!staged(label)) {
     return false;
   }
   ProposerRun& run = *proposer_run_;
@@ -2527,7 +1790,7 @@ bool Replica::resume_staged_run(const std::string& label,
   Bytes enlist_encoded = enlist.encode();
   for (const PartyId& recipient : run.recipients) {
     if (run.responses.contains(recipient)) continue;
-    send_envelope(recipient, MsgType::kPropose, encoded);
+    send_envelope(recipient, run.propose.format().propose, encoded);
     send_envelope(recipient, MsgType::kDealEnlist, enlist_encoded);
   }
   arm_run_probe(label, /*as_proposer=*/true, 1);
@@ -2538,8 +1801,7 @@ bool Replica::resume_staged_run(const std::string& label,
 Replica::StagedRunStatus Replica::staged_run_status(
     const std::string& label) const {
   StagedRunStatus status;
-  if (!proposer_run_.has_value() || !proposer_run_->deal_staged ||
-      proposer_run_->propose.proposal.proposed.label() != label) {
+  if (!staged(label)) {
     return status;
   }
   const ProposerRun& run = *proposer_run_;
@@ -2553,10 +1815,7 @@ Replica::StagedRunStatus Replica::staged_run_status(
       status.all_accept = false;
       continue;
     }
-    const Response& r = it->second.response;
-    if (!r.decision.accept || r.agreed_view != prop.agreed ||
-        r.current_view != prop.agreed || r.group_view != prop.group ||
-        r.payload_integrity != prop.payload_hash) {
+    if (!consistent_accept(it->second.response, prop)) {
       status.all_accept = false;
       status.vetoers.push_back(recipient);
     }
@@ -2569,14 +1828,13 @@ std::optional<std::pair<std::string, std::string>> Replica::staged_run()
   if (!proposer_run_.has_value() || !proposer_run_->deal_staged) {
     return std::nullopt;
   }
-  return std::make_pair(proposer_run_->propose.proposal.proposed.label(),
+  return std::make_pair(proposer_run_->label(),
                         proposer_run_->deal_id);
 }
 
 std::optional<TerminationRequest> Replica::staged_termination_request(
     const std::string& label) const {
-  if (!proposer_run_.has_value() || !proposer_run_->deal_staged ||
-      proposer_run_->propose.proposal.proposed.label() != label) {
+  if (!staged(label)) {
     return std::nullopt;
   }
   const ProposerRun& run = *proposer_run_;
@@ -2584,7 +1842,7 @@ std::optional<TerminationRequest> Replica::staged_termination_request(
   request.requester = self_;
   request.object = object_;
   request.proposed = run.propose.proposal.proposed;
-  request.propose = run.propose;
+  request.propose = run.propose.single();
   for (const auto& [responder, resp] : run.responses) {
     request.responses.push_back(resp);
   }
@@ -2695,8 +1953,7 @@ void Replica::handle_deal_decision(const PartyId& from, const Bytes& body) {
     event.party = from;
     event.sequence = leg.proposed.sequence;
     event.detail = "deal aborted: " + decision.diagnostic;
-    impl_.coord_callback(event);
-    if (callbacks_.notify) callbacks_.notify(event);
+    emit(event);
     drain_deferred_membership();
   }
 }
@@ -2712,31 +1969,6 @@ bool Replica::maybe_resend_deal_decision(const std::string& label,
     }
   }
   return false;
-}
-
-std::optional<Bytes> Replica::derive_agreed_state(ResponderRun& run) {
-  const Proposal& prop = run.propose.proposal;
-  if (!prop.is_update) {
-    if (crypto::Sha256::hash(run.propose.payload) ==
-        prop.proposed.state_hash) {
-      return run.propose.payload;
-    }
-    return std::nullopt;
-  }
-  // Update variant: apply the delta to a scratch copy of the agreed state.
-  Bytes snapshot = impl_.get_state();
-  try {
-    impl_.apply_state(agreed_state_);
-    impl_.apply_update(run.propose.payload);
-    Bytes result = impl_.get_state();
-    impl_.apply_state(snapshot);
-    if (crypto::Sha256::hash(result) == prop.proposed.state_hash) {
-      return result;
-    }
-  } catch (const std::exception&) {
-    impl_.apply_state(snapshot);
-  }
-  return std::nullopt;
 }
 
 }  // namespace b2b::core

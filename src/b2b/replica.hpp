@@ -195,9 +195,9 @@ class Replica {
     /// Bulk signature verification (DESIGN.md §13): verify every job and
     /// return one bool per job, in order. A coordinator with pipelining
     /// enabled backs this with a verified-signature cache, so
-    /// retransmitted decides never re-enter RSA at all. Null falls back
-    /// to per-job key_of + verify, which is bit-for-bit the unbatched
-    /// behaviour.
+    /// retransmitted decides never re-enter RSA at all; every response
+    /// check goes through it. Null falls back to per-job key_of +
+    /// verify.
     std::function<std::vector<bool>(const std::vector<VerifyJob>&)>
         verify_many;
   };
@@ -231,25 +231,23 @@ class Replica {
   /// Propose an update (delta) yielding `new_state` (§4.3.1).
   RunHandle propose_update(Bytes update, Bytes new_state);
 
-  // --- pipelined batches (DESIGN.md §13) -------------------------------------
-
-  /// One element of a pipelined batch: an overwrite (`payload` IS the new
-  /// state) or an update (delta) yielding `new_state`.
+  /// One item of a state run: an overwrite (`payload` IS the new state)
+  /// or an update (delta) yielding `new_state`.
   struct BatchOp {
     bool is_update = false;
     Bytes payload;
     Bytes new_state;
   };
 
-  /// Propose K state changes as ONE coordination run (run pipelining).
-  /// The ops are hash-chained; the proposer signs only the chain head, a
-  /// responder answers the whole batch with one signed response, and the
-  /// single batch decide reveals every per-item authenticator — K agreed
-  /// states for one signature per party. The installed tuple sequence is
-  /// bit-for-bit what K sequential runs would have produced. Unlike
-  /// propose_state/propose_update the caller must NOT pre-mutate the
-  /// object: the replica applies the final state itself once the batch
-  /// validates (invariant 2).
+  /// Propose K state changes as ONE coordination run (run pipelining,
+  /// DESIGN.md §13). The ops are hash-chained; the proposer signs once, a
+  /// responder answers the whole run with one signed response, and the
+  /// single decide reveals every per-item authenticator — K agreed states
+  /// for one signature per party. The installed tuple sequence is
+  /// bit-for-bit what K sequential runs would have produced; one op is
+  /// exactly the paper's run. Unlike propose_state/propose_update the
+  /// caller must NOT pre-mutate the object: the replica applies the final
+  /// state itself (invariant 2).
   RunHandle propose_batch(std::vector<BatchOp> ops);
 
   // --- deal legs (DESIGN.md §12; driven by the DealCoordinator) --------------
@@ -423,12 +421,14 @@ class Replica {
 
   // --- journal-based recovery (write-ahead journal replay) ---------------------
 
-  /// Durable image of an in-flight proposer-side state run, journaled
-  /// before the propose is sent so the run can be resumed after a crash.
+  /// Durable image of an in-flight proposer-side state run of K >= 1
+  /// items, journaled before the propose is sent. Carries every item's
+  /// authenticator and full state, so a recovered proposer can redo the
+  /// decide (which reveals every authenticator) and the installs.
   struct ProposerRunRecord {
-    ProposeMsg propose;
-    Bytes authenticator;
-    Bytes new_state;
+    BatchProposeMsg propose;
+    std::vector<Bytes> authenticators;  // r_i: preimage of item i's rand_hash
+    std::vector<Bytes> states;          // full state after item i
     std::vector<PartyId> recipients;
 
     Bytes encode() const;
@@ -436,44 +436,19 @@ class Replica {
   };
 
   /// Durable image of an in-flight responder-side state run, journaled
-  /// before the signed response is sent.
+  /// (with the validated per-item scratch states) before the signed
+  /// response is sent. It is also the live responder run.
   struct ResponderRunRecord {
-    ProposeMsg propose;
-    Bytes pending_state;
+    BatchProposeMsg propose;
+    std::vector<Bytes> pending_states;  // empty when we rejected the run
     RespondMsg my_response;
+    /// Membership at response time: the decide's response coverage is
+    /// checked against this, not against the (possibly since-changed)
+    /// current member list.
     std::vector<PartyId> members_at_response;
 
     Bytes encode() const;
     static ResponderRunRecord decode(BytesView data);  // throws CodecError
-  };
-
-  /// Durable image of an in-flight batch proposer run (DESIGN.md §13),
-  /// journaled before the batch propose is sent. Carries ALL per-item
-  /// authenticators and full per-item states so a recovered proposer can
-  /// redo the batch decide (which reveals every authenticator) and the
-  /// per-item installs.
-  struct BatchProposerRunRecord {
-    BatchProposeMsg propose;
-    std::vector<Bytes> authenticators;
-    std::vector<Bytes> states;
-    std::vector<PartyId> recipients;
-
-    Bytes encode() const;
-    static BatchProposerRunRecord decode(BytesView data);  // throws CodecError
-  };
-
-  /// Durable image of a responder-side batch run, journaled (with the
-  /// validated per-item scratch states) before the single signed
-  /// response is sent.
-  struct BatchResponderRunRecord {
-    BatchProposeMsg propose;
-    std::vector<Bytes> pending_states;  // empty when the batch was rejected
-    RespondMsg my_response;
-    std::vector<PartyId> members_at_response;
-
-    Bytes encode() const;
-    // throws CodecError
-    static BatchResponderRunRecord decode(BytesView data);
   };
 
   /// Durable image of an in-flight sponsor-side membership run (§4.5),
@@ -525,24 +500,14 @@ class Replica {
     std::optional<ProposerRunRecord> proposer_run;
     std::vector<RespondMsg> proposer_responses;
     /// Set when the decide was journaled but the run not closed: the
-    /// decide phase must be redone (idempotently) on resume.
-    std::optional<DecideMsg> proposer_decide;
+    /// decide phase is redone (idempotently) to the journaled outcome.
+    std::optional<BatchDecideMsg> proposer_decide;
     std::map<std::string, ResponderRunRecord> responder_runs;
     /// Decides journaled as delivered whose installation may not have
     /// completed before the crash; concluded again on resume.
-    std::map<std::string, DecideMsg> responder_decides;
+    std::map<std::string, BatchDecideMsg> responder_decides;
     std::set<std::string> seen_labels;
     std::uint64_t max_sequence = 0;
-
-    // --- pipelined batches (DESIGN.md §13) ------------------------------------
-    std::optional<BatchProposerRunRecord> batch_proposer_run;
-    /// Batch decide journaled but the run not closed: the batch decide
-    /// phase is redone to the journaled outcome on resume.
-    std::optional<BatchDecideMsg> batch_proposer_decide;
-    std::map<std::string, BatchResponderRunRecord> batch_responder_runs;
-    /// Batch decides journaled as delivered whose per-item installation
-    /// may not have completed; concluded again on resume.
-    std::map<std::string, BatchDecideMsg> batch_responder_decides;
 
     // --- membership runs (§4.5) ---------------------------------------------
     std::optional<SponsorRunRecord> sponsor_run;
@@ -610,8 +575,9 @@ class Replica {
   /// Journal the current durable replicated state (kSnapshot + barrier).
   void journal_snapshot();
   void journal_run_closed(std::uint8_t type, const std::string& label);
-  /// Re-send the stored decide of a closed run to `to` (a recovering
-  /// responder probing us). Returns false if no decide is on record.
+  /// Re-send the stored decide (of either format) of a closed run to `to`
+  /// (a recovering responder probing us). Returns false if no decide is
+  /// on record.
   bool maybe_resend_decide(const std::string& label, const PartyId& to);
   /// Arm one capped re-probe of a still-open run (journal-gated).
   void arm_run_probe(const std::string& label, bool as_proposer, int attempt);
@@ -658,53 +624,71 @@ class Replica {
   bool is_member(const PartyId& party) const;
   /// `bookkeep = false` installs the tuple/state without checkpoint,
   /// evidence or journal snapshot — used for the intermediate items of a
-  /// batch, whose bookkeeping the final item's install subsumes (the
+  /// run, whose bookkeeping the final item's install subsumes (the
   /// checkpoint store only keeps the latest state per object, and the
-  /// batch decide evidence already carries every item tuple). Skipping
-  /// it keeps the per-item cost of a batch free of RSA work: evidence
-  /// records are TSS-stamped, and one stamp per item would quietly
-  /// restore the per-item RSA floor pipelining exists to kill.
+  /// decide evidence already carries every item tuple). Skipping it keeps
+  /// the per-item cost of a batch free of RSA work: evidence records are
+  /// TSS-stamped, and one stamp per item would quietly restore the
+  /// per-item RSA floor pipelining exists to kill.
   void install_agreed_state(const StateTuple& tuple, Bytes state,
                             bool apply_to_object, bool bookkeep = true);
+  /// Install every item of an agreed run in order (bookkeeping on the
+  /// final item only). With `event` set, fires it once per installed
+  /// item, carrying that item's sequence number.
+  void install_run(const std::vector<BatchItem>& items,
+                   std::vector<Bytes> states, bool apply_to_object,
+                   std::optional<CoordEvent> event);
   void complete(const RunHandle& handle, RunResult::Outcome outcome,
                 std::string diagnostic, std::vector<PartyId> vetoers,
                 std::uint64_t sequence, const std::string& label);
+  /// Surface a protocol event to the application and the coordinator.
+  void emit(const CoordEvent& event);
 
   // --- state coordination: proposer side -------------------------------------
-  RunHandle start_state_run(bool is_update, Bytes payload, Bytes new_state);
+  /// The one run opener behind propose_state/propose_update/propose_batch
+  /// and stage_deal_run. `object_holds_proposal`: the caller already
+  /// applied the proposed state (invariant 2), so an abort must restore
+  /// the object instead of leaving it alone. A non-empty `deal_id` stages
+  /// the run for the deal layer: journaled, but neither sent nor decided.
+  RunHandle open_run(std::vector<BatchOp> ops, bool object_holds_proposal,
+                     const std::string& deal_id = "");
+  /// Re-send our open run's propose to every recipient whose response is
+  /// still missing.
+  void resend_propose_to_silent();
   void handle_respond(const PartyId& from, const Bytes& body);
-  void finish_state_run_as_proposer();
-  void finish_batch_run_as_proposer();
+  void finish_run_as_proposer();
+  /// Check each response's signature: through Callbacks::verify_many when
+  /// the coordinator provides it (a verified-signature cache when
+  /// pipelining), else key by key.
+  std::vector<bool> verify_responses(
+      const std::vector<RespondMsg>& responses) const;
 
   // --- state coordination: responder side ------------------------------------
-  void handle_propose(const PartyId& from, const Bytes& body);
-  void handle_decide(const PartyId& from, const Bytes& body);
-  Decision evaluate_proposal(const ProposeMsg& msg, Bytes* new_state_out);
-  struct ResponderRun;
-  std::optional<Bytes> derive_agreed_state(ResponderRun& run);
+  void handle_propose(const PartyId& from, MsgType type, const Bytes& body);
+  void handle_decide(const PartyId& from, MsgType type, const Bytes& body);
+  /// The responder validation loop: run-level checks (`digest` is the
+  /// recomputed payload_digest()), then every item in order against the
+  /// state the previous item produced. Appends the validated per-item
+  /// states to `states`.
+  Decision validate_run(const BatchProposeMsg& msg,
+                        const crypto::Digest& digest,
+                        std::vector<Bytes>* states);
+  /// The per-item step of validate_run; the object holds the state whose
+  /// hash is `prev_state_hash`.
+  Decision evaluate_proposal(const Proposal& prop, const BatchItem& item,
+                             const crypto::Digest& prev_state_hash,
+                             Bytes* state_out);
+  using ResponderRun = ResponderRunRecord;
+  /// Re-derive every item state of an agreed run from our own copy of the
+  /// payloads (nullopt if any hash cannot be confirmed).
+  std::optional<std::vector<Bytes>> derive_agreed_states(
+      const BatchProposeMsg& propose);
 
-  // --- pipelined batches (DESIGN.md §13) ---------------------------------------
-  void handle_batch_propose(const PartyId& from, const Bytes& body);
-  void handle_batch_decide(const PartyId& from, const Bytes& body);
-  /// Shared tail of handle_batch_decide and the recovery redo: verify the
-  /// aggregated responses (via verify_many when available), compute the
-  /// group decision, install every item in order or discard, release the
-  /// lock. `run` must already be removed from the map.
-  void conclude_batch_responder_run(const std::string& label,
-                                    ResponderRun run,
-                                    const BatchDecideMsg& msg,
-                                    const PartyId& attribute_to);
-  /// Re-derive every item state of an overridden-veto batch from our own
-  /// copy of the payloads (nullopt if any hash cannot be confirmed).
-  std::optional<std::vector<Bytes>> derive_batch_agreed_states(
-      ResponderRun& run);
-  /// Re-send the stored batch decide of a closed run to a probing
-  /// responder. Returns false if none is on record.
-  bool maybe_resend_batch_decide(const std::string& label, const PartyId& to);
-
-  /// Shared tail of handle_decide and TTP-certified decisions: verify the
-  /// aggregated responses, compute the group decision, install or discard,
-  /// release the lock. `run` must already be removed from the map.
+  /// Shared tail of handle_decide, TTP-certified decisions and the
+  /// recovery redo: verify the aggregated responses (via verify_many when
+  /// available), compute the group decision, install every item in order
+  /// or discard, release the lock. `run` must already be removed from the
+  /// map.
   void conclude_responder_run(const std::string& label, ResponderRun run,
                               const std::vector<RespondMsg>& responses,
                               const PartyId& attribute_to);
@@ -714,7 +698,9 @@ class Replica {
   void request_termination(const std::string& label, bool as_proposer);
   void handle_termination_verdict(const PartyId& from, const Bytes& body);
 
-  // --- deal legs (deal participant side) --------------------------------------
+  // --- deal legs ----------------------------------------------------------------
+  /// True while `label` is our open staged (deal-leg) proposer run.
+  bool staged(const std::string& label) const;
   void handle_deal_enlist(const PartyId& from, const Bytes& body);
   void handle_deal_decision(const PartyId& from, const Bytes& body);
   /// Re-send the stored deal decision of a closed (aborted) staged run to
@@ -779,49 +765,19 @@ class Replica {
   bool group_accepts(std::size_t accepts, std::size_t recipients) const;
 
   // --- proposer-side active state run ------------------------------------------
-  /// Batch overlay on a proposer run (DESIGN.md §13): present iff the run
-  /// is a pipelined batch. `propose` is the wire message (re-sent by
-  /// probes and recovery); the outer run's ProposeMsg mirrors its
-  /// proposal for label routing and response cross-checks.
-  struct BatchProposerState {
-    BatchProposeMsg propose;
-    std::vector<Bytes> authenticators;  // r_i: preimage of item i's rand_hash
-    std::vector<Bytes> states;          // full state after item i
-  };
-  struct ProposerRun {
-    ProposeMsg propose;
-    Bytes authenticator;  // r: preimage of proposed.rand_hash
-    Bytes new_state;      // state to install on agreement
-    std::vector<PartyId> recipients;
+  struct ProposerRun : ProposerRunRecord {
     std::map<PartyId, RespondMsg> responses;
     RunHandle result;
     /// Deal leg (DESIGN.md §12): park the completed response set for the
     /// deal layer instead of auto-deciding.
     bool deal_staged = false;
     std::string deal_id;
-    std::optional<BatchProposerState> batch;
+
+    std::string label() const { return propose.proposal.proposed.label(); }
   };
   std::optional<ProposerRun> proposer_run_;
 
-  // --- responder-side active state run ------------------------------------------
-  /// Batch overlay on a responder run: the original batch propose (for
-  /// authenticator checks and state re-derivation) plus the validated
-  /// per-item scratch states (empty when we rejected the batch).
-  struct BatchResponderState {
-    BatchProposeMsg propose;
-    std::vector<Bytes> pending_states;
-  };
-  struct ResponderRun {
-    ProposeMsg propose;
-    Bytes pending_state;  // state to install if the group agrees
-    Decision my_decision;
-    RespondMsg my_response;
-    /// Membership at response time: the decide's response coverage is
-    /// checked against this, not against the (possibly since-changed)
-    /// current member list.
-    std::vector<PartyId> members_at_response;
-    std::optional<BatchResponderState> batch;
-  };
+  // --- responder-side active state runs -----------------------------------------
   std::map<std::string, ResponderRun> responder_runs_;
   /// Label of the run this replica has *accepted* and is provisionally
   /// locked on (at most one at a time; others are rejected as busy).
@@ -874,15 +830,10 @@ class Replica {
 
   // --- journal-based recovery state ----------------------------------------------
   /// Decide journaled by our previous incarnation but not confirmed
-  /// installed: redone in resume_recovered_runs.
-  std::optional<DecideMsg> recovered_decide_;
-  /// Delivered decides whose conclusion must be redone on resume.
-  std::map<std::string, DecideMsg> pending_redo_decides_;
-  /// Batch decide journaled by our previous incarnation but not confirmed
   /// installed: redone (to the journaled outcome) in resume_recovered_runs.
-  std::optional<BatchDecideMsg> recovered_batch_decide_;
-  /// Delivered batch decides whose conclusion must be redone on resume.
-  std::map<std::string, BatchDecideMsg> pending_redo_batch_decides_;
+  std::optional<BatchDecideMsg> recovered_decide_;
+  /// Delivered decides whose conclusion must be redone on resume.
+  std::map<std::string, BatchDecideMsg> pending_redo_decides_;
   /// Membership decide journaled by our previous incarnation as sponsor
   /// but not confirmed installed: redone in resume_recovered_runs.
   std::optional<MembershipDecideMsg> recovered_membership_decide_;

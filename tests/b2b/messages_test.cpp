@@ -220,5 +220,80 @@ TEST(MessagesTest, DisconnectConfirmRoundTrip) {
   EXPECT_EQ(decoded.authenticator, msg.authenticator);
 }
 
+// A state run's wire format is chosen by its item count alone: one item
+// is exactly the paper's ProposeMsg/DecideMsg, bit for bit.
+TEST(MessagesTest, SingleItemRunUsesThePapersWireFormat) {
+  const ProposeMsg paper = sample_propose();
+  BatchProposeMsg run =
+      BatchProposeMsg::decode(MsgType::kPropose, paper.encode());
+  ASSERT_EQ(run.items.size(), 1u);
+  EXPECT_FALSE(run.format().batched);
+  EXPECT_EQ(run.format().propose, MsgType::kPropose);
+  EXPECT_EQ(run.encode(), paper.encode());
+  EXPECT_EQ(run.single(), paper);
+  EXPECT_EQ(run.signed_bytes(), paper.proposal.signed_bytes());
+  EXPECT_EQ(run.payload_digest(), paper.proposal.payload_hash);
+
+  DecideMsg decide;
+  decide.proposer = PartyId{"a"};
+  decide.object = ObjectId{"doc"};
+  decide.proposed = tuple(3, "proposed");
+  decide.responses = {sample_respond()};
+  decide.authenticator = bytes_of("the-random-number");
+  BatchDecideMsg run_decide =
+      BatchDecideMsg::decode(MsgType::kDecide, decide.encode());
+  EXPECT_EQ(run_decide.format().decide, MsgType::kDecide);
+  EXPECT_EQ(run_decide.encode(), decide.encode());
+}
+
+TEST(MessagesTest, BatchRunRoundTripsAndRejectsFewerThanTwoItems) {
+  BatchProposeMsg run;
+  run.proposal = sample_propose().proposal;
+  for (std::uint64_t i = 0; i < 2; ++i) {
+    run.items.push_back(BatchItem{i == 1, bytes_of("p" + std::to_string(i)),
+                                  tuple(3 + i, "item")});
+  }
+  run.proposal.payload_hash = run.payload_digest();
+  EXPECT_EQ(run.payload_digest(),
+            batch_chain_head(run.proposal.object, run.proposal.agreed,
+                             run.items));
+  EXPECT_EQ(run.signed_bytes(), batch_proposal_signed_bytes(run.proposal));
+  ASSERT_EQ(run.format().propose, MsgType::kBatchPropose);
+  EXPECT_EQ(BatchProposeMsg::decode(MsgType::kBatchPropose, run.encode()),
+            run);
+  wire::Encoder journaled;
+  run.encode_into(journaled);
+  const Bytes record = std::move(journaled).take();
+  wire::Decoder dec{record};
+  EXPECT_EQ(BatchProposeMsg::decode_from(dec), run);
+
+  // A batch-format message carrying a single item is malformed: the
+  // format must follow from the item count.
+  wire::Encoder one;
+  run.proposal.encode_into(one);
+  one.varint(1);
+  run.items.front().encode_into(one);
+  one.blob(run.signature);
+  EXPECT_THROW(BatchProposeMsg::decode(MsgType::kBatchPropose,
+                                       std::move(one).take()),
+               CodecError);
+  EXPECT_THROW(BatchProposeMsg::decode(MsgType::kDecide, run.encode()),
+               CodecError);
+
+  BatchDecideMsg decide;
+  decide.proposer = PartyId{"a"};
+  decide.object = ObjectId{"doc"};
+  decide.proposed = run.proposal.proposed;
+  decide.responses = {sample_respond()};
+  decide.authenticators = {bytes_of("r0"), bytes_of("r1")};
+  ASSERT_EQ(decide.format().decide, MsgType::kBatchDecide);
+  EXPECT_EQ(BatchDecideMsg::decode(MsgType::kBatchDecide, decide.encode()),
+            decide);
+  decide.authenticators.pop_back();
+  // One authenticator is the plain decide, which a batch decoder refuses.
+  EXPECT_THROW(BatchDecideMsg::decode(MsgType::kBatchDecide, decide.encode()),
+               CodecError);
+}
+
 }  // namespace
 }  // namespace b2b::core

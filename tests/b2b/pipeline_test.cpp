@@ -229,6 +229,37 @@ TEST_P(PipelineEquivalence, VetoedBatchInstallsNothing) {
   p.check_safety();
 }
 
+// A vetoed run still advances every party's sequence counter past the
+// agreed sequence, so the next run's first item lands above agreed + 1.
+// §4.4 only asks that a run advance past the agreed state: a batch that
+// follows a veto must agree, and nobody may blame the honest proposer.
+TEST_P(PipelineEquivalence, BatchAfterVetoedRunAgrees) {
+  Federation::Options opts = options(pipeline_seed());
+  opts.pipeline = true;
+  Parties p(opts);
+  p.warm_up();
+  p.beta_obj.policy = [](BytesView proposed, const ValidationContext&) {
+    return std::string(proposed.begin(), proposed.end()) == "vetoed"
+               ? Decision::rejected("beta vetoes")
+               : Decision::accepted();
+  };
+  p.alpha_obj.value = bytes_of("vetoed");
+  RunHandle vetoed = p.fed.coordinator("alpha").propagate_new_state(
+      kObj, p.alpha_obj.get_state());
+  ASSERT_TRUE(p.fed.run_until_done(vetoed));
+  ASSERT_EQ(vetoed->outcome, RunResult::Outcome::kVetoed);
+  p.fed.settle();
+  p.beta_obj.policy = nullptr;
+
+  RunHandle h = p.fed.coordinator("alpha").propagate_batch(kObj,
+                                                           mixed_batch());
+  ASSERT_TRUE(p.fed.run_until_done(h));
+  EXPECT_EQ(h->outcome, RunResult::Outcome::kAgreed) << h->diagnostic;
+  p.fed.settle();
+  EXPECT_EQ(p.alpha_obj.value, bytes_of("v1+x+y"));
+  p.check_safety();  // identical tuples and zero violations everywhere
+}
+
 // Every party's anchored evidence log validates offline: the arbiter,
 // holding only the signer's public key, confirms the chain and every
 // periodic signed chain-head anchor.
@@ -286,6 +317,58 @@ TEST(PipelineLockModeAblation, CoarseAndPerObjectAgree) {
   EXPECT_EQ(digests[0], digests[1]);
 }
 
+// A batch of one IS the paper's §4.3 run: the plain propose/respond/decide
+// messages go on the wire (no kBatch* message), the installed tuple is
+// bit-identical to propagate_new_state's at the same seed, and an arbiter
+// holding only the public keys rules the run agreed from the proposer's
+// message store.
+TEST(PipelineSingleItem, BatchOfOneIsThePapersRun) {
+  const std::uint64_t seed = pipeline_seed();
+  Federation::Options opts = test::runtime_options(RuntimeKind::kSim, seed);
+  opts.pipeline = true;
+
+  Parties plain(opts);
+  plain.warm_up();
+  plain.alpha_obj.value = bytes_of("solo");
+  RunHandle s = plain.fed.coordinator("alpha").propagate_new_state(
+      kObj, plain.alpha_obj.get_state());
+  ASSERT_TRUE(plain.fed.run_until_done(s));
+  ASSERT_EQ(s->outcome, RunResult::Outcome::kAgreed) << s->diagnostic;
+  plain.fed.settle();
+
+  Parties batched(opts);
+  batched.warm_up();
+  std::vector<Replica::BatchOp> one;
+  one.push_back({false, bytes_of("solo"), bytes_of("solo")});
+  RunHandle b = batched.fed.coordinator("alpha").propagate_batch(
+      kObj, std::move(one));
+  ASSERT_TRUE(batched.fed.run_until_done(b));
+  ASSERT_EQ(b->outcome, RunResult::Outcome::kAgreed) << b->diagnostic;
+  batched.fed.settle();
+  batched.check_safety();
+
+  Coordinator& alpha = batched.fed.coordinator("alpha");
+  EXPECT_EQ(alpha.replica(kObj).agreed_tuple(),
+            plain.fed.coordinator("alpha").replica(kObj).agreed_tuple());
+  EXPECT_EQ(batched.state_digest(), plain.state_digest());
+
+  // Warm-up plus the batch: two plain proposes and decides per run, and
+  // not one batch message.
+  const auto stats = alpha.protocol_stats();
+  EXPECT_EQ(stats.sent_by_type.at(MsgType::kPropose), 4u);
+  EXPECT_EQ(stats.sent_by_type.at(MsgType::kDecide), 4u);
+  EXPECT_FALSE(stats.sent_by_type.contains(MsgType::kBatchPropose));
+  EXPECT_FALSE(stats.sent_by_type.contains(MsgType::kBatchDecide));
+
+  Arbiter arbiter(batched.fed.make_verifier());
+  const std::vector<PartyId> recipients = {PartyId{"beta"}, PartyId{"gamma"}};
+  ArbitrationReport report = arbiter.arbitrate(
+      alpha.messages(), b->run_label, &recipients);
+  EXPECT_TRUE(report.proposal_found) << report.ruling;
+  EXPECT_TRUE(report.decide_found) << report.ruling;
+  EXPECT_TRUE(report.verdict.agreed) << report.ruling;
+}
+
 // ---------------------------------------------------------------------------
 // Golden-digest determinism for pipelined runs
 // ---------------------------------------------------------------------------
@@ -333,11 +416,13 @@ std::string run_pipeline_golden(Federation::Options options,
     std::vector<Replica::BatchOp> sixteen;
     Bytes value = p.beta_obj.value;
     for (int i = 0; i < 16; ++i) {
+      std::string text(1, i % 2 == 0 ? 'k' : '+');
+      text += std::to_string(i);
       if (i % 2 == 0) {
-        value = bytes_of("k" + std::to_string(i));
+        value = bytes_of(text);
         sixteen.push_back({false, value, value});
       } else {
-        Bytes suffix = bytes_of("+" + std::to_string(i));
+        Bytes suffix = bytes_of(text);
         value.insert(value.end(), suffix.begin(), suffix.end());
         sixteen.push_back({true, suffix, value});
       }
@@ -469,10 +554,9 @@ Bytes run_batch_sim_case(const std::string& point, const std::string& crasher,
 
     // A batch killed before its journal barrier never legally existed;
     // anything journaled resumes and finishes — including the
-    // half-decided batch ("batch-decide.journaled"), which must finish
-    // to the journaled outcome.
-    const bool never_existed = point == "batch-open.pre-journal" ||
-                               point == "batch-chain-head.signed";
+    // half-decided batch ("decide.journaled"), which must finish to the
+    // journaled outcome.
+    const bool never_existed = point == "propose.pre-journal";
     const std::uint64_t expected_seq = never_existed ? 1u : 4u;
     auto converged = [&] {
       Replica& a = p.fed.coordinator("alpha").replica(kObj);
@@ -517,15 +601,17 @@ Bytes run_batch_sim_case(const std::string& point, const std::string& crasher,
   return fingerprint;
 }
 
+// A batch is a K-item state run: it passes exactly the proposer and
+// responder points a single run passes.
 TEST(PipelineCrashCampaign, EveryBatchProposerPoint) {
-  for (const std::string& point : test::kBatchProposerPoints) {
+  for (const std::string& point : test::kProposerPoints) {
     SCOPED_TRACE(point);
     run_batch_sim_case(point, "alpha", test::campaign_seed());
   }
 }
 
 TEST(PipelineCrashCampaign, EveryBatchResponderPoint) {
-  for (const std::string& point : test::kBatchResponderPoints) {
+  for (const std::string& point : test::kResponderPoints) {
     SCOPED_TRACE(point);
     run_batch_sim_case(point, "beta", test::campaign_seed());
   }
@@ -535,10 +621,10 @@ TEST(PipelineCrashCampaign, EveryBatchResponderPoint) {
 // the identical post-recovery deployment, bit for bit.
 TEST(PipelineCrashCampaign, RecoveryIsDeterministic) {
   for (const std::string point :
-       {"batch-decide.journaled", "batch-respond.journaled"}) {
+       {"decide.journaled", "respond.journaled"}) {
     SCOPED_TRACE(point);
     const std::string crasher =
-        point.rfind("batch-respond", 0) == 0 ? "beta" : "alpha";
+        point.rfind("respond", 0) == 0 ? "beta" : "alpha";
     Bytes first =
         run_batch_sim_case(point, crasher, test::campaign_seed(), "_a");
     Bytes second =
@@ -594,18 +680,50 @@ void run_batch_realtime_case(const std::string& point,
 }
 
 TEST(PipelineCrashCampaignThreaded, ProposerCrashAfterBatchDecideJournaled) {
-  run_batch_realtime_case("batch-decide.journaled", "alpha",
+  run_batch_realtime_case("decide.journaled", "alpha",
                           RuntimeKind::kThreaded);
 }
 
 TEST(PipelineCrashCampaignThreaded, ResponderCrashAfterBatchRespondJournaled) {
-  run_batch_realtime_case("batch-respond.journaled", "beta",
+  run_batch_realtime_case("respond.journaled", "beta",
                           RuntimeKind::kThreaded);
 }
 
 // ---------------------------------------------------------------------------
 // Adversarial batch / anchor tests
 // ---------------------------------------------------------------------------
+
+/// mallory's validly signed two-item batch against her current view;
+/// `authenticators` (may be null) receives the preimages a genuine decide
+/// would reveal.
+BatchProposeMsg mallory_batch(Federation& fed,
+                              std::vector<Bytes>* authenticators) {
+  const Replica& view = fed.coordinator("mallory").replica(kObj);
+  crypto::ChaCha20Rng rng{0xbadbadULL};
+  BatchProposeMsg msg;
+  msg.proposal.proposer = PartyId{"mallory"};
+  msg.proposal.object = kObj;
+  msg.proposal.group = view.group_tuple();
+  msg.proposal.agreed = view.agreed_tuple();
+  for (std::uint64_t i = 0; i < 2; ++i) {
+    Bytes authenticator = rng.bytes(32);
+    BatchItem item;
+    item.is_update = false;
+    item.payload = bytes_of(i == 0 ? "m0" : "m1");
+    item.proposed = StateTuple{view.agreed_tuple().sequence + 1 + i,
+                               crypto::Sha256::hash(authenticator),
+                               crypto::Sha256::hash(item.payload)};
+    msg.items.push_back(std::move(item));
+    if (authenticators != nullptr) {
+      authenticators->push_back(std::move(authenticator));
+    }
+  }
+  msg.proposal.proposed = msg.items.back().proposed;
+  msg.proposal.is_update = true;
+  msg.proposal.payload_hash = msg.payload_digest();
+  msg.signature = fed.keypair("mallory").sign(msg.signed_bytes());
+  return msg;
+}
 
 /// Runs the canonical pipelined scenario and returns the state digest;
 /// `attack` (may be null) runs after the batch completes but before the
@@ -680,29 +798,7 @@ TEST(PipelineAdversarial, MutatedBatchMemberIsRejectedAndBlamed) {
     fed.transport("mallory").set_handler([](const PartyId&, const Bytes&) {});
 
     if (attack) {
-      const Replica& view = fed.coordinator("mallory").replica(kObj);
-      crypto::ChaCha20Rng rng{0xbadbadULL};
-      BatchProposeMsg msg;
-      msg.proposal.proposer = PartyId{"mallory"};
-      msg.proposal.object = kObj;
-      msg.proposal.group = view.group_tuple();
-      msg.proposal.agreed = view.agreed_tuple();
-      for (std::uint64_t i = 0; i < 2; ++i) {
-        BatchItem item;
-        item.is_update = false;
-        item.payload = bytes_of("m" + std::to_string(i));
-        item.proposed =
-            StateTuple{view.agreed_tuple().sequence + 1 + i,
-                       crypto::Sha256::hash(rng.bytes(32)),
-                       crypto::Sha256::hash(item.payload)};
-        msg.items.push_back(std::move(item));
-      }
-      msg.proposal.proposed = msg.items.back().proposed;
-      msg.proposal.is_update = true;
-      msg.proposal.payload_hash =
-          batch_chain_head(kObj, msg.proposal.agreed, msg.items);
-      msg.signature = fed.keypair("mallory").sign(
-          batch_proposal_signed_bytes(msg.proposal));
+      BatchProposeMsg msg = mallory_batch(fed, nullptr);
       // The mutation: one batch member's payload is swapped after the
       // chain head was signed.
       msg.items[0].payload = bytes_of("tampered");
@@ -741,6 +837,96 @@ TEST(PipelineAdversarial, MutatedBatchMemberIsRejectedAndBlamed) {
   };
 
   EXPECT_EQ(run_twin(true), run_twin(false));
+}
+
+/// bob and carol (honest) share the object with mallory, whose own
+/// coordinator is detached from her endpoint: the test speaks for her.
+struct MalloryFederation {
+  TestRegister bob_obj, carol_obj, mallory_obj;
+  Federation fed;
+
+  MalloryFederation()
+      : fed({"bob", "carol", "mallory"}, [] {
+          Federation::Options opts =
+              test::runtime_options(RuntimeKind::kSim, pipeline_seed());
+          opts.pipeline = true;
+          return opts;
+        }()) {
+    fed.register_object("bob", kObj, bob_obj);
+    fed.register_object("carol", kObj, carol_obj);
+    fed.register_object("mallory", kObj, mallory_obj);
+    fed.bootstrap_object(kObj, {"bob", "carol", "mallory"},
+                         bytes_of("genesis"));
+    fed.transport("mallory").set_handler([](const PartyId&, const Bytes&) {});
+  }
+
+  void send_to_honest(MsgType type, const Bytes& body) {
+    Envelope env{type, kObj, body};
+    fed.transport("mallory").send(PartyId{"bob"}, env.encode());
+    fed.transport("mallory").send(PartyId{"carol"}, env.encode());
+    fed.settle();
+  }
+
+  /// Each honest party blamed mallory exactly once and installed nothing.
+  void expect_one_violation_against_mallory() {
+    for (const std::string name : {"bob", "carol"}) {
+      EXPECT_EQ(fed.coordinator(name).violations_detected(), 1u) << name;
+      EXPECT_EQ(fed.coordinator(name).replica(kObj).agreed_tuple().sequence,
+                0u)
+          << name;
+    }
+    for (TestRegister* reg : {&bob_obj, &carol_obj}) {
+      EXPECT_EQ(reg->value, bytes_of("genesis"));
+      for (const CoordEvent& event : reg->events) {
+        if (event.kind == CoordEvent::Kind::kViolationDetected) {
+          EXPECT_EQ(event.party, PartyId{"mallory"}) << event.detail;
+        }
+      }
+    }
+  }
+};
+
+// A run closes only with the decide of its own format. A single-run
+// decide revealing just the final authenticator must not close a batch:
+// it would install the final item with the earlier ones unauthenticated.
+// Every honest responder blames the sender, installs nothing, and keeps
+// waiting for the genuine batch decide.
+TEST(PipelineAdversarial, SingleRunDecideCannotCloseABatch) {
+  MalloryFederation m;
+  std::vector<Bytes> authenticators;
+  const BatchProposeMsg propose = mallory_batch(m.fed, &authenticators);
+  m.send_to_honest(MsgType::kBatchPropose, propose.encode());
+
+  DecideMsg decide;
+  decide.proposer = PartyId{"mallory"};
+  decide.object = kObj;
+  decide.proposed = propose.proposal.proposed;
+  decide.authenticator = authenticators.back();
+  m.send_to_honest(MsgType::kDecide, decide.encode());
+
+  m.expect_one_violation_against_mallory();
+  for (const std::string name : {"bob", "carol"}) {
+    EXPECT_TRUE(m.fed.coordinator(name).replica(kObj).busy())
+        << name << ": the batch run must stay open";
+  }
+}
+
+// §4.4's sequence rule inside a run: each later item follows the one
+// before by exactly one. A validly signed batch with a gap is vetoed and
+// blamed on its proposer, and validation leaves every object as it was.
+TEST(PipelineAdversarial, NonConsecutiveBatchIsRejectedAndBlamed) {
+  MalloryFederation m;
+  BatchProposeMsg gap = mallory_batch(m.fed, nullptr);
+  gap.items[1].proposed.sequence += 1;
+  gap.proposal.proposed = gap.items.back().proposed;
+  gap.proposal.payload_hash = gap.payload_digest();
+  gap.signature = m.fed.keypair("mallory").sign(gap.signed_bytes());
+  m.send_to_honest(MsgType::kBatchPropose, gap.encode());
+
+  m.expect_one_violation_against_mallory();
+  for (const std::string name : {"bob", "carol"}) {
+    EXPECT_FALSE(m.fed.coordinator(name).replica(kObj).busy()) << name;
+  }
 }
 
 // Anchored-span validation catches splices and tampering: an anchor

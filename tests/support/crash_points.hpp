@@ -1,9 +1,11 @@
-// The canonical crash-point campaign: every named crash point in
-// replica.cpp (see src/b2b/recovery.hpp), grouped by the protocol role
-// whose code path passes it. Shared by the single-object campaign in
-// recovery_test.cpp and the multi-object (sharded) campaign in
-// sharding_test.cpp, so neither can silently fall out of date when a
-// point is added.
+// The canonical crash-point campaign: every named crash point under src/
+// (see src/b2b/recovery.hpp), grouped by the protocol role whose code path
+// passes it. Shared by the single-object campaign in recovery_test.cpp,
+// the multi-object (sharded) campaign in sharding_test.cpp, and the batch
+// campaign in pipeline_test.cpp (a state run of any size passes the same
+// proposer/responder points), so none can silently fall out of date when
+// a point is added; tests/scripts/crash_points_in_sync.sh fails on any
+// drift between these lists and the source.
 #pragma once
 
 #include <cstdint>
@@ -68,26 +70,6 @@ inline const std::vector<std::string> kDealInitiatorPoints = {
 inline const std::vector<std::string> kDealParticipantPoints = {
     "deal-enlist-recv.pre-journal", "deal-enlist-recv.journaled",
     "deal-abort-recv.pre-journal",  "deal-abort-recv.journaled",
-};
-
-// Pipelined-batch crash points passed on the batch proposer's code path
-// (DESIGN.md §13): opening the batch (journal/sign/send), and sending /
-// installing the batch decide.
-inline const std::vector<std::string> kBatchProposerPoints = {
-    "batch-open.pre-journal",   "batch-chain-head.signed",
-    "batch-open.journaled",     "batch-open.mid-send",
-    "batch-open.sent",          "batch-decide.pre-journal",
-    "batch-decide.journaled",   "batch-decide.mid-send",
-    "batch-decide.sent",        "batch-decide.installed",
-};
-
-// Pipelined-batch crash points passed on a batch responder's code path:
-// mid-validation of the batch, journaling/sending the single signed
-// response, and receiving/installing the batch decide.
-inline const std::vector<std::string> kBatchResponderPoints = {
-    "batch-respond.mid",            "batch-respond.journaled",
-    "batch-respond.sent",           "batch-decide-recv.pre-journal",
-    "batch-decide-recv.journaled",  "batch-decide-recv.installed",
 };
 
 /// CI sweeps the campaigns under several seeds via this env var; the
