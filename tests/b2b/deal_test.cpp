@@ -35,6 +35,7 @@
 #include "common/error.hpp"
 #include "crypto/sha256.hpp"
 #include "tests/support/crash_points.hpp"
+#include "tests/support/golden_digest.hpp"
 #include "tests/support/runtime_param.hpp"
 #include "tests/support/test_objects.hpp"
 
@@ -982,12 +983,18 @@ const char kDealGoldenPlain[] =
     "2de6946024010df5ed9454eaaaaf4973ff51179e7df92863b3cac1a3a955111a";
 const char kDealGoldenJournaled[] =
     "bd06558539d7e9359fd6c63c103d3c46ebb0ab09203947a72d6d631668ba05e9";
+// Their stamp-blind twins (golden_digest.hpp), frozen while every evidence
+// record still carried its own trusted stamp. Never edit them.
+const char kDealGoldenStampBlindPlain[] =
+    "f3cca781f020e8851dee3a073ec8bc9932e5686ac8c860fac122ac98068ddca6";
+const char kDealGoldenStampBlindJournaled[] =
+    "b55bcc900e566846af30d70f84ec353a65b6711fd19e1ddd2d9fb36494fc846b";
 
 /// A fixed multi-deal scenario on the deterministic simulator: plain runs
 /// and deals in flight together, a vetoed deal next to a committing one,
 /// a single-member leg, and a TTP-escorted commit. The whole deployment
 /// (evidence chains, tuples, values, deal stats, event count) is hashed.
-std::string run_deal_golden(Federation::Options options,
+test::GoldenDigests run_deal_golden(Federation::Options options,
                             const std::string& journal_tag = "") {
   fs::path journal_root;
   if (!journal_tag.empty()) {
@@ -1001,7 +1008,7 @@ std::string run_deal_golden(Federation::Options options,
   const std::vector<std::string> kAll = {"alpha", "beta", "gamma"};
   const std::vector<ObjectId> kObjects = {kLedger, kOrders, kAudit, kSolo};
 
-  std::string digest_hex;
+  test::GoldenDigests digests;
   {
     TestRegister regs[3][4];
     Federation fed(std::vector<std::string>(kAll.begin(), kAll.end()),
@@ -1071,24 +1078,13 @@ std::string run_deal_golden(Federation::Options options,
     drive(h4, RunResult::Outcome::kAgreed);
     fed.settle();
 
-    crypto::Sha256 hasher;
-    auto mix = [&](const Bytes& bytes) {
-      const std::uint64_t n = bytes.size();
-      Bytes len(8);
-      for (int i = 0; i < 8; ++i) {
-        len[i] = static_cast<std::uint8_t>(n >> (8 * i));
-      }
-      hasher.update(len);
-      hasher.update(bytes);
-    };
+    test::GoldenHasher hasher;
+    auto mix = [&](const Bytes& bytes) { hasher.mix(bytes); };
     for (std::size_t p = 0; p < kAll.size(); ++p) {
       Coordinator& coord = fed.coordinator(kAll[p]);
       const store::EvidenceLog& evidence = coord.evidence();
       EXPECT_TRUE(evidence.verify_chain()) << kAll[p];
-      mix(bytes_of(std::to_string(evidence.size())));
-      if (!evidence.empty()) {
-        mix(evidence.at(evidence.size() - 1).encode());
-      }
+      hasher.mix_evidence(evidence);
       for (std::size_t o = 0; o < kObjects.size(); ++o) {
         mix(coord.replica(kObjects[o]).agreed_tuple().encode());
         mix(coord.replica(kObjects[o]).group_tuple().encode());
@@ -1103,24 +1099,31 @@ std::string run_deal_golden(Federation::Options options,
       EXPECT_EQ(coord.violations_detected(), 0u) << kAll[p];
     }
     mix(bytes_of(std::to_string(fed.scheduler().events_executed())));
-    digest_hex = to_hex(crypto::digest_bytes(hasher.finish()));
+    digests = hasher.finish();
   }
   if (!journal_root.empty()) fs::remove_all(journal_root);
-  return digest_hex;
+  return digests;
+}
+
+void expect_deal_golden(Federation::Options options, const std::string& tag) {
+  const test::GoldenDigests plain = run_deal_golden(options);
+  EXPECT_EQ(plain.bytes, kDealGoldenPlain);
+  EXPECT_EQ(plain.stamp_blind, kDealGoldenStampBlindPlain);
+  const test::GoldenDigests journaled = run_deal_golden(options, tag);
+  EXPECT_EQ(journaled.bytes, kDealGoldenJournaled);
+  EXPECT_EQ(journaled.stamp_blind, kDealGoldenStampBlindJournaled);
 }
 
 TEST(DealGolden, PerObjectMatchesFrozenDigest) {
   Federation::Options options = test::runtime_options(RuntimeKind::kSim, 31);
   options.lock_mode = Coordinator::LockMode::kPerObject;
-  EXPECT_EQ(run_deal_golden(options), kDealGoldenPlain);
-  EXPECT_EQ(run_deal_golden(options, "golden_j1"), kDealGoldenJournaled);
+  expect_deal_golden(options, "golden_j1");
 }
 
 TEST(DealGolden, CoarseMatchesFrozenDigest) {
   Federation::Options options = test::runtime_options(RuntimeKind::kSim, 31);
   options.lock_mode = Coordinator::LockMode::kCoarse;
-  EXPECT_EQ(run_deal_golden(options), kDealGoldenPlain);
-  EXPECT_EQ(run_deal_golden(options, "golden_j2"), kDealGoldenJournaled);
+  expect_deal_golden(options, "golden_j2");
 }
 
 }  // namespace

@@ -28,6 +28,7 @@
 #include "crypto/chacha20.hpp"
 #include "crypto/sha256.hpp"
 #include "tests/support/crash_points.hpp"
+#include "tests/support/golden_digest.hpp"
 #include "tests/support/runtime_param.hpp"
 #include "tests/support/test_objects.hpp"
 
@@ -382,12 +383,18 @@ constexpr char kPipelineGoldenPlain[] =
     "b496fb72a0840e2c664146ea20500130220db268e960ee2af21f2ff7afec2475";
 constexpr char kPipelineGoldenJournaled[] =
     "7a55189eb686147f4f512acc7dc39c2e94454bec6f62f53bfca24cb85da4cff5";
+// Their stamp-blind twins (golden_digest.hpp), frozen while every evidence
+// record still carried its own trusted stamp. Never edit them.
+constexpr char kPipelineGoldenStampBlindPlain[] =
+    "f999d4eb3f5f51eccd700d16dd53d55359a1a9795652e4999331da1091a9bd93";
+constexpr char kPipelineGoldenStampBlindJournaled[] =
+    "c0d8cfd414cbc8d6eb4f76751530eff658a40de70ed1b937e781fb6d841cb810";
 
 /// A fixed pipelined scenario with evidence anchors: warm-up, the mixed
 /// batch, a 16-item batch, a vetoed batch and a plain run. The whole
 /// deployment (evidence sizes and tails, tuples, values, per-type send
 /// counts, executed event count) is hashed.
-std::string run_pipeline_golden(Federation::Options options,
+test::GoldenDigests run_pipeline_golden(Federation::Options options,
                                 const std::string& journal_tag = "") {
   if (!journal_tag.empty()) {
     options.journal_root = fresh_journal_root(journal_tag);
@@ -396,7 +403,7 @@ std::string run_pipeline_golden(Federation::Options options,
   options.pipeline = true;
   options.evidence_anchor_interval = 8;
 
-  std::string digest_hex;
+  test::GoldenDigests digests;
   {
     Parties p(options);
     p.warm_up();
@@ -448,24 +455,13 @@ std::string run_pipeline_golden(Federation::Options options,
               kObj, p.gamma_obj.get_state()),
           RunResult::Outcome::kAgreed);
 
-    crypto::Sha256 hasher;
-    auto mix = [&](const Bytes& bytes) {
-      const std::uint64_t n = bytes.size();
-      Bytes len(8);
-      for (int i = 0; i < 8; ++i) {
-        len[i] = static_cast<std::uint8_t>(n >> (8 * i));
-      }
-      hasher.update(len);
-      hasher.update(bytes);
-    };
+    test::GoldenHasher hasher;
+    auto mix = [&](const Bytes& bytes) { hasher.mix(bytes); };
     for (const std::string name : {"alpha", "beta", "gamma"}) {
       Coordinator& coord = p.fed.coordinator(name);
       const store::EvidenceLog& evidence = coord.evidence();
       EXPECT_TRUE(evidence.verify_chain()) << name;
-      mix(bytes_of(std::to_string(evidence.size())));
-      if (!evidence.empty()) {
-        mix(evidence.at(evidence.size() - 1).encode());
-      }
+      hasher.mix_evidence(evidence);
       mix(coord.replica(kObj).agreed_tuple().encode());
       mix(coord.replica(kObj).group_tuple().encode());
       mix(p.obj(name).value);
@@ -476,28 +472,34 @@ std::string run_pipeline_golden(Federation::Options options,
       EXPECT_EQ(coord.violations_detected(), 0u) << name;
     }
     mix(bytes_of(std::to_string(p.fed.scheduler().events_executed())));
-    digest_hex = to_hex(crypto::digest_bytes(hasher.finish()));
+    digests = hasher.finish();
   }
   if (!journal_tag.empty()) {
     fs::remove_all(fs::temp_directory_path() / ("b2b_pipeline_" + journal_tag));
   }
-  return digest_hex;
+  return digests;
+}
+
+void expect_pipeline_golden(Federation::Options options,
+                            const std::string& tag) {
+  const test::GoldenDigests plain = run_pipeline_golden(options);
+  EXPECT_EQ(plain.bytes, kPipelineGoldenPlain);
+  EXPECT_EQ(plain.stamp_blind, kPipelineGoldenStampBlindPlain);
+  const test::GoldenDigests journaled = run_pipeline_golden(options, tag);
+  EXPECT_EQ(journaled.bytes, kPipelineGoldenJournaled);
+  EXPECT_EQ(journaled.stamp_blind, kPipelineGoldenStampBlindJournaled);
 }
 
 TEST(PipelineGolden, PerObjectMatchesFrozenDigest) {
   Federation::Options options = test::runtime_options(RuntimeKind::kSim, 37);
   options.lock_mode = Coordinator::LockMode::kPerObject;
-  EXPECT_EQ(run_pipeline_golden(options), kPipelineGoldenPlain);
-  EXPECT_EQ(run_pipeline_golden(options, "golden_j1"),
-            kPipelineGoldenJournaled);
+  expect_pipeline_golden(options, "golden_j1");
 }
 
 TEST(PipelineGolden, CoarseMatchesFrozenDigest) {
   Federation::Options options = test::runtime_options(RuntimeKind::kSim, 37);
   options.lock_mode = Coordinator::LockMode::kCoarse;
-  EXPECT_EQ(run_pipeline_golden(options), kPipelineGoldenPlain);
-  EXPECT_EQ(run_pipeline_golden(options, "golden_j2"),
-            kPipelineGoldenJournaled);
+  expect_pipeline_golden(options, "golden_j2");
 }
 
 // ---------------------------------------------------------------------------

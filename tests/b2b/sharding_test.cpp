@@ -51,14 +51,31 @@ constexpr char kGoldenPlain[] =
     "ca2cc0892d9dbc36ff9e614e1eaf9ac06f00b2075472cf1ae8d9c1a4a9a3690f";
 constexpr char kGoldenJournaled[] =
     "da29f570224f0dc0dac5734711b008fbe87b2c049367775095ef810c84720ed5";
+// The stamp-blind digests of the same runs (golden_digest.hpp), frozen
+// while every evidence record still carried its own trusted stamp. They
+// ignore stamps and anchors, so they pin what each party recorded, and
+// when, across changes to how the evidence log is time-stamped. Never
+// edit them.
+constexpr char kGoldenStampBlindPlain[] =
+    "9e9fdf1bd3546f6083545ed7dcbd07dcc888257d096f28553b57194a33170d51";
+constexpr char kGoldenStampBlindJournaled[] =
+    "465f7f8a1b7e5d40ded7152ced21f91f186984cdaeaa53437c54debcb2cf5c71";
+
+void expect_golden(Federation::Options options, const std::string& tag) {
+  const test::GoldenDigests plain = test::run_golden_scenario(options);
+  EXPECT_EQ(plain.bytes, kGoldenPlain);
+  EXPECT_EQ(plain.stamp_blind, kGoldenStampBlindPlain);
+  const test::GoldenDigests journaled =
+      test::run_golden_scenario(options, tag);
+  EXPECT_EQ(journaled.bytes, kGoldenJournaled);
+  EXPECT_EQ(journaled.stamp_blind, kGoldenStampBlindJournaled);
+}
 
 TEST(ShardingEquivalence, PerObjectModeMatchesPreShardDigest) {
   Federation::Options options =
       test::runtime_options(RuntimeKind::kSim, /*seed=*/29);
   options.lock_mode = Coordinator::LockMode::kPerObject;
-  EXPECT_EQ(test::run_golden_scenario(options), kGoldenPlain);
-  EXPECT_EQ(test::run_golden_scenario(options, "eq_per_object"),
-            kGoldenJournaled);
+  expect_golden(options, "eq_per_object");
 }
 
 TEST(ShardingEquivalence, CoarseModeMatchesPreShardDigest) {
@@ -67,9 +84,7 @@ TEST(ShardingEquivalence, CoarseModeMatchesPreShardDigest) {
   Federation::Options options =
       test::runtime_options(RuntimeKind::kSim, /*seed=*/29);
   options.lock_mode = Coordinator::LockMode::kCoarse;
-  EXPECT_EQ(test::run_golden_scenario(options), kGoldenPlain);
-  EXPECT_EQ(test::run_golden_scenario(options, "eq_coarse"),
-            kGoldenJournaled);
+  expect_golden(options, "eq_coarse");
 }
 
 // --- isolation: concurrent runs on independent objects -----------------------

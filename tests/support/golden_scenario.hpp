@@ -5,10 +5,9 @@
 // *different* objects deliberately in flight at the same time. On the
 // deterministic simulator the entire deployment — every evidence chain,
 // every agreed/group tuple, every object value, the executed event count
-// — is a pure function of the seed, so its SHA-256 fingerprint pins the
-// protocol's observable behaviour across refactors: the sharding
-// equivalence suite asserts the digest captured on the pre-shard
-// coordinator verbatim.
+// — is a pure function of the seed, so its SHA-256 fingerprints (see
+// golden_digest.hpp) pin the protocol's observable behaviour across
+// refactors: the sharding equivalence suite asserts them verbatim.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -18,18 +17,18 @@
 #include <vector>
 
 #include "b2b/federation.hpp"
-#include "crypto/sha256.hpp"
+#include "tests/support/golden_digest.hpp"
 #include "tests/support/test_objects.hpp"
 
 namespace b2b::test {
 
 /// Runs the scenario on the deterministic simulator and returns the
-/// deployment fingerprint as a hex digest. `options` must name the sim
+/// deployment fingerprints as hex digests. `options` must name the sim
 /// runtime; lock-mode knobs may vary (that is the point). When
 /// `journal_tag` is non-empty every party journals under a fresh
 /// temporary root (removed again before returning), covering the
 /// journal-append paths in the fingerprint's event count.
-inline std::string run_golden_scenario(core::Federation::Options options,
+inline GoldenDigests run_golden_scenario(core::Federation::Options options,
                                        const std::string& journal_tag = "") {
   namespace fs = std::filesystem;
   using core::RunHandle;
@@ -49,7 +48,7 @@ inline std::string run_golden_scenario(core::Federation::Options options,
   const ObjectId kAudit{"audit"};
   const std::vector<std::string> kAll = {"alpha", "beta", "gamma", "delta"};
 
-  std::string digest_hex;
+  GoldenDigests digests;
   {
     // Registers outlive nothing here (sim runtime, single thread), but
     // keep the declaration order of the other suites for uniformity.
@@ -129,24 +128,13 @@ inline std::string run_golden_scenario(core::Federation::Options options,
 
     fed.settle();
 
-    crypto::Sha256 hasher;
-    auto mix = [&](const Bytes& bytes) {
-      const std::uint64_t n = bytes.size();
-      Bytes len(8);
-      for (int i = 0; i < 8; ++i) {
-        len[i] = static_cast<std::uint8_t>(n >> (8 * i));
-      }
-      hasher.update(len);
-      hasher.update(bytes);
-    };
+    GoldenHasher hasher;
+    auto mix = [&](const Bytes& bytes) { hasher.mix(bytes); };
     for (std::size_t p = 0; p < kAll.size(); ++p) {
       core::Coordinator& coord = fed.coordinator(kAll[p]);
       const store::EvidenceLog& evidence = coord.evidence();
       EXPECT_TRUE(evidence.verify_chain()) << kAll[p];
-      mix(bytes_of(std::to_string(evidence.size())));
-      if (!evidence.empty()) {
-        mix(evidence.at(evidence.size() - 1).encode());
-      }
+      hasher.mix_evidence(evidence);
       std::size_t o = 0;
       for (const ObjectId& object : {kLedger, kOrders, kAudit}) {
         mix(coord.replica(object).agreed_tuple().encode());
@@ -157,10 +145,10 @@ inline std::string run_golden_scenario(core::Federation::Options options,
       EXPECT_EQ(coord.violations_detected(), 0u) << kAll[p];
     }
     mix(bytes_of(std::to_string(fed.scheduler().events_executed())));
-    digest_hex = to_hex(crypto::digest_bytes(hasher.finish()));
+    digests = hasher.finish();
   }
   if (!journal_root.empty()) fs::remove_all(journal_root);
-  return digest_hex;
+  return digests;
 }
 
 }  // namespace b2b::test
