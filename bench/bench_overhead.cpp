@@ -5,8 +5,9 @@
 // strips signatures, tuples, authenticators, evidence logging and
 // time-stamping. Expected shape: message *counts* identical (3(N-1));
 // B2BObjects pays a constant CPU factor per run dominated by RSA
-// signatures (2 per responder + 1 for the proposer + TSS stamps) and a
-// per-message byte overhead dominated by signatures and tuples.
+// signatures (1 for the proposer, 1 per responder, and at every party one
+// evidence-anchor signature plus its TSS stamp) and a per-message byte
+// overhead dominated by signatures and tuples.
 #include <cinttypes>
 
 #include "baseline/plain2pc.hpp"
@@ -111,8 +112,9 @@ int main() {
 
   std::printf(
       "\nNote: the CPU factor is the cost of RSA signing/verification,\n"
-      "evidence logging and TSS stamping; the byte factor is signatures +\n"
-      "identifier tuples on the wire. Message counts are identical (3(N-1)\n"
-      "per run) by construction — see E6 and the baseline tests.\n");
+      "evidence logging and each party's signed, TSS-stamped evidence\n"
+      "anchor per run; the byte factor is signatures + identifier tuples\n"
+      "on the wire. Message counts are identical (3(N-1) per run) by\n"
+      "construction — see E6 and the baseline tests.\n");
   return 0;
 }

@@ -4,7 +4,8 @@
 // E9/E12 established that a coordination run's cost is an RSA floor:
 // with cheap validation, virtually all CPU goes into the fixed per-run
 // signature work (one signed propose, one signed response per recipient,
-// TSS stamps), not into the state being moved. Run pipelining attacks
+// one signed, TSS-stamped evidence anchor per party), not into the state
+// being moved. Run pipelining attacks
 // exactly that floor: a batch of K state changes rides ONE run — one
 // hash-chained signed propose, one signed response per recipient, one
 // decide revealing K authenticators — so the signature work is paid once
@@ -109,8 +110,9 @@ int main() {
   }
   std::printf(
       "\nThe fixed per-run signature work (propose sign, per-recipient\n"
-      "response signs, TSS stamps, verifies) is paid once per batch, so\n"
-      "throughput scales with K until the per-item work (hashing, state\n"
-      "application, decide size) becomes the new floor.\n");
+      "response signs, per-party anchor sign and TSS stamp, verifies) is\n"
+      "paid once per batch, so throughput scales with K until the\n"
+      "per-item work (hashing, state application, decide size) becomes\n"
+      "the new floor.\n");
   return 0;
 }

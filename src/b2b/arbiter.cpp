@@ -4,6 +4,7 @@
 #include <set>
 
 #include "common/error.hpp"
+#include "crypto/timestamp.hpp"
 
 namespace b2b::core {
 
@@ -240,7 +241,8 @@ Arbiter::DealArbitrationReport Arbiter::arbitrate_deal(
 }
 
 Arbiter::AnchorReport Arbiter::verify_anchored_spans(
-    const store::EvidenceLog& log, const crypto::RsaPublicKey& signer) {
+    const store::EvidenceLog& log, const crypto::RsaPublicKey& signer,
+    const crypto::RsaPublicKey* tss_key) {
   AnchorReport report;
   report.chain_intact = log.verify_chain();
   if (!report.chain_intact) {
@@ -249,47 +251,71 @@ Arbiter::AnchorReport Arbiter::verify_anchored_spans(
   for (const store::EvidenceRecord& record : log.records()) {
     if (record.kind != evidence_kind::kEvidenceAnchor) continue;
     ++report.anchors_seen;
+    const std::string where = "anchor at record " + std::to_string(record.index);
     EvidenceAnchor anchor;
+    Bytes stamp;
     try {
       // Evidence payloads are framed {blob payload, blob optional stamp};
-      // anchors always carry an empty stamp.
+      // an anchor's stamp is the TSS's stamp over its signed bytes.
       wire::Decoder dec{record.payload};
-      Bytes body = dec.blob();
-      dec.blob();  // stamp (ignored)
+      anchor = EvidenceAnchor::decode(dec.blob());
+      stamp = dec.blob();
       dec.expect_done();
-      anchor = EvidenceAnchor::decode(body);
     } catch (const CodecError&) {
-      report.problems.push_back("anchor at record " +
-                                std::to_string(record.index) +
-                                " does not decode");
+      report.problems.push_back(where + " does not decode");
       continue;
     }
+    const Bytes signed_bytes = anchor.signed_bytes();
     bool ok = true;
     if (anchor.index >= record.index) {
       // An anchor vouches only for records strictly before itself.
-      report.problems.push_back("anchor at record " +
-                                std::to_string(record.index) +
-                                " claims to cover a later index");
+      report.problems.push_back(where + " claims to cover a later index");
       ok = false;
     } else if (log.at(anchor.index).record_hash != anchor.head_hash) {
       report.problems.push_back(
-          "anchor at record " + std::to_string(record.index) +
-          " does not match the chain hash of record " +
+          where + " does not match the chain hash of record " +
           std::to_string(anchor.index) + " (spliced or tampered span)");
       ok = false;
     }
-    if (ok && !signer.verify(anchor.signed_bytes(), anchor.signature)) {
-      report.problems.push_back("anchor at record " +
-                                std::to_string(record.index) +
-                                " carries a bad signature");
+    if (ok && !signer.verify(signed_bytes, anchor.signature)) {
+      report.problems.push_back(where + " carries a bad signature");
       ok = false;
+    }
+    std::optional<std::uint64_t> stamp_micros;
+    if (ok && tss_key != nullptr) {
+      std::optional<crypto::Timestamp> ts;
+      try {
+        if (!stamp.empty()) ts = crypto::Timestamp::decode(stamp);
+      } catch (const CodecError&) {
+      }
+      if (!ts.has_value()) {
+        report.problems.push_back(where + " carries no trusted stamp");
+        ok = false;
+      } else if (ts->message_hash != crypto::Sha256::hash(signed_bytes)) {
+        report.problems.push_back(where +
+                                  " carries a stamp over other bytes");
+        ok = false;
+      } else if (!crypto::TimestampService::verify(*ts, *tss_key)) {
+        report.problems.push_back(where + " carries a bad trusted stamp");
+        ok = false;
+      } else {
+        stamp_micros = ts->time_micros;
+      }
     }
     if (ok) {
       ++report.anchors_valid;
+      report.anchors.push_back({record.index, anchor.index, stamp_micros});
       if (!report.highest_anchored_index.has_value() ||
           anchor.index > *report.highest_anchored_index) {
         report.highest_anchored_index = anchor.index;
       }
+    }
+  }
+  for (const store::EvidenceRecord& record : log.records()) {
+    if (record.kind != evidence_kind::kEvidenceAnchor &&
+        (!report.highest_anchored_index.has_value() ||
+         record.index > *report.highest_anchored_index)) {
+      ++report.trailing_records;
     }
   }
   report.all_anchors_valid =

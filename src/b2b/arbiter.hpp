@@ -11,6 +11,7 @@
 
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "b2b/deal_messages.hpp"
 #include "b2b/evidence.hpp"
@@ -73,26 +74,44 @@ class Arbiter {
       const std::map<PartyId, crypto::RsaPublicKey>& keys,
       const std::vector<PartyId>* expected_recipients = nullptr) const;
 
-  /// Offline validation of an anchored evidence log (DESIGN.md §13).
+  /// Offline validation of an anchored evidence log (DESIGN.md §13(c)).
   /// Walks the hash chain, then checks every "evidence.anchor" record:
   /// the anchor must decode, its head_hash must equal the chain hash of
   /// the record it claims to cover, and its signature must verify under
-  /// `signer`. A log whose chain is intact and whose newest anchor is
-  /// valid is trustworthy up to that anchor's index with ONE signature
-  /// check — the chain links everything below it.
+  /// `signer`. With `tss_key`, its trusted stamp must also be present,
+  /// cover H(signed_bytes()) and verify under that key. A log whose chain
+  /// is intact and whose newest anchor is valid is trustworthy up to that
+  /// anchor's index with ONE signature check (two with the stamp) — the
+  /// chain links everything below it.
   struct AnchorReport {
+    /// One valid anchor.
+    struct Anchor {
+      /// Index of the anchor record itself.
+      std::uint64_t record = 0;
+      /// Index of the newest record it covers.
+      std::uint64_t covered = 0;
+      /// Time of its verified trusted stamp (set only when `tss_key` was
+      /// given). Every record it covers existed by then.
+      std::optional<std::uint64_t> stamp_micros;
+    };
     /// EvidenceLog::verify_chain over the whole log.
     bool chain_intact = false;
     std::size_t anchors_seen = 0;
     std::size_t anchors_valid = 0;
+    /// Every valid anchor, in log order.
+    std::vector<Anchor> anchors;
     /// Highest index covered by a VALID anchor (nullopt if none).
     std::optional<std::uint64_t> highest_anchored_index;
+    /// Non-anchor records after highest_anchored_index (all of them when
+    /// no anchor is valid): evidence no valid anchor vouches for yet.
+    std::size_t trailing_records = 0;
     /// chain_intact and every anchor present is valid.
     bool all_anchors_valid = false;
     std::vector<std::string> problems;
   };
-  static AnchorReport verify_anchored_spans(const store::EvidenceLog& log,
-                                            const crypto::RsaPublicKey& signer);
+  static AnchorReport verify_anchored_spans(
+      const store::EvidenceLog& log, const crypto::RsaPublicKey& signer,
+      const crypto::RsaPublicKey* tss_key = nullptr);
 
  private:
   EvidenceVerifier verifier_;

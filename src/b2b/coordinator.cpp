@@ -107,7 +107,6 @@ Coordinator::Coordinator(Config config, net::Transport& transport,
       run_probe_interval_micros_(config.run_probe_interval_micros),
       max_run_probes_(config.max_run_probes) {
   pipeline_ = config.pipeline;
-  evidence_anchor_interval_ = config.evidence_anchor_interval;
   if (pipeline_) {
     signature_cache_ = std::make_unique<crypto::SignatureCache>(
         config.signature_cache_capacity);
@@ -130,6 +129,9 @@ Coordinator::Coordinator(Config config, net::Transport& transport,
           journal_->incarnation());
     }
     replay_journal();
+    // Anchor whatever the previous incarnation left unsealed (it may have
+    // died between closing a run and sealing it).
+    seal_evidence();
     // Mirror checkpoints and protocol messages into the journal from here
     // on. Set *after* replay so replayed puts/adds are not re-journaled.
     // The observers fire under the store's internal lock; the nested
@@ -307,6 +309,7 @@ Replica& Coordinator::register_object(const ObjectId& object,
                                      const Bytes& payload) {
     record_evidence(kind, payload);
   };
+  callbacks.seal_evidence = [this] { seal_evidence(); };
   callbacks.key_of = [this](const PartyId& party) { return key_of(party); };
   if (pipeline_) {
     callbacks.verify_many = [this](const std::vector<VerifyJob>& jobs) {
@@ -411,6 +414,9 @@ std::vector<RunHandle> Coordinator::resume_recovered_runs() {
       crashed_.store(true, std::memory_order_release);
     }
     recovered_deals_ = RecoveredDealState{};
+    // Recovery appended its own records ("recovery" per object), and a
+    // party whose runs had all closed resumes nothing that would seal.
+    seal_evidence();
   }
   return handles;
 }
@@ -564,64 +570,63 @@ void Coordinator::handle_delivery_failure(const PartyId& to) {
     if (!suspects_.insert(to).second) return;
   }
   record_evidence("peer.suspect", bytes_of(to.str()));
+  // At most once per peer (the suspect set only grows), so no sender can
+  // make this seal repeat.
+  seal_evidence();
 }
 
 void Coordinator::record_evidence(const std::string& kind,
                                   const Bytes& payload) {
-  // Framing and the (RSA-heavy) trusted stamp happen outside every lock:
-  // shards stamp their evidence in parallel and only the chain append is
-  // serialised.
+  // No per-record trusted stamp: the anchor that seals the run covers this
+  // record through the hash chain (seal_evidence), so the stamp slot of
+  // the framing stays empty.
   wire::Encoder framed;
   framed.blob(payload);
-  if (tss_ != nullptr) {
-    framed.blob(tss_->stamp(payload).encode());
-  } else {
-    framed.blob({});
-  }
-  Bytes framed_bytes = std::move(framed).take();
+  framed.blob({});
+  std::lock_guard<std::mutex> lock(evidence_mutex_);
+  append_evidence_locked(kind, std::move(framed).take());
+  unsealed_ = true;
+}
+
+void Coordinator::append_evidence_locked(const std::string& kind,
+                                         Bytes framed) {
   // One lock covers timestamping-by-clock, the journal append and the
   // in-memory append, so the journaled order of kEvidence records equals
   // the chain's append order (recovery rebuilds the identical chain).
-  std::lock_guard<std::mutex> lock(evidence_mutex_);
   const std::uint64_t now = clock_.now_micros();
   if (journal_) {
-    // Journal-first: the evidence chain is rebuilt from these records in
-    // append order, reproducing the identical hash chain after a crash.
     wire::Encoder enc;
-    enc.str(kind).blob(framed_bytes).u64(now);
+    enc.str(kind).blob(framed).u64(now);
     std::lock_guard<std::mutex> jlock(journal_mutex_);
     journal_->append(walrec::kEvidence, std::move(enc).take());
   }
-  evidence_.append(kind, std::move(framed_bytes), now);
-  // Chain-head anchoring (DESIGN.md §13): every N appends, sign the head
-  // record's chain hash and append the anchor as an evidence record of
-  // its own — journaled and chained like any other, so recovery rebuilds
-  // it in place. One RSA signature amortised over N records; the guard on
-  // the anchor's own kind keeps the chain from anchoring its anchors.
-  if (evidence_anchor_interval_ > 0 &&
-      kind != evidence_kind::kEvidenceAnchor &&
-      evidence_.size() % evidence_anchor_interval_ == 0) {
+  evidence_.append(kind, std::move(framed), now);
+}
+
+void Coordinator::seal_evidence() {
+  // Linked time-stamping (DESIGN.md §13(c)): sign the head record's chain
+  // hash and have the TSS stamp the signed bytes; the anchor joins the
+  // chain like any other record, so the next record's hash depends on
+  // the stamp. The head is claimed under the lock, the two RSA
+  // operations run outside it (shards seal in parallel), and the append
+  // takes it again.
+  EvidenceAnchor anchor;
+  {
+    std::lock_guard<std::mutex> lock(evidence_mutex_);
+    if (!unsealed_) return;
+    unsealed_ = false;
     const store::EvidenceRecord& head = evidence_.at(evidence_.size() - 1);
-    EvidenceAnchor anchor;
     anchor.index = head.index;
     anchor.head_hash = head.record_hash;
-    anchor.signature = key_.sign(anchor.signed_bytes());
-    wire::Encoder aframe;
-    aframe.blob(anchor.encode());
-    aframe.blob({});  // anchors carry no TSS stamp (already inside the lock)
-    Bytes anchor_framed = std::move(aframe).take();
-    const std::uint64_t anchor_time = clock_.now_micros();
-    if (journal_) {
-      wire::Encoder enc;
-      enc.str(evidence_kind::kEvidenceAnchor)
-          .blob(anchor_framed)
-          .u64(anchor_time);
-      std::lock_guard<std::mutex> jlock(journal_mutex_);
-      journal_->append(walrec::kEvidence, std::move(enc).take());
-    }
-    evidence_.append(evidence_kind::kEvidenceAnchor, std::move(anchor_framed),
-                     anchor_time);
   }
+  const Bytes signed_bytes = anchor.signed_bytes();
+  anchor.signature = key_.sign(signed_bytes);
+  wire::Encoder framed;
+  framed.blob(anchor.encode());
+  framed.blob(tss_ != nullptr ? tss_->stamp(signed_bytes).encode() : Bytes{});
+  std::lock_guard<std::mutex> lock(evidence_mutex_);
+  append_evidence_locked(evidence_kind::kEvidenceAnchor,
+                         std::move(framed).take());
 }
 
 // ---------------------------------------------------------------------------
@@ -645,6 +650,9 @@ void Coordinator::replay_journal() {
         Bytes framed = dec.blob();
         std::uint64_t time = dec.u64();
         dec.expect_done();
+        // Unsealed until an anchor follows (the seal after replay
+        // anchors what a crash left between a run's close and its seal).
+        unsealed_ = kind != evidence_kind::kEvidenceAnchor;
         evidence_.append(std::move(kind), std::move(framed), time);
         break;
       }

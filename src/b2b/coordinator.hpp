@@ -2,7 +2,7 @@
 //
 // One Coordinator runs at each organisation. It owns the party's replicas
 // (one per shared object), the certificate directory (party -> public key),
-// the non-repudiation log (with trusted time-stamps), the checkpoint store
+// the non-repudiation log (anchored by trusted time-stamps), the checkpoint store
 // and the protocol message store, and it connects the replicas to the
 // reliable transport. Its propagate_* methods are the paper's
 // B2BCoordinatorLocal propagation interface: they insulate the application
@@ -110,15 +110,10 @@ class Coordinator {
     /// semantics (FIFO per shard, discard-on-stop) are identical.
     /// Shared ownership: a queued drain task survives the coordinator.
     std::shared_ptr<net::TaskPool> lane_pool;
-    /// Run pipelining (DESIGN.md §13): enables propagate_batch, routes
+    /// Run pipelining (DESIGN.md §13): enables propagate_batch and routes
     /// every response-signature check through a verified-signature
-    /// cache, and (with evidence_anchor_interval > 0)
-    /// anchors the evidence chain with periodic signed chain heads. Must
-    /// match federation-wide, like the decision rule.
+    /// cache. Must match federation-wide, like the decision rule.
     bool pipeline = false;
-    /// Append a signed evidence-chain anchor every N evidence records
-    /// (0 disables anchoring). Only meaningful with pipeline.
-    std::uint64_t evidence_anchor_interval = 0;
     /// Capacity of the verified-signature cache (pipeline mode).
     std::size_t signature_cache_capacity = 1024;
   };
@@ -149,7 +144,7 @@ class Coordinator {
     std::uint64_t lane_posts = 0;
   };
 
-  /// `tss` may be null (evidence is then logged without trusted stamps).
+  /// `tss` may be null (evidence anchors then carry no trusted stamp).
   /// `transport` and `clock` must outlive the coordinator.
   Coordinator(Config config, net::Transport& transport, net::Clock& clock,
               const crypto::TimestampService* tss);
@@ -221,7 +216,8 @@ class Coordinator {
   const store::MessageStore& messages() const { return messages_; }
 
   /// Evidence payloads are framed as {original payload, optional TSS
-  /// stamp}; this unpacks one.
+  /// stamp}; this unpacks one. Only evidence anchors carry a stamp
+  /// (DESIGN.md §13(c)).
   struct EvidencePayload {
     Bytes payload;
     std::optional<crypto::Timestamp> timestamp;
@@ -408,6 +404,14 @@ class Coordinator {
   static RunHandle aborted_handle(std::string diagnostic);
   void on_message(const PartyId& from, const Bytes& payload);
   void record_evidence(const std::string& kind, const Bytes& payload);
+  /// Seal the evidence log (DESIGN.md §13(c)): append a signed anchor
+  /// over the head record, carrying the TSS stamp of the anchor's signed
+  /// bytes. Called wherever a run closes at this party; a no-op when
+  /// nothing was appended since the last seal.
+  void seal_evidence();
+  /// Journal (when journaling) and append one framed evidence record.
+  /// Caller holds evidence_mutex_.
+  void append_evidence_locked(const std::string& kind, Bytes framed);
   void send(const PartyId& to, const Envelope& envelope);
   /// Pipeline mode: verify each signature job through the verified-
   /// signature cache. Unknown signers come back false.
@@ -423,10 +427,9 @@ class Coordinator {
 
   LockMode lock_mode_;
   bool shard_lanes_ = false;
-  /// Pipeline mode (DESIGN.md §13): batch proposals, cached signature
-  /// verification, and evidence-chain anchoring.
+  /// Pipeline mode (DESIGN.md §13): batch proposals and cached signature
+  /// verification.
   bool pipeline_ = false;
-  std::uint64_t evidence_anchor_interval_ = 0;
   /// Verified-signature cache shared by every shard's verify_many (it
   /// locks internally).
   std::unique_ptr<crypto::SignatureCache> signature_cache_;
@@ -456,6 +459,8 @@ class Coordinator {
   /// chain).
   mutable std::mutex evidence_mutex_;
   store::EvidenceLog evidence_;
+  /// A record was appended after the head the newest seal covers.
+  bool unsealed_ = false;
 
   /// Serialises every append/sync on the single journal stream
   /// (DESIGN.md §9: a dedicated lock rather than per-shard buffers, so

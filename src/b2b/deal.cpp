@@ -593,6 +593,7 @@ void DealCoordinator::close_deal(const std::string& deal_id) {
     }
   }
   host_.record_evidence(evidence_kind::kDealClosed, bytes_of(deal_id));
+  host_.seal_evidence();
   B2B_DEBUG(host_.self_, ": deal ", deal_id, " closed: ", diagnostic);
   complete_handle(handle, outcome, std::move(diagnostic), std::move(vetoers),
                   deal_id);

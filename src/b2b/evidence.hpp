@@ -56,17 +56,18 @@ inline constexpr const char* kBatchProposeSent = "batch.propose.sent";
 inline constexpr const char* kBatchProposeReceived = "batch.propose.recv";
 inline constexpr const char* kBatchDecideSent = "batch.decide.sent";
 inline constexpr const char* kBatchDecideReceived = "batch.decide.recv";
-/// Periodic signed anchor over the evidence chain head (see
-/// Arbiter::verify_anchored_spans).
+/// Signed, TSS-stamped anchor over the evidence chain head, appended
+/// whenever a run closes (see Arbiter::verify_anchored_spans).
 inline constexpr const char* kEvidenceAnchor = "evidence.anchor";
 }  // namespace evidence_kind
 
-/// A signed anchor over the evidence-chain head (DESIGN.md §13). In
-/// pipeline mode the coordinator periodically signs {index, record_hash}
-/// of the newest evidence record and appends the anchor to the chain
-/// itself, so an arbiter holding only the signer's public key can
-/// validate a whole anchored span offline — one signature check plus the
-/// (cheap) hash-chain walk, instead of trusting the unsigned chain.
+/// A signed anchor over the evidence-chain head (DESIGN.md §13(c)). When
+/// a run closes, the coordinator signs {index, record_hash} of the newest
+/// evidence record, has the TSS stamp those signed bytes, and appends the
+/// anchor (stamp in its framing's stamp slot) to the chain itself. An
+/// arbiter holding the signer's and the TSS's public keys can then
+/// validate a whole anchored span offline — two signature checks plus the
+/// (cheap) hash-chain walk — and bound when each record existed.
 struct EvidenceAnchor {
   /// Index of the covered (head) record — the anchor vouches for every
   /// record up to and including this one.

@@ -248,11 +248,6 @@ Coordinator::Config Federation::party_config(std::size_t index) const {
   // pool instead of owning a thread each — flat thread count.
   if (reactor_) config.lane_pool = reactor_->pool();
   config.pipeline = options_.pipeline;
-  if (options_.pipeline) {
-    config.evidence_anchor_interval = options_.evidence_anchor_interval > 0
-                                          ? options_.evidence_anchor_interval
-                                          : 8;
-  }
   return config;
 }
 

@@ -91,7 +91,9 @@ class Federation {
     /// Executor pool width (reactor runtime): deliveries, shard-lane
     /// dispatch and clock callbacks all share these workers.
     std::size_t reactor_workers = 4;
-    /// Provide a trusted time-stamping service to all parties.
+    /// Provide a trusted time-stamping service to all parties: it stamps
+    /// every evidence anchor (DESIGN.md §13(c)). Without it anchors are
+    /// party-signed but unstamped.
     bool use_tss = true;
     /// Sponsor selection policy applied federation-wide.
     SponsorPolicy sponsor_policy = SponsorPolicy::kRotating;
@@ -119,12 +121,9 @@ class Federation {
     /// runtime, so settle() keeps meaning "nothing left to do anywhere".
     bool shard_lanes = true;
     /// Run pipelining (DESIGN.md §13): enables propagate_batch at every
-    /// party, response-signature verification through a verified-
-    /// signature cache, and periodic signed evidence-chain anchors.
+    /// party and response-signature verification through a verified-
+    /// signature cache.
     bool pipeline = false;
-    /// Signed evidence-chain anchor cadence (records per anchor); 0
-    /// picks the default (8) when pipeline is on.
-    std::uint64_t evidence_anchor_interval = 0;
   };
 
   /// Create a federation of the named organisations.

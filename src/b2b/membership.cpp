@@ -540,7 +540,15 @@ void Replica::handle_membership_respond(const PartyId& from,
       // A recipient re-probing a membership run we already closed (it may
       // have lost our decide in its crash window): re-send the stored
       // decide so it can conclude.
-      if (maybe_resend_membership_decide(stray, from)) return;
+      if (maybe_resend_membership_decide(stray, from)) {
+        // A verified retry closes the run here once more, so it is sealed
+        // like the close was; a forged one buys no RSA work.
+        const crypto::RsaPublicKey* pub = callbacks_.key_of(from);
+        if (pub != nullptr && pub->verify(resp.signed_bytes(), msg.signature)) {
+          seal_evidence();
+        }
+        return;
+      }
       record_anomaly("membership response for closed run " + stray, from);
       return;
     }
@@ -739,7 +747,7 @@ void Replica::finish_membership_run_as_sponsor() {
              agreed ? "" : first_diagnostic, {}, prop.new_group.sequence,
              label);
   }
-  journal_run_closed(walrec::kSponsorClosed, label);
+  close_run(walrec::kSponsorClosed, label);
   hit_crash_point("m-decide.installed");
   drain_deferred_membership();
 }
@@ -970,6 +978,9 @@ void Replica::handle_membership_decide(const PartyId& from,
   auto it = membership_responder_runs_.find(label);
   if (it == membership_responder_runs_.end()) {
     record_anomaly("membership decide for unknown run " + label, from);
+    // The very decide this run closed on, sent again: sealed like the
+    // close was. A forged decide buys no RSA work.
+    if (received_before(label, "m.decide", body)) seal_evidence();
     return;
   }
   {
@@ -1080,7 +1091,7 @@ void Replica::conclude_membership_responder_run(const std::string& label,
              agreed ? "" : "eviction vetoed", std::move(vetoers),
              prop.new_group.sequence, label);
   }
-  journal_run_closed(walrec::kMembershipResponderClosed, label);
+  close_run(walrec::kMembershipResponderClosed, label);
   hit_crash_point("m-decide-recv.installed");
   drain_deferred_membership();
 }
@@ -1337,7 +1348,7 @@ void Replica::abort_runs_on_departure() {
     wire::Encoder note;
     note.str(label).str(self_.str());
     callbacks_.record_evidence("run.abandoned", std::move(note).take());
-    journal_run_closed(walrec::kResponderClosed, label);
+    close_run(walrec::kResponderClosed, label);
   }
   responder_runs_.clear();
   accept_lock_.reset();
@@ -1345,7 +1356,7 @@ void Replica::abort_runs_on_departure() {
     wire::Encoder note;
     note.str(label).str(self_.str());
     callbacks_.record_evidence("run.abandoned", std::move(note).take());
-    journal_run_closed(walrec::kMembershipResponderClosed, label);
+    close_run(walrec::kMembershipResponderClosed, label);
   }
   membership_responder_runs_.clear();
 }
@@ -1416,11 +1427,14 @@ void Replica::close_subject_request(const std::string& nonce_key) {
       to_hex(pending_subject_record_->request.request_nonce) == nonce_key) {
     pending_subject_record_.reset();
   }
-  if (!journaling()) return;
-  wire::Encoder enc;
-  enc.str(nonce_key);
-  journal_record(walrec::kSubjectClosed, std::move(enc).take());
-  journal_barrier();
+  if (journaling()) {
+    wire::Encoder enc;
+    enc.str(nonce_key);
+    journal_record(walrec::kSubjectClosed, std::move(enc).take());
+    journal_barrier();
+  }
+  // The subject's side of the membership run closed here.
+  seal_evidence();
 }
 
 void Replica::arm_membership_probe(const std::string& label, bool as_sponsor,

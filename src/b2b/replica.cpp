@@ -86,12 +86,31 @@ void Replica::journal_snapshot() {
   journal_barrier();
 }
 
-void Replica::journal_run_closed(std::uint8_t type, const std::string& label) {
-  if (!journaling()) return;
-  wire::Encoder enc;
-  enc.str(label);
-  journal_record(type, std::move(enc).take());
-  journal_barrier();
+void Replica::close_run(std::uint8_t type, const std::string& label) {
+  if (journaling()) {
+    wire::Encoder enc;
+    enc.str(label);
+    journal_record(type, std::move(enc).take());
+    journal_barrier();
+  }
+  hit_crash_point("run.pre-seal");
+  seal_evidence();
+}
+
+void Replica::seal_evidence() {
+  if (callbacks_.seal_evidence) callbacks_.seal_evidence();
+}
+
+bool Replica::received_before(const std::string& label,
+                              const std::string& kind,
+                              const Bytes& body) const {
+  for (const auto& stored : messages_.run(label)) {
+    if (stored.direction == "received" && stored.kind == kind &&
+        stored.payload == body) {
+      return true;
+    }
+  }
+  return false;
 }
 
 bool Replica::maybe_resend_decide(const std::string& label,
@@ -289,14 +308,14 @@ bool Replica::resolve_blocked_run(const std::string& run_label) {
              "abandoned by extra-protocol resolution", {},
              proposer_run_->propose.proposal.proposed.sequence, run_label);
     proposer_run_.reset();
-    journal_run_closed(walrec::kProposerClosed, run_label);
+    close_run(walrec::kProposerClosed, run_label);
     return true;
   }
   if (auto it = responder_runs_.find(run_label); it != responder_runs_.end()) {
     callbacks_.record_evidence("run.abandoned", std::move(note).take());
     if (accept_lock_ == run_label) accept_lock_.reset();
     responder_runs_.erase(it);
-    journal_run_closed(walrec::kResponderClosed, run_label);
+    close_run(walrec::kResponderClosed, run_label);
     drain_deferred_membership();
     return true;
   }
@@ -867,7 +886,7 @@ RunHandle Replica::open_run(std::vector<BatchOp> ops,
     // Singleton group: trivially unanimous.
     install_run(items, std::move(run.states), /*apply_to_object=*/false,
                 std::nullopt);
-    journal_run_closed(walrec::kProposerClosed, label);
+    close_run(walrec::kProposerClosed, label);
     complete(handle, RunResult::Outcome::kAgreed, "", {},
              prop.proposed.sequence, label);
     return handle;
@@ -937,8 +956,13 @@ void Replica::handle_respond(const PartyId& from, const Bytes& body) {
       // can conclude, instead of branding a legitimate retry a replay.
       // Aborted deal legs have no decide — re-answer with the stored
       // signed deal decision instead.
-      if (maybe_resend_decide(stray_label, from)) return;
-      if (maybe_resend_deal_decision(stray_label, from)) return;
+      if (maybe_resend_decide(stray_label, from) ||
+          maybe_resend_deal_decision(stray_label, from)) {
+        // A verified retry closes the run here once more, so it is sealed
+        // like the close was; a forged one buys no RSA work.
+        if (verify_responses({msg}).front()) seal_evidence();
+        return;
+      }
       record_anomaly("response for closed run " + stray_label, from);
       return;
     }
@@ -1077,7 +1101,7 @@ void Replica::finish_run_as_proposer() {
     complete(run.result, RunResult::Outcome::kVetoed, first_diagnostic,
              std::move(vetoers), prop.proposed.sequence, label);
   }
-  journal_run_closed(walrec::kProposerClosed, label);
+  close_run(walrec::kProposerClosed, label);
   hit_crash_point("decide.installed");
   drain_deferred_membership();
 }
@@ -1338,6 +1362,12 @@ void Replica::handle_decide(const PartyId& from, MsgType type,
     // answered it from outside the group, or this is a duplicate of a
     // finished run: evidence-worthy, but explainable by benign races.
     record_anomaly("decide for unknown or finished run " + label, from);
+    // The very decide this run closed on, sent again (a recovering
+    // proposer re-drives its run): sealed like the close was. A forged
+    // decide buys no RSA work.
+    if (received_before(label, msg.format().decide_kind, body)) {
+      seal_evidence();
+    }
     return;
   }
   const BatchProposeMsg& propose = it->second.propose;
@@ -1468,7 +1498,7 @@ void Replica::conclude_responder_run(const std::string& label,
   }
 
   if (accept_lock_ == label) accept_lock_.reset();
-  journal_run_closed(walrec::kResponderClosed, label);
+  close_run(walrec::kResponderClosed, label);
   hit_crash_point("decide-recv.installed");
   drain_deferred_membership();
 }
@@ -1641,7 +1671,7 @@ void Replica::handle_termination_verdict(const PartyId& from,
                  label);
       }
     }
-    journal_run_closed(walrec::kProposerClosed, label);
+    close_run(walrec::kProposerClosed, label);
     return;
   }
 
@@ -1652,7 +1682,7 @@ void Replica::handle_termination_verdict(const PartyId& from,
   responder_runs_.erase(it);
   if (verdict.kind == TerminationVerdict::Kind::kAbort) {
     if (accept_lock_ == label) accept_lock_.reset();
-    journal_run_closed(walrec::kResponderClosed, label);
+    close_run(walrec::kResponderClosed, label);
     CoordEvent event;
     event.kind = CoordEvent::Kind::kStateVetoed;
     event.object = object_;
@@ -1760,7 +1790,7 @@ void Replica::abort_staged_run(const std::string& label,
                ? "deal aborted"
                : decision.decision.diagnostic,
            {}, prop.proposed.sequence, label);
-  journal_run_closed(walrec::kProposerClosed, label);
+  close_run(walrec::kProposerClosed, label);
   drain_deferred_membership();
 }
 
@@ -1776,7 +1806,7 @@ void Replica::cancel_staged_run(const std::string& label) {
   complete(run.result, RunResult::Outcome::kAborted,
            "deal never opened: staged leg cancelled", {},
            run.propose.proposal.proposed.sequence, label);
-  journal_run_closed(walrec::kProposerClosed, label);
+  close_run(walrec::kProposerClosed, label);
   drain_deferred_membership();
 }
 
@@ -1895,6 +1925,11 @@ void Replica::handle_deal_enlist(const PartyId& from, const Bytes& body) {
   journal_barrier();
   hit_crash_point("deal-enlist-recv.journaled");
   deal_enlists_.emplace(label, std::move(msg));
+  // The leg's propose precedes its enlist, so the run is normally open
+  // here and its close seals this record. A first enlist for a run that
+  // is not open (closed before a re-sent enlist arrived, or never opened
+  // here) is sealed now; a signed enlist is recorded once per run.
+  if (!responder_runs_.contains(label)) seal_evidence();
 }
 
 void Replica::handle_deal_decision(const PartyId& from, const Bytes& body) {
@@ -1923,6 +1958,9 @@ void Replica::handle_deal_decision(const PartyId& from, const Bytes& body) {
   } else {
     deal_decisions_seen_.emplace(decision.deal_id, msg);
     callbacks_.record_evidence(evidence_kind::kDealDecisionReceived, body);
+    // The deal closed here: its verified decision is on record (a commit
+    // leg's own run may have closed before the decision arrived).
+    seal_evidence();
   }
 
   for (const DealLeg& leg : decision.legs) {
@@ -1945,7 +1983,7 @@ void Replica::handle_deal_decision(const PartyId& from, const Bytes& body) {
     ResponderRun run = std::move(it->second);
     responder_runs_.erase(it);
     if (accept_lock_ == label) accept_lock_.reset();
-    journal_run_closed(walrec::kResponderClosed, label);
+    close_run(walrec::kResponderClosed, label);
     hit_crash_point("deal-abort-recv.journaled");
     CoordEvent event;
     event.kind = CoordEvent::Kind::kStateVetoed;

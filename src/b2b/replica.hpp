@@ -166,10 +166,13 @@ class Replica {
     std::function<void(const PartyId& to, const Envelope&)> send;
     /// Virtual clock (microseconds).
     std::function<std::uint64_t()> now;
-    /// Append (kind, payload) to the non-repudiation log (time-stamped by
-    /// the coordinator).
+    /// Append (kind, payload) to the non-repudiation log (clock-timed by
+    /// the coordinator; the trusted stamp comes with the next seal).
     std::function<void(const std::string& kind, const Bytes& payload)>
         record_evidence;
+    /// Seal the non-repudiation log: one signed, TSS-stamped anchor over
+    /// its head record (DESIGN.md §13(c)). Called when a run closes here.
+    std::function<void()> seal_evidence;
     /// Look up a member's public key (nullptr if unknown).
     std::function<const crypto::RsaPublicKey*(const PartyId&)> key_of;
     /// Learn a newly admitted member's public key.
@@ -574,7 +577,16 @@ class Replica {
   void hit_crash_point(const char* point);
   /// Journal the current durable replicated state (kSnapshot + barrier).
   void journal_snapshot();
-  void journal_run_closed(std::uint8_t type, const std::string& label);
+  /// A run closed at this party: journal that it closed (record `type`,
+  /// then a barrier), then seal the evidence log so the run's records are
+  /// anchored and time-stamped. Crash point "run.pre-seal" lies between.
+  void close_run(std::uint8_t type, const std::string& label);
+  /// Seal the evidence log now (see Callbacks::seal_evidence).
+  void seal_evidence();
+  /// True when the message store holds a received `kind` message for run
+  /// `label` whose body is exactly `body`.
+  bool received_before(const std::string& label, const std::string& kind,
+                       const Bytes& body) const;
   /// Re-send the stored decide (of either format) of a closed run to `to`
   /// (a recovering responder probing us). Returns false if no decide is
   /// on record.
@@ -627,9 +639,9 @@ class Replica {
   /// run, whose bookkeeping the final item's install subsumes (the
   /// checkpoint store only keeps the latest state per object, and the
   /// decide evidence already carries every item tuple). Skipping it keeps
-  /// the per-item cost of a batch free of RSA work: evidence records are
-  /// TSS-stamped, and one stamp per item would quietly restore the
-  /// per-item RSA floor pipelining exists to kill.
+  /// a batch's per-item cost to hashing and installs: records carry no
+  /// stamp of their own (the run's anchor covers them), but each still
+  /// costs a journal append, a chain hash and a checkpoint.
   void install_agreed_state(const StateTuple& tuple, Bytes state,
                             bool apply_to_object, bool bookkeep = true);
   /// Install every item of an agreed run in order (bookkeeping on the

@@ -1,10 +1,15 @@
-// Coordinator-level behaviour: trusted time-stamps on evidence, the
-// certificate directory, multi-object independence, checkpointing and
-// protocol statistics.
+// Coordinator-level behaviour: trusted time-stamps on evidence anchors,
+// the certificate directory, multi-object independence, checkpointing
+// and protocol statistics.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "b2b/arbiter.hpp"
 #include "b2b/federation.hpp"
 #include "common/error.hpp"
+#include "wire/codec.hpp"
 #include "tests/support/test_objects.hpp"
 
 namespace b2b::core {
@@ -33,23 +38,79 @@ struct CoordFixture {
   }
 };
 
-TEST(CoordinatorTest, EvidenceCarriesVerifiableTssStamps) {
+/// One evidence anchor as read back from a log.
+struct AnchorRecord {
+  std::uint64_t record = 0;   // index of the anchor record
+  std::uint64_t covered = 0;  // index of the newest record it covers
+  std::uint64_t stamp_micros = 0;
+};
+
+// Linked time-stamping (DESIGN.md §13(c)): records carry no stamp of their
+// own; each run's close appends a party-signed anchor whose TSS stamp
+// covers H(anchor.signed_bytes()), and every record's time lies between
+// the stamps of the anchors around it.
+TEST(CoordinatorTest, AnchorStampsVerifyAndBoundEveryRecord) {
   CoordFixture t;
   t.agree(bytes_of("v1"));
-  const auto& log = t.fed.coordinator("alpha").evidence();
-  ASSERT_GT(log.size(), 0u);
-  std::size_t stamped = 0;
-  for (const auto& record : log.records()) {
-    auto unpacked = Coordinator::decode_evidence_payload(record.payload);
-    ASSERT_TRUE(unpacked.timestamp.has_value()) << record.kind;
-    // Every stamp covers the payload hash and verifies against the TSS key.
-    EXPECT_EQ(unpacked.timestamp->message_hash,
-              crypto::Sha256::hash(unpacked.payload));
-    EXPECT_TRUE(crypto::TimestampService::verify(
-        *unpacked.timestamp, t.fed.tss()->public_key()));
-    ++stamped;
+  t.agree(bytes_of("v2"));
+  t.agree(bytes_of("v3"));
+  const crypto::RsaPublicKey& tss_key = t.fed.tss()->public_key();
+  for (const std::string name : {"alpha", "beta"}) {
+    Coordinator& coord = t.fed.coordinator(name);
+    const store::EvidenceLog& log = coord.evidence();
+    std::vector<AnchorRecord> anchors;
+    for (const auto& record : log.records()) {
+      auto unpacked = Coordinator::decode_evidence_payload(record.payload);
+      if (record.kind != evidence_kind::kEvidenceAnchor) {
+        EXPECT_FALSE(unpacked.timestamp.has_value()) << name << record.kind;
+        continue;
+      }
+      ASSERT_TRUE(unpacked.timestamp.has_value()) << name << record.index;
+      const EvidenceAnchor anchor = EvidenceAnchor::decode(unpacked.payload);
+      EXPECT_EQ(unpacked.timestamp->message_hash,
+                crypto::Sha256::hash(anchor.signed_bytes()));
+      EXPECT_TRUE(crypto::TimestampService::verify(*unpacked.timestamp,
+                                                   tss_key));
+      EXPECT_TRUE(coord.public_key().verify(anchor.signed_bytes(),
+                                            anchor.signature));
+      EXPECT_EQ(log.at(anchor.index).record_hash, anchor.head_hash);
+      anchors.push_back(
+          {record.index, anchor.index, unpacked.timestamp->time_micros});
+    }
+    // One anchor per closed run, and none trails: the newest is the last
+    // record and covers the one before it.
+    ASSERT_EQ(anchors.size(), 3u) << name;
+    EXPECT_EQ(anchors.back().record, log.size() - 1) << name;
+    EXPECT_EQ(anchors.back().covered, log.size() - 2) << name;
+    const Arbiter::AnchorReport report =
+        Arbiter::verify_anchored_spans(log, coord.public_key(), &tss_key);
+    EXPECT_TRUE(report.all_anchors_valid) << name;
+    EXPECT_EQ(report.trailing_records, 0u) << name;
+    ASSERT_EQ(report.anchors.size(), anchors.size()) << name;
+    for (std::size_t i = 0; i < anchors.size(); ++i) {
+      EXPECT_EQ(report.anchors[i].covered, anchors[i].covered);
+      EXPECT_EQ(report.anchors[i].stamp_micros, anchors[i].stamp_micros);
+    }
+
+    // A record's chain hash depends on the anchor before it (so on its
+    // stamp), and the first anchor after it covers it.
+    for (const auto& record : log.records()) {
+      if (record.kind == evidence_kind::kEvidenceAnchor) continue;
+      const AnchorRecord* before = nullptr;
+      const AnchorRecord* after = nullptr;
+      for (const AnchorRecord& a : anchors) {
+        if (a.record < record.index) before = &a;
+        if (after == nullptr && a.covered >= record.index) after = &a;
+      }
+      ASSERT_NE(after, nullptr) << name << record.index;
+      EXPECT_LE(record.time_micros, after->stamp_micros)
+          << name << record.index;
+      if (before != nullptr) {
+        EXPECT_GE(record.time_micros, before->stamp_micros)
+            << name << record.index;
+      }
+    }
   }
-  EXPECT_EQ(stamped, log.size());
 }
 
 TEST(CoordinatorTest, NoTssMeansUnstampedButUsableEvidence) {
@@ -69,6 +130,122 @@ TEST(CoordinatorTest, NoTssMeansUnstampedButUsableEvidence) {
   auto unpacked = Coordinator::decode_evidence_payload(log.at(0).payload);
   EXPECT_FALSE(unpacked.timestamp.has_value());
   EXPECT_TRUE(log.verify_chain());
+}
+
+// Without a TSS, anchors are still appended and party-signed; only the
+// stamp slot stays empty.
+TEST(CoordinatorTest, NoTssAnchorsAreSignedButUnstamped) {
+  Federation::Options options;
+  options.use_tss = false;
+  Federation fed{{"a", "b"}, options};
+  TestRegister a_obj, b_obj;
+  fed.register_object("a", kObj, a_obj);
+  fed.register_object("b", kObj, b_obj);
+  fed.bootstrap_object(kObj, {"a", "b"}, bytes_of("genesis"));
+  a_obj.value = bytes_of("v1");
+  RunHandle h =
+      fed.coordinator("a").propagate_new_state(kObj, a_obj.get_state());
+  ASSERT_TRUE(fed.run_until_done(h));
+  fed.settle();
+  for (const std::string name : {"a", "b"}) {
+    Coordinator& coord = fed.coordinator(name);
+    const store::EvidenceLog& log = coord.evidence();
+    ASSERT_FALSE(log.empty());
+    const store::EvidenceRecord& last = log.at(log.size() - 1);
+    ASSERT_EQ(last.kind, evidence_kind::kEvidenceAnchor) << name;
+    EXPECT_FALSE(
+        Coordinator::decode_evidence_payload(last.payload).timestamp)
+        << name;
+    const Arbiter::AnchorReport report =
+        Arbiter::verify_anchored_spans(log, coord.public_key());
+    EXPECT_TRUE(report.all_anchors_valid) << name;
+    EXPECT_EQ(report.trailing_records, 0u) << name;
+  }
+}
+
+// The arbiter's TSS binding: with the TSS key, the newest anchor's stamp
+// must exist, cover that anchor's signed bytes and verify. Each forgery
+// below leaves the party signature and the re-linked chain intact, so the
+// two-argument check still passes; only the stamp check catches it.
+class AnchorStampForgery : public ::testing::Test {
+ protected:
+  AnchorStampForgery() {
+    t.agree(bytes_of("v1"));
+    t.agree(bytes_of("v2"));
+    for (const auto& record : log().records()) {
+      if (record.kind == evidence_kind::kEvidenceAnchor) {
+        anchor_records.push_back(record.index);
+      }
+    }
+  }
+
+  const store::EvidenceLog& log() {
+    return t.fed.coordinator("alpha").evidence();
+  }
+
+  /// alpha's log with the newest anchor's stamp slot replaced, the chain
+  /// re-linked (what a party with write access to its log can produce).
+  store::EvidenceLog with_newest_stamp(const Bytes& stamp) {
+    store::EvidenceLog out;
+    for (const auto& record : log().records()) {
+      Bytes payload = record.payload;
+      if (record.index == anchor_records.back()) {
+        wire::Encoder framed;
+        framed.blob(Coordinator::decode_evidence_payload(payload).payload);
+        framed.blob(stamp);
+        payload = std::move(framed).take();
+      }
+      out.append(record.kind, std::move(payload), record.time_micros);
+    }
+    return out;
+  }
+
+  void expect_caught_only_with_tss_key(const store::EvidenceLog& forged,
+                                       const std::string& problem) {
+    const crypto::RsaPublicKey& signer =
+        t.fed.coordinator("alpha").public_key();
+    const Arbiter::AnchorReport with_key = Arbiter::verify_anchored_spans(
+        forged, signer, &t.fed.tss()->public_key());
+    EXPECT_TRUE(with_key.chain_intact);
+    EXPECT_FALSE(with_key.all_anchors_valid);
+    ASSERT_EQ(with_key.problems.size(), 1u);
+    EXPECT_NE(with_key.problems.front().find(problem), std::string::npos)
+        << with_key.problems.front();
+    EXPECT_TRUE(Arbiter::verify_anchored_spans(forged, signer)
+                    .all_anchors_valid);
+  }
+
+  CoordFixture t;
+  std::vector<std::uint64_t> anchor_records;
+};
+
+TEST_F(AnchorStampForgery, StampFromAnotherTssKeyIsRejected) {
+  ASSERT_GE(anchor_records.size(), 2u);
+  const EvidenceAnchor newest = EvidenceAnchor::decode(
+      Coordinator::decode_evidence_payload(
+          log().at(anchor_records.back()).payload)
+          .payload);
+  crypto::TimestampService rogue(
+      Federation::shared_keypair(Federation::Options{}.rsa_bits, 997),
+      [] { return std::uint64_t{1}; });
+  expect_caught_only_with_tss_key(
+      with_newest_stamp(rogue.stamp(newest.signed_bytes()).encode()),
+      "bad trusted stamp");
+}
+
+TEST_F(AnchorStampForgery, StampCopiedFromAnotherAnchorIsRejected) {
+  ASSERT_GE(anchor_records.size(), 2u);
+  const auto earlier = Coordinator::decode_evidence_payload(
+      log().at(anchor_records.front()).payload);
+  ASSERT_TRUE(earlier.timestamp.has_value());
+  expect_caught_only_with_tss_key(
+      with_newest_stamp(earlier.timestamp->encode()),
+      "stamp over other bytes");
+}
+
+TEST_F(AnchorStampForgery, StrippedStampIsRejected) {
+  expect_caught_only_with_tss_key(with_newest_stamp({}),
+                                  "no trusted stamp");
 }
 
 TEST(CoordinatorTest, KeyDirectoryKnowsAllParties) {

@@ -34,6 +34,7 @@
 #include "b2b/federation.hpp"
 #include "common/error.hpp"
 #include "crypto/sha256.hpp"
+#include "tests/support/anchoring.hpp"
 #include "tests/support/crash_points.hpp"
 #include "tests/support/golden_digest.hpp"
 #include "tests/support/runtime_param.hpp"
@@ -619,6 +620,7 @@ Bytes run_deal_sim_case(const std::string& point, const std::string& crasher,
     }
     w.fed.settle();
     w.check_safety();
+    test::expect_fully_anchored(w.fed);
     fingerprint = w.fingerprint();
   }
   fs::remove_all(fs::temp_directory_path() / ("b2b_deal_" + tag));
@@ -700,6 +702,7 @@ void run_realtime_deal_case(const std::string& point, RuntimeKind kind) {
     })) << "resumed deal did not close at " << point;
     w.fed.settle();
     w.check_safety();
+    test::expect_fully_anchored(w.fed);
   }
   fs::remove_all(fs::temp_directory_path() / ("b2b_deal_" + tag));
 }
@@ -949,6 +952,7 @@ void run_deal_soak(RuntimeKind kind, std::uint64_t seed, bool with_crash,
         EXPECT_TRUE(fed.coordinator(name).evidence().verify_chain()) << name;
         EXPECT_EQ(fed.coordinator(name).violations_detected(), 0u) << name;
       }
+      test::expect_fully_anchored(fed);
       reg_of("gamma", 1).policy = nullptr;
       reg_of("gamma", 3).policy = nullptr;
     }

@@ -27,6 +27,7 @@
 #include "common/error.hpp"
 #include "crypto/chacha20.hpp"
 #include "crypto/sha256.hpp"
+#include "tests/support/anchoring.hpp"
 #include "tests/support/crash_points.hpp"
 #include "tests/support/golden_digest.hpp"
 #include "tests/support/runtime_param.hpp"
@@ -263,11 +264,10 @@ TEST_P(PipelineEquivalence, BatchAfterVetoedRunAgrees) {
 
 // Every party's anchored evidence log validates offline: the arbiter,
 // holding only the signer's public key, confirms the chain and every
-// periodic signed chain-head anchor.
+// signed chain-head anchor its closed runs appended.
 TEST_P(PipelineEquivalence, EvidenceAnchorsValidateOffline) {
   Federation::Options opts = options(pipeline_seed());
   opts.pipeline = true;
-  opts.evidence_anchor_interval = 4;
   Parties p(opts);
   p.warm_up();
   RunHandle h = p.fed.coordinator("alpha").propagate_batch(kObj,
@@ -390,7 +390,7 @@ constexpr char kPipelineGoldenStampBlindPlain[] =
 constexpr char kPipelineGoldenStampBlindJournaled[] =
     "c0d8cfd414cbc8d6eb4f76751530eff658a40de70ed1b937e781fb6d841cb810";
 
-/// A fixed pipelined scenario with evidence anchors: warm-up, the mixed
+/// A fixed pipelined scenario: warm-up, the mixed
 /// batch, a 16-item batch, a vetoed batch and a plain run. The whole
 /// deployment (evidence sizes and tails, tuples, values, per-type send
 /// counts, executed event count) is hashed.
@@ -401,7 +401,6 @@ test::GoldenDigests run_pipeline_golden(Federation::Options options,
     options.journal_fsync = false;
   }
   options.pipeline = true;
-  options.evidence_anchor_interval = 8;
 
   test::GoldenDigests digests;
   {
@@ -578,6 +577,7 @@ Bytes run_batch_sim_case(const std::string& point, const std::string& crasher,
         never_existed ? bytes_of("warm") : bytes_of("v3");
     EXPECT_EQ(p.alpha_obj.value, expected_value) << point;
     p.check_safety();
+    test::expect_fully_anchored(p.fed);
 
     // Deployment fingerprint for the determinism check: evidence tails
     // (they hash everything before them), agreed tuples, object values,
@@ -677,6 +677,7 @@ void run_batch_realtime_case(const std::string& point,
     EXPECT_EQ(
         p.fed.coordinator(crasher).replica(kObj).agreed_tuple().sequence, 4u);
     p.check_safety();
+    test::expect_fully_anchored(p.fed);
   }
   fs::remove_all(fs::temp_directory_path() / ("b2b_pipeline_" + tag));
 }
@@ -939,7 +940,6 @@ TEST(PipelineAdversarial, SplicedOrTamperedAnchorIsDetected) {
   Federation::Options opts =
       test::runtime_options(RuntimeKind::kSim, pipeline_seed());
   opts.pipeline = true;
-  opts.evidence_anchor_interval = 4;
   Parties p(opts);
   p.warm_up();
   RunHandle h =

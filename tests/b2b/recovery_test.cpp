@@ -23,6 +23,7 @@
 
 #include "b2b/federation.hpp"
 #include "common/error.hpp"
+#include "tests/support/anchoring.hpp"
 #include "tests/support/crash_points.hpp"
 #include "tests/support/runtime_param.hpp"
 #include "tests/support/test_objects.hpp"
@@ -179,6 +180,7 @@ Bytes run_sim_case(const std::string& point, const std::string& crasher,
         point == "propose.pre-journal" ? bytes_of("warm") : bytes_of("v2");
     EXPECT_EQ(p.alpha_obj.value, expected_value);
     p.check_safety();
+    test::expect_fully_anchored(p.fed);
 
     // Deployment fingerprint: evidence tails (they hash everything that
     // came before), agreed tuples, object values, executed event count.
@@ -315,6 +317,7 @@ Bytes run_membership_sim_case(const std::string& point,
     // The new member received the agreed (warm) state with its welcome.
     EXPECT_EQ(p.delta_obj.value, bytes_of("warm"));
     p.check_safety(kAll);
+    test::expect_fully_anchored(p.fed);
 
     for (const std::string& name : kAll) {
       Coordinator& coord = p.fed.coordinator(name);
@@ -394,6 +397,7 @@ void run_termination_sim_case(const std::string& point, std::uint64_t seed) {
     EXPECT_TRUE(bystander.resume_recovered_runs().empty());
     p.fed.settle();
     p.check_safety();
+    test::expect_fully_anchored(p.fed);
   }
   fs::remove_all(fs::temp_directory_path() / ("b2b_recovery_" + tag));
 }
@@ -907,6 +911,7 @@ void run_realtime_case(const std::string& point, const std::string& crasher,
         p.fed.coordinator(crasher).replica(kObj).agreed_tuple().sequence,
         2u);
     p.check_safety();
+    test::expect_fully_anchored(p.fed);
   }
   fs::remove_all(fs::temp_directory_path() / ("b2b_recovery_" + tag));
 }
@@ -978,6 +983,7 @@ void run_realtime_membership_case(const std::string& point,
           << name;
     }
     p.check_safety(kAll);
+    test::expect_fully_anchored(p.fed);
   }
   fs::remove_all(fs::temp_directory_path() / ("b2b_recovery_" + tag));
 }

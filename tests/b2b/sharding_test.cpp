@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "b2b/federation.hpp"
+#include "tests/support/anchoring.hpp"
 #include "tests/support/crash_points.hpp"
 #include "tests/support/golden_scenario.hpp"
 #include "tests/support/runtime_param.hpp"
@@ -452,6 +453,7 @@ void run_multi_sim_case(const std::string& point, const std::string& crasher,
     EXPECT_EQ(p.alpha_main.value, expected_main);
     EXPECT_EQ(p.alpha_side.value, bytes_of("side2"));
     p.check_safety();
+    test::expect_fully_anchored(p.fed);
   }
   fs::remove_all(fs::temp_directory_path() / ("b2b_sharding_" + tag));
 }
@@ -584,6 +586,7 @@ void run_multi_membership_case(const std::string& point,
           << name;
       EXPECT_EQ(p.side_obj(name).value, bytes_of("side2")) << name;
     }
+    test::expect_fully_anchored(p.fed);
   }
   fs::remove_all(fs::temp_directory_path() / ("b2b_sharding_" + tag));
 }
@@ -663,6 +666,7 @@ void run_multi_termination_case(const std::string& point,
     EXPECT_EQ(p.gamma_side.value, bytes_of("side2"));
     p.fed.settle();
     p.check_safety();
+    test::expect_fully_anchored(p.fed);
   }
   fs::remove_all(fs::temp_directory_path() / ("b2b_sharding_" + tag));
 }

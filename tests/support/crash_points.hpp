@@ -20,14 +20,15 @@ inline const std::vector<std::string> kProposerPoints = {
     "propose.pre-journal",  "propose.journaled", "propose.mid-send",
     "propose.sent",         "response.pre-journal", "response.journaled",
     "decide.pre-journal",   "decide.journaled",  "decide.mid-send",
-    "decide.sent",          "decide.installed",
+    "decide.sent",          "run.pre-seal",      "decide.installed",
 };
 
 // Crash points passed on a responder's code path.
 inline const std::vector<std::string> kResponderPoints = {
     "respond.pre-journal",     "respond.journaled",
     "respond.sent",            "decide-recv.pre-journal",
-    "decide-recv.journaled",   "decide-recv.installed",
+    "decide-recv.journaled",   "run.pre-seal",
+    "decide-recv.installed",
 };
 
 // Membership crash points passed on the sponsor's code path during a
