@@ -378,11 +378,16 @@ TEST(PipelineSingleItem, BatchOfOneIsThePapersRun) {
 // on the deterministic simulator while single runs and batches still had
 // separate code paths; both coordinator lock modes must match). They give
 // K >= 2 the bit-for-bit oracle that kGoldenPlain (sharding_test.cpp) and
-// kDealGolden* (deal_test.cpp) give single runs. Never edit them.
+// kDealGolden* (deal_test.cpp) give single runs. Re-frozen once, when
+// trusted stamps moved from every evidence record to one anchor per
+// closed run (DESIGN.md §13(c)), which moved every evidence tail; the
+// stamp-blind twins below stayed put. Edit them only for a change meant
+// to alter the bytes of the evidence log, and only while the stamp-blind
+// twins still match.
 constexpr char kPipelineGoldenPlain[] =
-    "b496fb72a0840e2c664146ea20500130220db268e960ee2af21f2ff7afec2475";
+    "391762ce9468975579cad245434f1dea9d50a760cd4e2cb9d73390b99b66de94";
 constexpr char kPipelineGoldenJournaled[] =
-    "7a55189eb686147f4f512acc7dc39c2e94454bec6f62f53bfca24cb85da4cff5";
+    "f75132914cefca4d622ac58db3c97759eef81ba71b0a8e9b9169eb23635b1756";
 // Their stamp-blind twins (golden_digest.hpp), frozen while every evidence
 // record still carried its own trusted stamp. Never edit them.
 constexpr char kPipelineGoldenStampBlindPlain[] =

@@ -47,11 +47,15 @@ namespace fs = std::filesystem;
 // Captured on the pre-shard (single-lock, no-lane) coordinator at seed 29
 // and verified stable across repeated runs. Any divergence in message
 // order, evidence chains, tuples, object values or executed event count
-// changes these digests.
+// changes these digests. Re-frozen once, when trusted stamps moved from
+// every evidence record to one anchor per closed run (DESIGN.md §13(c)):
+// that moved every evidence tail, while the stamp-blind digests below
+// stayed put. Edit them only for a change meant to alter the bytes of the
+// evidence log, and only while the stamp-blind digests still match.
 constexpr char kGoldenPlain[] =
-    "ca2cc0892d9dbc36ff9e614e1eaf9ac06f00b2075472cf1ae8d9c1a4a9a3690f";
+    "9ced6a5b35f49d3ad3e3eb774319918ace6afa82371631612ce4d0e5566e85c1";
 constexpr char kGoldenJournaled[] =
-    "da29f570224f0dc0dac5734711b008fbe87b2c049367775095ef810c84720ed5";
+    "eca0eb0ff96c82fa0bb42ccbd05104795decaf8ab8b08f7051de5c5a977eef95";
 // The stamp-blind digests of the same runs (golden_digest.hpp), frozen
 // while every evidence record still carried its own trusted stamp. They
 // ignore stamps and anchors, so they pin what each party recorded, and
