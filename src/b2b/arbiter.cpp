@@ -251,7 +251,8 @@ Arbiter::AnchorReport Arbiter::verify_anchored_spans(
   for (const store::EvidenceRecord& record : log.records()) {
     if (record.kind != evidence_kind::kEvidenceAnchor) continue;
     ++report.anchors_seen;
-    const std::string where = "anchor at record " + std::to_string(record.index);
+    const std::string where =
+        "anchor at record " + std::to_string(record.index);
     EvidenceAnchor anchor;
     Bytes stamp;
     try {
@@ -304,7 +305,7 @@ Arbiter::AnchorReport Arbiter::verify_anchored_spans(
     }
     if (ok) {
       ++report.anchors_valid;
-      report.anchors.push_back({record.index, anchor.index, stamp_micros});
+      report.anchors.push_back({anchor.index, stamp_micros});
       if (!report.highest_anchored_index.has_value() ||
           anchor.index > *report.highest_anchored_index) {
         report.highest_anchored_index = anchor.index;

@@ -86,8 +86,6 @@ class Arbiter {
   struct AnchorReport {
     /// One valid anchor.
     struct Anchor {
-      /// Index of the anchor record itself.
-      std::uint64_t record = 0;
       /// Index of the newest record it covers.
       std::uint64_t covered = 0;
       /// Time of its verified trusted stamp (set only when `tss_key` was

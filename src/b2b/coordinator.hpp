@@ -2,9 +2,9 @@
 //
 // One Coordinator runs at each organisation. It owns the party's replicas
 // (one per shared object), the certificate directory (party -> public key),
-// the non-repudiation log (anchored by trusted time-stamps), the checkpoint store
-// and the protocol message store, and it connects the replicas to the
-// reliable transport. Its propagate_* methods are the paper's
+// the non-repudiation log (anchored by trusted time-stamps), the
+// checkpoint store and the protocol message store, and it connects the
+// replicas to the reliable transport. Its propagate_* methods are the paper's
 // B2BCoordinatorLocal propagation interface: they insulate the application
 // (the Controller) from protocol-specific detail.
 //
