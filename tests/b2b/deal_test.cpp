@@ -1004,7 +1004,7 @@ const char kDealGoldenStampBlindJournaled[] =
 /// a single-member leg, and a TTP-escorted commit. The whole deployment
 /// (evidence chains, tuples, values, deal stats, event count) is hashed.
 test::GoldenDigests run_deal_golden(Federation::Options options,
-                            const std::string& journal_tag = "") {
+                                    const std::string& journal_tag = "") {
   fs::path journal_root;
   if (!journal_tag.empty()) {
     journal_root = fs::temp_directory_path() / ("b2b_deal_" + journal_tag);

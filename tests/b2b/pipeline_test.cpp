@@ -395,12 +395,12 @@ constexpr char kPipelineGoldenStampBlindPlain[] =
 constexpr char kPipelineGoldenStampBlindJournaled[] =
     "c0d8cfd414cbc8d6eb4f76751530eff658a40de70ed1b937e781fb6d841cb810";
 
-/// A fixed pipelined scenario: warm-up, the mixed
-/// batch, a 16-item batch, a vetoed batch and a plain run. The whole
-/// deployment (evidence sizes and tails, tuples, values, per-type send
-/// counts, executed event count) is hashed.
+/// A fixed pipelined scenario: warm-up, the mixed batch, a 16-item
+/// batch, a vetoed batch and a plain run. The whole deployment (evidence
+/// sizes and tails, tuples, values, per-type send counts, executed event
+/// count) is hashed.
 test::GoldenDigests run_pipeline_golden(Federation::Options options,
-                                const std::string& journal_tag = "") {
+                                        const std::string& journal_tag = "") {
   if (!journal_tag.empty()) {
     options.journal_root = fresh_journal_root(journal_tag);
     options.journal_fsync = false;
