@@ -30,6 +30,22 @@ void BM_Sha256(benchmark::State& state) {
 }
 BENCHMARK(BM_Sha256)->Arg(64)->Arg(1024)->Arg(16384)->Arg(262144);
 
+// The portable compression function alone, over the same sizes in whole
+// blocks: the fallback path, and on a SHA-NI CPU the baseline for
+// BM_Sha256 (which then adds one padding block per hash).
+void BM_Sha256Portable(benchmark::State& state) {
+  std::size_t size = static_cast<std::size_t>(state.range(0));
+  Bytes data(size, 0xab);
+  crypto::detail::Sha256State chain{};
+  for (auto _ : state) {
+    crypto::detail::sha256_blocks_portable(chain, data.data(), size / 64);
+    benchmark::DoNotOptimize(chain);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(size));
+}
+BENCHMARK(BM_Sha256Portable)->Arg(64)->Arg(1024)->Arg(16384)->Arg(262144);
+
 void BM_ChaCha20(benchmark::State& state) {
   std::size_t size = static_cast<std::size_t>(state.range(0));
   ChaCha20Rng rng(std::uint64_t{1});

@@ -6,6 +6,10 @@
 
 #include "common/error.hpp"
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 namespace b2b::crypto {
 
 namespace {
@@ -51,13 +55,14 @@ Sha256& Sha256::update(BytesView data) {
     buffer_len_ += take;
     offset += take;
     if (buffer_len_ == buffer_.size()) {
-      process_block(buffer_.data());
+      process_blocks(buffer_.data(), 1);
       buffer_len_ = 0;
     }
   }
-  while (data.size() - offset >= 64) {
-    process_block(data.data() + offset);
-    offset += 64;
+  // Every whole block left goes to the compression function in one call.
+  if (std::size_t blocks = (data.size() - offset) / 64; blocks > 0) {
+    process_blocks(data.data() + offset, blocks);
+    offset += blocks * 64;
   }
   if (offset < data.size()) {
     std::memcpy(buffer_.data(), data.data() + offset, data.size() - offset);
@@ -89,7 +94,21 @@ Digest Sha256::finish() {
   return out;
 }
 
-void Sha256::process_block(const std::uint8_t* block) {
+void Sha256::process_blocks(const std::uint8_t* data, std::size_t count) {
+#if defined(__x86_64__)
+  if (detail::cpu_has_sha_ni()) {
+    detail::sha256_blocks_sha_ni(state_, data, count);
+    return;
+  }
+#endif
+  detail::sha256_blocks_portable(state_, data, count);
+}
+
+namespace detail {
+
+namespace {
+
+void compress_block(Sha256State& state, const std::uint8_t* block) {
   std::array<std::uint32_t, 64> w;
   for (int i = 0; i < 16; ++i) {
     w[i] = (static_cast<std::uint32_t>(block[i * 4]) << 24) |
@@ -105,8 +124,8 @@ void Sha256::process_block(const std::uint8_t* block) {
     w[i] = w[i - 16] + s0 + w[i - 7] + s1;
   }
 
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
+  std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+  std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
 
   for (int i = 0; i < 64; ++i) {
     std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
@@ -125,15 +144,98 @@ void Sha256::process_block(const std::uint8_t* block) {
     a = temp1 + temp2;
   }
 
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
 }
+
+}  // namespace
+
+void sha256_blocks_portable(Sha256State& state, const std::uint8_t* data,
+                            std::size_t count) {
+  for (std::size_t i = 0; i < count; ++i) compress_block(state, data + 64 * i);
+}
+
+#if defined(__x86_64__)
+// Compiled for the SHA extensions whatever the build's -march, and called
+// only after cpu_has_sha_ni(). sha256rnds2 runs two rounds on the state
+// held as the lane pairs (a, b, e, f) and (c, d, g, h), so the state is
+// shuffled into that form once per call rather than once per block.
+__attribute__((target("sha,sse4.1"))) void sha256_blocks_sha_ni(
+    Sha256State& state, const std::uint8_t* data, std::size_t count) {
+  // Reverses the bytes of each 32-bit lane: message words are big-endian.
+  const __m128i byte_swap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+
+  // Lanes are written high to low: dcba holds a in lane 0.
+  __m128i dcba = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[0]));
+  __m128i hgfe = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[4]));
+  __m128i cdab = _mm_shuffle_epi32(dcba, 0xb1);
+  __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+
+  for (; count > 0; --count, data += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    // w[k % 4] holds message words 4k..4k+3 while group k runs.
+    __m128i w[4];
+    // Unrolled so that w lives in registers at -O2 as well as -O3.
+#pragma GCC unroll 16
+    for (int k = 0; k < 16; ++k) {
+      if (k < 4) {
+        w[k] = _mm_shuffle_epi8(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16 * k)),
+            byte_swap);
+      } else {
+        // W[t] = s1(W[t-2]) + W[t-7] + s0(W[t-15]) + W[t-16], four at once.
+        const __m128i& last = w[(k + 3) % 4];
+        w[k % 4] = _mm_sha256msg2_epu32(
+            _mm_add_epi32(_mm_sha256msg1_epu32(w[k % 4], w[(k + 1) % 4]),
+                          _mm_alignr_epi8(last, w[(k + 2) % 4], 4)),
+            last);
+      }
+      const __m128i wk = _mm_add_epi32(
+          w[k % 4], _mm_loadu_si128(reinterpret_cast<const __m128i*>(
+                        &kRoundConstants[4 * k])));
+      // Two rounds each. After the first, cdgh holds the new (a, b, e, f)
+      // and abef the new (c, d, g, h); the second swaps them back.
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  __m128i feba = _mm_shuffle_epi32(abef, 0x1b);
+  __m128i dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+  dcba = _mm_blend_epi16(feba, dchg, 0xf0);
+  hgfe = _mm_alignr_epi8(dchg, feba, 8);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[0]), dcba);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]), hgfe);
+}
+#endif
+
+bool cpu_has_sha_ni() {
+#if defined(__x86_64__)
+  // The first hash may run during static initialisation, before the
+  // runtime's own CPU-model setup, so initialise it here first.
+  static const bool has = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1");
+  }();
+  return has;
+#else
+  return false;
+#endif
+}
+
+}  // namespace detail
 
 Digest Sha256::hash(BytesView data) { return Sha256().update(data).finish(); }
 

@@ -4,6 +4,10 @@
 // in §4.2. It is used everywhere evidence is built: state hashes in state
 // identifier tuples, member hashes in group identifier tuples, hashes of
 // random authenticators, and the hash chain of the evidence log.
+//
+// The compression function has two implementations: portable C++, and one
+// on the x86 SHA extensions (SHA-NI), chosen once from the CPU at run time.
+// Both give the same digests; the portable one is the reference.
 #pragma once
 
 #include <array>
@@ -15,6 +19,29 @@ namespace b2b::crypto {
 
 /// A 32-byte SHA-256 digest.
 using Digest = std::array<std::uint8_t, 32>;
+
+namespace detail {
+
+/// The eight chaining words a..h carried from block to block.
+using Sha256State = std::array<std::uint32_t, 8>;
+
+/// Compresses `count` whole 64-byte blocks at `data` into `state`, in
+/// portable C++: the reference, and the fallback on every other CPU.
+void sha256_blocks_portable(Sha256State& state, const std::uint8_t* data,
+                            std::size_t count);
+
+#if defined(__x86_64__)
+/// The same on the x86 SHA extensions. Call only when cpu_has_sha_ni().
+void sha256_blocks_sha_ni(Sha256State& state, const std::uint8_t* data,
+                          std::size_t count);
+#endif
+
+/// True when this CPU has the SHA extensions and SSE4.1, in which case
+/// Sha256 uses sha256_blocks_sha_ni. Decided once per process; always false
+/// off x86-64.
+bool cpu_has_sha_ni();
+
+}  // namespace detail
 
 /// Streaming SHA-256. Typical use: Sha256 h; h.update(a); h.update(b);
 /// Digest d = h.finish();
@@ -36,9 +63,9 @@ class Sha256 {
   static Digest hash(BytesView data);
 
  private:
-  void process_block(const std::uint8_t* block);
+  void process_blocks(const std::uint8_t* data, std::size_t count);
 
-  std::array<std::uint32_t, 8> state_;
+  detail::Sha256State state_;
   std::array<std::uint8_t, 64> buffer_;
   std::size_t buffer_len_ = 0;
   std::uint64_t total_len_ = 0;

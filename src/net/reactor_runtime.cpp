@@ -531,7 +531,7 @@ void ReactorTransport::flush_conn(const ConnPtr& conn) {
   if (fatal) kill_conn(conn);
 }
 
-void ReactorTransport::kill_conn(const ConnPtr& conn) {
+void ReactorTransport::kill_conn(ConnPtr conn) {
   if (conn->dead) return;
   conn->dead = true;
   if (conn->deadline_timer != TimerWheel::kInvalidTimer) {

@@ -178,7 +178,8 @@ class ReactorTransport final : public Transport {
   void queue_frame(const ConnPtr& conn, const Bytes& framed, int copies,
                    bool force);
   void flush_conn(const ConnPtr& conn);
-  void kill_conn(const ConnPtr& conn);
+  /// By value: callers may pass the active_ entry that this erases.
+  void kill_conn(ConnPtr conn);
   void dial(const PartyId& to);
   void bump_backoff(const PartyId& to);
   void register_handshake(const ConnPtr& conn, PartyId peer,

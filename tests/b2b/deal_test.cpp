@@ -688,12 +688,10 @@ void run_realtime_deal_case(const std::string& point, RuntimeKind kind) {
     EXPECT_TRUE(revived.recovered());
     std::vector<RunHandle> resumed = revived.resume_recovered_runs();
 
-    EXPECT_TRUE(w.fed.executor().run_until(
-        [&] { return w.converged(bytes_of("L2"), bytes_of("A2")); }))
-        << "deployment did not converge after recovery at " << point;
-    // The deal layer closes its handle asynchronously after the last leg
-    // installs; wait for it rather than asserting the instant values
-    // converge.
+    // Shard lanes write replica tuples and register values, so this thread
+    // reads them only after settle() has drained the lanes and synchronised
+    // with them. Until then it waits on the resumed handles (atomics); the
+    // deal layer closes its handle after the last leg installs.
     EXPECT_TRUE(w.fed.executor().run_until([&] {
       for (const RunHandle& r : resumed) {
         if (!r->done()) return false;
@@ -701,6 +699,8 @@ void run_realtime_deal_case(const std::string& point, RuntimeKind kind) {
       return true;
     })) << "resumed deal did not close at " << point;
     w.fed.settle();
+    EXPECT_TRUE(w.converged(bytes_of("L2"), bytes_of("A2")))
+        << "deployment did not converge after recovery at " << point;
     w.check_safety();
     test::expect_fully_anchored(w.fed);
   }

@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -431,6 +432,59 @@ TEST(ReactorTransportTest, PeerResetMidStreamNeverDuplicatesDelivery) {
 
   a->send(PartyId{"b"}, Bytes{3});
   ASSERT_TRUE(wait_for([&] { return sink.count() == 3; }));
+}
+
+TEST(ReactorTransportTest, FatalWriteOnSendPathKillsConnectionAndRedials) {
+  // The send path flushes the connection it finds in the active table. A
+  // write that fails there kills that connection from inside the flush;
+  // the transport must survive it and redeliver on a fresh connection.
+  Fixture fx;
+  fx.config.retransmit_interval_micros = 10'000'000;  // only sends write
+  auto a = fx.make("a");
+  Listener listener = Listener::open("127.0.0.1", 0);
+  fx.directory->set(PartyId{"x"}, PeerAddress{"127.0.0.1", listener.port()});
+
+  a->send(PartyId{"x"}, Bytes{1});
+  Bytes frame_bytes;
+  {
+    Socket first = listener.accept();
+    ASSERT_TRUE(first.valid());
+    first.set_recv_timeout(5'000'000);
+    ASSERT_TRUE(recv_frame(first, &frame_bytes));  // hello
+    ASSERT_TRUE(recv_frame(first, &frame_bytes));  // seq 0: connected
+
+    // Hold the loop while the peer resets. Posted tasks run ahead of the
+    // socket events of the same wakeup, so the queued send is the first
+    // to meet the reset: its write fails.
+    std::promise<void> entered;
+    std::promise<void> release;
+    fx.reactor.post([&entered, held = release.get_future().share()] {
+      entered.set_value();
+      held.wait();
+    });
+    entered.get_future().wait();
+    a->send(PartyId{"x"}, Bytes{2});
+    first.set_linger_reset();
+    first.close();
+    std::this_thread::sleep_for(50ms);
+    release.set_value();
+  }
+
+  a->send(PartyId{"x"}, Bytes{3});  // dials again
+  Socket second = listener.accept();
+  ASSERT_TRUE(second.valid());
+  second.set_recv_timeout(5'000'000);
+  ASSERT_TRUE(recv_frame(second, &frame_bytes));  // hello
+  std::vector<Bytes> delivered;
+  while (delivered.size() < 3 && recv_frame(second, &frame_bytes)) {
+    wire::Decoder dec{frame_bytes};
+    ASSERT_EQ(dec.u8(), frame::kData);
+    dec.u64();  // incarnation
+    EXPECT_EQ(dec.u64(), delivered.size());
+    delivered.push_back(dec.blob());
+  }
+  EXPECT_EQ(delivered, (std::vector<Bytes>{Bytes{1}, Bytes{2}, Bytes{3}}));
+  listener.stop();
 }
 
 TEST(ReactorTransportTest, ReplayedAndReorderedFramesStayOnceOnly) {
