@@ -2,20 +2,17 @@
 //
 // Table a: C10K-style fan-in. N sender parties push a burst of payloads
 // each into one hub party — thousands of concurrent exchanges in flight —
-// once over ReactorTransport (every party on ONE epoll loop plus a small
-// executor pool) and once over TcpTransport (per-party acceptor, reader
-// and retransmit threads). The columns that matter: the process thread
-// count, which stays flat for the reactor as N grows and scales linearly
-// for the thread-per-party stack, and the loop-level counters
-// (epoll_wakeups / timers_fired / executor_queue_peak) that only the
-// reactor reports.
+// over ReactorTransport (every party on ONE epoll loop plus a small
+// executor pool). The columns that matter: the process thread count,
+// which stays flat as N grows, and the loop-level counters
+// (epoll_wakeups / timers_fired / executor_queue_peak).
 //
 // Table b: equivalence. The identical scripted sequence of agreed
-// overwrites (same seed, same payloads, N=3) on RuntimeKind::kTcp and
+// overwrites (same seed, same payloads, N=3) on RuntimeKind::kSim and
 // RuntimeKind::kReactor must install byte-identical agreed tuples
-// (SN, H(r), H(state)) on every party. The reactor is a transport/runtime
-// swap below the coordinator; any digest divergence is a bug, so the
-// harness exits non-zero on mismatch.
+// (SN, H(r), H(state)) on every party. The runtime is a swap below the
+// coordinator; any digest divergence from the deterministic simulator is
+// a bug, so the harness exits non-zero on mismatch.
 #include <atomic>
 #include <cstdio>
 #include <cstring>
@@ -26,7 +23,6 @@
 #include "bench/support/bench_util.hpp"
 #include "common/bytes.hpp"
 #include "net/reactor_runtime.hpp"
-#include "net/tcp_runtime.hpp"
 #include "net/wire_auth.hpp"
 
 using namespace b2b;
@@ -55,12 +51,46 @@ struct FanInResult {
   bool ok = false;
 };
 
-/// N senders, `burst` payloads each, all into one hub; returns once the
-/// hub delivered everything and every sender drained its ack window.
-template <typename MakeParty>
-FanInResult fan_in(int n_senders, int burst, MakeParty&& make) {
+/// Wire v3 session auth for the fan-in parties: the hub keys as pool
+/// index 0, every sender as index 1 (a bench needs the per-frame MAC
+/// cost, not 500 distinct RSA keygens — sharing the senders' keypair
+/// changes neither the handshake count nor the per-frame work).
+net::WireAuth fan_in_auth(const std::string& self) {
+  auto key_index = [](const std::string& name) -> std::size_t {
+    return name == "hub" ? 0 : 1;
+  };
+  net::WireAuth auth;
+  auth.enabled = true;
+  auth.private_key = std::shared_ptr<const crypto::RsaPrivateKey>(
+      std::shared_ptr<const void>{},
+      &core::Federation::shared_keypair(512, key_index(self)));
+  auth.peer_key = [key_index](const PartyId& peer)
+      -> std::shared_ptr<const crypto::RsaPublicKey> {
+    return std::make_shared<crypto::RsaPublicKey>(
+        core::Federation::shared_keypair(512, key_index(peer.str()))
+            .public_key());
+  };
+  return auth;
+}
+
+/// N senders, `burst` payloads each, all into one hub on one reactor loop
+/// and pool; returns once the hub delivered everything and every sender
+/// drained its ack window. `auth` turns wire v3 session auth on.
+FanInResult fan_in(int n_senders, int burst, bool auth) {
+  auto directory = std::make_shared<net::PeerDirectory>();
+  net::Reactor reactor;
+  auto pool = std::make_shared<net::TaskPool>(4);
+  auto make = [&](const std::string& name) {
+    net::ReactorTransport::Config config;
+    if (auth) config.auth = fan_in_auth(name);
+    auto t = std::make_unique<net::ReactorTransport>(
+        PartyId{name}, "127.0.0.1", std::uint16_t{0}, directory, config,
+        reactor, pool);
+    directory->set(PartyId{name}, net::PeerAddress{"127.0.0.1", t->port()});
+    return t;
+  };
   auto hub = make("hub");
-  std::vector<decltype(make(""))> senders;
+  std::vector<std::unique_ptr<net::ReactorTransport>> senders;
   senders.reserve(static_cast<std::size_t>(n_senders));
   for (int i = 0; i < n_senders; ++i) {
     senders.push_back(make("s" + std::to_string(i)));
@@ -102,28 +132,6 @@ FanInResult fan_in(int n_senders, int burst, MakeParty&& make) {
   out.hub_stats = hub->stats();
   out.ok = true;
   return out;
-}
-
-/// Wire v3 session auth for the fan-in parties: the hub keys as pool
-/// index 0, every sender as index 1 (a bench needs the per-frame MAC
-/// cost, not 500 distinct RSA keygens — sharing the senders' keypair
-/// changes neither the handshake count nor the per-frame work).
-net::WireAuth fan_in_auth(const std::string& self) {
-  auto key_index = [](const std::string& name) -> std::size_t {
-    return name == "hub" ? 0 : 1;
-  };
-  net::WireAuth auth;
-  auth.enabled = true;
-  auth.private_key = std::shared_ptr<const crypto::RsaPrivateKey>(
-      std::shared_ptr<const void>{},
-      &core::Federation::shared_keypair(512, key_index(self)));
-  auth.peer_key = [key_index](const PartyId& peer)
-      -> std::shared_ptr<const crypto::RsaPublicKey> {
-    return std::make_shared<crypto::RsaPublicKey>(
-        core::Federation::shared_keypair(512, key_index(peer.str()))
-            .public_key());
-  };
-  return auth;
 }
 
 void print_fan_in_row(const char* stack, int n, int burst,
@@ -192,35 +200,16 @@ int main() {
 
   bench::print_header(
       "E20a: fan-in, N senders x 20 payloads into one hub "
-      "(tcp = threads per party, reactor = one epoll loop)",
+      "(one epoll loop + 4 pool workers)",
       "  stack    |   N   | payloads |  wall ms | threads | "
       "epoll_wakeups | timers_fired | queue_peak");
 
-  for (int n : {50, 200}) {
-    auto directory = std::make_shared<net::PeerDirectory>();
-    std::vector<std::unique_ptr<net::TcpTransport>> keep;
-    auto make = [&](const std::string& name) {
-      auto t = std::make_unique<net::TcpTransport>(PartyId{name}, "127.0.0.1",
-                                                   std::uint16_t{0}, directory,
-                                                   net::TcpTransport::Config{});
-      directory->set(PartyId{name}, net::PeerAddress{"127.0.0.1", t->port()});
-      return t;
-    };
-    print_fan_in_row("tcp", n, kBurst, fan_in(n, kBurst, make));
-  }
-
+  // The first fan-in in a process pays one-off start-up costs (~40 ms at
+  // N=50 on one 4-vCPU host, against ~10 ms for the same row run again);
+  // an untimed warm-up keeps them out of the table.
+  fan_in(50, kBurst, false);
   for (int n : {50, 200, 500}) {
-    auto directory = std::make_shared<net::PeerDirectory>();
-    net::Reactor reactor;
-    auto pool = std::make_shared<net::TaskPool>(4);
-    auto make = [&](const std::string& name) {
-      auto t = std::make_unique<net::ReactorTransport>(
-          PartyId{name}, "127.0.0.1", std::uint16_t{0}, directory,
-          net::ReactorTransport::Config{}, reactor, pool);
-      directory->set(PartyId{name}, net::PeerAddress{"127.0.0.1", t->port()});
-      return t;
-    };
-    print_fan_in_row("reactor", n, kBurst, fan_in(n, kBurst, make));
+    print_fan_in_row("reactor", n, kBurst, fan_in(n, kBurst, false));
   }
 
   // E22: the fan-in under wire v3 session authentication — N RSA
@@ -228,48 +217,36 @@ int main() {
   // The delta against the matching "reactor" row is the MAC tax at
   // C10K-style concurrency.
   for (int n : {50, 200}) {
-    auto directory = std::make_shared<net::PeerDirectory>();
-    net::Reactor reactor;
-    auto pool = std::make_shared<net::TaskPool>(4);
-    auto make = [&](const std::string& name) {
-      net::ReactorTransport::Config config;
-      config.auth = fan_in_auth(name);
-      auto t = std::make_unique<net::ReactorTransport>(
-          PartyId{name}, "127.0.0.1", std::uint16_t{0}, directory, config,
-          reactor, pool);
-      directory->set(PartyId{name}, net::PeerAddress{"127.0.0.1", t->port()});
-      return t;
-    };
-    print_fan_in_row("reactor+auth", n, kBurst, fan_in(n, kBurst, make));
+    print_fan_in_row("reactor+auth", n, kBurst, fan_in(n, kBurst, true));
   }
 
   bench::print_header(
       "E20b: agreed-tuple digest equivalence, 10 scripted overwrites "
       "(seed 42, N=3)",
-      "  round | tuple (SN, H(r), H(state)) identical on tcp and reactor");
-  const std::vector<std::string> tcp_script =
-      tuple_script(core::RuntimeKind::kTcp, 10);
+      "  round | tuple (SN, H(r), H(state)) identical on sim and reactor");
+  const std::vector<std::string> sim_script =
+      tuple_script(core::RuntimeKind::kSim, 10);
   const std::vector<std::string> reactor_script =
       tuple_script(core::RuntimeKind::kReactor, 10);
-  bool equal = tcp_script.size() == reactor_script.size();
-  for (std::size_t i = 0; equal && i < tcp_script.size(); ++i) {
-    equal = tcp_script[i] == reactor_script[i];
+  bool equal = sim_script.size() == reactor_script.size();
+  for (std::size_t i = 0; equal && i < sim_script.size(); ++i) {
+    equal = sim_script[i] == reactor_script[i];
   }
   if (!equal) {
-    std::fprintf(stderr, "E20b: DIGEST MISMATCH between tcp and reactor\n");
+    std::fprintf(stderr, "E20b: DIGEST MISMATCH between sim and reactor\n");
     for (std::size_t i = 0;
-         i < std::max(tcp_script.size(), reactor_script.size()); ++i) {
-      std::fprintf(stderr, "  round %zu\n    tcp:     %s\n    reactor: %s\n",
-                   i, i < tcp_script.size() ? tcp_script[i].c_str() : "-",
+         i < std::max(sim_script.size(), reactor_script.size()); ++i) {
+      std::fprintf(stderr, "  round %zu\n    sim:     %s\n    reactor: %s\n",
+                   i, i < sim_script.size() ? sim_script[i].c_str() : "-",
                    i < reactor_script.size() ? reactor_script[i].c_str()
                                              : "-");
     }
     return 1;
   }
-  for (std::size_t i = 0; i < tcp_script.size(); ++i) {
-    std::printf("  %5zu | %.24s... ok\n", i, tcp_script[i].c_str());
+  for (std::size_t i = 0; i < sim_script.size(); ++i) {
+    std::printf("  %5zu | %.24s... ok\n", i, sim_script[i].c_str());
   }
   std::printf("  all %zu rounds byte-identical across runtimes\n",
-              tcp_script.size());
+              sim_script.size());
   return 0;
 }

@@ -2,16 +2,16 @@
 //
 // Table 1: raw transport round-trip latency. A two-party ping-pong
 // (handler of b echoes back to a) over the in-process threaded fabric
-// and over TcpTransport on localhost, same ack/retransmit/dedup stack on
-// both. The gap is the price of the kernel boundary: syscalls, TCP
-// framing, loopback scheduling.
+// and over ReactorTransport on localhost, same ack/retransmit/dedup
+// stack on both. The gap is the price of the kernel boundary: syscalls,
+// TCP framing, loopback scheduling, the hop onto the delivery pool.
 //
 // Table 2: protocol-level agreed-overwrite latency. The identical
 // workload (agreed 1 KiB overwrites, N=3) on all three runtimes. The
 // simulator row reports wall time of the discrete-event run (virtual
-// latency is free); threaded and tcp rows are honest end-to-end numbers
-// including RSA signing, which dominates — so the transport gap largely
-// disappears at the protocol level.
+// latency is free); threaded and reactor rows are honest end-to-end
+// numbers including RSA signing, which dominates — so the transport gap
+// largely disappears at the protocol level.
 #include <atomic>
 #include <algorithm>
 #include <cstdio>
@@ -19,7 +19,7 @@
 
 #include "bench/support/bench_util.hpp"
 #include "net/intruder_proxy.hpp"
-#include "net/tcp_runtime.hpp"
+#include "net/reactor_runtime.hpp"
 #include "net/threaded_runtime.hpp"
 #include "net/wire_auth.hpp"
 
@@ -104,14 +104,13 @@ const char* runtime_name(core::RuntimeKind kind) {
   switch (kind) {
     case core::RuntimeKind::kSim: return "sim";
     case core::RuntimeKind::kThreaded: return "threaded";
-    case core::RuntimeKind::kTcp: return "tcp";
     case core::RuntimeKind::kReactor: return "reactor";
   }
   return "?";
 }
 
 /// The loop-level counters are defined across every Transport but only a
-/// reactor-backed one moves them; printing them here documents the zero.
+/// reactor-backed one moves them.
 void print_loop_stats(const char* runtime, const net::Transport::Stats& s) {
   std::printf(
       "  %-8s | epoll_wakeups=%llu timers_fired=%llu "
@@ -138,7 +137,8 @@ void print_adversarial_stats(const char* runtime,
 /// Wire v3 session auth for the two bench parties, keyed from the
 /// federation's deterministic pool ("a" → 0, "b" → 1). The pool entries
 /// live for the process, so non-owning aliases are safe.
-net::WireAuth bench_auth(const std::string& self) {
+net::WireAuth bench_auth(const PartyId& self_id) {
+  const std::string self = self_id.str();
   auto key_index = [](const std::string& name) -> std::size_t {
     return name == "a" ? 0 : 1;
   };
@@ -176,97 +176,64 @@ int main() {
               ping_pong(a, b, PartyId{"a"}, PartyId{"b"}, kRounds, kPayload));
     print_adversarial_stats("threaded", a.stats());
   }
-  {
-    auto directory = std::make_shared<net::PeerDirectory>();
-    net::TcpTransport a(PartyId{"a"}, "127.0.0.1", 0, directory, {});
-    net::TcpTransport b(PartyId{"b"}, "127.0.0.1", 0, directory, {});
-    directory->set(PartyId{"a"}, net::PeerAddress{"127.0.0.1", a.port()});
-    directory->set(PartyId{"b"}, net::PeerAddress{"127.0.0.1", b.port()});
-    print_row("tcp", kRounds,
-              ping_pong(a, b, PartyId{"a"}, PartyId{"b"}, kRounds, kPayload));
-    print_loop_stats("tcp", a.stats());
-    print_adversarial_stats("tcp", a.stats());
-  }
-  {
-    // E22 overhead row: the same ping-pong with wire v3 session
-    // authentication on — per-connection HMAC keys negotiated at the
-    // hello, every data/ack frame MAC'd and verified. The delta against
-    // the "tcp" row is the per-frame price of the authenticated wire
-    // (two HMAC-SHA256 passes per hop; the RSA handshake happened once,
-    // outside the measurement).
-    auto directory = std::make_shared<net::PeerDirectory>();
-    net::TcpTransport::Config a_config, b_config;
-    a_config.auth = bench_auth("a");
-    b_config.auth = bench_auth("b");
-    net::TcpTransport a(PartyId{"a"}, "127.0.0.1", 0, directory, a_config);
-    net::TcpTransport b(PartyId{"b"}, "127.0.0.1", 0, directory, b_config);
-    directory->set(PartyId{"a"}, net::PeerAddress{"127.0.0.1", a.port()});
-    directory->set(PartyId{"b"}, net::PeerAddress{"127.0.0.1", b.port()});
-    print_row("tcp+auth", kRounds,
-              ping_pong(a, b, PartyId{"a"}, PartyId{"b"}, kRounds, kPayload));
-    print_adversarial_stats("tcp+auth", a.stats());
-  }
-  {
-    // E21 overhead row: the same ping-pong with every byte relayed
-    // through a PASSIVE IntruderProxy (the §11 MITM in pure-relay mode,
-    // both parties interposed). The delta against the "tcp" row is the
-    // campaign harness tax, not an attack cost.
+  // One reactor bundle (loop, pool, both parties) per socket row.
+  // `auth` turns wire v3 session authentication on, `mitm` relays every
+  // byte through a passive IntruderProxy with both parties interposed.
+  auto socket_row = [&](const char* name, bool auth, bool mitm) {
     auto directory = std::make_shared<net::PeerDirectory>();
     net::IntruderProxy::Config pconfig;
     pconfig.active = false;
     net::IntruderProxy proxy(directory, pconfig);
-    net::TcpTransport a(PartyId{"a"}, "127.0.0.1", 0, directory, {});
-    net::TcpTransport b(PartyId{"b"}, "127.0.0.1", 0, directory, {});
-    directory->set(PartyId{"a"}, net::PeerAddress{"127.0.0.1", a.port()});
-    directory->set(PartyId{"b"}, net::PeerAddress{"127.0.0.1", b.port()});
-    proxy.interpose(PartyId{"a"});
-    proxy.interpose(PartyId{"b"});
-    print_row("tcp+mitm", kRounds,
+    net::ReactorRuntime::Options options;
+    options.directory = directory;
+    if (auth) options.wire_auth = bench_auth;
+    net::ReactorRuntime runtime(options);
+    net::Transport& a = runtime.add_party(PartyId{"a"});
+    net::Transport& b = runtime.add_party(PartyId{"b"});
+    if (mitm) {
+      proxy.interpose(PartyId{"a"});
+      proxy.interpose(PartyId{"b"});
+    }
+    print_row(name, kRounds,
               ping_pong(a, b, PartyId{"a"}, PartyId{"b"}, kRounds, kPayload));
-    print_adversarial_stats("tcp+mitm", a.stats());
+    if (!auth && !mitm) print_loop_stats(name, a.stats());
+    print_adversarial_stats(name, a.stats());
+    runtime.shutdown();
     proxy.shutdown();
-  }
-  {
-    // E22: the authenticated wire THROUGH the passive MITM — the full
-    // campaign harness with the defence on. The relay cannot tell a
-    // MAC'd frame from a plain one (it only re-frames), so the delta
-    // against "tcp+mitm" isolates the MAC cost under relay conditions.
-    auto directory = std::make_shared<net::PeerDirectory>();
-    net::IntruderProxy::Config pconfig;
-    pconfig.active = false;
-    net::IntruderProxy proxy(directory, pconfig);
-    net::TcpTransport::Config a_config, b_config;
-    a_config.auth = bench_auth("a");
-    b_config.auth = bench_auth("b");
-    net::TcpTransport a(PartyId{"a"}, "127.0.0.1", 0, directory, a_config);
-    net::TcpTransport b(PartyId{"b"}, "127.0.0.1", 0, directory, b_config);
-    directory->set(PartyId{"a"}, net::PeerAddress{"127.0.0.1", a.port()});
-    directory->set(PartyId{"b"}, net::PeerAddress{"127.0.0.1", b.port()});
-    proxy.interpose(PartyId{"a"});
-    proxy.interpose(PartyId{"b"});
-    print_row("tcp+auth+mitm", kRounds,
-              ping_pong(a, b, PartyId{"a"}, PartyId{"b"}, kRounds, kPayload));
-    print_adversarial_stats("tcp+auth+mitm", a.stats());
-    proxy.shutdown();
-  }
+  };
+  socket_row("reactor", /*auth=*/false, /*mitm=*/false);
+  // E22 overhead row: per-connection HMAC keys negotiated at the hello,
+  // every data/ack frame MAC'd and verified. The delta against "reactor"
+  // is the per-frame price of the authenticated wire (two HMAC-SHA256
+  // passes per hop; the RSA handshake happened once, outside the
+  // measurement).
+  socket_row("reactor+auth", /*auth=*/true, /*mitm=*/false);
+  // E21 overhead row: the delta against "reactor" is the campaign
+  // harness tax of the passive relay, not an attack cost.
+  socket_row("reactor+mitm", /*auth=*/false, /*mitm=*/true);
+  // E22: the authenticated wire through the passive MITM. The relay
+  // cannot tell a MAC'd frame from a plain one (it only re-frames), so
+  // the delta against "reactor+mitm" isolates the MAC cost under relay
+  // conditions.
+  socket_row("reactor+auth+mitm", /*auth=*/true, /*mitm=*/true);
 
   bench::print_header(
       "E18b: agreed 1 KiB overwrites, N=3 (20 runs, wall ms total)",
       "  runtime      |  wall ms | ms/run");
   for (core::RuntimeKind kind :
        {core::RuntimeKind::kSim, core::RuntimeKind::kThreaded,
-        core::RuntimeKind::kTcp}) {
+        core::RuntimeKind::kReactor}) {
     const double ms = agreed_overwrites_ms(kind, 20);
     std::printf("  %-12s | %8.2f | %6.2f\n", runtime_name(kind), ms,
                 ms / 20.0);
   }
   {
-    // E22: the same protocol workload on a session-authenticated tcp
+    // E22: the same protocol workload on a session-authenticated reactor
     // federation. RSA signing dominates the run; the MAC tax is expected
     // to vanish at this level.
-    const double ms = agreed_overwrites_ms(core::RuntimeKind::kTcp, 20,
+    const double ms = agreed_overwrites_ms(core::RuntimeKind::kReactor, 20,
                                            /*wire_auth=*/true);
-    std::printf("  %-12s | %8.2f | %6.2f\n", "tcp+auth", ms, ms / 20.0);
+    std::printf("  %-12s | %8.2f | %6.2f\n", "reactor+auth", ms, ms / 20.0);
   }
   return 0;
 }

@@ -1,13 +1,14 @@
 // b2bnode: one organisation's coordinator as its own OS process.
 //
 // Where the other examples assemble a whole federation inside one process,
-// this daemon runs exactly ONE party over the TCP runtime and finds its
-// peers through a PeerDirectory file, so a federation can span real
-// processes and hosts. Two cooperating b2bnode processes play the paper's
-// §5.1 Tic-Tac-Toe game to completion; each prints a canonical FINAL line
-// and exits 0 only if its own evidence chain verifies and the agreed game
-// reached the expected terminal state, so a driver script can assert
-// cross-process agreement from exit codes and output alone.
+// this daemon runs exactly ONE party over the reactor runtime (one epoll
+// loop, real TCP sockets) and finds its peers through a PeerDirectory
+// file, so a federation can span real processes and hosts. Two
+// cooperating b2bnode processes play the paper's §5.1 Tic-Tac-Toe game
+// to completion; each prints a canonical FINAL line and exits 0 only if
+// its own evidence chain verifies and the agreed game reached the
+// expected terminal state, so a driver script can assert cross-process
+// agreement from exit codes and output alone.
 //
 // Address bootstrap: each node binds an ephemeral port and publishes it as
 // <port-dir>/<party>.port; peers listed with port 0 are resolved by
@@ -36,6 +37,7 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -44,7 +46,6 @@
 #include "b2b/coordinator.hpp"
 #include "b2b/federation.hpp"
 #include "net/reactor_runtime.hpp"
-#include "net/tcp_runtime.hpp"
 
 using namespace b2b;
 using apps::Board;
@@ -67,7 +68,6 @@ struct Args {
   std::size_t rsa_bits = 512;
   std::uint64_t seed = 1;
   int crash_after = 0;  // 0 = never crash
-  std::string transport = "tcp";  // "tcp" | "reactor"
   bool auth = false;  // wire v3 session authentication
   bool deal = false;  // §12 deal demo instead of the game
 };
@@ -76,8 +76,7 @@ int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
             << " --party NAME --peers FILE --port-dir DIR"
                " [--journal DIR] [--rsa-bits N] [--seed N]"
-               " [--crash-after K] [--transport tcp|reactor] [--auth]"
-               " [--deal]\n";
+               " [--crash-after K] [--auth] [--deal]\n";
   return 1;
 }
 
@@ -108,15 +107,12 @@ bool parse_args(int argc, char** argv, Args& args) {
       args.seed = std::stoull(value);
     } else if (flag == "--crash-after") {
       args.crash_after = std::stoi(value);
-    } else if (flag == "--transport") {
-      args.transport = value;
     } else {
       return false;
     }
   }
   return !args.party.empty() && !args.peers_file.empty() &&
-         !args.port_dir.empty() &&
-         (args.transport == "tcp" || args.transport == "reactor");
+         !args.port_dir.empty();
 }
 
 /// Spin until `predicate` holds; false on budget exhaustion.
@@ -153,7 +149,7 @@ std::uint16_t poll_port(const fs::path& dir, const std::string& party) {
 /// Keeps the peer's directory entry in sync with its port file. A node
 /// that crashes and restarts comes back on a NEW ephemeral port; its
 /// outbound handshake reaches us only once it has traffic to send, so a
-/// waiting proposer must also refresh its dial target (TcpTransport
+/// waiting proposer must also refresh its dial target (ReactorTransport
 /// re-reads the directory on every dial attempt).
 struct DirectoryRefresher {
   std::shared_ptr<net::PeerDirectory> directory;
@@ -203,15 +199,20 @@ std::string board_fingerprint(const Board& board) {
 }
 
 /// A minimal shared register for the deal demo: opaque bytes plus an
-/// optional local veto policy.
+/// optional local veto policy (set before registration). The main thread
+/// reads the value while a shard lane may apply a retransmitted decide,
+/// so the value sits behind a mutex.
 class DemoRegister : public core::B2BObject {
  public:
-  Bytes value;
   std::function<core::Decision(BytesView)> policy;
 
-  Bytes get_state() const override { return value; }
+  Bytes get_state() const override {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return value_;
+  }
   void apply_state(BytesView state) override {
-    value.assign(state.begin(), state.end());
+    std::lock_guard<std::mutex> lock(mutex_);
+    value_.assign(state.begin(), state.end());
   }
   core::Decision validate_state(BytesView proposed,
                                 const core::ValidationContext&) override {
@@ -219,8 +220,26 @@ class DemoRegister : public core::B2BObject {
     return core::Decision::accepted();
   }
 
-  std::string str() const { return std::string(value.begin(), value.end()); }
+  std::string str() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return std::string(value_.begin(), value_.end());
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  Bytes value_;
 };
+
+/// Order the main thread's setup writes (bootstrap or journal replay)
+/// before the shard lane that handles the peer's first message. The peer
+/// cannot send before it reads our port file, but that ordering runs
+/// through another process, which a race detector cannot see; a lock
+/// round on every shard here makes it explicit.
+void publish_when_ready(const Args& args, core::Coordinator& coordinator,
+                        std::uint16_t listen_port) {
+  coordinator.synchronize();
+  publish_port(args.port_dir, args.party, listen_port);
+}
 
 /// The --deal demo (DESIGN.md §12). The first roster party initiates
 /// four scripted two-leg deals over "ledger" and "orders"; the second
@@ -233,10 +252,10 @@ int run_deal_demo(const Args& args, core::Coordinator& coordinator,
                   const std::vector<PartyId>& roster, const PartyId& self,
                   const PartyId& peer,
                   const std::shared_ptr<net::PeerDirectory>& directory,
-                  std::uint16_t listen_port) {
+                  std::uint16_t listen_port, DemoRegister& ledger_obj,
+                  DemoRegister& orders_obj) {
   const ObjectId ledger{"ledger"};
   const ObjectId orders{"orders"};
-  DemoRegister ledger_obj, orders_obj;
   const bool initiator = (self == roster[0]);
   if (!initiator) {
     orders_obj.policy = [](BytesView proposed) {
@@ -256,7 +275,7 @@ int run_deal_demo(const Args& args, core::Coordinator& coordinator,
     coordinator.replica(orders).bootstrap(roster, bytes_of("O0"));
   }
 
-  publish_port(args.port_dir, args.party, listen_port);
+  publish_when_ready(args, coordinator, listen_port);
   std::uint16_t peer_port = poll_port(args.port_dir, peer.str());
   auto peer_address = directory->lookup(peer);
   const std::string peer_host =
@@ -266,9 +285,8 @@ int run_deal_demo(const Args& args, core::Coordinator& coordinator,
       directory, fs::path(args.port_dir) / (peer.str() + ".port"), peer,
       peer_host);
   std::cout << "[" << args.party << "] listening on " << listen_port << " ("
-            << args.transport << (args.auth ? "+auth" : "")
-            << ", deal demo), peer " << peer.str() << " on " << peer_port
-            << std::endl;
+            << (args.auth ? "auth, " : "") << "deal demo), peer "
+            << peer.str() << " on " << peer_port << std::endl;
 
   struct DealStep {
     const char* ledger_value;
@@ -300,7 +318,7 @@ int run_deal_demo(const Args& args, core::Coordinator& coordinator,
     // identifies the last COMMITTED step).
     std::size_t next = 0;
     for (std::size_t i = 0; i < kDeals.size(); ++i) {
-      if (ledger_obj.value == bytes_of(kDeals[i].ledger_value)) next = i + 1;
+      if (ledger_obj.str() == kDeals[i].ledger_value) next = i + 1;
     }
     for (std::size_t i = next; i < kDeals.size(); ++i) {
       if (!recovered && args.crash_after > 0 &&
@@ -349,8 +367,7 @@ int run_deal_demo(const Args& args, core::Coordinator& coordinator,
   } else {
     if (!wait_for([&] {
           coordinator.synchronize();
-          return ledger_obj.value == bytes_of("L4") &&
-                 orders_obj.value == bytes_of("O4");
+          return ledger_obj.str() == "L4" && orders_obj.str() == "O4";
         })) {
       std::cerr << "[" << args.party << "] timed out waiting for final deal\n";
       return 3;
@@ -432,38 +449,25 @@ int main(int argc, char** argv) {
     };
   }
 
-  // Bind an ephemeral port, publish it, and resolve the peer's. Either
-  // stack speaks the same wire protocol, so the two processes of one
-  // federation may even mix --transport values.
-  std::unique_ptr<net::TcpTransport> tcp_transport;
-  std::unique_ptr<net::Reactor> reactor;
-  std::shared_ptr<net::TaskPool> lane_pool;
-  std::unique_ptr<net::ReactorTransport> reactor_transport;
-  net::Transport* transport = nullptr;
-  std::uint16_t listen_port = 0;
-  if (args.transport == "reactor") {
-    reactor = std::make_unique<net::Reactor>();
-    lane_pool = std::make_shared<net::TaskPool>(4);
-    net::ReactorTransport::Config reactor_config;
-    reactor_config.retransmit_interval_micros = 20'000;
-    reactor_config.auth = wire_auth;
-    reactor_transport = std::make_unique<net::ReactorTransport>(
-        self, "127.0.0.1", std::uint16_t{0}, directory, reactor_config,
-        *reactor, lane_pool);
-    transport = reactor_transport.get();
-    listen_port = reactor_transport->port();
-  } else {
-    net::TcpTransport::Config transport_config;
-    transport_config.retransmit_interval_micros = 20'000;
-    transport_config.auth = wire_auth;
-    tcp_transport = std::make_unique<net::TcpTransport>(
-        self, "127.0.0.1", std::uint16_t{0}, directory, transport_config);
-    transport = tcp_transport.get();
-    listen_port = tcp_transport->port();
-  }
-  directory->set(self, net::PeerAddress{"127.0.0.1", listen_port});
+  // The replicated objects are declared before the runtime and the
+  // coordinator, so they outlive every thread that applies into them.
+  TicTacToeObject object{cross, nought};
+  DemoRegister ledger_obj, orders_obj;
 
-  net::SystemClock clock;
+  // One epoll loop, one bounded pool and this party's transport. The
+  // party's peers-file entry (port 0) binds an ephemeral port, which
+  // add_party writes back to the directory; it is published below.
+  net::ReactorRuntime::Options runtime_options;
+  runtime_options.directory = directory;
+  runtime_options.transport.retransmit_interval_micros = 20'000;
+  if (args.auth) {
+    runtime_options.wire_auth = [wire_auth](const PartyId&) {
+      return wire_auth;
+    };
+  }
+  net::ReactorRuntime runtime(runtime_options);
+  net::Transport& transport = runtime.add_party(self);
+  const std::uint16_t listen_port = runtime.transport(self)->port();
 
   core::Coordinator::Config config;
   config.self = self;
@@ -477,10 +481,29 @@ int main(int argc, char** argv) {
   // Real deployment: per-object dispatch lanes, so a slow run on one
   // shared object never delays another object's runs.
   config.shard_lanes = true;
-  // On the reactor stack, lanes drain on the shared executor pool
-  // instead of one thread per object shard.
-  config.lane_pool = lane_pool;
-  core::Coordinator coordinator(config, *transport, clock, nullptr);
+  // Lanes drain on the runtime's shared executor pool instead of one
+  // thread per object shard.
+  config.lane_pool = runtime.pool();
+  core::Coordinator coordinator(config, transport, runtime.clock(), nullptr);
+  // Teardown on every return path is the two-stage barrier
+  // Federation::~Federation uses: stop the runtime (transport, loop,
+  // pool) so nothing new reaches a shard lane, then stop the lanes, and
+  // only then let the coordinator and the objects die.
+  class Teardown {
+   public:
+    Teardown(net::ReactorRuntime& runtime, core::Coordinator& coordinator)
+        : runtime_(runtime), coordinator_(coordinator) {}
+    Teardown(const Teardown&) = delete;
+    Teardown& operator=(const Teardown&) = delete;
+    ~Teardown() {
+      runtime_.shutdown();
+      coordinator_.stop_lanes();
+    }
+
+   private:
+    net::ReactorRuntime& runtime_;
+    core::Coordinator& coordinator_;
+  } teardown{runtime, coordinator};
   for (std::size_t i = 0; i < roster.size(); ++i) {
     if (roster[i] == self) continue;
     coordinator.add_known_party(
@@ -489,12 +512,11 @@ int main(int argc, char** argv) {
   }
 
   if (args.deal) {
-    return run_deal_demo(args, coordinator, *transport, roster, self, peer,
-                         directory, listen_port);
+    return run_deal_demo(args, coordinator, transport, roster, self, peer,
+                         directory, listen_port, ledger_obj, orders_obj);
   }
 
   const ObjectId game{"tictactoe"};
-  TicTacToeObject object{cross, nought};
   coordinator.register_object(game, object);
   const bool recovered = coordinator.recovered();
   if (recovered) {
@@ -510,7 +532,7 @@ int main(int argc, char** argv) {
 
   // Only now is this node ready to serve; publishing the port is the
   // "open for business" signal peers wait on.
-  publish_port(args.port_dir, args.party, listen_port);
+  publish_when_ready(args, coordinator, listen_port);
   std::uint16_t peer_port = poll_port(args.port_dir, peer.str());
   auto peer_address = directory->lookup(peer);
   const std::string peer_host =
@@ -521,8 +543,8 @@ int main(int argc, char** argv) {
       directory, fs::path(args.port_dir) / (peer.str() + ".port"), peer,
       peer_host);
   std::cout << "[" << args.party << "] listening on " << listen_port
-            << " (" << args.transport << (args.auth ? "+auth" : "")
-            << "), peer " << peer.str() << " on " << peer_port << std::endl;
+            << (args.auth ? " (auth)" : "") << ", peer " << peer.str()
+            << " on " << peer_port << std::endl;
 
   // The scripted game: X top row in three, O answering twice.
   struct Move {

@@ -321,7 +321,7 @@ class Coordinator {
 
   /// A shard's dispatch strand. Two backings with identical semantics
   /// (FIFO, one task at a time, stop discards the queue): a dedicated
-  /// worker thread (threaded/tcp runtimes), or a net::Strand multiplexed
+  /// worker thread (threaded runtime), or a net::Strand multiplexed
   /// onto a shared bounded TaskPool (reactor runtime) so lane count is
   /// decoupled from thread count.
   class ShardLane {

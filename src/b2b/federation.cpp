@@ -10,7 +10,7 @@ namespace b2b::core {
 
 namespace {
 
-/// Wire v3 session authentication for the socket runtimes: every party
+/// Wire v3 session authentication for the socket runtime: every party
 /// (and the termination TTP) keys itself out of the federation's shared
 /// deterministic keypair pool, by roster index — the same identities the
 /// coordinators already sign evidence with. Unknown identities fail
@@ -82,17 +82,6 @@ Federation::Federation(std::vector<std::string> party_names,
     threaded_options.transport = options.threaded_transport;
     threaded_options.executor = options.threaded_executor;
     threaded_ = std::make_unique<net::ThreadedRuntime>(threaded_options);
-  } else if (runtime_ == RuntimeKind::kTcp) {
-    net::TcpRuntime::Options tcp_options;
-    tcp_options.directory = options.tcp_directory;
-    tcp_options.seed = options.seed;
-    tcp_options.faults = options.tcp_faults;
-    tcp_options.transport = options.tcp_transport;
-    tcp_options.executor = options.threaded_executor;
-    if (options.wire_auth) {
-      tcp_options.wire_auth = wire_auth_hook(party_names, options.rsa_bits);
-    }
-    tcp_ = std::make_unique<net::TcpRuntime>(tcp_options);
   } else {
     net::ReactorRuntime::Options reactor_options;
     reactor_options.directory = options.tcp_directory;
@@ -131,8 +120,6 @@ Federation::Federation(std::vector<std::string> party_names,
     };
     if (threaded_) {
       threaded_->add_quiescence_probe(lane_probe);
-    } else if (tcp_) {
-      tcp_->add_quiescence_probe(lane_probe);
     } else if (reactor_) {
       reactor_->add_quiescence_probe(lane_probe);
     }
@@ -158,7 +145,6 @@ Federation::~Federation() {
   // task can call into a transport the runtime member destructor (which
   // runs first — runtimes are declared last) is about to destroy.
   if (threaded_) threaded_->shutdown();
-  if (tcp_) tcp_->shutdown();
   if (reactor_) reactor_->shutdown();
   for (auto& p : parties_) {
     if (p->coordinator) p->coordinator->stop_lanes();
@@ -168,7 +154,6 @@ Federation::~Federation() {
 net::Runtime& Federation::runtime_impl() {
   if (sim_) return *sim_;
   if (threaded_) return *threaded_;
-  if (tcp_) return *tcp_;
   return *reactor_;
 }
 
@@ -191,11 +176,6 @@ net::ThreadedNetwork& Federation::threaded_network() {
     throw Error("threaded_network(): not running on the threaded runtime");
   }
   return threaded_->network();
-}
-
-net::TcpRuntime& Federation::tcp_runtime() {
-  if (!tcp_) throw Error("tcp_runtime(): not running on the tcp runtime");
-  return *tcp_;
 }
 
 net::ReactorRuntime& Federation::reactor_runtime() {
@@ -267,8 +247,6 @@ void Federation::crash_party(const std::string& name) {
     sim_->network().set_alive(party.id, false);
   } else if (threaded_) {
     threaded_->network().set_alive(party.id, false);
-  } else if (tcp_) {
-    tcp_->set_alive(party.id, false);
   } else {
     reactor_->set_alive(party.id, false);
   }
@@ -287,8 +265,6 @@ Coordinator& Federation::recover_party(const std::string& name) {
     sim_->network().set_alive(party.id, true);
   } else if (threaded_) {
     threaded_->network().set_alive(party.id, true);
-  } else if (tcp_) {
-    tcp_->set_alive(party.id, true);
   } else {
     reactor_->set_alive(party.id, true);
   }

@@ -17,16 +17,16 @@
 //    threads over an in-process lossy channel (net::ThreadedRuntime); the
 //    clock is real time. scheduler()/network()/endpoint() throw here —
 //    use transport()/threaded_network() instead.
-//  * RuntimeKind::kTcp      — every party's transport speaks real TCP on
-//    localhost (net::TcpRuntime): kernel sockets, framing, reconnects.
-//    The cross-process deployment (one coordinator per OS process, wired
-//    by a PeerDirectory) lives in examples/b2bnode.cpp; the in-process
-//    variant here lets the full protocol suites run over real sockets.
-//  * RuntimeKind::kReactor  — same TCP wire protocol, but every party is
-//    hosted on ONE epoll loop with a timer wheel and a bounded executor
-//    pool (net::ReactorRuntime): thread count stays flat no matter how
-//    many parties/connections the federation holds (DESIGN.md §10).
-//    Coordinator shard lanes run as strands on the shared pool.
+//  * RuntimeKind::kReactor  — every party's transport speaks real TCP on
+//    localhost (net::ReactorRuntime): kernel sockets, framing,
+//    reconnects, with every party hosted on ONE epoll loop with a timer
+//    wheel and a bounded executor pool, so thread count stays flat no
+//    matter how many parties/connections the federation holds
+//    (DESIGN.md §10). Coordinator shard lanes run as strands on the
+//    shared pool. The cross-process deployment (one coordinator per OS
+//    process, wired by a PeerDirectory) lives in examples/b2bnode.cpp;
+//    the in-process variant here lets the full protocol suites run over
+//    real sockets.
 //
 // The Federation itself never constructs a concrete substrate; all
 // protocol-layer plumbing goes through the abstract Runtime seam.
@@ -42,13 +42,12 @@
 #include "crypto/timestamp.hpp"
 #include "net/reactor_runtime.hpp"
 #include "net/sim_runtime.hpp"
-#include "net/tcp_runtime.hpp"
 #include "net/threaded_runtime.hpp"
 
 namespace b2b::core {
 
 /// Which substrate a Federation assembles its parties on.
-enum class RuntimeKind { kSim, kThreaded, kTcp, kReactor };
+enum class RuntimeKind { kSim, kThreaded, kReactor };
 
 class Federation {
  public:
@@ -58,7 +57,8 @@ class Federation {
     std::size_t rsa_bits = 512;
     /// Master seed: all randomness (keys aside) derives from it.
     std::uint64_t seed = 1;
-    /// Runtime substrate: deterministic simulator or real threads.
+    /// Runtime substrate: deterministic simulator, real threads, or
+    /// real sockets.
     RuntimeKind runtime = RuntimeKind::kSim;
     /// Default link fault model (sim runtime).
     net::LinkFaults faults{};
@@ -68,17 +68,13 @@ class Federation {
     net::ThreadedFaults threaded_faults{};
     /// Transport configuration (threaded runtime).
     net::ThreadedTransport::Config threaded_transport{};
-    /// Executor configuration (threaded and tcp runtimes).
+    /// Executor configuration (threaded and reactor runtimes).
     net::ThreadedExecutor::Config threaded_executor{};
-    /// Fault model injected at the socket layer (tcp runtime).
-    net::TcpFaults tcp_faults{};
-    /// Transport configuration (tcp runtime).
-    net::TcpTransport::Config tcp_transport{};
-    /// Party address book (tcp and reactor runtimes). Leave null for a
-    /// fresh directory of localhost ephemeral ports; pass one to pin
+    /// Party address book (reactor runtime). Leave null for a fresh
+    /// directory of localhost ephemeral ports; pass one to pin
     /// addresses.
     std::shared_ptr<net::PeerDirectory> tcp_directory;
-    /// Wire v3 session authentication (tcp and reactor runtimes): every
+    /// Wire v3 session authentication (reactor runtime): every
     /// transport derives fresh per-connection per-direction MAC keys at
     /// each handshake (wire_auth.hpp), built on the federation's shared
     /// keypair pool — the same PKI the coordinators already sign with.
@@ -112,8 +108,8 @@ class Federation {
     /// reproduces the pre-shard single-lock contention profile — the
     /// baseline for the sharding bench and equivalence suite.
     Coordinator::LockMode lock_mode = Coordinator::LockMode::kPerObject;
-    /// Per-object dispatch lanes (strands). Applied on the threaded,
-    /// tcp and reactor runtimes — the sim stays single-threaded and
+    /// Per-object dispatch lanes (strands). Applied on the threaded and
+    /// reactor runtimes — the sim stays single-threaded and
     /// inline, so seeded runs reproduce bit-for-bit. On the reactor
     /// runtime the lanes are strands on the shared executor pool (no
     /// lane threads); elsewhere each lane owns a thread. The federation
@@ -150,12 +146,9 @@ class Federation {
   /// b2b::Error on the sim runtime.
   net::ThreadedNetwork& threaded_network();
 
-  /// Tcp-only runtime bundle (ports, fault counters, per-party
-  /// transports). Throws b2b::Error on the other runtimes.
-  net::TcpRuntime& tcp_runtime();
-
-  /// Reactor-only runtime bundle (epoll loop, wheel, executor pool).
-  /// Throws b2b::Error on the other runtimes.
+  /// Reactor-only runtime bundle (epoll loop, wheel, executor pool,
+  /// ports, fault counters, per-party transports). Throws b2b::Error on
+  /// the other runtimes.
   net::ReactorRuntime& reactor_runtime();
 
   const crypto::TimestampService* tss() const { return tss_.get(); }
@@ -279,7 +272,6 @@ class Federation {
   // and TTP those threads deliver into die. Exactly one is non-null.
   std::unique_ptr<net::SimRuntime> sim_;
   std::unique_ptr<net::ThreadedRuntime> threaded_;
-  std::unique_ptr<net::TcpRuntime> tcp_;
   std::unique_ptr<net::ReactorRuntime> reactor_;
 
   RuntimeKind runtime_ = RuntimeKind::kSim;

@@ -1,16 +1,14 @@
-// Shared wire marshalling for the socket runtimes.
+// Wire marshalling for the socket runtime.
 //
-// TcpRuntime (thread-per-connection) and ReactorRuntime (epoll) speak
-// the *same* byte stream: every message is a length-prefixed CRC-framed
-// frame, the first frame in each direction is a handshake naming the
-// sending party and its incarnation, and data/ack frames carry the §4.2
-// positive-acknowledgement sequence numbers. Keeping the encoding in
-// one place is what makes the two runtimes wire-compatible — a reactor
-// gateway can terminate connections from thread-per-peer processes and
-// vice versa. In Basic Remoting Patterns terms this header is the
-// MARSHALLER; the runtimes differ only in their SERVER REQUEST HANDLER
-// (how bytes reach the process), and the coordinator above both is the
-// INVOKER.
+// ReactorRuntime's byte stream: every message is a length-prefixed
+// CRC-framed frame, the first frame in each direction is a handshake
+// naming the sending party and its incarnation, and data/ack frames
+// carry the §4.2 positive-acknowledgement sequence numbers. The encoding
+// lives apart from the event loop so the intruder proxy and the
+// raw-socket tests speak exactly the bytes the runtime does. In Basic
+// Remoting Patterns terms this header is the MARSHALLER, the reactor is
+// the SERVER REQUEST HANDLER (how bytes reach the process), and the
+// coordinator above it is the INVOKER.
 //
 // Wire v2 (intruder hardening, DESIGN.md §11): data and ack frames name
 // the incarnation their sequence number belongs to. Sequence numbers are
@@ -64,7 +62,7 @@ constexpr std::uint8_t kAuthHmac = 1;
 constexpr std::size_t kHeaderLen = 8;
 
 /// Hard ceiling on any length prefix a decoder will honour, shared by
-/// every frame-parsing endpoint (tcp, reactor, intruder proxy). Configs
+/// every frame-parsing endpoint (reactor, intruder proxy). Configs
 /// may lower the limit per transport (max_frame_bytes) but can never
 /// raise it past this: a hostile 0xFFFFFFFF prefix must be rejected
 /// before it becomes a 4 GiB allocation.

@@ -1,11 +1,11 @@
 // An active wire-level intruder: in-process man-in-the-middle proxy for
-// the socket runtimes (DESIGN.md §11).
+// the socket runtime (DESIGN.md §11).
 //
 // The paper argues its safety properties — no invalid state installed,
 // non-repudiable evidence, honest parties unblamed — against a protocol-
 // level adversary; the simulator's Dolev–Yao intruder exercises them on
 // message *content*. This proxy brings the same adversary down to the
-// byte stream the TCP and reactor runtimes actually speak: it terminates
+// byte stream the reactor runtime actually speaks: it terminates
 // both legs of every connection to an interposed party, re-parses the
 // `[len][crc32]` frame protocol (frame.hpp), and applies a scripted or
 // seeded-random schedule of attacks per frame — delay, drop, duplicate,

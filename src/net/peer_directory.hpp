@@ -4,7 +4,7 @@
 // The paper's organisations learn each other's endpoints as part of the
 // initial business agreement; here that is a config file (one
 // `party host:port` per line) or programmatic set() calls. Port 0 means
-// "ephemeral": TcpRuntime::add_party binds such a party to a kernel-
+// "ephemeral": ReactorRuntime::add_party binds such a party to a kernel-
 // chosen port and writes the actual one back, so a single shared
 // directory instance lets later parties dial earlier ones in tests.
 // Thread-safe: transports look addresses up from their worker threads

@@ -2,14 +2,13 @@
 // pool, FIFO strands over it, and an epoll Reactor with a hierarchical
 // timer wheel.
 //
-// The thread model inverts the earlier runtimes'. TcpRuntime spends
-// two threads per party plus one per connection, and ThreadedRuntime
-// adds a lane thread per shard; here the process runs ONE loop thread
-// (all socket I/O, all timers) plus a small fixed pool of workers that
-// execute everything that may block or take real CPU — handler
-// deliveries, shard-lane dispatch, Clock::schedule callbacks. Nothing
-// on the loop thread blocks, so fan-in scales with descriptors instead
-// of threads (the C10K shape; see DESIGN.md §10).
+// The thread model inverts the threaded runtime's, which spends
+// threads per party and adds a lane thread per shard; here the process
+// runs ONE loop thread (all socket I/O, all timers) plus a small fixed
+// pool of workers that execute everything that may block or take real
+// CPU — handler deliveries, shard-lane dispatch, Clock::schedule
+// callbacks. Nothing on the loop thread blocks, so fan-in scales with
+// descriptors instead of threads (the C10K shape; see DESIGN.md §10).
 //
 // Strand is the ordering primitive that lets many logical queues share
 // the pool: tasks posted to one strand run FIFO and never concurrently,

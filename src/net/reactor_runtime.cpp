@@ -155,7 +155,7 @@ void ReactorTransport::send(const PartyId& to, Bytes payload) {
   // All connection state is loop-owned; the write happens there — and so
   // does the encoding, because the MAC key belongs to the connection. If
   // no usable connection exists yet the dial starts and the frame rides
-  // the retransmit timer / post-handshake flush instead.
+  // the post-connect flush or the retransmit timer instead.
   reactor_.post([this, to, seq, wire_payload = std::move(wire_payload),
                  copies] {
     if (closed_) return;
@@ -334,7 +334,7 @@ void ReactorTransport::finish_connect(const ConnPtr& conn) {
   // everything already outstanding for this peer follows.
   flush_conn(conn);
   if (conn->dead) return;
-  flush_outgoing_to(conn->peer, conn);
+  flush_outgoing_to(conn);
 }
 
 void ReactorTransport::read_conn(const ConnPtr& conn) {
@@ -441,8 +441,9 @@ bool ReactorTransport::parse_frames(const ConnPtr& conn) {
         const bool reply = !conn->hello_sent;
         Bytes reply_hello;
         if (reply) {
-          // Build (and key) the reply before flush_outgoing_to below can
-          // encode data frames against this connection's send key.
+          // Build (and key) the reply before register_handshake makes
+          // this the peer's active connection: data frames sent on it
+          // are MAC'd with the send key the reply derives.
           reply_hello = build_hello(config_.auth, self_, from, incarnation_,
                                     &conn->keys);
           if (reply_hello.empty()) {
@@ -453,18 +454,19 @@ bool ReactorTransport::parse_frames(const ConnPtr& conn) {
         register_handshake(conn, std::move(from), hello.incarnation);
         if (conn->dead) return true;  // killed while registering
         if (reply) {
+          // An inbound connection answers with its hello only; frames
+          // outstanding for the peer wait for the retransmit tick. The
+          // dialler sends its own backlog right behind its hello, so the
+          // acks for it must not queue behind ours: an intruder that
+          // kills the connection after the first data frame in each
+          // direction would otherwise cut off every ack on every
+          // reconnect (a livelock with both backlogs stuck unacked).
           conn->hello_sent = true;
           queue_frame(conn, frame::frame_payload(reply_hello), 1,
                       /*force=*/true);
+          flush_conn(conn);
+          if (conn->dead) return true;
         }
-        // Outstanding frames flush only after any hello reply is queued:
-        // on a simultaneous open the peer's side of this socket is still
-        // pre-handshake, and data leading the reply is a protocol
-        // violation that would kill the connection (and retrigger
-        // identically every retransmit tick — a permanent reconnect
-        // storm).
-        flush_outgoing_to(conn->peer, conn);
-        if (conn->dead) return true;
       } else if (type == frame::kData) {
         const std::uint64_t frame_inc = dec.u64();
         const std::uint64_t seq = dec.u64();
@@ -727,9 +729,9 @@ void ReactorTransport::handle_ack(const PartyId& from, std::uint64_t frame_inc,
   outgoing_.erase({from, seq});
 }
 
-void ReactorTransport::flush_outgoing_to(const PartyId& peer,
-                                         const ConnPtr& conn) {
+void ReactorTransport::flush_outgoing_to(const ConnPtr& conn) {
   if (conn->dead || conn->connecting) return;
+  const PartyId& peer = conn->peer;
   if (config_.auth.enabled && !conn->keys.has_send) return;
   struct Offer {
     Bytes framed;
@@ -741,8 +743,8 @@ void ReactorTransport::flush_outgoing_to(const PartyId& peer,
     if (!alive_) return;
     for (auto it = outgoing_.lower_bound({peer, 0});
          it != outgoing_.end() && it->first.first == peer; ++it) {
-      // Each wire write is a fresh fault sample (TcpTransport semantics):
-      // a frame dropped here stays in outgoing_ for the retransmit tick.
+      // Each wire write is a fresh fault sample: a frame dropped here
+      // stays in outgoing_ for the retransmit tick.
       Bytes encoded = frame::encode_data(incarnation_, it->first.second,
                                          it->second.payload);
       if (config_.auth.enabled) append_mac(encoded, conn->keys.send);
@@ -795,7 +797,7 @@ void ReactorTransport::retransmit_tick() {
       auto it = active_.find(item.to);
       if (it == active_.end()) {
         dial(item.to);
-        continue;  // flushed via post-handshake/-connect resend
+        continue;  // flushed once the dial connects
       }
       if (it->second->connecting) continue;
       if (config_.auth.enabled && !it->second->keys.has_send) continue;

@@ -1,24 +1,32 @@
-// Event-driven (epoll) implementation of the runtime seam: the fourth
-// Runtime, wire-compatible with TcpRuntime but C10K-shaped.
+// Event-driven (epoll) implementation of the runtime seam: the socket
+// runtime, whose parties can live in separate OS processes and hosts.
 //
-// TcpRuntime spends one acceptor + one retransmit thread per party and
-// one reader thread per connection, so a gateway node fronting N
-// counterpart organisations runs O(N) threads. ReactorRuntime hosts
-// every local party on ONE epoll loop: all sockets are non-blocking,
-// partial frames are reassembled in per-connection stream buffers, and
-// the per-party retransmit threads collapse into per-transport timers
-// on a hierarchical timer wheel (timer_wheel.hpp) that also backs the
+// ReactorRuntime hosts every local party on ONE epoll loop: all sockets
+// are non-blocking, partial frames are reassembled in per-connection
+// stream buffers, and retransmission is one timer per transport on a
+// hierarchical timer wheel (timer_wheel.hpp) that also backs the
 // Clock::schedule seam. Handler deliveries — which block on RSA and the
 // journal — run on a small fixed TaskPool, serialised per transport by
 // a Strand, so the loop thread never blocks. Thread count is therefore
 // flat: 1 loop + K workers, independent of parties, objects and
 // connections (DESIGN.md §10).
 //
-// The wire protocol (frame.hpp) and the §4.2 reliability stack — ack/
-// retransmit for *eventual* delivery, DedupWindow + incarnation
-// handshake for *once-only* delivery — are exactly TcpRuntime's, so a
-// reactor process interoperates with thread-per-peer processes and the
-// protocol layer cannot tell the runtimes apart.
+// Connections are dialled lazily on first send and re-dialled with
+// capped exponential backoff after loss. Every message travels as a
+// length-prefixed, CRC-framed frame (frame.hpp); the first frame in each
+// direction of a connection is a hello naming the sender and its
+// *incarnation* (a fresh random value per transport instance).
+//
+// §4.2 layering over a fair-lossy byte stream: TCP alone is not the
+// paper's "eventual, once-only delivery" — a connection can die with
+// data unflushed, and a retransmit after a reset can deliver twice. So
+// positive acknowledgement with retransmission gives *eventual*
+// delivery across resets and process crashes, and per-sender sequence
+// dedup (DedupWindow) gives *once-only* delivery. The incarnation scopes
+// dedup state to one transport lifetime: a restarted process announces
+// a new incarnation, the receiver drops the old window, and
+// cross-restart duplicate suppression is the coordinator journal's job
+// (DESIGN.md §7).
 #pragma once
 
 #include <condition_variable>
@@ -37,10 +45,26 @@
 #include "net/reactor.hpp"
 #include "net/runtime.hpp"
 #include "net/socket.hpp"
-#include "net/tcp_runtime.hpp"      // TcpFaults, TcpFabricStats
 #include "net/threaded_runtime.hpp"  // ThreadedExecutor
+#include "net/wire_auth.hpp"
 
 namespace b2b::net {
+
+/// Send-side fault injection: each frame write (initial or retransmit)
+/// may be dropped or duplicated, sampled from a seeded generator. This
+/// is the socket fabric's analogue of ThreadedFaults — the bytes
+/// genuinely never hit (or hit twice) the socket, so the §4.2 masking
+/// layer is exercised over a real stream.
+struct TcpFaults {
+  double drop_probability = 0.0;
+  double duplicate_probability = 0.0;
+};
+
+/// Injected-fault counters (fabric-level, distinct from Transport::Stats).
+struct TcpFabricStats {
+  std::uint64_t frames_dropped_injected = 0;
+  std::uint64_t frames_duplicated_injected = 0;
+};
 
 /// Eventual once-only delivery over non-blocking TCP on a shared epoll
 /// loop. All connection state lives on the loop thread (no lock);
@@ -103,9 +127,10 @@ class ReactorTransport final : public Transport {
   /// This transport instance's incarnation (fresh random per instance).
   std::uint64_t incarnation() const { return incarnation_; }
 
-  /// Crash-model switch with TcpTransport semantics: while dead,
-  /// outgoing writes are suppressed (but stay queued) and incoming
-  /// frames are dropped un-acked.
+  /// Crash-model switch, as ThreadedNetwork::set_alive: while dead,
+  /// outgoing writes are suppressed (but stay queued; §4.2 persistent
+  /// storage) and incoming frames are dropped un-acked, so peers keep
+  /// retransmitting into the downtime and delivery resumes on recovery.
   void set_alive(bool alive);
 
   /// Nothing un-acked and no delivery in flight or queued.
@@ -191,9 +216,10 @@ class ReactorTransport final : public Transport {
   void handle_ack(const PartyId& from, std::uint64_t frame_inc,
                   std::uint64_t seq);
   void retransmit_tick();
-  /// Re-offer everything queued for `peer` on a freshly usable
-  /// connection (initial transmission of frames that predate it).
-  void flush_outgoing_to(const PartyId& peer, const ConnPtr& conn);
+  /// Re-offer everything queued for the peer of `conn`, a connection
+  /// this transport dialled, once the connect completes (initial
+  /// transmission of frames that predate it).
+  void flush_outgoing_to(const ConnPtr& conn);
 
   /// 0 = drop, 1 = normal, 2 = duplicate. Caller holds mutex_.
   int sample_faults_locked();

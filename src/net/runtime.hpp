@@ -74,7 +74,7 @@ class Transport {
     std::uint64_t frames_rejected_auth = 0;
     std::uint64_t replays_suppressed = 0;
     /// Event-loop scheduling counters (reactor runtime); always 0 on
-    /// sim/threaded/tcp, which have no loop, wheel, or shared pool.
+    /// sim/threaded, which have no loop, wheel, or shared pool.
     /// Reported per bundle (every transport of one reactor sees the
     /// same loop), so benches read them from any single transport.
     std::uint64_t epoll_wakeups = 0;

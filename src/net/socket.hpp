@@ -1,10 +1,12 @@
 // Thin RAII layer over POSIX TCP sockets.
 //
-// Just enough for the TCP runtime (tcp_runtime.hpp): a move-only fd
-// owner with blocking read/write helpers that absorb EINTR and partial
-// transfers, a listener with a self-pipe so a blocked accept() can be
-// woken for shutdown, and a connect with a real timeout. No buffering,
-// no framing, no event loop — framing and reliability live a layer up.
+// Just enough for the reactor runtime (reactor_runtime.hpp) and the
+// intruder proxy: a move-only fd owner with blocking read/write helpers
+// that absorb EINTR and partial transfers, a listener with a self-pipe so
+// a blocked accept() can be woken for shutdown, a connect with a real
+// timeout, and the non-blocking listen/connect the reactor registers
+// with epoll. No buffering, no framing, no event loop — framing and
+// reliability live a layer up.
 #pragma once
 
 #include <cstddef>
@@ -50,7 +52,7 @@ class Socket {
   void set_nodelay();
 
   /// O_NONBLOCK on/off. The reactor runtime runs every socket
-  /// non-blocking; the thread-per-connection runtime keeps them blocking.
+  /// non-blocking; the intruder proxy keeps its sockets blocking.
   void set_nonblocking(bool nonblocking);
 
   /// SO_RCVTIMEO, 0 clears. Used to bound the handshake phase.

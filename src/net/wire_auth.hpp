@@ -1,6 +1,6 @@
 // Wire v3 session authentication (DESIGN.md §11).
 //
-// The socket runtimes share a PKI (every party holds every other party's
+// The parties of a socket federation share a PKI (every party holds every other party's
 // RSA public key), but until wire v3 the only integrity on the byte
 // stream was CRC32 — which an active intruder recomputes at will, so the
 // strongest Dolev-Yao attacks (rewriting a live frame's seq/payload,
@@ -24,9 +24,9 @@
 //     other processing; a bad tag bumps `frames_rejected_auth` and kills
 //     the connection.
 //
-// Both runtimes (tcp_runtime, reactor_runtime) consume exactly this API;
+// The reactor runtime and the raw-socket tests consume exactly this API;
 // the policy — reject on mode mismatch in either direction, fail closed
-// on missing keys — lives here so the two stacks cannot drift.
+// on missing keys — lives here, apart from the event loop.
 #pragma once
 
 #include <cstdint>

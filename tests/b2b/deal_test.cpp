@@ -2,7 +2,7 @@
 // coordination between mutually distrusting federations.
 //
 // Covered here:
-//   * the commit/abort protocol over all four runtimes — every leg
+//   * the commit/abort protocol over all three runtimes — every leg
 //     installs or none does, with signed non-repudiable deal artifacts
 //     an arbiter can rule on from any one participant's store;
 //   * edge cases on the deterministic simulator (empty/duplicate specs,
@@ -16,7 +16,8 @@
 //     per-run escapes, and a mid-replicate crash still commits
 //     everywhere;
 //   * a multi-seed soak of concurrent deals (commit, veto and crash
-//     rounds) on the simulator and once over real TCP sockets;
+//     rounds) on the simulator and once over real TCP sockets on the
+//     reactor;
 //   * a golden-digest determinism test pinning the multi-deal
 //     interleaving bit-for-bit under both coordinator lock modes.
 #include <gtest/gtest.h>
@@ -970,9 +971,9 @@ TEST(DealSoak, SimSeedsSweep) {
   }
 }
 
-TEST(DealSoak, TcpRuntimeOnce) {
-  run_deal_soak(RuntimeKind::kTcp, deal_seed(), /*with_crash=*/false,
-                "soak_tcp", /*rounds=*/4);
+TEST(DealSoak, ReactorRuntimeOnce) {
+  run_deal_soak(RuntimeKind::kReactor, deal_seed(), /*with_crash=*/false,
+                "soak_reactor", /*rounds=*/4);
 }
 
 // ---------------------------------------------------------------------------

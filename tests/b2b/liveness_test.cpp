@@ -2,10 +2,10 @@
 // message loss, duplication, reordering, healing partitions, and node
 // crash/recovery. If nobody misbehaves, agreed interactions complete.
 //
-// The loss/duplication suites run over both runtimes (the threaded fabric
-// injects the same fault classes as the simulated links); partition and
-// crash/recovery choreography needs virtual-time stepping and so stays
-// simulator-only.
+// The loss/duplication suites run over every runtime (the threaded and
+// socket fabrics inject the same fault classes as the simulated links);
+// partition and crash/recovery choreography needs virtual-time stepping
+// and so stays simulator-only.
 #include <gtest/gtest.h>
 
 #include "b2b/federation.hpp"
@@ -33,7 +33,17 @@ TEST_P(LossSweepTest, CoordinationCompletesDespiteLoss) {
   for (int i = 0; i < 3; ++i) fed.register_object(names[i], kObj, objs[i]);
   fed.bootstrap_object(kObj, {"a", "b", "c"}, bytes_of("genesis"));
 
-  for (int round = 1; round <= 3; ++round) {
+  // Three rounds, then (reactor rows with loss on) more rounds, up to 20,
+  // until a frame has been dropped: the reactor samples its faults per
+  // frame write, and an unlucky seed can pass every write of three
+  // rounds (seed 2 at 10%: no drop in 18 sends). The sim and threaded
+  // rows keep their three rounds.
+  auto more_rounds = [&](int round) {
+    if (round <= 3) return true;
+    return kind == RuntimeKind::kReactor && drop > 0 && round <= 20 &&
+           test::fabric_stats(fed).dropped == 0;
+  };
+  for (int round = 1; more_rounds(round); ++round) {
     objs[0].value = bytes_of("round" + std::to_string(round));
     RunHandle h =
         fed.coordinator("a").propagate_new_state(kObj, objs[0].get_state());
@@ -56,7 +66,7 @@ INSTANTIATE_TEST_SUITE_P(
                           std::make_tuple(0.3, 3ull),
                           std::make_tuple(0.5, 4ull)),
         ::testing::Values(RuntimeKind::kSim, RuntimeKind::kThreaded,
-                          RuntimeKind::kTcp)),
+                          RuntimeKind::kReactor)),
     [](const ::testing::TestParamInfo<
         std::tuple<std::tuple<double, std::uint64_t>, RuntimeKind>>& info) {
       int percent =

@@ -5,7 +5,7 @@
 // signed propose carrying a hash-chained batch, one signed response per
 // recipient, one decide revealing every per-item authenticator — installs
 // a tuple sequence BIT-FOR-BIT identical to what K sequential runs would
-// have produced, on all four runtimes and under both lock modes. The
+// have produced, on all three runtimes and under both lock modes. The
 // fingerprints deliberately mix only protocol-observable state (agreed
 // tuples, group tuples, object values), never evidence-log sizes: the two
 // modes legitimately produce different evidence volumes.

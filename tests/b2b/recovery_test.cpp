@@ -868,7 +868,7 @@ TEST(CrashCampaignCombined, EvictionTargetsTheCrashedSponsor) {
 
 // --- representative crashes on real threads and real sockets ----------------
 
-/// One campaign case on a real-time runtime (threaded or tcp): handles
+/// One campaign case on a real-time runtime (threaded or reactor): handles
 /// (atomics) are awaited instead of polling replica state from the test
 /// thread, and convergence is asserted only after settle()'s
 /// synchronisation.
@@ -922,14 +922,6 @@ TEST(CrashCampaignThreaded, ProposerCrashAfterDecideJournaled) {
 
 TEST(CrashCampaignThreaded, ResponderCrashAfterRespondJournaled) {
   run_realtime_case("respond.journaled", "beta", RuntimeKind::kThreaded);
-}
-
-TEST(CrashCampaignTcp, ProposerCrashAfterDecideJournaled) {
-  run_realtime_case("decide.journaled", "alpha", RuntimeKind::kTcp);
-}
-
-TEST(CrashCampaignTcp, ResponderCrashAfterRespondJournaled) {
-  run_realtime_case("respond.journaled", "beta", RuntimeKind::kTcp);
 }
 
 TEST(CrashCampaignReactor, ProposerCrashAfterDecideJournaled) {
@@ -996,16 +988,6 @@ TEST(CrashCampaignThreaded, SponsorCrashAfterMembershipDecideJournaled) {
 TEST(CrashCampaignThreaded, RecipientCrashAfterMembershipRespondJournaled) {
   run_realtime_membership_case("m-respond.journaled", "beta",
                                RuntimeKind::kThreaded);
-}
-
-TEST(CrashCampaignTcp, SponsorCrashAfterMembershipDecideJournaled) {
-  run_realtime_membership_case("m-decide.journaled", "gamma",
-                               RuntimeKind::kTcp);
-}
-
-TEST(CrashCampaignTcp, RecipientCrashAfterMembershipRespondJournaled) {
-  run_realtime_membership_case("m-respond.journaled", "beta",
-                               RuntimeKind::kTcp);
 }
 
 TEST(CrashCampaignReactor, SponsorCrashAfterMembershipDecideJournaled) {

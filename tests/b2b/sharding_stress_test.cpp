@@ -1,5 +1,5 @@
 // Sharding stress battery: 8 objects × 4 organisations on the REAL
-// runtimes (OS threads / TCP sockets) under datagram-level fault
+// runtimes (OS threads / reactor TCP sockets) under datagram-level fault
 // injection, with per-object dispatch lanes on. Every round drives one
 // state run per object concurrently — eight shards coordinating in
 // parallel at every party — and one object additionally takes a
@@ -130,8 +130,7 @@ TEST_P(ShardingStress, EightObjectsFourPartiesConvergeUnderFaults) {
 
 INSTANTIATE_TEST_SUITE_P(
     RealThreadRuntimes, ShardingStress,
-    ::testing::Values(RuntimeKind::kThreaded, RuntimeKind::kTcp,
-                      RuntimeKind::kReactor),
+    ::testing::Values(RuntimeKind::kThreaded, RuntimeKind::kReactor),
     [](const ::testing::TestParamInfo<RuntimeKind>& info) {
       return test::runtime_suffix(info.param);
     });

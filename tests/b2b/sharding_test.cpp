@@ -246,7 +246,7 @@ TEST_P(ShardingLanes, BlockedValidateOnOneObjectDoesNotBlockAnother) {
 
 INSTANTIATE_TEST_SUITE_P(
     RealThreadRuntimes, ShardingLanes,
-    ::testing::Values(RuntimeKind::kThreaded, RuntimeKind::kTcp),
+    ::testing::Values(RuntimeKind::kThreaded, RuntimeKind::kReactor),
     [](const ::testing::TestParamInfo<RuntimeKind>& info) {
       return test::runtime_suffix(info.param);
     });

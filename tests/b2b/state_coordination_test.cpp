@@ -277,7 +277,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(2, 3, 5, 8),
                        ::testing::Values(RuntimeKind::kSim,
                                          RuntimeKind::kThreaded,
-                                         RuntimeKind::kTcp)),
+                                         RuntimeKind::kReactor)),
     [](const ::testing::TestParamInfo<std::tuple<std::size_t, RuntimeKind>>&
            info) {
       return "N" + std::to_string(std::get<0>(info.param)) +

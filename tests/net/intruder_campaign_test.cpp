@@ -1,4 +1,4 @@
-// Coverage-guided adversarial campaign against the socket runtimes
+// Coverage-guided adversarial campaign against the socket runtime
 // (DESIGN.md §11): an in-process MITM proxy (net::IntruderProxy) is
 // interposed on the byte streams of real deployments and plays scripted
 // and seeded-random games — replay (same and cross incarnation),
@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -30,13 +31,11 @@
 #include <set>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include "b2b/arbiter.hpp"
 #include "b2b/federation.hpp"
 #include "net/reactor_runtime.hpp"
-#include "net/tcp_runtime.hpp"
 #include "tests/support/test_objects.hpp"
 
 namespace b2b {
@@ -85,29 +84,7 @@ struct Sink {
   }
 };
 
-// --- transport stacks the scripted games are parameterized over -------------
-
-/// Thread-per-peer TCP transports sharing one directory.
-struct TcpStack {
-  std::shared_ptr<net::PeerDirectory> directory =
-      std::make_shared<net::PeerDirectory>();
-  net::TcpTransport::Config config;
-
-  TcpStack() {
-    config.retransmit_interval_micros = 5'000;  // keep the games brisk
-    config.reconnect_backoff_min_micros = 5'000;
-    config.reconnect_backoff_max_micros = 50'000;
-  }
-
-  std::unique_ptr<net::TcpTransport> make(const std::string& name,
-                                          std::uint16_t port = 0) {
-    auto transport = std::make_unique<net::TcpTransport>(
-        PartyId{name}, "127.0.0.1", port, directory, config);
-    directory->set(PartyId{name},
-                   net::PeerAddress{"127.0.0.1", transport->port()});
-    return transport;
-  }
-};
+// --- the transport stack the scripted games run on ---------------------------
 
 /// Reactor transports sharing one epoll loop, one pool, one directory.
 struct ReactorStack {
@@ -118,7 +95,7 @@ struct ReactorStack {
   net::ReactorTransport::Config config;
 
   ReactorStack() {
-    config.retransmit_interval_micros = 5'000;
+    config.retransmit_interval_micros = 5'000;  // keep the games brisk
     config.reconnect_backoff_min_micros = 5'000;
     config.reconnect_backoff_max_micros = 50'000;
   }
@@ -140,9 +117,8 @@ struct ReactorStack {
 /// connection must still deliver everything exactly once. Truncating
 /// only the first offer matters: a script that truncated every offer of
 /// a seq would defeat its own recovery path forever.
-template <typename Stack>
-void run_truncation_storm() {
-  Stack stack;
+TEST(IntruderScriptedGames, TruncationStormHealsReactor) {
+  ReactorStack stack;
 
   net::IntruderProxy::Config config;
   auto torn = std::make_shared<std::set<std::uint64_t>>();
@@ -181,14 +157,6 @@ void run_truncation_storm() {
   proxy.shutdown();
 }
 
-TEST(IntruderScriptedGames, TruncationStormHealsTcp) {
-  run_truncation_storm<TcpStack>();
-}
-
-TEST(IntruderScriptedGames, TruncationStormHealsReactor) {
-  run_truncation_storm<ReactorStack>();
-}
-
 // --- scripted game 2: cross-incarnation replay campaign ----------------------
 
 /// Replay a recorded frame after every genuine data frame, restarting
@@ -196,9 +164,8 @@ TEST(IntruderScriptedGames, TruncationStormHealsReactor) {
 /// incarnation. Wire v2's incarnation binding must suppress every
 /// re-injection (replays_suppressed / connection reset) without losing
 /// or duplicating a single genuine payload.
-template <typename Stack>
-void run_cross_incarnation_replay() {
-  Stack stack;
+TEST(IntruderScriptedGames, CrossIncarnationReplayIsSuppressedReactor) {
+  ReactorStack stack;
 
   net::IntruderProxy::Config config;
   config.script = [](const net::FrameInfo& info)
@@ -256,14 +223,6 @@ void run_cross_incarnation_replay() {
   proxy.shutdown();
 }
 
-TEST(IntruderScriptedGames, CrossIncarnationReplayIsSuppressedTcp) {
-  run_cross_incarnation_replay<TcpStack>();
-}
-
-TEST(IntruderScriptedGames, CrossIncarnationReplayIsSuppressedReactor) {
-  run_cross_incarnation_replay<ReactorStack>();
-}
-
 // --- scripted game 3: respond blackout resolved by the TTP -------------------
 
 /// The intruder silently drops every kRespond toward the proposer — the
@@ -276,11 +235,11 @@ TEST(IntruderTtpGame, RespondBlackoutResolvedByCertifiedAbort) {
 
   auto directory = std::make_shared<net::PeerDirectory>();
   core::Federation::Options options;
-  options.runtime = core::RuntimeKind::kTcp;
+  options.runtime = core::RuntimeKind::kReactor;
   options.tcp_directory = directory;
-  options.tcp_transport.retransmit_interval_micros = 10'000;
-  options.tcp_transport.reconnect_backoff_min_micros = 5'000;
-  options.tcp_transport.reconnect_backoff_max_micros = 50'000;
+  options.reactor_transport.retransmit_interval_micros = 10'000;
+  options.reactor_transport.reconnect_backoff_min_micros = 5'000;
+  options.reactor_transport.reconnect_backoff_max_micros = 50'000;
   // Journaling on: when the blackout lifts, the stalled responds land
   // on a CLOSED run — with a journal they are answered as anomalies
   // (re-sent decide / recorded oddity), never branded violations.
@@ -289,8 +248,10 @@ TEST(IntruderTtpGame, RespondBlackoutResolvedByCertifiedAbort) {
   options.journal_root = (root / "journals").string();
   options.journal_fsync = false;
 
-  // Registers before the federation: delivery threads stop first.
+  // Registers (and the flag beta's observer sets) before the federation:
+  // delivery threads stop first.
   test::TestRegister alpha_obj, beta_obj;
+  std::atomic<bool> beta_released{false};
   core::Federation fed{{"alpha", "beta"}, options};
 
   // Both parties are interposed: connections are reused bidirectionally
@@ -313,6 +274,15 @@ TEST(IntruderTtpGame, RespondBlackoutResolvedByCertifiedAbort) {
   fed.register_object("beta", kObj, beta_obj);
   fed.bootstrap_object(kObj, {"alpha", "beta"}, bytes_of("genesis"));
   fed.enable_ttp_termination(kObj, 700'000);  // 700 ms real-time deadline
+  // beta's lane erases the released responder run, then emits this
+  // event. Awaiting it orders the test thread's reads of beta's run table
+  // after the erase; polling the table alone would race with the lane.
+  fed.coordinator("beta").set_observer([&](const core::CoordEvent& event) {
+    if (event.kind == core::CoordEvent::Kind::kStateVetoed &&
+        event.detail == "TTP-certified abort") {
+      beta_released = true;
+    }
+  });
 
   alpha_obj.value = bytes_of("blocked");
   core::RunHandle h =
@@ -325,6 +295,7 @@ TEST(IntruderTtpGame, RespondBlackoutResolvedByCertifiedAbort) {
   // Fail-safe: the proposer rolled back, the locked responder was
   // released by the same verdict, and neither blames the other.
   EXPECT_EQ(alpha_obj.value, bytes_of("genesis"));
+  ASSERT_TRUE(wait_for([&] { return beta_released.load(); }));
   ASSERT_TRUE(wait_for([&] {
     return fed.coordinator("beta").replica(kObj).active_run_labels().empty();
   }));
@@ -376,7 +347,7 @@ struct DealGameOutcome {
 
 /// A fixed sequential deal script (DESIGN.md §12) — a two-leg commit, a
 /// vetoed deal, a TTP-escaped commit, and a post-attack commit — over
-/// TCP with a session-authenticated wire, with or without a scripted
+/// the reactor with a session-authenticated wire, with or without a scripted
 /// intruder aimed at the deal layer specifically:
 ///
 ///   * every kRespond — the prepares that park deal legs undecided — is
@@ -407,7 +378,7 @@ void run_deal_game(bool attacked, DealGameOutcome* out) {
 
   auto directory = std::make_shared<net::PeerDirectory>();
   core::Federation::Options options;
-  options.runtime = core::RuntimeKind::kTcp;
+  options.runtime = core::RuntimeKind::kReactor;
   options.seed = 1;
   options.tcp_directory = directory;
   options.wire_auth = true;
@@ -417,9 +388,9 @@ void run_deal_game(bool attacked, DealGameOutcome* out) {
   options.journal_root = (root / "journals").string();
   options.journal_fsync = false;
   options.run_probe_interval_micros = 3'600'000'000ULL;
-  options.tcp_transport.retransmit_interval_micros = 10'000;
-  options.tcp_transport.reconnect_backoff_min_micros = 5'000;
-  options.tcp_transport.reconnect_backoff_max_micros = 50'000;
+  options.reactor_transport.retransmit_interval_micros = 10'000;
+  options.reactor_transport.reconnect_backoff_min_micros = 5'000;
+  options.reactor_transport.reconnect_backoff_max_micros = 50'000;
 
   // Registers before the federation: delivery threads stop first.
   std::vector<std::unique_ptr<test::TestRegister>> ledgers, audits;
@@ -700,23 +671,22 @@ struct CampaignOutcome {
 /// and the intruder draws the widened arsenal — live rewrites, forged
 /// acks, hello downgrades, cross-flow splices — every one of which must
 /// die at the receiving transport as frames_rejected_auth.
-void run_federation_campaign(core::RuntimeKind kind, std::uint64_t seed,
-                             bool attacked, bool auth, CampaignOutcome* out) {
+void run_federation_campaign(std::uint64_t seed, bool attacked, bool auth,
+                             CampaignOutcome* out) {
   const ObjectId kLedger{"ledger"};
   const ObjectId kAudit{"audit"};
   const std::vector<std::string> names{"alpha", "beta", "gamma"};
 
-  const std::string tag =
-      std::string(kind == core::RuntimeKind::kTcp ? "tcp" : "reactor") +
-      (auth ? "_auth" : "") + (attacked ? "_attacked_" : "_clean_") +
-      std::to_string(seed);
+  const std::string tag = std::string("reactor") + (auth ? "_auth" : "") +
+                          (attacked ? "_attacked_" : "_clean_") +
+                          std::to_string(seed);
   const fs::path root =
       fs::temp_directory_path() / ("b2b_intruder_campaign_" + tag);
   fs::remove_all(root);
 
   auto directory = std::make_shared<net::PeerDirectory>();
   core::Federation::Options options;
-  options.runtime = kind;
+  options.runtime = core::RuntimeKind::kReactor;
   options.seed = 1;  // the federation seed is FIXED; only the intruder varies
   options.tcp_directory = directory;
   // Journaling on: an app-level replay that survives transport dedup is
@@ -726,9 +696,6 @@ void run_federation_campaign(core::RuntimeKind kind, std::uint64_t seed,
   // In-flight-run probes are redundant under a healing transport and
   // would make the clean/attacked rng draws diverge.
   options.run_probe_interval_micros = 3'600'000'000ULL;
-  options.tcp_transport.retransmit_interval_micros = 10'000;
-  options.tcp_transport.reconnect_backoff_min_micros = 5'000;
-  options.tcp_transport.reconnect_backoff_max_micros = 50'000;
   options.reactor_transport.retransmit_interval_micros = 10'000;
   options.reactor_transport.reconnect_backoff_min_micros = 5'000;
   options.reactor_transport.reconnect_backoff_max_micros = 50'000;
@@ -892,20 +859,19 @@ void run_federation_campaign(core::RuntimeKind kind, std::uint64_t seed,
   proxy.shutdown();
 }
 
-/// (runtime, session-authenticated wire?) — the campaign matrix.
-class IntruderCampaign
-    : public ::testing::TestWithParam<std::tuple<core::RuntimeKind, bool>> {};
+/// Session-authenticated wire? — the campaign matrix.
+class IntruderCampaign : public ::testing::TestWithParam<bool> {};
 
 TEST_P(IntruderCampaign, AttackedFederationMatchesCleanRunExactly) {
-  const auto [kind, auth] = GetParam();
+  const bool auth = GetParam();
   const std::uint64_t seed = intruder_seed();
 
   CampaignOutcome clean;
-  run_federation_campaign(kind, seed, /*attacked=*/false, auth, &clean);
+  run_federation_campaign(seed, /*attacked=*/false, auth, &clean);
   ASSERT_FALSE(::testing::Test::HasFailure()) << "clean reference run failed";
 
   CampaignOutcome attacked;
-  run_federation_campaign(kind, seed, /*attacked=*/true, auth, &attacked);
+  run_federation_campaign(seed, /*attacked=*/true, auth, &attacked);
   ASSERT_FALSE(::testing::Test::HasFailure())
       << "attacked run failed under seed " << seed;
 
@@ -947,8 +913,7 @@ TEST_P(IntruderCampaign, AttackedFederationMatchesCleanRunExactly) {
   // at the handshake — so only the auth legs pin its behaviour.)
 
   // Coverage report for EXPERIMENTS.md E21/E22.
-  std::cout << "[intruder] seed=" << seed << " runtime="
-            << (kind == core::RuntimeKind::kTcp ? "tcp" : "reactor")
+  std::cout << "[intruder] seed=" << seed << " runtime=reactor"
             << " auth=" << (auth ? 1 : 0) << " frames=" << s.frames_seen
             << " actions=" << attacked.actions << " (drop=" << s.dropped
             << " delay=" << s.delayed << " dup=" << s.duplicated
@@ -966,17 +931,9 @@ TEST_P(IntruderCampaign, AttackedFederationMatchesCleanRunExactly) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Sockets, IntruderCampaign,
-    ::testing::Combine(::testing::Values(core::RuntimeKind::kTcp,
-                                         core::RuntimeKind::kReactor),
-                       ::testing::Bool()),
-    [](const ::testing::TestParamInfo<std::tuple<core::RuntimeKind, bool>>&
-           info) {
-      std::string name = std::get<0>(info.param) == core::RuntimeKind::kTcp
-                             ? "Tcp"
-                             : "Reactor";
-      if (std::get<1>(info.param)) name += "Auth";
-      return name;
+    Sockets, IntruderCampaign, ::testing::Bool(),
+    [](const ::testing::TestParamInfo<bool>& info) {
+      return std::string("Reactor") + (info.param ? "Auth" : "");
     });
 
 }  // namespace

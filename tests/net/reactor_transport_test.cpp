@@ -1,9 +1,11 @@
 // ReactorTransport: the §4.2 delivery contract (eventual once-only
-// delivery) over non-blocking sockets on one epoll loop — the same wire
-// protocol and byte-stream failure modes as tcp_transport_test.cpp, plus
-// the fan-in shapes only an event loop meets: hundreds of simultaneous
-// dials into one acceptor, write backpressure (kernel buffer full →
-// EPOLLOUT resume), restart churn, and fd exhaustion at accept.
+// delivery) over non-blocking sockets on one epoll loop — the wire
+// protocol and its byte-stream failure modes (torn, corrupt, split,
+// replayed and spliced frames, peer resets and restarts), the wire v3
+// must-fail games, plus the fan-in shapes only an event loop meets:
+// hundreds of simultaneous dials into one acceptor, write backpressure
+// (kernel buffer full → EPOLLOUT resume), restart churn, and fd
+// exhaustion at accept.
 #include "net/reactor_runtime.hpp"
 
 #include <gtest/gtest.h>
@@ -18,6 +20,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -25,6 +28,7 @@
 
 #include "crypto/sha256.hpp"
 #include "net/frame.hpp"
+#include "net/intruder_proxy.hpp"
 #include "net/wire_auth.hpp"
 #include "store/crc32.hpp"
 #include "tests/support/test_keys.hpp"
@@ -674,9 +678,9 @@ TEST(ReactorTransportTest, ReplayedAckFromWrongIncarnationCannotRetire) {
 
 // --- wire v3 must-fail games (DESIGN.md §11) --------------------------------
 //
-// The same four attacks the TCP suite scripts, replayed against the
-// event-loop stack: live frame rewrite, forged ack, truncated MAC, and
-// hello downgrade-strip — each must die as frames_rejected_auth.
+// Four scripted attacks on the authenticated wire: live frame rewrite,
+// forged ack, truncated MAC, and hello downgrade-strip — each must die
+// as frames_rejected_auth.
 
 TEST(ReactorTransportTest, AuthLiveDataFrameRewriteIsRejected) {
   Fixture fx;
@@ -972,40 +976,61 @@ TEST(ReactorTransportTest, FdExhaustionShedsAcceptsAndRecovers) {
   ASSERT_TRUE(wait_for([&] { return a->unacked() == 0; }));
 }
 
-// --- interop with the thread-per-peer transport ----------------------------
+// --- reconnects under a connection-killing intruder -------------------------
 
-TEST(ReactorTransportTest, ReactorTalksToTcpTransport) {
-  // Wire compatibility is by construction (both sides speak frame.hpp);
-  // prove it end to end: a reactor party and a TcpTransport party
-  // exchange payloads through one shared directory.
+TEST(ReactorTransportTest, BothBacklogsRetireWhenSplicesKillEveryConnection) {
+  // Both parties hold a frame for the other when their first connection
+  // opens, and an intruder follows every data frame with one spliced from
+  // another flow: each receiver delivers and acks the genuine frame, then
+  // (bad MAC) kills the connection. An ack gets through only if no
+  // attacked frame travels ahead of it on the same stream. An accepting
+  // side that answered the handshake with its own backlog put its acks
+  // behind an attacked frame on every reconnect, so both backlogs stayed
+  // unacked for good, retransmitted on a fresh connection every tick.
   Fixture fx;
-  auto r = fx.make("r");
-  TcpTransport::Config tcp_config;
-  tcp_config.retransmit_interval_micros = 5'000;
-  auto t = std::make_unique<TcpTransport>(PartyId{"t"}, "127.0.0.1", 0,
-                                          fx.directory, tcp_config);
-  fx.directory->set(PartyId{"t"}, PeerAddress{"127.0.0.1", t->port()});
+  IntruderProxy::Config pconfig;
+  pconfig.active = false;  // passive while the warm-up fills the arsenal
+  pconfig.script = [](const FrameInfo& info) -> std::optional<IntruderAction> {
+    if (info.frame_type == frame::kData) return IntruderAction::kSplice;
+    return IntruderAction::kForward;
+  };
+  IntruderProxy proxy{fx.directory, pconfig};
+  auto a = fx.make_auth("a");
+  auto b = fx.make_auth("b");
+  auto w = fx.make_auth("w");
+  proxy.interpose(PartyId{"a"});
+  proxy.interpose(PartyId{"b"});
+  Sink a_sink, b_sink;
+  a->set_handler(a_sink.handler());
+  b->set_handler(b_sink.handler());
 
-  Sink r_sink, t_sink;
-  r->set_handler(r_sink.handler());
-  t->set_handler(t_sink.handler());
+  // Warm-up: w's traffic records frames on flows other than a<->b, the
+  // ammunition every later splice draws from.
+  w->send(PartyId{"a"}, Bytes{0});
+  w->send(PartyId{"b"}, Bytes{0});
+  ASSERT_TRUE(wait_for([&] { return w->unacked() == 0; }));
 
-  for (int i = 0; i < 10; ++i) {
-    r->send(PartyId{"t"}, Bytes{static_cast<std::uint8_t>(i)});
-    t->send(PartyId{"r"}, Bytes{static_cast<std::uint8_t>(100 + i)});
-  }
-
+  // Both frames queue while their senders are down (a dead transport
+  // writes and dials nothing), so every connection between a and b opens
+  // with a frame outstanding in each direction.
+  a->set_alive(false);
+  b->set_alive(false);
+  a->send(PartyId{"b"}, Bytes{1});
+  b->send(PartyId{"a"}, Bytes{2});
+  proxy.set_active(true);
+  a->set_alive(true);
+  b->set_alive(true);
   ASSERT_TRUE(
-      wait_for([&] { return r_sink.count() == 10 && t_sink.count() == 10; }));
-  ASSERT_TRUE(
-      wait_for([&] { return r->unacked() == 0 && t->unacked() == 0; }));
-  std::multiset<Bytes> r_want, t_want;
-  for (int i = 0; i < 10; ++i) {
-    t_want.insert(Bytes{static_cast<std::uint8_t>(i)});
-    r_want.insert(Bytes{static_cast<std::uint8_t>(100 + i)});
-  }
-  EXPECT_EQ(r_sink.contents(), r_want);
-  EXPECT_EQ(t_sink.contents(), t_want);
+      wait_for([&] { return a->unacked() == 0 && b->unacked() == 0; }))
+      << "a unacked=" << a->unacked() << " b unacked=" << b->unacked()
+      << " connections=" << proxy.stats().connections_intercepted;
+  EXPECT_GT(proxy.stats().spliced, 0u);
+  EXPECT_GT(a->stats().frames_rejected_auth + b->stats().frames_rejected_auth,
+            0u);
+  // Once-only delivery held through every reconnect.
+  EXPECT_EQ(a_sink.contents(), (std::multiset<Bytes>{Bytes{0}, Bytes{2}}));
+  EXPECT_EQ(b_sink.contents(), (std::multiset<Bytes>{Bytes{0}, Bytes{1}}));
+  proxy.shutdown();
 }
 
 // --- runtime bundle ---------------------------------------------------------

@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # Two-process federation demo: two b2bnode processes — separate OS
-# processes wired only by a peers file and TCP on localhost — play the
-# scripted Tic-Tac-Toe game to completion. Run twice:
+# processes wired only by a peers file and TCP on localhost, each on its
+# own reactor (one epoll loop) — play the scripted Tic-Tac-Toe game to
+# completion, then the deal demo. Phases:
 #
 #   Phase 1: plain game. Both processes must exit 0 (their own evidence
 #            chains verify, the agreed game reaches Cross-wins) and print
@@ -9,19 +10,13 @@
 #   Phase 2: cross _Exit()s mid-game right after its second agreed move,
 #            then restarts from its write-ahead journal with a NEW port
 #            and incarnation; the game must still complete identically.
-#   Phase 3: same plain game on the reactor stack (--transport reactor,
-#            one epoll loop per process instead of threads per peer).
-#   Phase 4: mixed stacks — cross on reactor, nought on tcp — proving the
-#            two runtimes speak one wire protocol across processes.
-#   Phase 5: session-authenticated wire (--auth on both): per-connection
+#   Phase 3: session-authenticated wire (--auth on both): per-connection
 #            HMAC keys negotiated at each hello, every data/ack frame
 #            MAC'd and verified — across real process boundaries.
-#   Phase 6: auth on mixed stacks — the two runtimes negotiate and verify
-#            the same session MACs against each other.
-#   Phase 7: --deal — four scripted two-leg deals (§12) across two shared
+#   Phase 4: --deal — four scripted two-leg deals (§12) across two shared
 #            registers: a commit, a vetoed deal whose legs all roll back,
 #            and two more commits; both processes print the same FINAL.
-#   Phase 8: deal crash — the initiator _Exit()s between journaling its
+#   Phase 5: deal crash — the initiator _Exit()s between journaling its
 #            signed commit decision and replicating it (the
 #            deal-decide.journaled crash point); the restart resumes the
 #            deal from the write-ahead journal and must drive it to the
@@ -37,9 +32,7 @@ trap 'rm -rf "$WORK"' EXIT
 run_phase() {
     phase="$1"
     crash_flags="$2"
-    cross_transport="${3:-tcp}"
-    nought_transport="${4:-tcp}"
-    extra_flags="${5:-}"
+    extra_flags="${3:-}"
     dir="$WORK/$phase"
     mkdir -p "$dir/ports"
 
@@ -52,12 +45,11 @@ EOF
     # shellcheck disable=SC2086  # crash/extra flags intentionally word-split
     "$B2BNODE" --party cross --peers "$dir/peers.txt" \
         --port-dir "$dir/ports" --journal "$dir/journal" \
-        --transport "$cross_transport" $crash_flags $extra_flags \
+        $crash_flags $extra_flags \
         > "$dir/cross.log" 2>&1 &
     cross_pid=$!
     "$B2BNODE" --party nought --peers "$dir/peers.txt" \
-        --port-dir "$dir/ports" --journal "$dir/journal" \
-        --transport "$nought_transport" $extra_flags \
+        --port-dir "$dir/ports" --journal "$dir/journal" $extra_flags \
         > "$dir/nought.log" 2>&1 &
     nought_pid=$!
 
@@ -68,8 +60,7 @@ EOF
         # nought process keeps retransmitting meanwhile.
         echo "[$phase] cross crashed as scripted, restarting from journal"
         "$B2BNODE" --party cross --peers "$dir/peers.txt" \
-            --port-dir "$dir/ports" --journal "$dir/journal" \
-            --transport "$cross_transport" $extra_flags \
+            --port-dir "$dir/ports" --journal "$dir/journal" $extra_flags \
             >> "$dir/cross.log" 2>&1 &
         cross_pid=$!
         cross_rc=0
@@ -98,10 +89,7 @@ EOF
 
 run_phase plain ""
 run_phase crash "--crash-after 2"
-run_phase reactor "" reactor reactor
-run_phase mixed "" reactor tcp
-run_phase auth "" tcp tcp "--auth"
-run_phase auth_mixed "" reactor tcp "--auth"
-run_phase deal "" tcp tcp "--deal"
-run_phase deal_crash "--crash-after 3" tcp tcp "--deal"
+run_phase auth "" "--auth"
+run_phase deal "" "--deal"
+run_phase deal_crash "--crash-after 3" "--deal"
 echo "two-process demo passed"

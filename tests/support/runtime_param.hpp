@@ -1,13 +1,12 @@
-// Support for running protocol suites over all four runtimes.
+// Support for running protocol suites over all three runtimes.
 //
 // A suite derives its fixture from RuntimeParamTest and instantiates with
 // B2B_INSTANTIATE_RUNTIME_SUITE: every TEST_P then runs once on the
 // deterministic simulator, once on real threads over the in-process
-// fabric, once over real TCP sockets on localhost (thread-per-peer), and
-// once over the same sockets on the epoll reactor (one loop + bounded
-// pool), proving the protocol layer depends only on the abstract runtime
-// seam (eventual once-only delivery), not on the discrete-event substrate
-// or the threading model underneath.
+// fabric, and once over real TCP sockets on localhost on the epoll
+// reactor (one loop + bounded pool), proving the protocol layer depends
+// only on the abstract runtime seam (eventual once-only delivery), not on
+// the discrete-event substrate or the threading model underneath.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -39,9 +38,6 @@ inline core::Federation::Options runtime_options(core::RuntimeKind kind,
   } else if (kind == core::RuntimeKind::kThreaded) {
     options.threaded_faults.drop_probability = drop;
     options.threaded_faults.duplicate_probability = dup;
-  } else if (kind == core::RuntimeKind::kTcp) {
-    options.tcp_faults.drop_probability = drop;
-    options.tcp_faults.duplicate_probability = dup;
   } else {
     options.reactor_faults.drop_probability = drop;
     options.reactor_faults.duplicate_probability = dup;
@@ -64,15 +60,11 @@ inline FabricStats fabric_stats(core::Federation& fed) {
     const auto stats = fed.threaded_network().stats();
     return {stats.datagrams_dropped, stats.datagrams_duplicated};
   }
-  if (fed.runtime() == core::RuntimeKind::kTcp) {
-    const auto stats = fed.tcp_runtime().fabric_stats();
-    return {stats.frames_dropped_injected, stats.frames_duplicated_injected};
-  }
   const auto stats = fed.reactor_runtime().fabric_stats();
   return {stats.frames_dropped_injected, stats.frames_duplicated_injected};
 }
 
-/// Base fixture for suites instantiated over both runtimes.
+/// Base fixture for suites instantiated over every runtime.
 class RuntimeParamTest : public ::testing::TestWithParam<core::RuntimeKind> {
  protected:
   core::Federation::Options options(std::uint64_t seed = 1, double drop = 0.0,
@@ -87,8 +79,6 @@ inline std::string runtime_suffix(core::RuntimeKind kind) {
       return "Sim";
     case core::RuntimeKind::kThreaded:
       return "Threaded";
-    case core::RuntimeKind::kTcp:
-      return "Tcp";
     case core::RuntimeKind::kReactor:
       return "Reactor";
   }
@@ -102,7 +92,6 @@ inline std::string runtime_suffix(core::RuntimeKind kind) {
       Runtimes, suite,                                                   \
       ::testing::Values(b2b::core::RuntimeKind::kSim,                    \
                         b2b::core::RuntimeKind::kThreaded,               \
-                        b2b::core::RuntimeKind::kTcp,                    \
                         b2b::core::RuntimeKind::kReactor),               \
       [](const ::testing::TestParamInfo<b2b::core::RuntimeKind>& info) { \
         return b2b::test::runtime_suffix(info.param);                    \
