@@ -46,8 +46,10 @@
 
 namespace b2b::core {
 
-/// Which substrate a Federation assembles its parties on.
-enum class RuntimeKind { kSim, kThreaded, kReactor };
+/// Which substrate a Federation assembles its parties on. The values are
+/// fixed, since parameterised test names print them: 2 belonged to the
+/// retired thread-per-peer TCP runtime.
+enum class RuntimeKind { kSim, kThreaded, kReactor = 3 };
 
 class Federation {
  public:

@@ -971,7 +971,8 @@ TEST(DealSoak, SimSeedsSweep) {
   }
 }
 
-TEST(DealSoak, ReactorRuntimeOnce) {
+// Once over real TCP sockets, on the reactor.
+TEST(DealSoak, TcpRuntimeOnce) {
   run_deal_soak(RuntimeKind::kReactor, deal_seed(), /*with_crash=*/false,
                 "soak_reactor", /*rounds=*/4);
 }

@@ -31,11 +31,13 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "b2b/arbiter.hpp"
 #include "b2b/federation.hpp"
 #include "net/reactor_runtime.hpp"
+#include "tests/support/runtime_param.hpp"
 #include "tests/support/test_objects.hpp"
 
 namespace b2b {
@@ -84,7 +86,39 @@ struct Sink {
   }
 };
 
-// --- the transport stack the scripted games run on ---------------------------
+// --- transport stacks the scripted games are parameterized over -------------
+
+/// Reactor transports on a loop and pool each, sharing only the
+/// directory: parties that meet over nothing but TCP, as separately
+/// deployed nodes do. A restarted party comes back on a fresh loop.
+struct TcpStack {
+  struct Loop {
+    net::Reactor reactor;
+    std::shared_ptr<net::TaskPool> pool = std::make_shared<net::TaskPool>(1);
+  };
+
+  std::shared_ptr<net::PeerDirectory> directory =
+      std::make_shared<net::PeerDirectory>();
+  std::vector<std::unique_ptr<Loop>> loops;
+  net::ReactorTransport::Config config;
+
+  TcpStack() {
+    config.retransmit_interval_micros = 5'000;  // keep the games brisk
+    config.reconnect_backoff_min_micros = 5'000;
+    config.reconnect_backoff_max_micros = 50'000;
+  }
+
+  std::unique_ptr<net::ReactorTransport> make(const std::string& name,
+                                              std::uint16_t port = 0) {
+    loops.push_back(std::make_unique<Loop>());
+    auto transport = std::make_unique<net::ReactorTransport>(
+        PartyId{name}, "127.0.0.1", port, directory, config,
+        loops.back()->reactor, loops.back()->pool);
+    directory->set(PartyId{name},
+                   net::PeerAddress{"127.0.0.1", transport->port()});
+    return transport;
+  }
+};
 
 /// Reactor transports sharing one epoll loop, one pool, one directory.
 struct ReactorStack {
@@ -117,8 +151,9 @@ struct ReactorStack {
 /// connection must still deliver everything exactly once. Truncating
 /// only the first offer matters: a script that truncated every offer of
 /// a seq would defeat its own recovery path forever.
-TEST(IntruderScriptedGames, TruncationStormHealsReactor) {
-  ReactorStack stack;
+template <typename Stack>
+void run_truncation_storm() {
+  Stack stack;
 
   net::IntruderProxy::Config config;
   auto torn = std::make_shared<std::set<std::uint64_t>>();
@@ -157,6 +192,14 @@ TEST(IntruderScriptedGames, TruncationStormHealsReactor) {
   proxy.shutdown();
 }
 
+TEST(IntruderScriptedGames, TruncationStormHealsTcp) {
+  run_truncation_storm<TcpStack>();
+}
+
+TEST(IntruderScriptedGames, TruncationStormHealsReactor) {
+  run_truncation_storm<ReactorStack>();
+}
+
 // --- scripted game 2: cross-incarnation replay campaign ----------------------
 
 /// Replay a recorded frame after every genuine data frame, restarting
@@ -164,8 +207,9 @@ TEST(IntruderScriptedGames, TruncationStormHealsReactor) {
 /// incarnation. Wire v2's incarnation binding must suppress every
 /// re-injection (replays_suppressed / connection reset) without losing
 /// or duplicating a single genuine payload.
-TEST(IntruderScriptedGames, CrossIncarnationReplayIsSuppressedReactor) {
-  ReactorStack stack;
+template <typename Stack>
+void run_cross_incarnation_replay() {
+  Stack stack;
 
   net::IntruderProxy::Config config;
   config.script = [](const net::FrameInfo& info)
@@ -221,6 +265,14 @@ TEST(IntruderScriptedGames, CrossIncarnationReplayIsSuppressedReactor) {
   EXPECT_EQ(sink.contents(), want);  // exactly once, despite the storm
   EXPECT_TRUE(wait_for([&] { return a->unacked() == 0; }));
   proxy.shutdown();
+}
+
+TEST(IntruderScriptedGames, CrossIncarnationReplayIsSuppressedTcp) {
+  run_cross_incarnation_replay<TcpStack>();
+}
+
+TEST(IntruderScriptedGames, CrossIncarnationReplayIsSuppressedReactor) {
+  run_cross_incarnation_replay<ReactorStack>();
 }
 
 // --- scripted game 3: respond blackout resolved by the TTP -------------------
@@ -671,13 +723,13 @@ struct CampaignOutcome {
 /// and the intruder draws the widened arsenal — live rewrites, forged
 /// acks, hello downgrades, cross-flow splices — every one of which must
 /// die at the receiving transport as frames_rejected_auth.
-void run_federation_campaign(std::uint64_t seed, bool attacked, bool auth,
-                             CampaignOutcome* out) {
+void run_federation_campaign(core::RuntimeKind kind, std::uint64_t seed,
+                             bool attacked, bool auth, CampaignOutcome* out) {
   const ObjectId kLedger{"ledger"};
   const ObjectId kAudit{"audit"};
   const std::vector<std::string> names{"alpha", "beta", "gamma"};
 
-  const std::string tag = std::string("reactor") + (auth ? "_auth" : "") +
+  const std::string tag = test::runtime_suffix(kind) + (auth ? "_auth" : "") +
                           (attacked ? "_attacked_" : "_clean_") +
                           std::to_string(seed);
   const fs::path root =
@@ -686,7 +738,7 @@ void run_federation_campaign(std::uint64_t seed, bool attacked, bool auth,
 
   auto directory = std::make_shared<net::PeerDirectory>();
   core::Federation::Options options;
-  options.runtime = core::RuntimeKind::kReactor;
+  options.runtime = kind;
   options.seed = 1;  // the federation seed is FIXED; only the intruder varies
   options.tcp_directory = directory;
   // Journaling on: an app-level replay that survives transport dedup is
@@ -859,19 +911,20 @@ void run_federation_campaign(std::uint64_t seed, bool attacked, bool auth,
   proxy.shutdown();
 }
 
-/// Session-authenticated wire? — the campaign matrix.
-class IntruderCampaign : public ::testing::TestWithParam<bool> {};
+/// (socket runtime, session-authenticated wire?) — the campaign matrix.
+class IntruderCampaign
+    : public ::testing::TestWithParam<std::tuple<core::RuntimeKind, bool>> {};
 
 TEST_P(IntruderCampaign, AttackedFederationMatchesCleanRunExactly) {
-  const bool auth = GetParam();
+  const auto [kind, auth] = GetParam();
   const std::uint64_t seed = intruder_seed();
 
   CampaignOutcome clean;
-  run_federation_campaign(seed, /*attacked=*/false, auth, &clean);
+  run_federation_campaign(kind, seed, /*attacked=*/false, auth, &clean);
   ASSERT_FALSE(::testing::Test::HasFailure()) << "clean reference run failed";
 
   CampaignOutcome attacked;
-  run_federation_campaign(seed, /*attacked=*/true, auth, &attacked);
+  run_federation_campaign(kind, seed, /*attacked=*/true, auth, &attacked);
   ASSERT_FALSE(::testing::Test::HasFailure())
       << "attacked run failed under seed " << seed;
 
@@ -913,7 +966,8 @@ TEST_P(IntruderCampaign, AttackedFederationMatchesCleanRunExactly) {
   // at the handshake — so only the auth legs pin its behaviour.)
 
   // Coverage report for EXPERIMENTS.md E21/E22.
-  std::cout << "[intruder] seed=" << seed << " runtime=reactor"
+  std::cout << "[intruder] seed=" << seed
+            << " runtime=" << test::runtime_suffix(kind)
             << " auth=" << (auth ? 1 : 0) << " frames=" << s.frames_seen
             << " actions=" << attacked.actions << " (drop=" << s.dropped
             << " delay=" << s.delayed << " dup=" << s.duplicated
@@ -931,9 +985,13 @@ TEST_P(IntruderCampaign, AttackedFederationMatchesCleanRunExactly) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Sockets, IntruderCampaign, ::testing::Bool(),
-    [](const ::testing::TestParamInfo<bool>& info) {
-      return std::string("Reactor") + (info.param ? "Auth" : "");
+    Sockets, IntruderCampaign,
+    ::testing::Combine(::testing::Values(core::RuntimeKind::kReactor),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<core::RuntimeKind, bool>>&
+           info) {
+      return test::runtime_suffix(std::get<0>(info.param)) +
+             (std::get<1>(info.param) ? "Auth" : "");
     });
 
 }  // namespace

@@ -6,6 +6,13 @@
 // hundreds of simultaneous dials into one acceptor, write backpressure
 // (kernel buffer full → EPOLLOUT resume), restart churn, and fd
 // exhaustion at accept.
+//
+// The contract cases run twice. As ReactorTransportTest every party
+// shares one loop and pool, as a Federation's parties do. As
+// TcpTransportTest each party gets a loop and pool of its own, so the
+// parties share nothing but the directory and TCP, as separately
+// deployed nodes do; a restarted party comes back on a fresh loop. The
+// TcpRuntimeTest cases do the same with whole ReactorRuntime bundles.
 #include "net/reactor_runtime.hpp"
 
 #include <gtest/gtest.h>
@@ -73,15 +80,30 @@ struct Sink {
   }
 };
 
-/// Transports sharing one loop, one pool, one directory on localhost.
+/// Where a fixture's transports run.
+enum class Topology {
+  kSharedLoop,    // one loop and one pool for every party
+  kLoopPerParty,  // a fresh loop and pool for every transport made
+};
+
+/// Transports sharing one directory on localhost, on one loop or on a
+/// loop each (see Topology).
 struct Fixture {
+  struct Loop {
+    Reactor reactor;
+    std::shared_ptr<TaskPool> pool = std::make_shared<TaskPool>(2);
+  };
+
+  Topology topology;
   std::shared_ptr<PeerDirectory> directory =
       std::make_shared<PeerDirectory>();
   Reactor reactor;
   std::shared_ptr<TaskPool> pool = std::make_shared<TaskPool>(4);
+  std::vector<std::unique_ptr<Loop>> own_loops;  // kLoopPerParty only
   ReactorTransport::Config config;
 
-  Fixture() {
+  explicit Fixture(Topology topology = Topology::kSharedLoop)
+      : topology(topology) {
     config.retransmit_interval_micros = 5'000;  // keep tests brisk
     config.reconnect_backoff_min_micros = 5'000;
     config.reconnect_backoff_max_micros = 50'000;
@@ -89,17 +111,48 @@ struct Fixture {
 
   std::unique_ptr<ReactorTransport> make(const std::string& name,
                                          std::uint16_t port = 0) {
-    auto transport = std::make_unique<ReactorTransport>(
-        PartyId{name}, "127.0.0.1", port, directory, config, reactor, pool);
-    directory->set(PartyId{name},
-                   PeerAddress{"127.0.0.1", transport->port()});
-    return transport;
+    return make_with(name, port, config);
   }
 
   /// Like make(), with wire v3 session auth on (test-pool PKI).
   std::unique_ptr<ReactorTransport> make_auth(const std::string& name,
                                               std::uint16_t port = 0);
+
+  std::unique_ptr<ReactorTransport> make_with(
+      const std::string& name, std::uint16_t port,
+      const ReactorTransport::Config& transport_config) {
+    Reactor* loop = &reactor;
+    std::shared_ptr<TaskPool> loop_pool = pool;
+    if (topology == Topology::kLoopPerParty) {
+      own_loops.push_back(std::make_unique<Loop>());
+      loop = &own_loops.back()->reactor;
+      loop_pool = own_loops.back()->pool;
+    }
+    auto transport = std::make_unique<ReactorTransport>(
+        PartyId{name}, "127.0.0.1", port, directory, transport_config, *loop,
+        loop_pool);
+    directory->set(PartyId{name},
+                   PeerAddress{"127.0.0.1", transport->port()});
+    return transport;
+  }
 };
+
+/// Defines one contract case as two tests over `fx`:
+/// ReactorTransportTest.<reactor_name> on a shared loop and
+/// TcpTransportTest.<tcp_name> with a loop per party.
+#define TRANSPORT_CASE_NAMED(reactor_name, tcp_name) \
+  void reactor_name##Case(Fixture& fx);               \
+  TEST(ReactorTransportTest, reactor_name) {          \
+    Fixture fx{Topology::kSharedLoop};                \
+    reactor_name##Case(fx);                           \
+  }                                                   \
+  TEST(TcpTransportTest, tcp_name) {                  \
+    Fixture fx{Topology::kLoopPerParty};              \
+    reactor_name##Case(fx);                           \
+  }                                                   \
+  void reactor_name##Case(Fixture& fx)
+
+#define TRANSPORT_CASE(name) TRANSPORT_CASE_NAMED(name, name)
 
 // --- wire-format helpers for the raw-socket tests --------------------------
 
@@ -169,10 +222,7 @@ std::unique_ptr<ReactorTransport> Fixture::make_auth(const std::string& name,
                                                      std::uint16_t port) {
   ReactorTransport::Config auth_config = config;
   auth_config.auth = test_auth(name);
-  auto transport = std::make_unique<ReactorTransport>(
-      PartyId{name}, "127.0.0.1", port, directory, auth_config, reactor, pool);
-  directory->set(PartyId{name}, PeerAddress{"127.0.0.1", transport->port()});
-  return transport;
+  return make_with(name, port, auth_config);
 }
 
 /// Send `from`'s signed, key-carrying hello on a raw socket and return the
@@ -190,8 +240,7 @@ ConnKeys raw_auth_handshake(Socket& raw, const std::string& from,
 
 // --- transport-level behaviour ---------------------------------------------
 
-TEST(ReactorTransportTest, DeliversPayloadsBetweenParties) {
-  Fixture fx;
+TRANSPORT_CASE(DeliversPayloadsBetweenParties) {
   auto a = fx.make("a");
   auto b = fx.make("b");
   Sink a_sink, b_sink;
@@ -230,8 +279,7 @@ TEST(ReactorTransportTest, DeliversPayloadsBetweenParties) {
   EXPECT_TRUE(wait_for([&] { return a->stats().timers_fired > 0; }));
 }
 
-TEST(ReactorTransportTest, RetransmitsThroughInjectedLoss) {
-  Fixture fx;
+TRANSPORT_CASE(RetransmitsThroughInjectedLoss) {
   fx.config.faults.drop_probability = 0.5;
   fx.config.fault_seed = 2;
   auto a = fx.make("a");
@@ -255,8 +303,7 @@ TEST(ReactorTransportTest, RetransmitsThroughInjectedLoss) {
   EXPECT_GT(a->fabric_stats().frames_dropped_injected, 0u);
 }
 
-TEST(ReactorTransportTest, MasksDuplicationToOnceOnlyDelivery) {
-  Fixture fx;
+TRANSPORT_CASE(MasksDuplicationToOnceOnlyDelivery) {
   fx.config.faults.duplicate_probability = 1.0;
   fx.config.fault_seed = 3;
   auto a = fx.make("a");
@@ -276,8 +323,7 @@ TEST(ReactorTransportTest, MasksDuplicationToOnceOnlyDelivery) {
   EXPECT_GT(b->stats().duplicates_suppressed, 0u);
 }
 
-TEST(ReactorTransportTest, CrashRecoveryKeepsChannelState) {
-  Fixture fx;
+TRANSPORT_CASE(CrashRecoveryKeepsChannelState) {
   auto a = fx.make("a");
   auto b = fx.make("b");
   Sink sink;
@@ -295,8 +341,7 @@ TEST(ReactorTransportTest, CrashRecoveryKeepsChannelState) {
   ASSERT_TRUE(wait_for([&] { return a->unacked() == 0; }));
 }
 
-TEST(ReactorTransportTest, ReconnectsToRestartedPeerWithFreshIncarnation) {
-  Fixture fx;
+TRANSPORT_CASE(ReconnectsToRestartedPeerWithFreshIncarnation) {
   auto a = fx.make("a");
   auto b = fx.make("b");
   std::uint16_t b_port = b->port();
@@ -332,8 +377,7 @@ TEST(ReactorTransportTest, ReconnectsToRestartedPeerWithFreshIncarnation) {
 
 // --- raw-socket byte-stream abuse ------------------------------------------
 
-TEST(ReactorTransportTest, TornFrameIsDroppedAndChannelRecovers) {
-  Fixture fx;
+TRANSPORT_CASE(TornFrameIsDroppedAndChannelRecovers) {
   auto a = fx.make("a");
   auto b = fx.make("b");
   Sink sink;
@@ -355,8 +399,7 @@ TEST(ReactorTransportTest, TornFrameIsDroppedAndChannelRecovers) {
   EXPECT_EQ(b->stats().frames_dropped_crc, 0u);  // torn ≠ corrupt
 }
 
-TEST(ReactorTransportTest, CorruptCrcIsCountedAndNotDelivered) {
-  Fixture fx;
+TRANSPORT_CASE(CorruptCrcIsCountedAndNotDelivered) {
   auto b = fx.make("b");
   Sink sink;
   b->set_handler(sink.handler());
@@ -375,8 +418,7 @@ TEST(ReactorTransportTest, CorruptCrcIsCountedAndNotDelivered) {
   EXPECT_EQ(b->stats().app_delivered, 0u);
 }
 
-TEST(ReactorTransportTest, SplitWritesReassembleToExactlyOneDelivery) {
-  Fixture fx;
+TRANSPORT_CASE(SplitWritesReassembleToExactlyOneDelivery) {
   auto b = fx.make("b");
   Sink sink;
   b->set_handler(sink.handler());
@@ -402,8 +444,7 @@ TEST(ReactorTransportTest, SplitWritesReassembleToExactlyOneDelivery) {
   EXPECT_EQ(b->stats().app_delivered, 1u);
 }
 
-TEST(ReactorTransportTest, PeerResetMidStreamNeverDuplicatesDelivery) {
-  Fixture fx;
+TRANSPORT_CASE(PeerResetMidStreamNeverDuplicatesDelivery) {
   auto a = fx.make("a");
   auto b = fx.make("b");
   Sink sink;
@@ -491,8 +532,7 @@ TEST(ReactorTransportTest, FatalWriteOnSendPathKillsConnectionAndRedials) {
   listener.stop();
 }
 
-TEST(ReactorTransportTest, ReplayedAndReorderedFramesStayOnceOnly) {
-  Fixture fx;
+TRANSPORT_CASE(ReplayedAndReorderedFramesStayOnceOnly) {
   auto b = fx.make("b");
   Sink sink;
   b->set_handler(sink.handler());
@@ -513,8 +553,7 @@ TEST(ReactorTransportTest, ReplayedAndReorderedFramesStayOnceOnly) {
             (std::multiset<Bytes>{Bytes{0}, Bytes{1}, Bytes{2}}));
 }
 
-TEST(ReactorTransportTest, StaleIncarnationFramesAreDropped) {
-  Fixture fx;
+TRANSPORT_CASE(StaleIncarnationFramesAreDropped) {
   auto b = fx.make("b");
   Sink sink;
   b->set_handler(sink.handler());
@@ -540,8 +579,7 @@ TEST(ReactorTransportTest, StaleIncarnationFramesAreDropped) {
 
 // --- hostile length prefixes (DESIGN.md §11) --------------------------------
 
-TEST(ReactorTransportTest, HostileLengthPrefixIsRejectedAndConnectionReset) {
-  Fixture fx;
+TRANSPORT_CASE(HostileLengthPrefixIsRejectedAndConnectionReset) {
   auto b = fx.make("b");
   Sink sink;
   b->set_handler(sink.handler());
@@ -567,8 +605,7 @@ TEST(ReactorTransportTest, HostileLengthPrefixIsRejectedAndConnectionReset) {
   ASSERT_TRUE(wait_for([&] { return sink.count() == 1; }));
 }
 
-TEST(ReactorTransportTest, FrameLengthOffByOneOverLimitIsRejected) {
-  Fixture fx;
+TRANSPORT_CASE(FrameLengthOffByOneOverLimitIsRejected) {
   fx.config.max_frame_bytes = 64;  // small limit keeps the test cheap
   auto b = fx.make("b");
   Sink sink;
@@ -599,8 +636,7 @@ TEST(ReactorTransportTest, FrameLengthOffByOneOverLimitIsRejected) {
 
 // --- cross-incarnation replay (DESIGN.md §11, wire v2) ----------------------
 
-TEST(ReactorTransportTest, CrossIncarnationReplayIsSuppressed) {
-  Fixture fx;
+TRANSPORT_CASE(CrossIncarnationReplayIsSuppressed) {
   auto b = fx.make("b");
   Sink sink;
   b->set_handler(sink.handler());
@@ -638,8 +674,8 @@ TEST(ReactorTransportTest, CrossIncarnationReplayIsSuppressed) {
   ASSERT_TRUE(wait_for([&] { return sink.count() == 3; }));
 }
 
-TEST(ReactorTransportTest, ReplayedAckFromWrongIncarnationCannotRetire) {
-  Fixture fx;
+TRANSPORT_CASE_NAMED(ReplayedAckFromWrongIncarnationCannotRetire,
+                     ReplayedAckFromWrongIncarnationCannotRetireMessage) {
   fx.config.retransmit_interval_micros = 50'000;  // quiet retransmits
   auto b = fx.make("b");
   b->set_handler([](const PartyId&, const Bytes&) {});
@@ -682,8 +718,7 @@ TEST(ReactorTransportTest, ReplayedAckFromWrongIncarnationCannotRetire) {
 // forged ack, truncated MAC, and hello downgrade-strip — each must die
 // as frames_rejected_auth.
 
-TEST(ReactorTransportTest, AuthLiveDataFrameRewriteIsRejected) {
-  Fixture fx;
+TRANSPORT_CASE(AuthLiveDataFrameRewriteIsRejected) {
   auto b = fx.make_auth("b");
   Sink sink;
   b->set_handler(sink.handler());
@@ -728,8 +763,7 @@ TEST(ReactorTransportTest, AuthLiveDataFrameRewriteIsRejected) {
   EXPECT_EQ(sink.count(), 2u);
 }
 
-TEST(ReactorTransportTest, AuthForgedAckCannotRetireMessage) {
-  Fixture fx;
+TRANSPORT_CASE(AuthForgedAckCannotRetireMessage) {
   fx.config.retransmit_interval_micros = 20'000;
   auto b = fx.make_auth("b");
   b->set_handler([](const PartyId&, const Bytes&) {});
@@ -784,8 +818,7 @@ TEST(ReactorTransportTest, AuthForgedAckCannotRetireMessage) {
   listener.stop();
 }
 
-TEST(ReactorTransportTest, AuthTruncatedMacFrameIsRejected) {
-  Fixture fx;
+TRANSPORT_CASE(AuthTruncatedMacFrameIsRejected) {
   auto b = fx.make_auth("b");
   Sink sink;
   b->set_handler(sink.handler());
@@ -826,8 +859,7 @@ TEST(ReactorTransportTest, AuthTruncatedMacFrameIsRejected) {
   ASSERT_TRUE(wait_for([&] { return sink.count() == 2; }));
 }
 
-TEST(ReactorTransportTest, AuthHelloDowngradeStripIsRefused) {
-  Fixture fx;
+TRANSPORT_CASE(AuthHelloDowngradeStripIsRefused) {
   auto b = fx.make_auth("b");
   Sink sink;
   b->set_handler(sink.handler());
@@ -1033,6 +1065,75 @@ TEST(ReactorTransportTest, BothBacklogsRetireWhenSplicesKillEveryConnection) {
   proxy.shutdown();
 }
 
+TEST(ReactorTransportTest, ReactorTalksToTcpTransport) {
+  // Wire compatibility with a second implementation of frame.hpp: a
+  // blocking-socket peer "t" that speaks hello, data and ack by hand and
+  // a reactor party exchange ten payloads each way on the connection the
+  // reactor dials, each side acking the other's frames.
+  Fixture fx;
+  fx.config.retransmit_interval_micros = 50'000;  // quiet retransmits
+  auto r = fx.make("r");
+  Sink sink;
+  r->set_handler(sink.handler());
+  Listener listener = Listener::open("127.0.0.1", 0);
+  fx.directory->set(PartyId{"t"}, PeerAddress{"127.0.0.1", listener.port()});
+
+  std::multiset<Bytes> r_want, t_want;
+  for (int i = 0; i < 10; ++i) {
+    r->send(PartyId{"t"}, Bytes{static_cast<std::uint8_t>(i)});
+    t_want.insert(Bytes{static_cast<std::uint8_t>(i)});
+    r_want.insert(Bytes{static_cast<std::uint8_t>(100 + i)});
+  }
+
+  Socket conn = listener.accept();
+  ASSERT_TRUE(conn.valid());
+  conn.set_recv_timeout(5'000'000);
+  Bytes hello;
+  ASSERT_TRUE(recv_frame(conn, &hello));
+  wire::Decoder hello_dec{hello};
+  ASSERT_EQ(hello_dec.u8(), frame::kHello);
+  hello_dec.u32();  // magic
+  hello_dec.u16();  // version
+  ASSERT_EQ(hello_dec.str(), "r");
+  ASSERT_EQ(hello_dec.str(), "t");
+  const std::uint64_t r_inc = hello_dec.u64();
+  constexpr std::uint64_t kTInc = 7;
+  ASSERT_TRUE(send_bytes(conn, make_frame(hello_payload("t", "r", kTInc))));
+  for (std::uint64_t seq = 0; seq < 10; ++seq) {
+    const Bytes app{static_cast<std::uint8_t>(100 + seq)};
+    ASSERT_TRUE(send_bytes(conn, make_frame(data_payload(kTInc, seq, app))));
+  }
+
+  // Read until t holds r's ten payloads and r has acked t's ten; a
+  // retransmitted data frame is acked again but kept once.
+  std::multiset<Bytes> t_got;
+  std::set<std::uint64_t> t_seen, r_acked;
+  while (t_seen.size() < 10 || r_acked.size() < 10) {
+    Bytes payload;
+    ASSERT_TRUE(recv_frame(conn, &payload));
+    wire::Decoder dec{payload};
+    const std::uint8_t kind = dec.u8();
+    const std::uint64_t incarnation = dec.u64();
+    const std::uint64_t seq = dec.u64();
+    if (kind == frame::kAck) {
+      EXPECT_EQ(incarnation, kTInc);
+      r_acked.insert(seq);
+      continue;
+    }
+    ASSERT_EQ(kind, frame::kData);
+    EXPECT_EQ(incarnation, r_inc);
+    Bytes app = dec.blob();
+    if (t_seen.insert(seq).second) t_got.insert(std::move(app));
+    ASSERT_TRUE(send_bytes(conn, make_frame(frame::encode_ack(r_inc, seq))));
+  }
+  EXPECT_EQ(r_acked, (std::set<std::uint64_t>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
+  EXPECT_EQ(t_got, t_want);
+  ASSERT_TRUE(wait_for([&] { return r->unacked() == 0; }));
+  ASSERT_TRUE(wait_for([&] { return sink.count() == 10; }));
+  EXPECT_EQ(sink.contents(), r_want);
+  listener.stop();
+}
+
 // --- runtime bundle ---------------------------------------------------------
 
 TEST(ReactorRuntimeTest, ExecutorSettlesOnQuiescence) {
@@ -1123,6 +1224,80 @@ TEST(ReactorRuntimeTest, ThreadCountStaysFlatAcrossParties) {
   }
   const long after = count_threads();
   EXPECT_EQ(after, base);  // 31 more parties, zero more threads
+}
+
+
+// --- a runtime bundle per party ---------------------------------------------
+
+/// One party's own bundle; the bundles of a test share only `directory`.
+ReactorRuntime::Options own_bundle(std::shared_ptr<PeerDirectory> directory) {
+  ReactorRuntime::Options options;
+  options.directory = std::move(directory);
+  options.workers = 2;
+  options.transport.retransmit_interval_micros = 5'000;
+  return options;
+}
+
+TEST(TcpRuntimeTest, ExecutorSettlesOnQuiescence) {
+  auto directory = std::make_shared<PeerDirectory>();
+  Sink sink;
+  ReactorRuntime a_runtime(own_bundle(directory));
+  ReactorRuntime b_runtime(own_bundle(directory));
+  Transport& a = a_runtime.add_party(PartyId{"a"});
+  Transport& b = b_runtime.add_party(PartyId{"b"});
+  a.set_handler([](const PartyId&, const Bytes&) {});
+  b.set_handler(sink.handler());
+
+  for (int i = 0; i < 20; ++i) {
+    a.send(PartyId{"b"}, Bytes{static_cast<std::uint8_t>(i)});
+  }
+  EXPECT_TRUE(
+      b_runtime.executor().run_until([&] { return sink.count() == 20; }));
+  // Each executor sees only its own bundle: a's settles once b's acks
+  // have retired a's queue.
+  a_runtime.executor().settle();
+  b_runtime.executor().settle();
+  EXPECT_EQ(a.unacked(), 0u);
+  EXPECT_EQ(sink.count(), 20u);
+}
+
+TEST(TcpRuntimeTest, DirectoryResolvesEphemeralPorts) {
+  auto directory = std::make_shared<PeerDirectory>();
+  directory->set(PartyId{"a"}, PeerAddress{"127.0.0.1", 0});
+  directory->set(PartyId{"b"}, PeerAddress{"127.0.0.1", 0});
+  ReactorRuntime a_runtime(own_bundle(directory));
+  ReactorRuntime b_runtime(own_bundle(directory));
+  a_runtime.add_party(PartyId{"a"});
+  b_runtime.add_party(PartyId{"b"});
+
+  // Each bundle resolves the other's party at the port it bound.
+  auto a_address = b_runtime.directory().lookup(PartyId{"a"});
+  auto b_address = a_runtime.directory().lookup(PartyId{"b"});
+  ASSERT_TRUE(a_address.has_value());
+  ASSERT_TRUE(b_address.has_value());
+  EXPECT_NE(a_address->port, 0);
+  EXPECT_NE(b_address->port, 0);
+  EXPECT_EQ(a_runtime.transport(PartyId{"a"})->port(), a_address->port);
+  EXPECT_EQ(b_runtime.transport(PartyId{"b"})->port(), b_address->port);
+  EXPECT_EQ(a_runtime.transport(PartyId{"b"}), nullptr);
+}
+
+TEST(TcpRuntimeTest, TimerInFlightCannotRaceBundleTeardown) {
+  // Destroying a's bundle while its timer is about to send to b, whose
+  // bundle lives on, must be safe: a's shutdown stops its transport
+  // before its loop and pool, and b only sees a connection drop.
+  auto directory = std::make_shared<PeerDirectory>();
+  ReactorRuntime b_runtime(own_bundle(directory));
+  b_runtime.add_party(PartyId{"b"})
+      .set_handler([](const PartyId&, const Bytes&) {});
+  for (int i = 0; i < 20; ++i) {
+    auto a_runtime = std::make_unique<ReactorRuntime>(own_bundle(directory));
+    Transport& a = a_runtime->add_party(PartyId{"a"});
+    a_runtime->clock().schedule_after(
+        static_cast<std::uint64_t>(i) * 100,
+        [&a] { a.send(PartyId{"b"}, Bytes{1}); });
+    a_runtime.reset();
+  }
 }
 
 }  // namespace
