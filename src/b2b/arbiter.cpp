@@ -8,29 +8,54 @@
 
 namespace b2b::core {
 
+namespace {
+
+/// The protocol message inside an evidence record: payloads are framed
+/// {blob message, blob optional stamp}. Throws CodecError.
+Bytes message_of(const store::EvidenceRecord& record) {
+  wire::Decoder dec{record.payload};
+  Bytes message = dec.blob();
+  dec.blob();
+  dec.expect_done();
+  return message;
+}
+
+bool is_kind(const std::string& kind, const char* sent, const char* received) {
+  return kind == sent || kind == received;
+}
+
+}  // namespace
+
 std::optional<RunTranscript> Arbiter::reconstruct(
-    const store::MessageStore& messages, const std::string& run_label) {
+    const store::EvidenceLog& log, const std::string& run_label) {
   RunTranscript transcript;
   bool have_propose = false;
   std::set<PartyId> responders_seen;
 
-  for (const auto& stored : messages.run(run_label)) {
+  for (const store::EvidenceRecord* record : log.run(run_label)) {
+    const std::string& kind = record->kind;
     try {
-      if (stored.kind == "propose" && !have_propose) {
-        transcript.propose = ProposeMsg::decode(stored.payload);
-        have_propose = true;
-      } else if (stored.kind == "respond") {
-        RespondMsg resp = RespondMsg::decode(stored.payload);
+      if (is_kind(kind, evidence_kind::kProposeSent,
+                  evidence_kind::kProposeReceived)) {
+        if (!have_propose) {
+          transcript.propose = ProposeMsg::decode(message_of(*record));
+          have_propose = true;
+        }
+      } else if (is_kind(kind, evidence_kind::kRespondSent,
+                         evidence_kind::kRespondReceived)) {
+        RespondMsg resp = RespondMsg::decode(message_of(*record));
         // Keep the first copy per responder (later equivocations are
         // separate evidence, not part of the canonical transcript).
         if (responders_seen.insert(resp.response.responder).second) {
           transcript.responses.push_back(std::move(resp));
         }
-      } else if (stored.kind == "decide" && !transcript.decide.has_value()) {
-        transcript.decide = DecideMsg::decode(stored.payload);
+      } else if (is_kind(kind, evidence_kind::kDecideSent,
+                         evidence_kind::kDecideReceived) &&
+                 !transcript.decide.has_value()) {
+        transcript.decide = DecideMsg::decode(message_of(*record));
       }
     } catch (const CodecError&) {
-      // Undecodable stored bytes: skip; the verifier will flag any gap.
+      // Undecodable record: skip; the verifier will flag any gap.
     }
   }
   if (!have_propose) return std::nullopt;
@@ -47,11 +72,10 @@ std::optional<RunTranscript> Arbiter::reconstruct(
 }
 
 ArbitrationReport Arbiter::arbitrate(
-    const store::MessageStore& messages, const std::string& run_label,
+    const store::EvidenceLog& log, const std::string& run_label,
     const std::vector<PartyId>* expected_recipients) const {
   ArbitrationReport report;
-  std::optional<RunTranscript> transcript =
-      reconstruct(messages, run_label);
+  std::optional<RunTranscript> transcript = reconstruct(log, run_label);
   if (!transcript.has_value()) {
     report.ruling = "no proposal on record for run " + run_label +
                     ": nothing to arbitrate";
@@ -90,7 +114,7 @@ ArbitrationReport Arbiter::arbitrate(
 }
 
 Arbiter::DealArbitrationReport Arbiter::arbitrate_deal(
-    const store::MessageStore& messages, const std::string& leg_label,
+    const store::EvidenceLog& log, const std::string& leg_label,
     const std::map<PartyId, crypto::RsaPublicKey>& keys,
     const std::vector<PartyId>* expected_recipients) const {
   DealArbitrationReport report;
@@ -106,25 +130,58 @@ Arbiter::DealArbitrationReport Arbiter::arbitrate_deal(
     return it == keys.end() ? nullptr : &it->second;
   };
 
-  // Collect the distinct signed deal artifacts stored under the leg.
+  // An abort verdict of the TTP for `deal_id` on the chain strictly
+  // between records `after` and `before`.
+  auto certified_abort_between = [&log](const std::string& deal_id,
+                                        std::uint64_t after,
+                                        std::uint64_t before) {
+    for (const store::EvidenceRecord* record :
+         log.find_kind(evidence_kind::kDealTtpVerdict)) {
+      if (record->index <= after || record->index >= before) continue;
+      try {
+        Bytes signature;
+        DealTerminationVerdict verdict = DealTerminationVerdict::decode_fields(
+            message_of(*record), &signature);
+        if (verdict.deal_id == deal_id && verdict.verdict != 1) return true;
+      } catch (const CodecError&) {
+      }
+    }
+    return false;
+  };
+
+  // Collect the distinct signed deal artifacts filed under the leg.
   std::vector<DealEnlistMsg> enlists;
   std::vector<DealDecisionMsg> decisions;
-  for (const auto& stored : messages.run(leg_label)) {
+  std::uint64_t newest_decision_index = 0;
+  for (const store::EvidenceRecord* record : log.run(leg_label)) {
+    const std::string& kind = record->kind;
     try {
-      if (stored.kind == "deal.enlist") {
-        DealEnlistMsg msg = DealEnlistMsg::decode(stored.payload);
+      if (is_kind(kind, evidence_kind::kDealOpen,
+                  evidence_kind::kDealEnlistReceived)) {
+        DealEnlistMsg msg = DealEnlistMsg::decode(message_of(*record));
         if (std::find(enlists.begin(), enlists.end(), msg) == enlists.end()) {
           enlists.push_back(std::move(msg));
         }
-      } else if (stored.kind == "deal.decision") {
-        DealDecisionMsg msg = DealDecisionMsg::decode(stored.payload);
-        if (std::find(decisions.begin(), decisions.end(), msg) ==
+      } else if (is_kind(kind, evidence_kind::kDealDecision,
+                         evidence_kind::kDealDecisionReceived)) {
+        DealDecisionMsg msg = DealDecisionMsg::decode(message_of(*record));
+        if (std::find(decisions.begin(), decisions.end(), msg) !=
             decisions.end()) {
-          decisions.push_back(std::move(msg));
+          continue;
         }
+        if (!decisions.empty() &&
+            msg.decision.verdict == DealDecision::Verdict::kAbort &&
+            certified_abort_between(msg.decision.deal_id,
+                                    newest_decision_index, record->index)) {
+          // The initiator registered a commit, the TTP certified an
+          // abort, and this is the abort the legs were sent.
+          decisions.clear();
+        }
+        decisions.push_back(std::move(msg));
+        newest_decision_index = record->index;
       }
     } catch (const CodecError&) {
-      report.violations.push_back("undecodable stored deal message on run " +
+      report.violations.push_back("undecodable deal record on run " +
                                   leg_label);
     }
   }
@@ -197,7 +254,7 @@ Arbiter::DealArbitrationReport Arbiter::arbitrate_deal(
   }
 
   // Cross-check deal-level artifacts against the per-run transcript.
-  report.leg = arbitrate(messages, leg_label, expected_recipients);
+  report.leg = arbitrate(log, leg_label, expected_recipients);
   if (initiator.has_value() && !report.equivocation) {
     if (report.decision_found && report.committed &&
         report.leg.decide_found && !report.leg.verdict.agreed) {

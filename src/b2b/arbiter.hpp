@@ -2,11 +2,13 @@
 //
 // "It is assumed that, if necessary, this evidence can be used in
 // extra-protocol arbitration to resolve disputes." The Arbiter plays that
-// third party: given one participant's persistent message store (every
-// protocol message it sent or received, §4.2) it reconstructs the
-// transcript of a named run and verifies it with only public keys —
-// reaching the same verdict a participant would, and listing every defect
-// when the evidence is not intact.
+// third party: given one participant's evidence log — hash-chained,
+// anchored, and holding every signed protocol message it sent or received
+// filed under its run (§4.2) — it reconstructs the transcript of a named
+// run and verifies it with only public keys, reaching the same verdict a
+// participant would, and listing every defect when the evidence is not
+// intact. Batched runs (K >= 2 items) are not reconstructed; their
+// evidence is checked through the anchors (verify_anchored_spans).
 #pragma once
 
 #include <optional>
@@ -16,13 +18,12 @@
 #include "b2b/deal_messages.hpp"
 #include "b2b/evidence.hpp"
 #include "store/evidence_log.hpp"
-#include "store/message_store.hpp"
 
 namespace b2b::core {
 
 /// The outcome of arbitration over one run.
 struct ArbitrationReport {
-  /// A proposal for the run was found in the store.
+  /// A proposal for the run was found in the log.
   bool proposal_found = false;
   /// A decide message for the run was found.
   bool decide_found = false;
@@ -36,23 +37,28 @@ class Arbiter {
  public:
   explicit Arbiter(EvidenceVerifier verifier) : verifier_(std::move(verifier)) {}
 
-  /// Rebuild the transcript of `run_label` from a participant's message
-  /// store. Returns nullopt if the store holds no proposal for the run.
+  /// Rebuild the transcript of `run_label` from a participant's evidence
+  /// log: its propose, respond and decide records, sent or received.
+  /// Returns nullopt if the log holds no (single-item) proposal for the
+  /// run.
   static std::optional<RunTranscript> reconstruct(
-      const store::MessageStore& messages, const std::string& run_label);
+      const store::EvidenceLog& log, const std::string& run_label);
 
   /// Arbitrate the run: reconstruct, verify, and rule. When
   /// `expected_recipients` is given, response completeness is enforced
   /// (required to rule a state *valid*).
   ArbitrationReport arbitrate(
-      const store::MessageStore& messages, const std::string& run_label,
+      const store::EvidenceLog& log, const std::string& run_label,
       const std::vector<PartyId>* expected_recipients = nullptr) const;
 
   /// Deal-phase arbitration over one leg (DESIGN.md §12): verify the
-  /// signed enlist and decision artifacts stored under the leg's run
-  /// label and cross-check them against the per-run transcript. Defection
-  /// — prepare-then-refuse, equivocating verdicts, a committed leg with
-  /// no commit decision — surfaces as violations blamed on a party.
+  /// signed enlist and decision artifacts filed under the leg's run label
+  /// and cross-check them against the per-run transcript. Defection —
+  /// prepare-then-refuse, equivocating verdicts, a committed leg with no
+  /// commit decision — surfaces as violations blamed on a party. At the
+  /// initiator, a commit registered with the TTP and overridden by its
+  /// certified abort is not equivocation: an abort decision that follows
+  /// the TTP's abort verdict for the deal on the chain supersedes it.
   struct DealArbitrationReport {
     bool enlist_found = false;
     bool decision_found = false;
@@ -70,7 +76,7 @@ class Arbiter {
     std::string ruling;
   };
   DealArbitrationReport arbitrate_deal(
-      const store::MessageStore& messages, const std::string& leg_label,
+      const store::EvidenceLog& log, const std::string& leg_label,
       const std::map<PartyId, crypto::RsaPublicKey>& keys,
       const std::vector<PartyId>* expected_recipients = nullptr) const;
 

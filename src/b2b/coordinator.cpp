@@ -107,10 +107,6 @@ Coordinator::Coordinator(Config config, net::Transport& transport,
       run_probe_interval_micros_(config.run_probe_interval_micros),
       max_run_probes_(config.max_run_probes) {
   pipeline_ = config.pipeline;
-  if (pipeline_) {
-    signature_cache_ = std::make_unique<crypto::SignatureCache>(
-        config.signature_cache_capacity);
-  }
   anchor_ = std::make_shared<TimerAnchor>();
   anchor_->coordinator = this;
   if (!config.journal_dir.empty()) {
@@ -132,10 +128,10 @@ Coordinator::Coordinator(Config config, net::Transport& transport,
     // Anchor whatever the previous incarnation left unsealed (it may have
     // died between closing a run and sealing it).
     seal_evidence();
-    // Mirror checkpoints and protocol messages into the journal from here
-    // on. Set *after* replay so replayed puts/adds are not re-journaled.
-    // The observers fire under the store's internal lock; the nested
-    // journal lock is the innermost in the documented order.
+    // Mirror checkpoints into the journal from here on. Set *after* replay
+    // so replayed puts are not re-journaled. The observer fires under the
+    // store's internal lock; the nested journal lock is the innermost in
+    // the documented order.
     checkpoints_.set_observer(
         [this](const ObjectId& object, const store::Checkpoint& checkpoint) {
           wire::Encoder enc;
@@ -146,18 +142,6 @@ Coordinator::Coordinator(Config config, net::Transport& transport,
               .u64(checkpoint.time_micros);
           std::lock_guard<std::mutex> lock(journal_mutex_);
           journal_->append(walrec::kCheckpoint, std::move(enc).take());
-        });
-    messages_.set_observer(
-        [this](const std::string& run_label,
-               const store::MessageStore::StoredMessage& message) {
-          wire::Encoder enc;
-          enc.str(run_label)
-              .str(message.direction)
-              .str(message.kind)
-              .str(message.peer)
-              .blob(message.payload);
-          std::lock_guard<std::mutex> lock(journal_mutex_);
-          journal_->append(walrec::kMessage, std::move(enc).take());
         });
   }
   locked_rng_ = std::make_unique<LockedRng>(*rng_);
@@ -306,16 +290,20 @@ Replica& Coordinator::register_object(const ObjectId& object,
   };
   callbacks.now = [this] { return clock_.now_micros(); };
   callbacks.record_evidence = [this](const std::string& kind,
-                                     const Bytes& payload) {
-    record_evidence(kind, payload);
+                                     const Bytes& payload,
+                                     const std::string& run_label) {
+    if (run_label.empty()) {
+      record_evidence(kind, payload);
+    } else {
+      record_evidence(kind, payload, {run_label});
+    }
+  };
+  callbacks.run_evidence = [this](const std::string& run_label,
+                                  const std::string& kind) {
+    return run_evidence(run_label, kind);
   };
   callbacks.seal_evidence = [this] { seal_evidence(); };
   callbacks.key_of = [this](const PartyId& party) { return key_of(party); };
-  if (pipeline_) {
-    callbacks.verify_many = [this](const std::vector<VerifyJob>& jobs) {
-      return verify_many(jobs);
-    };
-  }
   callbacks.learn_key = [this](const PartyId& party,
                                const crypto::RsaPublicKey& key) {
     add_known_party(party, key);
@@ -364,7 +352,7 @@ Replica& Coordinator::register_object(const ObjectId& object,
   }
   shard->replica = std::make_unique<Replica>(self_, object, impl, key_,
                                              *locked_rng_, std::move(callbacks),
-                                             checkpoints_, messages_);
+                                             checkpoints_);
   shard->replica->set_sponsor_policy(sponsor_policy_);
   shard->replica->set_decision_rule(decision_rule_);
   shard->replica->set_run_probe(run_probe_interval_micros_, max_run_probes_);
@@ -550,19 +538,6 @@ void Coordinator::on_message(const PartyId& from, const Bytes& payload) {
                });
 }
 
-std::vector<bool> Coordinator::verify_many(const std::vector<VerifyJob>& jobs) {
-  std::vector<bool> results(jobs.size(), false);
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    // key_of hands out a pointer into known_keys_, stable for the
-    // coordinator's lifetime (keys are never erased).
-    const crypto::RsaPublicKey* key = key_of(jobs[i].signer);
-    results[i] = key != nullptr &&  // unknown signer stays false
-                 signature_cache_->verify(*key, jobs[i].message,
-                                          jobs[i].signature);
-  }
-  return results;
-}
-
 void Coordinator::handle_delivery_failure(const PartyId& to) {
   if (crashed_.load(std::memory_order_acquire)) return;
   {
@@ -576,7 +551,8 @@ void Coordinator::handle_delivery_failure(const PartyId& to) {
 }
 
 void Coordinator::record_evidence(const std::string& kind,
-                                  const Bytes& payload) {
+                                  const Bytes& payload,
+                                  const std::vector<std::string>& run_labels) {
   // No per-record trusted stamp: the anchor that seals the run covers this
   // record through the hash chain (seal_evidence), so the stamp slot of
   // the framing stays empty.
@@ -584,12 +560,25 @@ void Coordinator::record_evidence(const std::string& kind,
   framed.blob(payload);
   framed.blob({});
   std::lock_guard<std::mutex> lock(evidence_mutex_);
-  append_evidence_locked(kind, std::move(framed).take());
+  append_evidence_locked(kind, std::move(framed).take(), run_labels);
   unsealed_ = true;
 }
 
-void Coordinator::append_evidence_locked(const std::string& kind,
-                                         Bytes framed) {
+std::vector<Bytes> Coordinator::run_evidence(const std::string& run_label,
+                                             const std::string& kind) const {
+  std::vector<Bytes> out;
+  std::lock_guard<std::mutex> lock(evidence_mutex_);
+  for (const store::EvidenceRecord* record : evidence_.run(run_label)) {
+    if (record->kind == kind) {
+      out.push_back(decode_evidence_payload(record->payload).payload);
+    }
+  }
+  return out;
+}
+
+void Coordinator::append_evidence_locked(
+    const std::string& kind, Bytes framed,
+    const std::vector<std::string>& run_labels) {
   // One lock covers timestamping-by-clock, the journal append and the
   // in-memory append, so the journaled order of kEvidence records equals
   // the chain's append order (recovery rebuilds the identical chain).
@@ -597,10 +586,11 @@ void Coordinator::append_evidence_locked(const std::string& kind,
   if (journal_) {
     wire::Encoder enc;
     enc.str(kind).blob(framed).u64(now);
+    for (const std::string& label : run_labels) enc.str(label);
     std::lock_guard<std::mutex> jlock(journal_mutex_);
     journal_->append(walrec::kEvidence, std::move(enc).take());
   }
-  evidence_.append(kind, std::move(framed), now);
+  evidence_.append(kind, std::move(framed), now, run_labels);
 }
 
 void Coordinator::seal_evidence() {
@@ -626,7 +616,7 @@ void Coordinator::seal_evidence() {
   framed.blob(tss_ != nullptr ? tss_->stamp(signed_bytes).encode() : Bytes{});
   std::lock_guard<std::mutex> lock(evidence_mutex_);
   append_evidence_locked(evidence_kind::kEvidenceAnchor,
-                         std::move(framed).take());
+                         std::move(framed).take(), {});
 }
 
 // ---------------------------------------------------------------------------
@@ -649,11 +639,13 @@ void Coordinator::replay_journal() {
         std::string kind = dec.str();
         Bytes framed = dec.blob();
         std::uint64_t time = dec.u64();
-        dec.expect_done();
+        std::vector<std::string> run_labels;
+        while (!dec.done()) run_labels.push_back(dec.str());
         // Unsealed until an anchor follows (the seal after replay
         // anchors what a crash left between a run's close and its seal).
         unsealed_ = kind != evidence_kind::kEvidenceAnchor;
-        evidence_.append(std::move(kind), std::move(framed), time);
+        evidence_.append(std::move(kind), std::move(framed), time,
+                         run_labels);
         break;
       }
       case walrec::kCheckpoint: {
@@ -667,17 +659,11 @@ void Coordinator::replay_journal() {
         checkpoints_.put(object, std::move(checkpoint));
         break;
       }
-      case walrec::kMessage: {
-        std::string run_label = dec.str();
-        store::MessageStore::StoredMessage message;
-        message.direction = dec.str();
-        message.kind = dec.str();
-        message.peer = dec.str();
-        message.payload = dec.blob();
-        dec.expect_done();
-        messages_.add(run_label, std::move(message));
+      case walrec::kRetiredMessage:
+        // A previous version's copy of a protocol message, now held only
+        // by the evidence log. Its first field is a run label, not an
+        // object id: it must not reach the object-scoped default branch.
         break;
-      }
       case walrec::kDealOpen: {
         DealEnlistMsg enlist = DealEnlistMsg::decode(record.payload);
         recovered_deals_.open[enlist.proposal.deal_id] = record.payload;
@@ -916,6 +902,15 @@ void Coordinator::replay_object_record(std::uint8_t type,
       rec.subject_request = std::move(request);
       break;
     }
+    case walrec::kSubjectAnswer: {
+      std::string nonce_key = dec.str();
+      const auto type = static_cast<MsgType>(dec.u8());
+      Bytes body = dec.blob();
+      dec.expect_done();
+      rec.subject_answers.insert_or_assign(
+          std::move(nonce_key), std::make_pair(type, std::move(body)));
+      break;
+    }
     case walrec::kSubjectClosed: {
       std::string nonce_key = dec.str();
       dec.expect_done();
@@ -962,8 +957,8 @@ void Coordinator::replay_object_record(std::uint8_t type,
     }
     default:
       // Unknown record type: written by a newer version, or a retired one
-      // (31–34). The CRC vouched for its integrity; skipping it is the
-      // conservative choice.
+      // (31–34; 4 is skipped before it gets here). The CRC vouched for its
+      // integrity; skipping it is the conservative choice.
       break;
   }
 }

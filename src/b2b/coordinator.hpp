@@ -2,9 +2,10 @@
 //
 // One Coordinator runs at each organisation. It owns the party's replicas
 // (one per shared object), the certificate directory (party -> public key),
-// the non-repudiation log (anchored by trusted time-stamps), the
-// checkpoint store and the protocol message store, and it connects the
-// replicas to the reliable transport. Its propagate_* methods are the paper's
+// the non-repudiation log (anchored by trusted time-stamps, and indexed by
+// run label: it is also the store of every protocol message, §4.2) and
+// the checkpoint store, and it connects the replicas to the reliable
+// transport. Its propagate_* methods are the paper's
 // B2BCoordinatorLocal propagation interface: they insulate the application
 // (the Controller) from protocol-specific detail.
 //
@@ -110,12 +111,9 @@ class Coordinator {
     /// semantics (FIFO per shard, discard-on-stop) are identical.
     /// Shared ownership: a queued drain task survives the coordinator.
     std::shared_ptr<net::TaskPool> lane_pool;
-    /// Run pipelining (DESIGN.md §13): enables propagate_batch and routes
-    /// every response-signature check through a verified-signature
-    /// cache. Must match federation-wide, like the decision rule.
+    /// Run pipelining (DESIGN.md §13): enables propagate_batch. Must
+    /// match federation-wide, like the decision rule.
     bool pipeline = false;
-    /// Capacity of the verified-signature cache (pipeline mode).
-    std::size_t signature_cache_capacity = 1024;
   };
 
   /// Per-message-type send counters (protocol-level, before transport
@@ -213,7 +211,10 @@ class Coordinator {
     return evidence_;
   }
   store::CheckpointStore& checkpoints() { return checkpoints_; }
-  const store::MessageStore& messages() const { return messages_; }
+  /// Compatibility accessor for the benchmark's correctness gate: the
+  /// evidence log is the message store. Removed by the benchmark-only
+  /// change that switches the gate to evidence().
+  const store::MessageStore& messages() const { return evidence(); }
 
   /// Evidence payloads are framed as {original payload, optional TSS
   /// stamp}; this unpacks one. Only evidence anchors carry a stamp
@@ -403,7 +404,15 @@ class Coordinator {
   void handle_delivery_failure(const PartyId& to);
   static RunHandle aborted_handle(std::string diagnostic);
   void on_message(const PartyId& from, const Bytes& payload);
-  void record_evidence(const std::string& kind, const Bytes& payload);
+  /// Append one evidence record, filed under each of `run_labels` (the
+  /// runs whose transcript the record belongs to; empty for records that
+  /// are not protocol messages).
+  void record_evidence(const std::string& kind, const Bytes& payload,
+                       const std::vector<std::string>& run_labels = {});
+  /// The unwrapped payloads of the evidence records of `kind` filed under
+  /// `run_label`, in chain order (Replica::Callbacks::run_evidence).
+  std::vector<Bytes> run_evidence(const std::string& run_label,
+                                  const std::string& kind) const;
   /// Seal the evidence log (DESIGN.md §13(c)): append a signed anchor
   /// over the head record, carrying the TSS stamp of the anchor's signed
   /// bytes. Called wherever a run closes at this party; a no-op when
@@ -411,11 +420,9 @@ class Coordinator {
   void seal_evidence();
   /// Journal (when journaling) and append one framed evidence record.
   /// Caller holds evidence_mutex_.
-  void append_evidence_locked(const std::string& kind, Bytes framed);
+  void append_evidence_locked(const std::string& kind, Bytes framed,
+                              const std::vector<std::string>& run_labels);
   void send(const PartyId& to, const Envelope& envelope);
-  /// Pipeline mode: verify each signature job through the verified-
-  /// signature cache. Unknown signers come back false.
-  std::vector<bool> verify_many(const std::vector<VerifyJob>& jobs);
 
   PartyId self_;
   crypto::RsaPrivateKey key_;
@@ -427,12 +434,8 @@ class Coordinator {
 
   LockMode lock_mode_;
   bool shard_lanes_ = false;
-  /// Pipeline mode (DESIGN.md §13): batch proposals and cached signature
-  /// verification.
+  /// Pipeline mode (DESIGN.md §13): batch proposals.
   bool pipeline_ = false;
-  /// Verified-signature cache shared by every shard's verify_many (it
-  /// locks internally).
-  std::unique_ptr<crypto::SignatureCache> signature_cache_;
   /// Backing pool for strand-mode lanes (null = thread-mode lanes).
   std::shared_ptr<net::TaskPool> lane_pool_;
   SponsorPolicy sponsor_policy_;
@@ -453,10 +456,10 @@ class Coordinator {
   std::string armed_crash_point_;
   bool recovered_any_ = false;
 
-  /// The hash-chained evidence log. Held across the journal append of
-  /// each kEvidence record AND the in-memory append, so the journaled
-  /// order equals the chain order (recovery rebuilds the identical
-  /// chain).
+  /// The hash-chained evidence log and its run index. Held across the
+  /// journal append of each kEvidence record AND the in-memory append, so
+  /// the journaled order equals the chain order (recovery rebuilds the
+  /// identical chain and index), and across every index read.
   mutable std::mutex evidence_mutex_;
   store::EvidenceLog evidence_;
   /// A record was appended after the head the newest seal covers.
@@ -477,7 +480,6 @@ class Coordinator {
 
   // Internally locked; shared by every shard's replica.
   store::CheckpointStore checkpoints_;
-  store::MessageStore messages_;
 
   // --- router stats -------------------------------------------------------------
   mutable std::atomic<std::uint64_t> stat_lookups_{0};

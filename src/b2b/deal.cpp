@@ -30,6 +30,13 @@ std::uint64_t local_deal_counter(const std::string& id,
 
 }  // namespace
 
+std::vector<std::string> DealCoordinator::leg_labels(const Deal& deal) {
+  std::vector<std::string> labels;
+  labels.reserve(deal.legs.size());
+  for (const Leg& leg : deal.legs) labels.push_back(leg.label);
+  return labels;
+}
+
 DealCoordinator::DealCoordinator(Coordinator& host) : host_(host) {}
 
 void DealCoordinator::enable_ttp_escape(TtpEscape escape) {
@@ -210,6 +217,7 @@ RunHandle DealCoordinator::start_deal(DealSpec spec) {
 
   RunHandle result = std::make_shared<RunResult>();
   bool all_prepared = true;
+  std::vector<std::string> labels;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     Deal deal;
@@ -234,6 +242,7 @@ RunHandle DealCoordinator::start_deal(DealSpec spec) {
       deal.legs.push_back(std::move(leg));
     }
     ++stats_.started;
+    labels = leg_labels(deal);
     deals_.emplace(deal_id, std::move(deal));
   }
 
@@ -247,7 +256,7 @@ RunHandle DealCoordinator::start_deal(DealSpec spec) {
     host_.crashed_.store(true, std::memory_order_release);
     return result;
   }
-  host_.record_evidence(evidence_kind::kDealOpen, enlist.encode());
+  host_.record_evidence(evidence_kind::kDealOpen, enlist.encode(), labels);
   B2B_DEBUG(host_.self_, ": deal ", deal_id, " open with ",
             proposal.legs.size(), " legs");
   for (const Staged& s : staged) {
@@ -376,6 +385,7 @@ void DealCoordinator::arm_deal_deadline(Deal& deal,
 void DealCoordinator::decide_deal(const std::string& deal_id) {
   DealDecisionMsg msg;
   bool to_ttp = false;
+  std::vector<std::string> labels;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = deals_.find(deal_id);
@@ -395,6 +405,7 @@ void DealCoordinator::decide_deal(const std::string& deal_id) {
     journal_deal(walrec::kDealDecided, msg.encode());
     hit_crash_point("deal-decide.journaled");
     deal.decision = msg;
+    labels = leg_labels(deal);
     if (deal.verdict == DealDecision::Verdict::kCommit &&
         escape_.has_value()) {
       deal.phase = Phase::kAwaitingTtp;
@@ -403,7 +414,7 @@ void DealCoordinator::decide_deal(const std::string& deal_id) {
       deal.phase = Phase::kReplicating;
     }
   }
-  host_.record_evidence(evidence_kind::kDealDecision, msg.encode());
+  host_.record_evidence(evidence_kind::kDealDecision, msg.encode(), labels);
   B2B_DEBUG(host_.self_, ": deal ", deal_id, " decided ",
             msg.decision.verdict == DealDecision::Verdict::kCommit
                 ? "COMMIT"
@@ -475,6 +486,8 @@ bool DealCoordinator::on_ttp_verdict(const PartyId& from,
         bytes_of("undecodable deal verdict from " + from.str()));
     return true;
   }
+  std::vector<std::string> labels;
+  Bytes overriding_abort;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (!escape_.has_value() || from != escape_->ttp ||
@@ -504,6 +517,8 @@ bool DealCoordinator::on_ttp_verdict(const PartyId& from,
       msg.decision = std::move(decision);
       msg.signature = host_.key_.sign(msg.decision.signed_bytes());
       journal_deal(walrec::kDealDecided, msg.encode());
+      overriding_abort = msg.encode();
+      labels = leg_labels(deal);
       deal.decision = std::move(msg);
       deal.verdict = DealDecision::Verdict::kAbort;
       deal.diagnostic = "ttp certified abort";
@@ -511,6 +526,13 @@ bool DealCoordinator::on_ttp_verdict(const PartyId& from,
     deal.phase = Phase::kReplicating;
   }
   host_.record_evidence(evidence_kind::kDealTtpVerdict, envelope.body);
+  if (!overriding_abort.empty()) {
+    // The legs are sent the abort, not the commit registered with the
+    // TTP: the evidence log says so, and the verdict before it rules the
+    // commit out (Arbiter::arbitrate_deal).
+    host_.record_evidence(evidence_kind::kDealDecision, overriding_abort,
+                          labels);
+  }
   replicate_decision(verdict.deal_id);
   return true;
 }
@@ -670,6 +692,20 @@ std::vector<RunHandle> DealCoordinator::resume(RecoveredDealState recovered) {
         msg.decision = std::move(decision);
         msg.signature = host_.key_.sign(msg.decision.signed_bytes());
         journal_deal(walrec::kDealDecided, msg.encode());
+      }
+      if (replayed_verdict_abort) {
+        // on_ttp_verdict files the verdict and the overriding abort after
+        // journaling them; a crash in between leaves the evidence log
+        // naming the registered commit as the last decision. File them.
+        const Bytes abort = msg.encode();
+        const std::vector<Bytes> filed = host_.run_evidence(
+            deal.legs.front().label, evidence_kind::kDealDecision);
+        if (filed.empty() || filed.back() != abort) {
+          host_.record_evidence(evidence_kind::kDealTtpVerdict,
+                                verdict_it->second);
+          host_.record_evidence(evidence_kind::kDealDecision, abort,
+                                leg_labels(deal));
+        }
       }
       deal.verdict = msg.decision.verdict;
       deal.diagnostic = msg.decision.diagnostic;

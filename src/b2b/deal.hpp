@@ -186,6 +186,10 @@ class DealCoordinator {
     bool deadline_armed = false;
   };
 
+  /// The run labels of a deal's legs: deal-level evidence (the enlist and
+  /// the decision) is filed under every leg's run.
+  static std::vector<std::string> leg_labels(const Deal& deal);
+
   /// Run `fn` on the leg object's replica under its shard lock with
   /// simulated-crash containment. Returns false if the coordinator is
   /// (or becomes) crashed. Never call while holding mutex_.

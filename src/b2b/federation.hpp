@@ -119,8 +119,7 @@ class Federation {
     /// runtime, so settle() keeps meaning "nothing left to do anywhere".
     bool shard_lanes = true;
     /// Run pipelining (DESIGN.md §13): enables propagate_batch at every
-    /// party and response-signature verification through a verified-
-    /// signature cache.
+    /// party.
     bool pipeline = false;
   };
 

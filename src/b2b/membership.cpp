@@ -110,8 +110,7 @@ RunHandle Replica::request_connect(const PartyId& via) {
   request.request_nonce = fresh_random();
   Bytes signature = key_.sign(request.signed_bytes());
 
-  callbacks_.record_evidence(evidence_kind::kMembershipRequest,
-                             request.encode());
+  record_evidence(evidence_kind::kMembershipRequest, request.encode());
   journal_subject_request(request, signature, via,
                           /*relayed_eviction=*/false);
   hit_crash_point("m-request.journaled");
@@ -154,8 +153,7 @@ RunHandle Replica::request_disconnect() {
   request.request_nonce = fresh_random();
   Bytes signature = key_.sign(request.signed_bytes());
 
-  callbacks_.record_evidence(evidence_kind::kMembershipRequest,
-                             request.encode());
+  record_evidence(evidence_kind::kMembershipRequest, request.encode());
   const PartyId sponsor = disconnect_sponsor(self_);
   journal_subject_request(request, signature, sponsor,
                           /*relayed_eviction=*/false);
@@ -194,8 +192,7 @@ RunHandle Replica::propose_eviction(std::vector<PartyId> subjects) {
   request.subjects = std::move(subjects);
   request.request_nonce = fresh_random();
   Bytes signature = key_.sign(request.signed_bytes());
-  callbacks_.record_evidence(evidence_kind::kMembershipRequest,
-                             request.encode());
+  record_evidence(evidence_kind::kMembershipRequest, request.encode());
 
   std::optional<PartyId> sponsor =
       sponsor_for_removal(members_, request.subjects, sponsor_policy_);
@@ -277,8 +274,7 @@ void Replica::handle_connect_request(const PartyId& from, const Bytes& body) {
       record_violation("bad signature on connect request", from);
       return;
     }
-    callbacks_.record_evidence(evidence_kind::kMembershipRequest,
-                               request.encode());
+    record_evidence(evidence_kind::kMembershipRequest, request.encode());
     process_membership_request(std::move(request), std::move(signature));
     return;
   }
@@ -299,8 +295,7 @@ void Replica::handle_connect_request(const PartyId& from, const Bytes& body) {
       record_violation("party requested its own eviction", from);
       return;
     }
-    callbacks_.record_evidence(evidence_kind::kMembershipRequest,
-                               request.encode());
+    record_evidence(evidence_kind::kMembershipRequest, request.encode());
     process_membership_request(std::move(request), std::move(signature));
     return;
   }
@@ -331,8 +326,7 @@ void Replica::handle_disconnect_request(const PartyId& from,
     record_violation("bad signature on disconnect request", from);
     return;
   }
-  callbacks_.record_evidence(evidence_kind::kMembershipRequest,
-                             request.encode());
+  record_evidence(evidence_kind::kMembershipRequest, request.encode());
   process_membership_request(std::move(request), std::move(signature));
 }
 
@@ -404,8 +398,7 @@ void Replica::process_membership_request(MembershipRequest request,
         reject.request_nonce = request.request_nonce;
         reject.signature = key_.sign(reject.signed_bytes());
         Bytes encoded = reject.encode();
-        remember_subject_answer(nonce_key, subject, MsgType::kConnectReject,
-                                encoded);
+        remember_subject_answer(nonce_key, MsgType::kConnectReject, encoded);
         send_envelope(subject, MsgType::kConnectReject, std::move(encoded));
       };
       if (is_member(subject)) {
@@ -507,11 +500,10 @@ RunHandle Replica::start_membership_run(MembershipRequest request,
     enc.blob(record.encode());
     journal_record(walrec::kSponsorRun, std::move(enc).take());
   }
-  callbacks_.record_evidence(evidence_kind::kMembershipPropose, encoded);
+  record_evidence(evidence_kind::kMembershipPropose, encoded, label);
   journal_barrier();
   hit_crash_point("m-propose.journaled");
   for (const PartyId& recipient : run.recipients) {
-    messages_.add(label, {"sent", "m.propose", recipient.str(), encoded});
     send_envelope(recipient, MsgType::kMembershipPropose, encoded);
   }
 
@@ -568,8 +560,7 @@ void Replica::handle_membership_respond(const PartyId& from,
   auto existing = run.responses.find(from);
   if (existing != run.responses.end()) {
     if (!(existing->second == msg)) {
-      callbacks_.record_evidence(evidence_kind::kMembershipRespond,
-                                 msg.encode());
+      record_evidence(evidence_kind::kMembershipRespond, msg.encode());
       record_violation("equivocating membership responses", from);
     }
     return;
@@ -580,8 +571,7 @@ void Replica::handle_membership_respond(const PartyId& from,
     enc.blob(msg.encode());
     journal_record(walrec::kMembershipResponse, std::move(enc).take());
   }
-  messages_.add(label, {"received", "m.respond", from.str(), body});
-  callbacks_.record_evidence(evidence_kind::kMembershipRespond, msg.encode());
+  record_evidence(evidence_kind::kMembershipRespond, msg.encode(), label);
   journal_barrier();
   hit_crash_point("m-response.journaled");
   run.responses.emplace(from, std::move(msg));
@@ -631,12 +621,11 @@ void Replica::finish_membership_run_as_sponsor() {
     enc.blob(encoded);
     journal_record(walrec::kMembershipDecideSent, std::move(enc).take());
   }
-  callbacks_.record_evidence(evidence_kind::kMembershipDecide, encoded);
+  record_evidence(evidence_kind::kMembershipDecide, encoded, label);
   journal_barrier();
   hit_crash_point("m-decide.journaled");
   bool first_send = true;
   for (const PartyId& recipient : run.recipients) {
-    messages_.add(label, {"sent", "m.decide", recipient.str(), encoded});
     send_envelope(recipient, MsgType::kMembershipDecide, encoded);
     if (first_send) {
       first_send = false;
@@ -671,8 +660,8 @@ void Replica::finish_membership_run_as_sponsor() {
       welcome.authenticator = run.authenticator;
       welcome.sponsor_signature = key_.sign(welcome.signed_bytes());
       Bytes welcome_encoded = welcome.encode();
-      remember_subject_answer(nonce_key, prop.request.sender,
-                              MsgType::kConnectWelcome, welcome_encoded);
+      remember_subject_answer(nonce_key, MsgType::kConnectWelcome,
+                              welcome_encoded);
       send_envelope(prop.request.sender, MsgType::kConnectWelcome,
                     std::move(welcome_encoded));
     } else if (prop.request.kind == MembershipKind::kVoluntaryDisconnect) {
@@ -683,8 +672,8 @@ void Replica::finish_membership_run_as_sponsor() {
       confirm.responses = decide.responses;
       confirm.authenticator = run.authenticator;
       Bytes confirm_encoded = confirm.encode();
-      remember_subject_answer(nonce_key, prop.request.subjects[0],
-                              MsgType::kDisconnectConfirm, confirm_encoded);
+      remember_subject_answer(nonce_key, MsgType::kDisconnectConfirm,
+                              confirm_encoded);
       send_envelope(prop.request.subjects[0], MsgType::kDisconnectConfirm,
                     std::move(confirm_encoded));
     }
@@ -700,8 +689,8 @@ void Replica::finish_membership_run_as_sponsor() {
       reject.request_nonce = prop.request.request_nonce;
       reject.signature = key_.sign(reject.signed_bytes());
       Bytes reject_encoded = reject.encode();
-      remember_subject_answer(nonce_key, prop.request.sender,
-                              MsgType::kConnectReject, reject_encoded);
+      remember_subject_answer(nonce_key, MsgType::kConnectReject,
+                              reject_encoded);
       send_envelope(prop.request.sender, MsgType::kConnectReject,
                     std::move(reject_encoded));
     } else if (prop.request.kind == MembershipKind::kVoluntaryDisconnect) {
@@ -788,8 +777,7 @@ void Replica::handle_membership_propose(const PartyId& from,
     MembershipRespondMsg out;
     out.response = stale;
     out.signature = key_.sign(stale.signed_bytes());
-    callbacks_.record_evidence(evidence_kind::kMembershipRespond,
-                               out.encode());
+    record_evidence(evidence_kind::kMembershipRespond, out.encode());
     send_envelope(from, MsgType::kMembershipRespond, out.encode());
     return;
   }
@@ -820,8 +808,7 @@ void Replica::handle_membership_propose(const PartyId& from,
   }
   seen_run_labels_.insert(label);
   note_sequence(prop.new_group.sequence);
-  callbacks_.record_evidence(evidence_kind::kMembershipPropose, msg.encode());
-  messages_.add(label, {"received", "m.propose", from.str(), body});
+  record_evidence(evidence_kind::kMembershipPropose, msg.encode(), label);
 
   Decision decision = evaluate_membership_proposal(msg);
 
@@ -851,8 +838,7 @@ void Replica::handle_membership_propose(const PartyId& from,
     journal_record(walrec::kMembershipResponderRun, std::move(enc).take());
   }
   membership_responder_runs_.emplace(label, std::move(run));
-  callbacks_.record_evidence(evidence_kind::kMembershipRespond, encoded);
-  messages_.add(label, {"sent", "m.respond", from.str(), encoded});
+  record_evidence(evidence_kind::kMembershipRespond, encoded, label);
   journal_barrier();
   hit_crash_point("m-respond.journaled");
   send_envelope(from, MsgType::kMembershipRespond, encoded);
@@ -979,8 +965,13 @@ void Replica::handle_membership_decide(const PartyId& from,
   if (it == membership_responder_runs_.end()) {
     record_anomaly("membership decide for unknown run " + label, from);
     // The very decide this run closed on, sent again: sealed like the
-    // close was. A forged decide buys no RSA work.
-    if (received_before(label, "m.decide", body)) seal_evidence();
+    // close was. A forged decide buys no RSA work. (Our own decide,
+    // bounced back at us, was never received here.)
+    if (msg.sponsor != self_ &&
+        received_before(label, evidence_kind::kMembershipDecide,
+                        msg.encode())) {
+      seal_evidence();
+    }
     return;
   }
   {
@@ -1001,8 +992,7 @@ void Replica::handle_membership_decide(const PartyId& from,
     enc.blob(msg.encode());
     journal_record(walrec::kMembershipDecideDelivered, std::move(enc).take());
   }
-  callbacks_.record_evidence(evidence_kind::kMembershipDecide, msg.encode());
-  messages_.add(label, {"received", "m.decide", from.str(), body});
+  record_evidence(evidence_kind::kMembershipDecide, msg.encode(), label);
   journal_barrier();
   hit_crash_point("m-decide-recv.journaled");
   MembershipResponderRun run = std::move(it->second);
@@ -1125,8 +1115,8 @@ void Replica::apply_membership_change(const MembershipProposal& proposal) {
                        ? "evicted"
                        : "voluntary";
   }
-  callbacks_.record_evidence(evidence_kind::kMembershipApplied,
-                             proposal.new_group.encode());
+  record_evidence(evidence_kind::kMembershipApplied,
+                  proposal.new_group.encode());
   journal_snapshot();
   impl_.coord_callback(event);
   if (callbacks_.notify) callbacks_.notify(event);
@@ -1259,8 +1249,7 @@ void Replica::handle_connect_welcome(const PartyId& from, const Bytes& body) {
                    store::Checkpoint{agreed_tuple_.sequence,
                                      agreed_tuple_.encode(), agreed_state_,
                                      callbacks_.now()});
-  callbacks_.record_evidence(evidence_kind::kMembershipApplied,
-                             msg.new_group.encode());
+  record_evidence(evidence_kind::kMembershipApplied, msg.new_group.encode());
   journal_snapshot();
   close_subject_request(to_hex(pending.request.request_nonce));
 
@@ -1324,7 +1313,7 @@ void Replica::handle_disconnect_confirm(const PartyId& from,
     record_violation("disconnect confirm authenticator mismatch", from);
     return;
   }
-  callbacks_.record_evidence(evidence_kind::kMembershipDecide, msg.encode());
+  record_evidence(evidence_kind::kMembershipDecide, msg.encode());
   SubjectRequest pending = std::move(*subject_request_);
   subject_request_.reset();
   connected_ = false;
@@ -1347,7 +1336,7 @@ void Replica::abort_runs_on_departure() {
   for (const auto& [label, run] : responder_runs_) {
     wire::Encoder note;
     note.str(label).str(self_.str());
-    callbacks_.record_evidence("run.abandoned", std::move(note).take());
+    record_evidence("run.abandoned", std::move(note).take());
     close_run(walrec::kResponderClosed, label);
   }
   responder_runs_.clear();
@@ -1355,7 +1344,7 @@ void Replica::abort_runs_on_departure() {
   for (const auto& [label, run] : membership_responder_runs_) {
     wire::Encoder note;
     note.str(label).str(self_.str());
-    callbacks_.record_evidence("run.abandoned", std::move(note).take());
+    record_evidence("run.abandoned", std::move(note).take());
     close_run(walrec::kMembershipResponderClosed, label);
   }
   membership_responder_runs_.clear();
@@ -1368,12 +1357,16 @@ void Replica::abort_runs_on_departure() {
 bool Replica::maybe_resend_membership_decide(const std::string& label,
                                              const PartyId& to) {
   if (!journaling()) return false;
-  for (const auto& stored : messages_.run(label)) {
-    if (stored.direction == "sent" && stored.kind == "m.decide") {
-      record_anomaly("re-sent membership decide of closed run " + label, to);
-      send_envelope(to, MsgType::kMembershipDecide, stored.payload);
-      return true;
-    }
+  // The transcript holds the decide whichever way it travelled: re-send
+  // only one we sent as sponsor (a recipient never bounces the decide it
+  // received).
+  std::vector<Bytes> decides =
+      callbacks_.run_evidence(label, evidence_kind::kMembershipDecide);
+  for (auto it = decides.rbegin(); it != decides.rend(); ++it) {
+    if (MembershipDecideMsg::decode(*it).sponsor != self_) continue;
+    record_anomaly("re-sent membership decide of closed run " + label, to);
+    send_envelope(to, MsgType::kMembershipDecide, std::move(*it));
+    return true;
   }
   return false;
 }
@@ -1381,32 +1374,21 @@ bool Replica::maybe_resend_membership_decide(const std::string& label,
 bool Replica::maybe_reanswer_membership_request(const std::string& nonce_key,
                                                 const PartyId& subject) {
   if (!journaling()) return false;
-  const auto& stored = messages_.run("m.subject." + nonce_key);
-  if (stored.empty()) return false;  // run still in progress: stay silent
-  const auto& answer = stored.back();
-  MsgType type = MsgType::kConnectReject;
-  if (answer.kind == "m.welcome") {
-    type = MsgType::kConnectWelcome;
-  } else if (answer.kind == "m.confirm") {
-    type = MsgType::kDisconnectConfirm;
-  }
+  auto it = subject_answers_.find(nonce_key);
+  if (it == subject_answers_.end()) return false;  // run still in progress
+  const auto& [type, payload] = it->second;
   record_anomaly("re-answered duplicate membership request", subject);
-  send_envelope(subject, type, answer.payload);
+  send_envelope(subject, type, payload);
   return true;
 }
 
 void Replica::remember_subject_answer(const std::string& nonce_key,
-                                      const PartyId& subject, MsgType type,
-                                      const Bytes& payload) {
+                                      MsgType type, const Bytes& payload) {
   if (!journaling()) return;
-  std::string kind = "m.reject";
-  if (type == MsgType::kConnectWelcome) {
-    kind = "m.welcome";
-  } else if (type == MsgType::kDisconnectConfirm) {
-    kind = "m.confirm";
-  }
-  messages_.add("m.subject." + nonce_key,
-                {"sent", kind, subject.str(), payload});
+  wire::Encoder enc;
+  enc.str(nonce_key).u8(static_cast<std::uint8_t>(type)).blob(payload);
+  journal_record(walrec::kSubjectAnswer, std::move(enc).take());
+  subject_answers_.insert_or_assign(nonce_key, std::make_pair(type, payload));
 }
 
 void Replica::journal_subject_request(const MembershipRequest& request,
@@ -1550,6 +1532,7 @@ void Replica::restore_recovered_membership(
   for (const std::string& nonce : recovered.processed_nonces) {
     sponsor_nonces_.insert(nonce);
   }
+  subject_answers_ = recovered.subject_answers;
   if (recovered.sponsor_run.has_value()) {
     SponsorRun run;
     run.propose = recovered.sponsor_run->propose;

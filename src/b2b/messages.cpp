@@ -262,8 +262,6 @@ const RunFormat& RunFormat::of(std::size_t items) {
       false,
       MsgType::kPropose,
       MsgType::kDecide,
-      "propose",
-      "decide",
       evidence_kind::kProposeSent,
       evidence_kind::kProposeReceived,
       evidence_kind::kDecideSent,
@@ -273,8 +271,6 @@ const RunFormat& RunFormat::of(std::size_t items) {
       true,
       MsgType::kBatchPropose,
       MsgType::kBatchDecide,
-      "batch-propose",
-      "batch-decide",
       evidence_kind::kBatchProposeSent,
       evidence_kind::kBatchProposeReceived,
       evidence_kind::kBatchDecideSent,

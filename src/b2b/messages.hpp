@@ -203,8 +203,6 @@ struct RunFormat {
   bool batched = false;
   MsgType propose{};
   MsgType decide{};
-  const char* propose_kind = "";  // message-store kinds
-  const char* decide_kind = "";
   const char* propose_sent = "";  // evidence kinds
   const char* propose_received = "";
   const char* decide_sent = "";

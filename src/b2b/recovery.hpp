@@ -11,10 +11,14 @@
 // Record payload layout (after the type byte the Journal frames):
 //   kPartyKey          str(party)  blob(RsaPublicKey::encode)
 //   kEvidence          str(kind)   blob(framed payload)  u64(time_micros)
+//                      str(run label)...  [to the end: the runs whose
+//                      transcript the record belongs to, so replay
+//                      rebuilds the evidence log's run index]
 //   kCheckpoint        str(object) u64(seq) blob(tuple) blob(state) u64(time)
-//   kMessage           str(label)  str(direction) str(kind) str(peer)
-//                      blob(payload)
 //   kSnapshot          str(object) blob(ReplicaSnapshot::encode)
+//
+// The evidence log is the only store of protocol messages (§4.2); there
+// is no separate per-message record.
 //
 // A state run carries K >= 1 hash-chained items (a single run is a batch
 // of one, DESIGN.md §13), so one record family covers both wire formats;
@@ -43,6 +47,10 @@
 //   kMembershipResponderClosed str(object) str(run label)
 //   kSubjectRequest        str(object) blob(SubjectRequestRecord::encode)
 //   kSubjectClosed         str(object) str(request nonce)
+//   kSubjectAnswer         str(object) str(request nonce) u8(MsgType)
+//                          blob(answer body)  [sponsor side: the welcome,
+//                          confirm or reject a duplicate request is
+//                          re-answered with]
 //
 // TTP-certified termination (§7): the submission is journaled before the
 // request goes to the arbiter (so a recovering party re-fetches the
@@ -82,7 +90,10 @@ namespace walrec {
 inline constexpr std::uint8_t kPartyKey = 1;
 inline constexpr std::uint8_t kEvidence = 2;
 inline constexpr std::uint8_t kCheckpoint = 3;
-inline constexpr std::uint8_t kMessage = 4;
+// 4 was a second copy of every protocol message, retired when the
+// evidence log became the only message store. Never reuse it: replay
+// skips it explicitly (its first field is a run label, not an object id).
+inline constexpr std::uint8_t kRetiredMessage = 4;
 inline constexpr std::uint8_t kSnapshot = 5;
 inline constexpr std::uint8_t kProposerRun = 6;
 inline constexpr std::uint8_t kResponseReceived = 7;
@@ -115,6 +126,7 @@ inline constexpr std::uint8_t kDealEnlisted = 30;
 // 31–34 were separate pipelined-batch records, retired when a batch became
 // a K-item state run under types 6–12. Never reuse these numbers: replay
 // skips them as unknown.
+inline constexpr std::uint8_t kSubjectAnswer = 35;
 }  // namespace walrec
 
 /// Raised by an armed crash point to kill a coordinator mid-operation.

@@ -24,16 +24,14 @@ bool consistent_accept(const Response& r, const Proposal& prop) {
 
 Replica::Replica(PartyId self, ObjectId object, B2BObject& impl,
                  const crypto::RsaPrivateKey& key, net::Rng& rng,
-                 Callbacks callbacks, store::CheckpointStore& checkpoints,
-                 store::MessageStore& messages)
+                 Callbacks callbacks, store::CheckpointStore& checkpoints)
     : self_(std::move(self)),
       object_(std::move(object)),
       impl_(impl),
       key_(key),
       rng_(rng),
       callbacks_(std::move(callbacks)),
-      checkpoints_(checkpoints),
-      messages_(messages) {}
+      checkpoints_(checkpoints) {}
 
 // ---------------------------------------------------------------------------
 // Bootstrap
@@ -101,30 +99,27 @@ void Replica::seal_evidence() {
   if (callbacks_.seal_evidence) callbacks_.seal_evidence();
 }
 
+void Replica::record_evidence(const std::string& kind, const Bytes& payload,
+                              const std::string& run_label) {
+  callbacks_.record_evidence(kind, payload, run_label);
+}
+
 bool Replica::received_before(const std::string& label,
                               const std::string& kind,
                               const Bytes& body) const {
-  for (const auto& stored : messages_.run(label)) {
-    if (stored.direction == "received" && stored.kind == kind &&
-        stored.payload == body) {
-      return true;
-    }
-  }
-  return false;
+  const std::vector<Bytes> payloads = callbacks_.run_evidence(label, kind);
+  return std::find(payloads.begin(), payloads.end(), body) != payloads.end();
 }
 
 bool Replica::maybe_resend_decide(const std::string& label,
                                   const PartyId& to) {
   if (!journaling()) return false;
-  for (const auto& stored : messages_.run(label)) {
-    if (stored.direction != "sent") continue;
-    for (const RunFormat* format : {&RunFormat::of(1), &RunFormat::of(2)}) {
-      if (stored.kind == format->decide_kind) {
-        record_anomaly("re-sent decide of closed run " + label, to);
-        send_envelope(to, format->decide, stored.payload);
-        return true;
-      }
-    }
+  for (const RunFormat* format : {&RunFormat::of(1), &RunFormat::of(2)}) {
+    std::vector<Bytes> sent = callbacks_.run_evidence(label, format->decide_sent);
+    if (sent.empty()) continue;
+    record_anomaly("re-sent decide of closed run " + label, to);
+    send_envelope(to, format->decide, std::move(sent.back()));
+    return true;
   }
   return false;
 }
@@ -184,8 +179,7 @@ void Replica::record_violation(const std::string& what,
   ++violations_detected_;
   wire::Encoder enc;
   enc.str(what).str(suspect.str());
-  callbacks_.record_evidence(evidence_kind::kViolation,
-                             std::move(enc).take());
+  record_evidence(evidence_kind::kViolation, std::move(enc).take());
   CoordEvent event;
   event.kind = CoordEvent::Kind::kViolationDetected;
   event.object = object_;
@@ -203,7 +197,7 @@ void Replica::emit(const CoordEvent& event) {
 void Replica::record_anomaly(const std::string& what, const PartyId& party) {
   wire::Encoder enc;
   enc.str(what).str(party.str());
-  callbacks_.record_evidence("anomaly", std::move(enc).take());
+  record_evidence("anomaly", std::move(enc).take());
   B2B_DEBUG(self_, " noted anomaly: ", what, " (", party, ")");
 }
 
@@ -234,7 +228,7 @@ void Replica::install_agreed_state(const StateTuple& tuple, Bytes state,
   checkpoints_.put(object_,
                    store::Checkpoint{tuple.sequence, tuple.encode(),
                                      agreed_state_, callbacks_.now()});
-  callbacks_.record_evidence(evidence_kind::kStateInstalled, tuple.encode());
+  record_evidence(evidence_kind::kStateInstalled, tuple.encode());
   journal_snapshot();
 }
 
@@ -302,8 +296,7 @@ bool Replica::resolve_blocked_run(const std::string& run_label) {
   if (proposer_run_.has_value() && proposer_run_->label() == run_label) {
     // Abandoning our own proposal: roll the object back to agreed state.
     impl_.apply_state(agreed_state_);
-    callbacks_.record_evidence(evidence_kind::kStateRolledBack,
-                               std::move(note).take());
+    record_evidence(evidence_kind::kStateRolledBack, std::move(note).take());
     complete(proposer_run_->result, RunResult::Outcome::kAborted,
              "abandoned by extra-protocol resolution", {},
              proposer_run_->propose.proposal.proposed.sequence, run_label);
@@ -312,7 +305,7 @@ bool Replica::resolve_blocked_run(const std::string& run_label) {
     return true;
   }
   if (auto it = responder_runs_.find(run_label); it != responder_runs_.end()) {
-    callbacks_.record_evidence("run.abandoned", std::move(note).take());
+    record_evidence("run.abandoned", std::move(note).take());
     if (accept_lock_ == run_label) accept_lock_.reset();
     responder_runs_.erase(it);
     close_run(walrec::kResponderClosed, run_label);
@@ -321,13 +314,13 @@ bool Replica::resolve_blocked_run(const std::string& run_label) {
   }
   if (auto it = membership_responder_runs_.find(run_label);
       it != membership_responder_runs_.end()) {
-    callbacks_.record_evidence("run.abandoned", std::move(note).take());
+    record_evidence("run.abandoned", std::move(note).take());
     membership_responder_runs_.erase(it);
     return true;
   }
   if (sponsor_run_.has_value() &&
       sponsor_run_->propose.proposal.new_group.label() == run_label) {
-    callbacks_.record_evidence("run.abandoned", std::move(note).take());
+    record_evidence("run.abandoned", std::move(note).take());
     complete(sponsor_run_->result, RunResult::Outcome::kAborted,
              "abandoned by extra-protocol resolution", {},
              sponsor_run_->propose.proposal.new_group.sequence, run_label);
@@ -420,7 +413,7 @@ void Replica::restore_snapshot(const ReplicaSnapshot& snapshot) {
   pending_redo_verdicts_.clear();
 
   if (connected_) impl_.apply_state(agreed_state_);
-  callbacks_.record_evidence("recovery", agreed_tuple_.encode());
+  record_evidence("recovery", agreed_tuple_.encode());
 }
 
 // ---------------------------------------------------------------------------
@@ -580,7 +573,7 @@ void Replica::restore_recovered(const RecoveredObjectState& recovered) {
   pending_redo_decides_ = recovered.responder_decides;
   restore_recovered_membership(recovered);
 
-  callbacks_.record_evidence("recovery", agreed_tuple_.encode());
+  record_evidence("recovery", agreed_tuple_.encode());
 }
 
 std::vector<RunHandle> Replica::resume_recovered_runs() {
@@ -872,7 +865,7 @@ RunHandle Replica::open_run(std::vector<BatchOp> ops,
     enc.blob(run.encode());
     journal_record(walrec::kProposerRun, std::move(enc).take());
   }
-  callbacks_.record_evidence(format.propose_sent, encoded);
+  record_evidence(format.propose_sent, encoded, label);
   journal_barrier();
   if (run.deal_staged) {
     // Staged: the deal layer sends it (launch_staged_run) once the deal
@@ -894,7 +887,6 @@ RunHandle Replica::open_run(std::vector<BatchOp> ops,
 
   bool first_send = true;
   for (const PartyId& recipient : run.recipients) {
-    messages_.add(label, {"sent", format.propose_kind, recipient.str(), encoded});
     send_envelope(recipient, format.propose, encoded);
     if (first_send) {
       first_send = false;
@@ -920,15 +912,6 @@ void Replica::resend_propose_to_silent() {
 
 std::vector<bool> Replica::verify_responses(
     const std::vector<RespondMsg>& responses) const {
-  if (callbacks_.verify_many) {
-    std::vector<VerifyJob> jobs;
-    jobs.reserve(responses.size());
-    for (const RespondMsg& msg : responses) {
-      jobs.push_back(VerifyJob{msg.response.responder,
-                               msg.response.signed_bytes(), msg.signature});
-    }
-    return callbacks_.verify_many(jobs);
-  }
   std::vector<bool> ok;
   ok.reserve(responses.size());
   for (const RespondMsg& msg : responses) {
@@ -985,8 +968,7 @@ void Replica::handle_respond(const PartyId& from, const Bytes& body) {
     if (!(existing->second == msg)) {
       // Two different signed responses from the same party for the same
       // run: equivocation. Both are kept as evidence.
-      callbacks_.record_evidence(evidence_kind::kRespondReceived,
-                                 msg.encode());
+      record_evidence(evidence_kind::kRespondReceived, msg.encode());
       record_violation("equivocating responses", from);
     }
     return;
@@ -998,8 +980,7 @@ void Replica::handle_respond(const PartyId& from, const Bytes& body) {
     enc.blob(msg.encode());
     journal_record(walrec::kResponseReceived, std::move(enc).take());
   }
-  messages_.add(label, {"received", "respond", from.str(), body});
-  callbacks_.record_evidence(evidence_kind::kRespondReceived, msg.encode());
+  record_evidence(evidence_kind::kRespondReceived, msg.encode(), label);
   journal_barrier();
   hit_crash_point("response.journaled");
   run.responses.emplace(from, std::move(msg));
@@ -1013,8 +994,8 @@ void Replica::handle_respond(const PartyId& from, const Bytes& body) {
   // and let the deal layer decide across all legs (DESIGN.md §12). The
   // hook runs under this shard's lock and may only touch deal-internal
   // state / schedule work.
-  callbacks_.record_evidence(evidence_kind::kDealPrepared,
-                             run.propose.proposal.proposed.encode());
+  record_evidence(evidence_kind::kDealPrepared,
+                  run.propose.proposal.proposed.encode());
   if (deal_hooks_.on_leg_prepared) {
     StagedRunStatus status = staged_run_status(label);
     deal_hooks_.on_leg_prepared(object_, label, status.all_accept,
@@ -1064,12 +1045,11 @@ void Replica::finish_run_as_proposer() {
     decide.encode_into(enc);
     journal_record(walrec::kDecideSent, std::move(enc).take());
   }
-  callbacks_.record_evidence(format.decide_sent, encoded);
+  record_evidence(format.decide_sent, encoded, label);
   journal_barrier();
   hit_crash_point("decide.journaled");
   bool first_send = true;
   for (const PartyId& recipient : run.recipients) {
-    messages_.add(label, {"sent", format.decide_kind, recipient.str(), encoded});
     send_envelope(recipient, format.decide, encoded);
     if (first_send) {
       first_send = false;
@@ -1092,8 +1072,7 @@ void Replica::finish_run_as_proposer() {
              prop.proposed.sequence, label);
   } else {
     impl_.apply_state(agreed_state_);
-    callbacks_.record_evidence(evidence_kind::kStateRolledBack,
-                               prop.proposed.encode());
+    record_evidence(evidence_kind::kStateRolledBack, prop.proposed.encode());
     event.kind = CoordEvent::Kind::kStateVetoed;
     event.sequence = prop.proposed.sequence;
     event.detail = first_diagnostic;
@@ -1167,7 +1146,7 @@ void Replica::handle_propose(const PartyId& from, MsgType type,
     RespondMsg out;
     out.response = stale;
     out.signature = key_.sign(stale.signed_bytes());
-    callbacks_.record_evidence(evidence_kind::kRespondSent, out.encode());
+    record_evidence(evidence_kind::kRespondSent, out.encode());
     send_envelope(from, MsgType::kRespond, out.encode());
     return;
   }
@@ -1204,8 +1183,7 @@ void Replica::handle_propose(const PartyId& from, MsgType type,
   }
   note_sequence(prop.proposed.sequence);
   hit_crash_point("respond.pre-journal");
-  callbacks_.record_evidence(format.propose_received, msg.encode());
-  messages_.add(label, {"received", format.propose_kind, from.str(), body});
+  record_evidence(format.propose_received, msg.encode(), label);
 
   ResponderRun run;
   Decision decision = validate_run(msg, digest, &run.pending_states);
@@ -1236,8 +1214,7 @@ void Replica::handle_propose(const PartyId& from, MsgType type,
   responder_runs_.emplace(label, std::move(run));
   if (decision.accept) accept_lock_ = label;
 
-  callbacks_.record_evidence(evidence_kind::kRespondSent, encoded);
-  messages_.add(label, {"sent", "respond", from.str(), encoded});
+  record_evidence(evidence_kind::kRespondSent, encoded, label);
   journal_barrier();
   hit_crash_point("respond.journaled");
   send_envelope(from, MsgType::kRespond, encoded);
@@ -1365,7 +1342,7 @@ void Replica::handle_decide(const PartyId& from, MsgType type,
     // The very decide this run closed on, sent again (a recovering
     // proposer re-drives its run): sealed like the close was. A forged
     // decide buys no RSA work.
-    if (received_before(label, msg.format().decide_kind, body)) {
+    if (received_before(label, msg.format().decide_received, msg.encode())) {
       seal_evidence();
     }
     return;
@@ -1400,8 +1377,7 @@ void Replica::handle_decide(const PartyId& from, MsgType type,
     msg.encode_into(enc);
     journal_record(walrec::kDecideDelivered, std::move(enc).take());
   }
-  callbacks_.record_evidence(msg.format().decide_received, msg.encode());
-  messages_.add(label, {"received", msg.format().decide_kind, from.str(), body});
+  record_evidence(msg.format().decide_received, msg.encode(), label);
   journal_barrier();
   hit_crash_point("decide-recv.journaled");
 
@@ -1487,8 +1463,7 @@ void Replica::conclude_responder_run(const std::string& label,
       // Our local copy of the payload cannot reproduce the agreed state
       // (e.g. we rejected it for integrity). We hold the evidence but need
       // an out-of-band state transfer to catch up.
-      callbacks_.record_evidence("state.transfer-required",
-                                 prop.proposed.encode());
+      record_evidence("state.transfer-required", prop.proposed.encode());
       B2B_WARN(self_, " cannot materialise agreed state for run ", label);
     }
   } else {
@@ -1591,7 +1566,7 @@ void Replica::request_termination(const std::string& label,
     enc.str(label).u8(as_proposer ? 1 : 0);
     journal_record(walrec::kTerminationSubmitted, std::move(enc).take());
   }
-  callbacks_.record_evidence("ttp.request", request.encode());
+  record_evidence("ttp.request", request.encode());
   journal_barrier();
   hit_crash_point("ttp-submit.journaled");
   send_envelope(ttp_->ttp, MsgType::kTerminationRequest,
@@ -1625,10 +1600,10 @@ void Replica::handle_termination_verdict(const PartyId& from,
     enc.blob(body);
     journal_record(walrec::kVerdictDelivered, std::move(enc).take());
   }
-  callbacks_.record_evidence(verdict.kind == TerminationVerdict::Kind::kAbort
-                                 ? "ttp.abort"
-                                 : "ttp.decision",
-                             body);
+  record_evidence(verdict.kind == TerminationVerdict::Kind::kAbort
+                      ? "ttp.abort"
+                      : "ttp.decision",
+                  body);
   if (run_open) {
     journal_barrier();
     hit_crash_point("verdict.journaled");
@@ -1641,8 +1616,8 @@ void Replica::handle_termination_verdict(const PartyId& from,
     proposer_run_.reset();
     if (verdict.kind == TerminationVerdict::Kind::kAbort) {
       impl_.apply_state(agreed_state_);
-      callbacks_.record_evidence(evidence_kind::kStateRolledBack,
-                                 verdict.proposed.encode());
+      record_evidence(evidence_kind::kStateRolledBack,
+                      verdict.proposed.encode());
       complete(run.result, RunResult::Outcome::kAborted,
                "TTP-certified abort", {}, verdict.proposed.sequence, label);
     } else {
@@ -1728,15 +1703,12 @@ void Replica::launch_staged_run(const std::string& label,
     return;
   }
   ProposerRun& run = *proposer_run_;
-  const RunFormat& format = run.propose.format();
+  const MsgType propose_type = run.propose.format().propose;
   Bytes encoded = run.propose.encode();
   Bytes enlist_encoded = enlist.encode();
   bool first_send = true;
   for (const PartyId& recipient : run.recipients) {
-    messages_.add(label, {"sent", format.propose_kind, recipient.str(), encoded});
-    send_envelope(recipient, format.propose, encoded);
-    messages_.add(label,
-                  {"sent", "deal.enlist", recipient.str(), enlist_encoded});
+    send_envelope(recipient, propose_type, encoded);
     send_envelope(recipient, MsgType::kDealEnlist, enlist_encoded);
     if (first_send) {
       first_send = false;
@@ -1762,7 +1734,6 @@ void Replica::commit_staged_run(const std::string& label,
   // authenticator and installs.
   Bytes encoded = decision.encode();
   for (const PartyId& recipient : run.recipients) {
-    messages_.add(label, {"sent", "deal.decision", recipient.str(), encoded});
     send_envelope(recipient, MsgType::kDealDecision, encoded);
   }
   run.deal_staged = false;
@@ -1779,12 +1750,10 @@ void Replica::abort_staged_run(const std::string& label,
   const Proposal& prop = run.propose.proposal;
   Bytes encoded = decision.encode();
   for (const PartyId& recipient : run.recipients) {
-    messages_.add(label, {"sent", "deal.decision", recipient.str(), encoded});
     send_envelope(recipient, MsgType::kDealDecision, encoded);
   }
   impl_.apply_state(agreed_state_);
-  callbacks_.record_evidence(evidence_kind::kStateRolledBack,
-                             prop.proposed.encode());
+  record_evidence(evidence_kind::kStateRolledBack, prop.proposed.encode());
   complete(run.result, RunResult::Outcome::kAborted,
            decision.decision.diagnostic.empty()
                ? "deal aborted"
@@ -1801,8 +1770,8 @@ void Replica::cancel_staged_run(const std::string& label) {
   ProposerRun run = std::move(*proposer_run_);
   proposer_run_.reset();
   impl_.apply_state(agreed_state_);
-  callbacks_.record_evidence(evidence_kind::kStateRolledBack,
-                             run.propose.proposal.proposed.encode());
+  record_evidence(evidence_kind::kStateRolledBack,
+                  run.propose.proposal.proposed.encode());
   complete(run.result, RunResult::Outcome::kAborted,
            "deal never opened: staged leg cancelled", {},
            run.propose.proposal.proposed.sequence, label);
@@ -1909,7 +1878,7 @@ void Replica::handle_deal_enlist(const PartyId& from, const Bytes& body) {
     if (!(existing->second == msg)) {
       // Two different signed enlists binding this run to different deals:
       // equivocation. Both are kept as evidence.
-      callbacks_.record_evidence(evidence_kind::kDealEnlistReceived, body);
+      record_evidence(evidence_kind::kDealEnlistReceived, body);
       record_violation("equivocating deal enlists for run " + label, from);
     }
     return;  // duplicate (probe/recovery re-send): already on record
@@ -1920,8 +1889,7 @@ void Replica::handle_deal_enlist(const PartyId& from, const Bytes& body) {
     enc.blob(body);
     journal_record(walrec::kDealEnlisted, std::move(enc).take());
   }
-  messages_.add(label, {"received", "deal.enlist", from.str(), body});
-  callbacks_.record_evidence(evidence_kind::kDealEnlistReceived, body);
+  record_evidence(evidence_kind::kDealEnlistReceived, body, label);
   journal_barrier();
   hit_crash_point("deal-enlist-recv.journaled");
   deal_enlists_.emplace(label, std::move(msg));
@@ -1950,14 +1918,19 @@ void Replica::handle_deal_decision(const PartyId& from, const Bytes& body) {
     if (!(seen->second.decision == decision)) {
       // Two different signed verdicts for one deal id: non-repudiable
       // equivocation, blamable on the initiator alone. Keep both.
-      callbacks_.record_evidence(evidence_kind::kDealDecisionReceived, body);
+      record_evidence(evidence_kind::kDealDecisionReceived, body);
       record_violation(
           "equivocating deal decision for " + decision.deal_id, from);
       return;
     }
   } else {
     deal_decisions_seen_.emplace(decision.deal_id, msg);
-    callbacks_.record_evidence(evidence_kind::kDealDecisionReceived, body);
+    // Filed under this object's leg (a deal has at most one per object).
+    std::string leg_label;
+    for (const DealLeg& leg : decision.legs) {
+      if (leg.object == object_) leg_label = leg.proposed.label();
+    }
+    record_evidence(evidence_kind::kDealDecisionReceived, body, leg_label);
     // The deal closed here: its verified decision is on record (a commit
     // leg's own run may have closed before the decision arrived).
     seal_evidence();
@@ -1966,7 +1939,6 @@ void Replica::handle_deal_decision(const PartyId& from, const Bytes& body) {
   for (const DealLeg& leg : decision.legs) {
     if (leg.object != object_) continue;
     const std::string label = leg.proposed.label();
-    messages_.add(label, {"received", "deal.decision", from.str(), body});
     if (decision.verdict == DealDecision::Verdict::kCommit) {
       // The normal decide (authenticator reveal) follows and installs;
       // the artifact is on record, nothing else to do.
@@ -1999,14 +1971,14 @@ void Replica::handle_deal_decision(const PartyId& from, const Bytes& body) {
 bool Replica::maybe_resend_deal_decision(const std::string& label,
                                          const PartyId& to) {
   if (!journaling()) return false;
-  for (const auto& stored : messages_.run(label)) {
-    if (stored.direction == "sent" && stored.kind == "deal.decision") {
-      record_anomaly("re-sent deal decision of closed run " + label, to);
-      send_envelope(to, MsgType::kDealDecision, stored.payload);
-      return true;
-    }
-  }
-  return false;
+  // The newest initiator decision is the one the legs were sent: a
+  // TTP-certified abort supersedes the commit registered before it.
+  std::vector<Bytes> decisions =
+      callbacks_.run_evidence(label, evidence_kind::kDealDecision);
+  if (decisions.empty()) return false;
+  record_anomaly("re-sent deal decision of closed run " + label, to);
+  send_envelope(to, MsgType::kDealDecision, std::move(decisions.back()));
+  return true;
 }
 
 }  // namespace b2b::core

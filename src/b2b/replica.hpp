@@ -33,7 +33,6 @@
 #include "crypto/rsa.hpp"
 #include "net/runtime.hpp"
 #include "store/checkpoint_store.hpp"
-#include "store/message_store.hpp"
 
 namespace b2b::core {
 
@@ -149,15 +148,6 @@ class BoundedNonceSet {
   std::deque<std::string> order_;
 };
 
-/// One signature check in a bulk verification request (see
-/// Replica::Callbacks::verify_many): resolve `signer`'s public key and
-/// verify `signature` over `message`.
-struct VerifyJob {
-  PartyId signer;
-  Bytes message;
-  Bytes signature;
-};
-
 class Replica {
  public:
   /// Everything the replica needs from its hosting coordinator.
@@ -167,9 +157,18 @@ class Replica {
     /// Virtual clock (microseconds).
     std::function<std::uint64_t()> now;
     /// Append (kind, payload) to the non-repudiation log (clock-timed by
-    /// the coordinator; the trusted stamp comes with the next seal).
-    std::function<void(const std::string& kind, const Bytes& payload)>
+    /// the coordinator; the trusted stamp comes with the next seal). A
+    /// protocol message is filed under its run's label, so the log is
+    /// also the run's transcript (§4.2); other records pass "".
+    std::function<void(const std::string& kind, const Bytes& payload,
+                       const std::string& run_label)>
         record_evidence;
+    /// Read the transcript back: the payloads of the records of `kind`
+    /// filed under `run_label`, in chain order. Runs under the
+    /// coordinator's evidence lock (shard -> evidence).
+    std::function<std::vector<Bytes>(const std::string& run_label,
+                                      const std::string& kind)>
+        run_evidence;
     /// Seal the non-repudiation log: one signed, TSS-stamped anchor over
     /// its head record (DESIGN.md §13(c)). Called when a run closes here.
     std::function<void()> seal_evidence;
@@ -195,20 +194,11 @@ class Replica {
     /// Crash-point hook: invoked with a point name at every persist/send
     /// boundary; an armed hook throws SimulatedCrash. Null in production.
     std::function<void(const char* point)> crash_point;
-    /// Bulk signature verification (DESIGN.md §13): verify every job and
-    /// return one bool per job, in order. A coordinator with pipelining
-    /// enabled backs this with a verified-signature cache, so
-    /// retransmitted decides never re-enter RSA at all; every response
-    /// check goes through it. Null falls back to per-job key_of +
-    /// verify.
-    std::function<std::vector<bool>(const std::vector<VerifyJob>&)>
-        verify_many;
   };
 
   Replica(PartyId self, ObjectId object, B2BObject& impl,
           const crypto::RsaPrivateKey& key, net::Rng& rng,
-          Callbacks callbacks, store::CheckpointStore& checkpoints,
-          store::MessageStore& messages);
+          Callbacks callbacks, store::CheckpointStore& checkpoints);
 
   Replica(const Replica&) = delete;
   Replica& operator=(const Replica&) = delete;
@@ -528,6 +518,8 @@ class Replica {
     /// so a recovered sponsor does not re-run an already-applied change
     /// when the subject probes it under the original nonce.
     std::set<std::string> processed_nonces;
+    /// The answers sent for those requests (see subject_answers_).
+    std::map<std::string, std::pair<MsgType, Bytes>> subject_answers;
 
     // --- TTP termination (§7) -----------------------------------------------
     std::map<std::string, bool> termination_submissions;  // label->proposer?
@@ -583,29 +575,33 @@ class Replica {
   void close_run(std::uint8_t type, const std::string& label);
   /// Seal the evidence log now (see Callbacks::seal_evidence).
   void seal_evidence();
-  /// True when the message store holds a received `kind` message for run
-  /// `label` whose body is exactly `body`.
+  /// Append to the evidence log, filed under `run_label` when the record
+  /// is a protocol message of that run (see Callbacks::record_evidence).
+  void record_evidence(const std::string& kind, const Bytes& payload,
+                       const std::string& run_label = "");
+  /// True when run `label`'s transcript holds a `kind` record whose
+  /// payload is exactly `body`.
   bool received_before(const std::string& label, const std::string& kind,
                        const Bytes& body) const;
-  /// Re-send the stored decide (of either format) of a closed run to `to`
-  /// (a recovering responder probing us). Returns false if no decide is
-  /// on record.
+  /// Re-send the decide (of either format) this party sent for a closed
+  /// run to `to` (a recovering responder probing us). Returns false if
+  /// no decide is on record.
   bool maybe_resend_decide(const std::string& label, const PartyId& to);
   /// Arm one capped re-probe of a still-open run (journal-gated).
   void arm_run_probe(const std::string& label, bool as_proposer, int attempt);
 
   // --- membership journaling & recovery (membership.cpp) ---------------------
-  /// Like maybe_resend_decide, for membership decides ("m.decide").
+  /// Like maybe_resend_decide, for membership decides: only a decide
+  /// this party sent as sponsor, never one it received.
   bool maybe_resend_membership_decide(const std::string& label,
                                       const PartyId& to);
   /// Re-send the stored welcome/reject/confirm answer of an already
   /// answered subject request (journal-gated duplicate handling).
   bool maybe_reanswer_membership_request(const std::string& nonce_key,
                                          const PartyId& subject);
-  /// File the answer to a subject request so a duplicate of the same
-  /// request (recovering subject probing us) can be re-answered.
-  void remember_subject_answer(const std::string& nonce_key,
-                               const PartyId& subject, MsgType type,
+  /// Journal and keep the answer to a subject request so a duplicate of
+  /// the same request (recovering subject probing us) can be re-answered.
+  void remember_subject_answer(const std::string& nonce_key, MsgType type,
                                const Bytes& payload);
   /// Journal the pending subject-side request (kSubjectRequest + barrier).
   void journal_subject_request(const MembershipRequest& request,
@@ -669,9 +665,7 @@ class Replica {
   void resend_propose_to_silent();
   void handle_respond(const PartyId& from, const Bytes& body);
   void finish_run_as_proposer();
-  /// Check each response's signature: through Callbacks::verify_many when
-  /// the coordinator provides it (a verified-signature cache when
-  /// pipelining), else key by key.
+  /// Check each response's signature against its responder's key.
   std::vector<bool> verify_responses(
       const std::vector<RespondMsg>& responses) const;
 
@@ -697,10 +691,9 @@ class Replica {
       const BatchProposeMsg& propose);
 
   /// Shared tail of handle_decide, TTP-certified decisions and the
-  /// recovery redo: verify the aggregated responses (via verify_many when
-  /// available), compute the group decision, install every item in order
-  /// or discard, release the lock. `run` must already be removed from the
-  /// map.
+  /// recovery redo: verify the aggregated responses, compute the group
+  /// decision, install every item in order or discard, release the lock.
+  /// `run` must already be removed from the map.
   void conclude_responder_run(const std::string& label, ResponderRun run,
                               const std::vector<RespondMsg>& responses,
                               const PartyId& attribute_to);
@@ -757,7 +750,6 @@ class Replica {
   net::Rng& rng_;
   Callbacks callbacks_;
   store::CheckpointStore& checkpoints_;
-  store::MessageStore& messages_;
 
   // --- replicated state --------------------------------------------------------
   bool connected_ = false;
@@ -833,6 +825,10 @@ class Replica {
   /// Nonces of membership requests this sponsor has already acted on
   /// (bounded, watermark-style eviction — see BoundedNonceSet).
   BoundedNonceSet sponsor_nonces_;
+  /// The welcome, confirm or reject sent for each answered request, by
+  /// nonce (journal-gated, kSubjectAnswer): re-sent verbatim to a
+  /// duplicate of the request.
+  std::map<std::string, std::pair<MsgType, Bytes>> subject_answers_;
   /// Retry accounting for voluntary departures vetoed by transient
   /// view inconsistency.
   std::map<std::string, int> voluntary_retry_counts_;

@@ -34,7 +34,7 @@ struct StateTuple {
   static StateTuple decode(BytesView data);
 
   /// Short unique label for the protocol run this tuple initiates; used to
-  /// key the message store and evidence records.
+  /// file the run's evidence records under (the run index).
   std::string label() const;
 
   friend bool operator==(const StateTuple&, const StateTuple&) = default;

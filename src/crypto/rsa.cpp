@@ -173,84 +173,6 @@ std::optional<Bytes> RsaPrivateKey::decrypt(BytesView ciphertext) const {
   return Bytes(em.begin() + static_cast<std::ptrdiff_t>(sep + 1), em.end());
 }
 
-SignatureCache::SignatureCache(std::size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity) {}
-
-std::string SignatureCache::cache_key(const RsaPublicKey& key,
-                                      const Digest& digest,
-                                      BytesView signature) {
-  // Hash the full (key, digest, signature) triple with explicit length
-  // framing so no field can collide into a neighbour: the encoded key is
-  // itself length-prefixed, the digest is fixed-width, and the signature
-  // length is mixed in before its bytes.
-  Sha256 hasher;
-  Bytes key_bytes = key.encode();
-  auto mix_len = [&hasher](std::uint64_t n) {
-    Bytes len(8);
-    for (int i = 0; i < 8; ++i) {
-      len[i] = static_cast<std::uint8_t>(n >> (8 * i));
-    }
-    hasher.update(len);
-  };
-  mix_len(key_bytes.size());
-  hasher.update(key_bytes);
-  hasher.update(BytesView(digest.data(), digest.size()));
-  mix_len(signature.size());
-  hasher.update(signature);
-  Digest id = hasher.finish();
-  return std::string(reinterpret_cast<const char*>(id.data()), id.size());
-}
-
-bool SignatureCache::contains(const RsaPublicKey& key, const Digest& digest,
-                              BytesView signature) const {
-  std::string id = cache_key(key, digest, signature);
-  std::lock_guard<std::mutex> lock(mutex_);
-  bool hit = entries_.contains(id);
-  if (hit) {
-    ++stats_.hits;
-  } else {
-    ++stats_.misses;
-  }
-  return hit;
-}
-
-void SignatureCache::insert(const RsaPublicKey& key, const Digest& digest,
-                            BytesView signature) {
-  std::string id = cache_key(key, digest, signature);
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (!entries_.insert(id).second) return;
-  order_.push_back(std::move(id));
-  ++stats_.insertions;
-  while (entries_.size() > capacity_) {
-    entries_.erase(order_.front());
-    order_.pop_front();
-    ++stats_.evictions;
-  }
-}
-
-bool SignatureCache::verify(const RsaPublicKey& key, BytesView message,
-                            BytesView signature) {
-  return verify_digest(key, Sha256::hash(message), signature);
-}
-
-bool SignatureCache::verify_digest(const RsaPublicKey& key,
-                                   const Digest& digest, BytesView signature) {
-  if (contains(key, digest, signature)) return true;
-  if (!key.verify_digest(digest, signature)) return false;
-  insert(key, digest, signature);
-  return true;
-}
-
-SignatureCache::Stats SignatureCache::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
-}
-
-std::size_t SignatureCache::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.size();
-}
-
 bool is_probable_prime(const BigInt& candidate, ChaCha20Rng& rng, int rounds) {
   if (candidate < BigInt(2)) return false;
   for (std::uint64_t sp : kSmallPrimes) {

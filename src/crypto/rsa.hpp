@@ -14,12 +14,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -102,63 +99,6 @@ class RsaPrivateKey {
   // CRT components for ~4x faster signing.
   BigInt p_, q_, d_p_, d_q_, q_inv_;
   std::shared_ptr<const MontgomeryContext> mont_p_, mont_q_;
-};
-
-/// Bounded, thread-safe cache of signatures that have already verified.
-///
-/// The RSA floor work (DESIGN.md §13) re-sees the same signed bytes many
-/// times: retransmitted responses, replayed decides, resends after
-/// recovery. A verification that already succeeded is a pure function of
-/// (public key, digest, signature), so its result can be remembered and a
-/// retransmission never re-enters modular exponentiation.
-///
-/// Poisoning resistance: the cache key is SHA-256 over the FULL tuple —
-/// the encoded public key (n and e, length-prefixed), the 32-byte message
-/// digest and the complete signature bytes. A frame that collides with a
-/// cached entry on any prefix (same digest but different signer, same
-/// signer+digest but different signature bytes, a truncated signature)
-/// hashes to a different key and misses. Only exact replays of a
-/// previously verified triple hit. Negative results are never cached, so
-/// a forgery can at worst cost the full verification it would cost anyway.
-class SignatureCache {
- public:
-  explicit SignatureCache(std::size_t capacity = 1024);
-
-  /// True iff this exact (key, digest, signature) triple verified before
-  /// and is still resident. Counts a hit or miss.
-  bool contains(const RsaPublicKey& key, const Digest& digest,
-                BytesView signature) const;
-
-  /// Remember a triple as verified (caller must have verified it!).
-  /// FIFO-evicts when over capacity.
-  void insert(const RsaPublicKey& key, const Digest& digest,
-              BytesView signature);
-
-  /// Verify through the cache: hit → true without touching RSA; miss →
-  /// full verification, inserting on success.
-  bool verify(const RsaPublicKey& key, BytesView message, BytesView signature);
-  bool verify_digest(const RsaPublicKey& key, const Digest& digest,
-                     BytesView signature);
-
-  struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t insertions = 0;
-    std::uint64_t evictions = 0;
-  };
-  Stats stats() const;
-  std::size_t size() const;
-  std::size_t capacity() const { return capacity_; }
-
- private:
-  static std::string cache_key(const RsaPublicKey& key, const Digest& digest,
-                               BytesView signature);
-
-  const std::size_t capacity_;
-  mutable std::mutex mutex_;
-  std::unordered_set<std::string> entries_;
-  std::deque<std::string> order_;  // FIFO eviction order
-  mutable Stats stats_;
 };
 
 /// Generate a keypair with an n of `bits` bits (e = 65537).

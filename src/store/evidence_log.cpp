@@ -42,8 +42,9 @@ crypto::Digest EvidenceRecord::compute_hash() const {
   return crypto::Sha256::hash(enc.bytes());
 }
 
-const EvidenceRecord& EvidenceLog::append(std::string kind, Bytes payload,
-                                          std::uint64_t time_micros) {
+const EvidenceRecord& EvidenceLog::append(
+    std::string kind, Bytes payload, std::uint64_t time_micros,
+    const std::vector<std::string>& run_labels) {
   EvidenceRecord rec;
   rec.index = records_.size();
   rec.prev_hash =
@@ -52,6 +53,9 @@ const EvidenceRecord& EvidenceLog::append(std::string kind, Bytes payload,
   rec.kind = std::move(kind);
   rec.payload = std::move(payload);
   rec.record_hash = rec.compute_hash();
+  for (const std::string& label : run_labels) {
+    runs_[label].push_back(rec.index);
+  }
   records_.push_back(std::move(rec));
   return records_.back();
 }
@@ -69,6 +73,23 @@ std::vector<const EvidenceRecord*> EvidenceLog::find_kind(
   for (const auto& rec : records_) {
     if (rec.kind == kind) out.push_back(&rec);
   }
+  return out;
+}
+
+std::vector<const EvidenceRecord*> EvidenceLog::run(
+    const std::string& run_label) const {
+  std::vector<const EvidenceRecord*> out;
+  auto it = runs_.find(run_label);
+  if (it == runs_.end()) return out;
+  out.reserve(it->second.size());
+  for (std::size_t index : it->second) out.push_back(&records_[index]);
+  return out;
+}
+
+std::vector<std::string> EvidenceLog::run_labels() const {
+  std::vector<std::string> out;
+  out.reserve(runs_.size());
+  for (const auto& [label, indices] : runs_) out.push_back(label);
   return out;
 }
 

@@ -324,10 +324,13 @@ TEST(CoordinatorTest, ProtocolStatsCountPerMessageType) {
 TEST(CoordinatorTest, MessageStoreHoldsFullRunTranscript) {
   CoordFixture t;
   RunHandle h = t.agree(bytes_of("v1"));
-  const auto& messages = t.fed.coordinator("alpha").messages();
-  ASSERT_TRUE(messages.has_run(h->run_label));
+  const store::EvidenceLog& evidence = t.fed.coordinator("alpha").evidence();
+  const auto transcript = evidence.run(h->run_label);
+  ASSERT_EQ(transcript.size(), 3u);
   // propose sent + respond received + decide sent.
-  EXPECT_EQ(messages.run(h->run_label).size(), 3u);
+  EXPECT_EQ(transcript[0]->kind, evidence_kind::kProposeSent);
+  EXPECT_EQ(transcript[1]->kind, evidence_kind::kRespondReceived);
+  EXPECT_EQ(transcript[2]->kind, evidence_kind::kDecideSent);
 }
 
 }  // namespace

@@ -203,7 +203,7 @@ TEST_P(Deals, MultiLegCommitInstallsAllLegs) {
   const auto keys = key_map(p.fed, {"alpha", "beta", "gamma"});
   for (const DealLeg& leg : decision->decision.legs) {
     Arbiter::DealArbitrationReport report = arbiter.arbitrate_deal(
-        p.fed.coordinator("beta").messages(), leg.proposed.label(), keys);
+        p.fed.coordinator("beta").evidence(), leg.proposed.label(), keys);
     EXPECT_TRUE(report.enlist_found) << report.ruling;
     EXPECT_TRUE(report.decision_found) << report.ruling;
     EXPECT_TRUE(report.committed) << report.ruling;
@@ -261,7 +261,7 @@ TEST_P(Deals, VetoOnOneLegAbortsAll) {
   ASSERT_NE(audit_leg, nullptr);
   Arbiter arbiter{p.fed.make_verifier()};
   Arbiter::DealArbitrationReport report = arbiter.arbitrate_deal(
-      p.fed.coordinator("gamma").messages(), audit_leg->proposed.label(),
+      p.fed.coordinator("gamma").evidence(), audit_leg->proposed.label(),
       key_map(p.fed, {"alpha", "beta", "gamma"}));
   EXPECT_TRUE(report.enlist_found) << report.ruling;
   EXPECT_TRUE(report.decision_found) << report.ruling;
@@ -726,35 +726,44 @@ TEST(DealCrashCampaignThreaded, InitiatorCrashAfterDecisionJournaled) {
 /// re-derives a commit and registers it, the TTP — which wrote those
 /// per-run aborts into its cache — forces a certified deal abort, keeping
 /// the deal outcome consistent with what participants were already told.
+/// Runs the scenario up to the resumed initiator and hands back its
+/// resumed handles.
+void withhold_decision_until_certified_abort(DealRecoveryWorld& w,
+                                             std::vector<RunHandle>* resumed) {
+  w.warm_up();
+  w.fed.enable_ttp_termination(kLedger, 500'000);
+  w.fed.enable_ttp_termination(kAudit, 500'000);
+  w.fed.enable_deal_escape();
+
+  w.fed.coordinator("alpha").arm_crash_point("deal-decide.pre-journal");
+  DealCoordinator::DealSpec spec;
+  spec.legs.push_back(state_leg(kLedger, "L2"));
+  spec.legs.push_back(state_leg(kAudit, "A2"));
+  RunHandle h = w.fed.start_deal("alpha", spec);
+  (void)h;
+  ASSERT_TRUE(w.fed.executor().run_until(
+      [&] { return w.fed.coordinator("alpha").crashed(); }));
+
+  w.fed.crash_party("alpha");
+  // Long downtime: every parked participant hits its per-run TTP
+  // deadline and collects a certified abort.
+  w.fed.scheduler().run_until(w.fed.scheduler().now() + 2'000'000);
+
+  Coordinator& revived = w.fed.recover_party("alpha");
+  w.re_register("alpha");
+  w.fed.enable_ttp_termination(kLedger, 500'000);
+  w.fed.enable_ttp_termination(kAudit, 500'000);
+  w.fed.enable_deal_escape();
+  *resumed = revived.resume_recovered_runs();
+}
+
+/// The deployment converges on the certified abort.
 TEST(DealTtpEscape, WithheldDecisionEndsInCertifiedAbort) {
   const std::string tag = "ttp_withheld";
   {
     DealRecoveryWorld w(tag, RuntimeKind::kSim, 17);
-    w.warm_up();
-    w.fed.enable_ttp_termination(kLedger, 500'000);
-    w.fed.enable_ttp_termination(kAudit, 500'000);
-    w.fed.enable_deal_escape();
-
-    w.fed.coordinator("alpha").arm_crash_point("deal-decide.pre-journal");
-    DealCoordinator::DealSpec spec;
-    spec.legs.push_back(state_leg(kLedger, "L2"));
-    spec.legs.push_back(state_leg(kAudit, "A2"));
-    RunHandle h = w.fed.start_deal("alpha", spec);
-    (void)h;
-    ASSERT_TRUE(w.fed.executor().run_until(
-        [&] { return w.fed.coordinator("alpha").crashed(); }));
-
-    w.fed.crash_party("alpha");
-    // Long downtime: every parked participant hits its per-run TTP
-    // deadline and collects a certified abort.
-    w.fed.scheduler().run_until(w.fed.scheduler().now() + 2'000'000);
-
-    Coordinator& revived = w.fed.recover_party("alpha");
-    w.re_register("alpha");
-    w.fed.enable_ttp_termination(kLedger, 500'000);
-    w.fed.enable_ttp_termination(kAudit, 500'000);
-    w.fed.enable_deal_escape();
-    std::vector<RunHandle> resumed = revived.resume_recovered_runs();
+    std::vector<RunHandle> resumed;
+    ASSERT_NO_FATAL_FAILURE(withhold_decision_until_certified_abort(w, &resumed));
 
     EXPECT_TRUE(w.fed.executor().run_until(
         [&] { return w.converged(bytes_of("warm-L"), bytes_of("warm-A")); }))
@@ -773,6 +782,49 @@ TEST(DealTtpEscape, WithheldDecisionEndsInCertifiedAbort) {
     w.check_safety();
     EXPECT_EQ(w.fed.termination_ttp().deal_aborts_issued(), 1u);
     EXPECT_EQ(w.fed.termination_ttp().deal_commits_issued(), 0u);
+  }
+  fs::remove_all(fs::temp_directory_path() / ("b2b_deal_" + tag));
+}
+
+/// The initiator's own record of the same deal: it signed a commit to
+/// register with the TTP, then the abort the TTP certified and the legs
+/// were sent. Ruled from its evidence log alone, every leg is ABORTED,
+/// with no equivocation and nobody to blame.
+TEST(DealTtpEscape, InitiatorRulesCertifiedAbortWithoutBlame) {
+  const std::string tag = "ttp_withheld_arbiter";
+  {
+    DealRecoveryWorld w(tag, RuntimeKind::kSim, 17);
+    std::vector<RunHandle> resumed;
+    ASSERT_NO_FATAL_FAILURE(withhold_decision_until_certified_abort(w, &resumed));
+    ASSERT_TRUE(w.fed.executor().run_until(
+        [&] { return w.converged(bytes_of("warm-L"), bytes_of("warm-A")); }));
+    w.fed.settle();
+
+    std::string deal_id;
+    for (const RunHandle& r : resumed) {
+      if (r->diagnostic.find("ttp certified abort") != std::string::npos) {
+        deal_id = r->run_label;
+      }
+    }
+    Coordinator& alpha = w.fed.coordinator("alpha");
+    std::optional<DealDecisionMsg> decision = alpha.deals().decision_of(deal_id);
+    ASSERT_TRUE(decision.has_value());
+    ASSERT_EQ(decision->decision.verdict, DealDecision::Verdict::kAbort);
+    ASSERT_EQ(decision->decision.legs.size(), 2u);
+
+    Arbiter arbiter{w.fed.make_verifier()};
+    const auto keys = key_map(w.fed, {"alpha", "beta", "gamma"});
+    for (const DealLeg& leg : decision->decision.legs) {
+      Arbiter::DealArbitrationReport report = arbiter.arbitrate_deal(
+          alpha.evidence(), leg.proposed.label(), keys);
+      EXPECT_TRUE(report.enlist_found) << report.ruling;
+      EXPECT_TRUE(report.decision_found) << report.ruling;
+      EXPECT_FALSE(report.committed) << report.ruling;
+      EXPECT_FALSE(report.equivocation) << report.ruling;
+      EXPECT_TRUE(report.blamed.empty()) << report.ruling;
+      EXPECT_NE(report.ruling.find("ABORTED"), std::string::npos)
+          << report.ruling;
+    }
   }
   fs::remove_all(fs::temp_directory_path() / ("b2b_deal_" + tag));
 }

@@ -93,10 +93,9 @@ TEST(MajorityRule, OverriddenVetoerInstallsUpdateVariantToo) {
 }
 
 TEST(MajorityRule, UnanimousRuleStillDefault) {
+  TestRegister reg;  // outlives the federation
   Federation fed{{"a", "b", "c"}};
-  EXPECT_EQ(fed.coordinator("a")
-                .register_object(kObj, *new TestRegister)  // leak ok in test
-                .decision_rule(),
+  EXPECT_EQ(fed.coordinator("a").register_object(kObj, reg).decision_rule(),
             DecisionRule::kUnanimous);
 }
 
@@ -209,7 +208,7 @@ TEST(ArbiterTest, RulesAgreedRunValid) {
 
   std::vector<PartyId> recipients{PartyId{"beta"}};
   ArbitrationReport report = t.arbiter().arbitrate(
-      t.fed.coordinator("alpha").messages(), h->run_label, &recipients);
+      t.fed.coordinator("alpha").evidence(), h->run_label, &recipients);
   EXPECT_TRUE(report.proposal_found);
   EXPECT_TRUE(report.decide_found);
   EXPECT_TRUE(report.verdict.agreed);
@@ -228,7 +227,7 @@ TEST(ArbiterTest, RulesVetoedRunInvalidNamingVetoer) {
   t.fed.settle();
 
   ArbitrationReport report = t.arbiter().arbitrate(
-      t.fed.coordinator("alpha").messages(), h->run_label);
+      t.fed.coordinator("alpha").evidence(), h->run_label);
   EXPECT_FALSE(report.verdict.agreed);
   ASSERT_EQ(report.verdict.vetoers.size(), 1u);
   EXPECT_EQ(report.verdict.vetoers[0], PartyId{"beta"});
@@ -247,7 +246,7 @@ TEST(ArbiterTest, ResponderStoreSufficesViaDecideAggregation) {
 
   std::vector<PartyId> recipients{PartyId{"beta"}};
   ArbitrationReport report = t.arbiter().arbitrate(
-      t.fed.coordinator("beta").messages(), h->run_label, &recipients);
+      t.fed.coordinator("beta").evidence(), h->run_label, &recipients);
   EXPECT_TRUE(report.verdict.agreed);
 }
 
@@ -282,7 +281,7 @@ TEST(ArbiterTest, IncompleteRunCannotBeShownValid) {
   auto labels = fed.coordinator("beta").replica(kObj).active_run_labels();
   ASSERT_EQ(labels.size(), 1u);
   ArbitrationReport report = arbiter.arbitrate(
-      fed.coordinator("beta").messages(), labels[0], &recipients);
+      fed.coordinator("beta").evidence(), labels[0], &recipients);
   EXPECT_TRUE(report.proposal_found);
   EXPECT_FALSE(report.decide_found);
   EXPECT_FALSE(report.verdict.agreed);
@@ -292,7 +291,7 @@ TEST(ArbiterTest, IncompleteRunCannotBeShownValid) {
 TEST(ArbiterTest, UnknownRunYieldsNothingToArbitrate) {
   ArbiterFixture t;
   ArbitrationReport report =
-      t.arbiter().arbitrate(t.fed.coordinator("alpha").messages(), "404:dead");
+      t.arbiter().arbitrate(t.fed.coordinator("alpha").evidence(), "404:dead");
   EXPECT_FALSE(report.proposal_found);
   EXPECT_NE(report.ruling.find("nothing to arbitrate"), std::string::npos);
 }
@@ -365,10 +364,13 @@ TEST(Snapshot, RestorePreservesReplayProtection) {
   replica.restore_snapshot(snap);
   // A replay of the finished run is still detected after recovery.
   std::uint64_t violations_before = replica.violations_detected();
-  // The stored propose is in a's message store; replay it at b.
-  const auto& stored = fed.coordinator("a").messages().run(h->run_label);
+  // The propose heads the run's transcript in a's evidence log; replay it
+  // at b.
+  const auto stored = fed.coordinator("a").evidence().run(h->run_label);
   ASSERT_FALSE(stored.empty());
-  Envelope env{MsgType::kPropose, kObj, stored[0].payload};
+  ASSERT_EQ(stored[0]->kind, evidence_kind::kProposeSent);
+  Envelope env{MsgType::kPropose, kObj,
+               Coordinator::decode_evidence_payload(stored[0]->payload).payload};
   fed.endpoint("a").send(PartyId{"b"}, env.encode());
   fed.settle();
   EXPECT_GT(replica.violations_detected(), violations_before);

@@ -364,7 +364,7 @@ TEST(PipelineSingleItem, BatchOfOneIsThePapersRun) {
   Arbiter arbiter(batched.fed.make_verifier());
   const std::vector<PartyId> recipients = {PartyId{"beta"}, PartyId{"gamma"}};
   ArbitrationReport report = arbiter.arbitrate(
-      alpha.messages(), b->run_label, &recipients);
+      alpha.evidence(), b->run_label, &recipients);
   EXPECT_TRUE(report.proposal_found) << report.ruling;
   EXPECT_TRUE(report.decide_found) << report.ruling;
   EXPECT_TRUE(report.verdict.agreed) << report.ruling;
@@ -768,9 +768,10 @@ TEST(PipelineAdversarial, ReplayedStaleBatchDecideIsInert) {
     const std::string label =
         p.fed.coordinator("beta").replica(kObj).agreed_tuple().label();
     Bytes decide_body;
-    for (const auto& stored : p.fed.coordinator("beta").messages().run(label)) {
-      if (stored.direction == "received" && stored.kind == "batch-decide") {
-        decide_body = stored.payload;
+    for (const store::EvidenceRecord* record :
+         p.fed.coordinator("beta").evidence().run(label)) {
+      if (record->kind == evidence_kind::kBatchDecideReceived) {
+        decide_body = Coordinator::decode_evidence_payload(record->payload).payload;
       }
     }
     ASSERT_FALSE(decide_body.empty()) << "no stored batch decide to replay";

@@ -17,12 +17,17 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
+#include "b2b/arbiter.hpp"
 #include "b2b/federation.hpp"
 #include "common/error.hpp"
+#include "store/journal.hpp"
+#include "wire/codec.hpp"
 #include "tests/support/anchoring.hpp"
 #include "tests/support/crash_points.hpp"
 #include "tests/support/runtime_param.hpp"
@@ -1036,6 +1041,227 @@ TEST(Recovery, ExhaustedRetransmissionMarksPeerSuspect) {
     EXPECT_EQ(fed.coordinator("alpha").violations_detected(), 0u);
   }
   fs::remove_all(fs::temp_directory_path() / ("b2b_recovery_" + tag));
+}
+
+// ---------------------------------------------------------------------------
+// The evidence log as the run transcript, across restarts
+// ---------------------------------------------------------------------------
+
+/// Records every envelope the simulated network carries (first copy of
+/// each reliable DATA frame: u8 type, u64 seq, blob envelope, checksum).
+class EnvelopeTap : public net::Intruder {
+ public:
+  Verdict intercept(const PartyId& from, const PartyId& to, Bytes& payload,
+                    net::SimTime*) override {
+    try {
+      wire::Decoder dec{payload};
+      if (dec.u8() != 0) return Verdict::kPass;  // an ack
+      const std::uint64_t seq = dec.u64();
+      frames_.try_emplace({from, to, seq}, Envelope::decode(dec.blob()));
+    } catch (const CodecError&) {
+    }
+    return Verdict::kPass;
+  }
+
+  /// Bodies of the distinct `type` envelopes sent from `from` to `to`.
+  std::vector<Bytes> bodies(const std::string& from, const std::string& to,
+                            MsgType type) const {
+    std::vector<Bytes> out;
+    for (const auto& [key, envelope] : frames_) {
+      const auto& [frame_from, frame_to, seq] = key;
+      if (frame_from == PartyId{from} && frame_to == PartyId{to} &&
+          envelope.type == type) {
+        out.push_back(envelope.body);
+      }
+    }
+    return out;
+  }
+
+ private:
+  std::map<std::tuple<PartyId, PartyId, std::uint64_t>, Envelope> frames_;
+};
+
+/// True when `log` holds an anomaly record whose description is `what`.
+bool anomaly_recorded(const store::EvidenceLog& log, const std::string& what) {
+  for (const store::EvidenceRecord* record : log.find_kind("anomaly")) {
+    const Bytes payload =
+        Coordinator::decode_evidence_payload(record->payload).payload;
+    wire::Decoder dec{payload};
+    if (dec.str() == what) return true;
+  }
+  return false;
+}
+
+/// A sponsor that answered a connect keeps the answer across a restart:
+/// the subject's duplicate request under the same nonce is re-answered
+/// with the very bytes of the first answer.
+TEST(Recovery, RestartedSponsorReanswersDuplicateRequestVerbatim) {
+  const std::string tag = "reanswer";
+  {
+    Federation::Options options =
+        journaled_options(tag, RuntimeKind::kSim, campaign_seed());
+    // The initial member sponsors every connect (footnote 2), so alpha is
+    // still the sponsor once gamma has joined.
+    options.sponsor_policy = SponsorPolicy::kFixedInitial;
+    TestRegister alpha_obj;
+    TestRegister beta_obj;
+    TestRegister gamma_obj;
+    Federation fed({"alpha", "beta", "gamma"}, options);
+    EnvelopeTap tap;
+    fed.network().set_intruder(&tap);
+    fed.register_object("alpha", kObj, alpha_obj);
+    fed.register_object("beta", kObj, beta_obj);
+    fed.register_object("gamma", kObj, gamma_obj);
+    fed.bootstrap_object(kObj, {"alpha", "beta"}, bytes_of("genesis"));
+
+    RunHandle h =
+        fed.coordinator("gamma").propagate_connect(kObj, PartyId{"alpha"});
+    ASSERT_TRUE(fed.run_until_done(h));
+    ASSERT_EQ(h->outcome, RunResult::Outcome::kAgreed) << h->diagnostic;
+    fed.settle();
+    const std::vector<Bytes> requests =
+        tap.bodies("gamma", "alpha", MsgType::kConnectRequest);
+    ASSERT_EQ(requests.size(), 1u);
+    ASSERT_EQ(tap.bodies("alpha", "gamma", MsgType::kConnectWelcome).size(),
+              1u);
+
+    fed.crash_party("alpha");
+    Coordinator& revived = fed.recover_party("alpha");
+    fed.register_object("alpha", kObj, alpha_obj);
+    revived.resume_recovered_runs();
+    fed.settle();
+
+    Envelope duplicate{MsgType::kConnectRequest, kObj, requests.front()};
+    fed.transport("gamma").send(PartyId{"alpha"}, duplicate.encode());
+    fed.settle();
+
+    const std::vector<Bytes> welcomes =
+        tap.bodies("alpha", "gamma", MsgType::kConnectWelcome);
+    ASSERT_EQ(welcomes.size(), 2u);
+    EXPECT_EQ(welcomes[1], welcomes[0]);
+    EXPECT_TRUE(anomaly_recorded(revived.evidence(),
+                                 "re-answered duplicate membership request"));
+    EXPECT_EQ(revived.violations_detected(), 0u);
+    EXPECT_EQ(fed.coordinator("gamma").violations_detected(), 0u);
+    fed.network().set_intruder(nullptr);
+  }
+  fs::remove_all(fs::temp_directory_path() / ("b2b_recovery_" + tag));
+}
+
+/// A recipient's transcript of a closed membership run holds the decide
+/// it received. A replayed response for that run must not make it bounce
+/// that decide back: only the sponsor re-sends decides.
+TEST(Recovery, ClosedMembershipRecipientNeverBouncesTheDecide) {
+  const std::string tag = "no_bounce";
+  {
+    MemberParties p(tag, RuntimeKind::kSim, campaign_seed());
+    p.warm_up();
+    RunHandle h =
+        p.fed.coordinator("delta").propagate_connect(kObj, PartyId{"gamma"});
+    ASSERT_TRUE(p.fed.run_until_done(h));
+    ASSERT_EQ(h->outcome, RunResult::Outcome::kAgreed) << h->diagnostic;
+    p.fed.settle();
+
+    // Gamma sponsored the connect; alpha and beta answered it.
+    Coordinator& beta = p.fed.coordinator("beta");
+    const std::string label = beta.replica(kObj).group_tuple().label();
+    std::vector<Bytes> alpha_responses;
+    for (const store::EvidenceRecord* record :
+         p.fed.coordinator("alpha").evidence().run(label)) {
+      if (record->kind == evidence_kind::kMembershipRespond) {
+        alpha_responses.push_back(
+            Coordinator::decode_evidence_payload(record->payload).payload);
+      }
+    }
+    ASSERT_EQ(alpha_responses.size(), 1u);
+
+    const std::uint64_t sent_before = beta.protocol_stats().envelopes_sent;
+    Envelope replayed{MsgType::kMembershipRespond, kObj,
+                      alpha_responses.front()};
+    p.fed.transport("alpha").send(PartyId{"beta"}, replayed.encode());
+    p.fed.settle();
+
+    EXPECT_EQ(beta.protocol_stats().envelopes_sent, sent_before);
+    EXPECT_TRUE(anomaly_recorded(beta.evidence(),
+                                 "membership response for closed run " + label));
+    EXPECT_EQ(beta.violations_detected(), 0u);
+  }
+  fs::remove_all(fs::temp_directory_path() / ("b2b_recovery_" + tag));
+}
+
+/// Arbitration reads the evidence log's run index, which replay rebuilds:
+/// a restarted party rules on a closed run exactly as before the crash.
+TEST(Recovery, ArbitrationRulingSurvivesRestart) {
+  const std::string tag = "arbiter_restart";
+  {
+    Parties p(tag, RuntimeKind::kSim, campaign_seed());
+    p.warm_up();
+    p.alpha_obj.value = bytes_of("v2");
+    RunHandle h = p.fed.coordinator("alpha").propagate_new_state(
+        kObj, p.alpha_obj.get_state());
+    ASSERT_TRUE(p.fed.run_until_done(h));
+    ASSERT_EQ(h->outcome, RunResult::Outcome::kAgreed);
+    p.fed.settle();
+
+    Arbiter arbiter{p.fed.make_verifier()};
+    const std::vector<PartyId> recipients{PartyId{"beta"}, PartyId{"gamma"}};
+    const ArbitrationReport before = arbiter.arbitrate(
+        p.fed.coordinator("alpha").evidence(), h->run_label, &recipients);
+    const std::vector<std::string> labels_before =
+        p.fed.coordinator("alpha").evidence().run_labels();
+    ASSERT_TRUE(before.verdict.agreed) << before.ruling;
+
+    p.fed.crash_party("alpha");
+    Coordinator& revived = p.fed.recover_party("alpha");
+    p.fed.register_object("alpha", kObj, p.alpha_obj);
+    revived.resume_recovered_runs();
+    p.fed.settle();
+
+    const ArbitrationReport after =
+        arbiter.arbitrate(revived.evidence(), h->run_label, &recipients);
+    EXPECT_EQ(revived.evidence().run_labels(), labels_before);
+    EXPECT_EQ(after.proposal_found, before.proposal_found);
+    EXPECT_EQ(after.decide_found, before.decide_found);
+    EXPECT_EQ(after.verdict.agreed, before.verdict.agreed);
+    EXPECT_EQ(after.verdict.evidence_intact, before.verdict.evidence_intact);
+    EXPECT_EQ(after.verdict.vetoers, before.verdict.vetoers);
+    EXPECT_EQ(after.verdict.violations, before.verdict.violations);
+    EXPECT_EQ(after.ruling, before.ruling);
+  }
+  fs::remove_all(fs::temp_directory_path() / ("b2b_recovery_" + tag));
+}
+
+/// Journal record type 4 held a second copy of each protocol message
+/// before the evidence log became the transcript. Its first field is a
+/// run label; replay must skip it, never read it as an object id.
+TEST(Recovery, RetiredMessageRecordCreatesNoObjectState) {
+  const std::string tag = "retired_message";
+  const std::string root = fresh_journal_root(tag);
+  {
+    store::Journal journal(root + "/alpha");
+    wire::Encoder enc;
+    // str(run label) str(direction) str(kind) str(peer) blob(payload),
+    // with a label that happens to name the object registered below.
+    enc.str(kObj.str()).str("sent").str("propose").str("beta");
+    enc.blob(bytes_of("body"));
+    journal.append(4, std::move(enc).take());
+    journal.sync();
+  }
+  {
+    Federation::Options options = test::runtime_options(RuntimeKind::kSim, 1);
+    options.journal_root = root;
+    TestRegister alpha_obj;
+    TestRegister beta_obj;
+    Federation fed({"alpha", "beta"}, options);
+    Coordinator& alpha = fed.coordinator("alpha");
+    EXPECT_TRUE(alpha.recovered());
+    fed.register_object("alpha", kObj, alpha_obj);
+    fed.register_object("beta", kObj, beta_obj);
+    // Restoring a replica from replayed state records "recovery".
+    EXPECT_TRUE(alpha.evidence().find_kind("recovery").empty());
+    EXPECT_FALSE(alpha.replica(kObj).connected());
+  }
+  fs::remove_all(root);
 }
 
 }  // namespace

@@ -309,157 +309,6 @@ TEST(RsaTest, DecryptWithWrongKeyFails) {
   }
 }
 
-// --- SignatureCache: the verified-signature cache behind the pipelining
-// --- work (DESIGN.md §13).
-
-TEST(SignatureCacheTest, HitAfterVerifyMissBefore) {
-  const RsaPrivateKey& key = test::shared_test_key(0);
-  Bytes message = bytes_of("cached message");
-  Bytes signature = key.sign(message);
-  Digest digest = Sha256::hash(message);
-
-  SignatureCache cache(16);
-  EXPECT_FALSE(cache.contains(key.public_key(), digest, signature));
-  EXPECT_TRUE(cache.verify(key.public_key(), message, signature));
-  EXPECT_TRUE(cache.contains(key.public_key(), digest, signature));
-  // The second verify is answered from the cache.
-  auto stats = cache.stats();
-  EXPECT_TRUE(cache.verify(key.public_key(), message, signature));
-  EXPECT_EQ(cache.stats().hits, stats.hits + 1);
-}
-
-TEST(SignatureCacheTest, NegativeResultsAreNeverCached) {
-  const RsaPrivateKey& key = test::shared_test_key(0);
-  Bytes message = bytes_of("forged");
-  Bytes bad = key.sign(message);
-  bad[0] ^= 0x01;
-  SignatureCache cache(16);
-  EXPECT_FALSE(cache.verify(key.public_key(), message, bad));
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_FALSE(cache.contains(key.public_key(), Sha256::hash(message), bad));
-}
-
-TEST(SignatureCacheTest, EvictionStaysWithinCapacity) {
-  const RsaPrivateKey& key = test::shared_test_key(0);
-  SignatureCache cache(4);
-  std::vector<Bytes> messages;
-  std::vector<Bytes> signatures;
-  for (int i = 0; i < 10; ++i) {
-    messages.push_back(bytes_of("evict-" + std::to_string(i)));
-    signatures.push_back(key.sign(messages.back()));
-    ASSERT_TRUE(cache.verify(key.public_key(), messages.back(),
-                             signatures.back()));
-    EXPECT_LE(cache.size(), 4u);
-  }
-  auto stats = cache.stats();
-  EXPECT_EQ(stats.insertions, 10u);
-  EXPECT_EQ(stats.evictions, 6u);
-  // FIFO: the oldest entries are gone, the newest are resident.
-  EXPECT_FALSE(cache.contains(key.public_key(), Sha256::hash(messages[0]),
-                              signatures[0]));
-  EXPECT_TRUE(cache.contains(key.public_key(), Sha256::hash(messages[9]),
-                             signatures[9]));
-  // An evicted signature still verifies (and is re-admitted).
-  EXPECT_TRUE(cache.verify(key.public_key(), messages[0], signatures[0]));
-}
-
-TEST(SignatureCacheTest, CannotBePoisonedByPrefixCollision) {
-  // The cache key covers the FULL (public key, digest, signature) triple.
-  // A frame that matches a cached entry on a prefix of that tuple — same
-  // digest under a different key, same key+digest with different
-  // signature bytes, or a truncated signature — must MISS, not hit.
-  const RsaPrivateKey& key_a = test::shared_test_key(0);
-  const RsaPrivateKey& key_b = test::shared_test_key(1);
-  Bytes message = bytes_of("poison target");
-  Digest digest = Sha256::hash(message);
-  Bytes signature = key_a.sign(message);
-
-  SignatureCache cache(16);
-  ASSERT_TRUE(cache.verify(key_a.public_key(), message, signature));
-
-  // Same digest, different signer: the attacker has no signature from
-  // key_b but hopes the cached key_a entry answers for it.
-  EXPECT_FALSE(cache.contains(key_b.public_key(), digest, signature));
-  EXPECT_FALSE(cache.verify(key_b.public_key(), message, signature));
-
-  // Same signer+digest, mutated signature bytes.
-  Bytes mutated = signature;
-  mutated.back() ^= 0x80;
-  EXPECT_FALSE(cache.contains(key_a.public_key(), digest, mutated));
-  EXPECT_FALSE(cache.verify(key_a.public_key(), message, mutated));
-
-  // Truncated signature sharing the cached entry's byte prefix.
-  Bytes truncated(signature.begin(), signature.end() - 1);
-  EXPECT_FALSE(cache.contains(key_a.public_key(), digest, truncated));
-  EXPECT_FALSE(cache.verify(key_a.public_key(), message, truncated));
-
-  // And the original triple still hits.
-  EXPECT_TRUE(cache.contains(key_a.public_key(), digest, signature));
-}
-
-TEST(SignatureCacheTest, AgreesWithOneByOneOnAThousandMessages) {
-  const RsaPrivateKey& key_a = test::shared_test_key(0);
-  const RsaPrivateKey& key_b = test::shared_test_key(1);
-  ChaCha20Rng data_rng(std::uint64_t{41});
-  SignatureCache cache(1024);
-  std::size_t good = 0;
-  for (int i = 0; i < 1000; ++i) {
-    const RsaPrivateKey& key = (i % 3 == 0) ? key_b : key_a;
-    Bytes message = data_rng.bytes(16 + (i % 48));
-    Digest digest = Sha256::hash(message);
-    Bytes signature = key.sign_digest(digest);
-    bool corrupt = i % 97 == 13;  // corrupt a scattering of members
-    if (corrupt) signature[i % signature.size()] ^= 0x01;
-    bool direct = key.public_key().verify_digest(digest, signature);
-    EXPECT_EQ(direct, !corrupt) << "index " << i;
-    EXPECT_EQ(cache.verify_digest(key.public_key(), digest, signature), direct)
-        << "index " << i;
-    if (direct) ++good;
-  }
-  // Only the signatures that verified were remembered.
-  EXPECT_EQ(cache.size(), good);
-}
-
-TEST(SignatureCacheTest, WrongKeyRegression) {
-  // A signature made under key A presented as key B's must fail through
-  // the cache exactly as it does directly, and must not be remembered.
-  const RsaPrivateKey& key_a = test::shared_test_key(0);
-  const RsaPrivateKey& key_b = test::shared_test_key(1);
-  SignatureCache cache(16);
-  for (int i = 0; i < 4; ++i) {
-    Digest digest = Sha256::hash(bytes_of("wrong-key-" + std::to_string(i)));
-    // Item 2 carries key A's signature, claimed to be from key B.
-    Bytes signature = (i == 2) ? key_a.sign_digest(digest)
-                               : key_b.sign_digest(digest);
-    EXPECT_EQ(cache.verify_digest(key_b.public_key(), digest, signature),
-              i != 2)
-        << "index " << i;
-  }
-  EXPECT_EQ(cache.size(), 3u);
-}
-
-TEST(SignatureCacheTest, PopulatesAndConsultsCache) {
-  const RsaPrivateKey& key = test::shared_test_key(0);
-  SignatureCache cache(64);
-  std::vector<Digest> digests;
-  std::vector<Bytes> signatures;
-  for (int i = 0; i < 6; ++i) {
-    digests.push_back(
-        Sha256::hash(bytes_of("cache-batch-" + std::to_string(i))));
-    signatures.push_back(key.sign_digest(digests.back()));
-    EXPECT_TRUE(cache.verify_digest(key.public_key(), digests.back(),
-                                    signatures.back()));
-  }
-  EXPECT_EQ(cache.stats().hits, 0u);
-  EXPECT_EQ(cache.size(), 6u);
-  // A retransmission of the same responses never re-enters RSA.
-  for (std::size_t i = 0; i < digests.size(); ++i) {
-    EXPECT_TRUE(
-        cache.verify_digest(key.public_key(), digests[i], signatures[i]));
-  }
-  EXPECT_EQ(cache.stats().hits, 6u);
-}
-
 TEST(RsaTest, KeypairGenerationRejectsTinyKeys) {
   ChaCha20Rng rng(std::uint64_t{5});
   EXPECT_THROW(generate_rsa_keypair(256, rng), std::invalid_argument);

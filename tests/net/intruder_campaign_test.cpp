@@ -582,7 +582,7 @@ void run_deal_game(bool attacked, DealGameOutcome* out) {
   ASSERT_TRUE(committed.has_value()) << tag;
   for (const core::DealLeg& leg : committed->decision.legs) {
     core::Arbiter::DealArbitrationReport report = arbiter.arbitrate_deal(
-        fed.coordinator("gamma").messages(), leg.proposed.label(), keys);
+        fed.coordinator("gamma").evidence(), leg.proposed.label(), keys);
     EXPECT_TRUE(report.enlist_found) << tag << ": " << report.ruling;
     EXPECT_TRUE(report.committed) << tag << ": " << report.ruling;
     EXPECT_FALSE(report.equivocation) << tag << ": " << report.ruling;
@@ -595,7 +595,7 @@ void run_deal_game(bool attacked, DealGameOutcome* out) {
   ASSERT_TRUE(aborted.has_value()) << tag;
   for (const core::DealLeg& leg : aborted->decision.legs) {
     core::Arbiter::DealArbitrationReport report = arbiter.arbitrate_deal(
-        fed.coordinator("gamma").messages(), leg.proposed.label(), keys);
+        fed.coordinator("gamma").evidence(), leg.proposed.label(), keys);
     EXPECT_TRUE(report.enlist_found) << tag << ": " << report.ruling;
     EXPECT_FALSE(report.committed) << tag << ": " << report.ruling;
     EXPECT_FALSE(report.equivocation) << tag << ": " << report.ruling;

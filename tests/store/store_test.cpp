@@ -1,5 +1,5 @@
 // Persistence substrate: hash-chained evidence log (incl. tamper
-// detection and file round trips), checkpoint store, message store.
+// detection, file round trips and the run index), checkpoint store.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -8,7 +8,6 @@
 #include "common/error.hpp"
 #include "store/checkpoint_store.hpp"
 #include "store/evidence_log.hpp"
-#include "store/message_store.hpp"
 
 namespace b2b::store {
 namespace {
@@ -222,38 +221,49 @@ TEST(CheckpointStoreTest, ObserverSeesEveryPut) {
   EXPECT_EQ(seen[1].second, 2u);
 }
 
-// --- MessageStore -----------------------------------------------------------------
+// --- The evidence log's run index (the message store) --------------------------
 
 TEST(MessageStoreTest, GroupsMessagesByRun) {
-  MessageStore store;
-  store.add("run1", {"sent", "propose", "bob", Bytes{1}});
-  store.add("run1", {"received", "respond", "bob", Bytes{2}});
-  store.add("run2", {"sent", "decide", "carol", Bytes{3}});
-  EXPECT_EQ(store.run("run1").size(), 2u);
-  EXPECT_EQ(store.run("run2").size(), 1u);
-  EXPECT_TRUE(store.run("run3").empty());
-  EXPECT_EQ(store.total_messages(), 3u);
-  EXPECT_TRUE(store.has_run("run1"));
-  EXPECT_FALSE(store.has_run("run3"));
+  EvidenceLog log;
+  log.append("propose.sent", Bytes{1}, 10, {"run1"});
+  log.append("respond.recv", Bytes{2}, 20, {"run1"});
+  log.append("decide.sent", Bytes{3}, 30, {"run2"});
+  EXPECT_EQ(log.run("run1").size(), 2u);
+  EXPECT_EQ(log.run("run2").size(), 1u);
+  EXPECT_TRUE(log.run("run3").empty());
+  EXPECT_EQ(log.size(), 3u);
+  EXPECT_EQ(log.run_labels(), (std::vector<std::string>{"run1", "run2"}));
+
+  // The labels sit beside the records, outside their hashed bytes: the
+  // chain is the one an unlabelled log builds.
+  EvidenceLog plain;
+  plain.append("propose.sent", Bytes{1}, 10);
+  plain.append("respond.recv", Bytes{2}, 20);
+  plain.append("decide.sent", Bytes{3}, 30);
+  EXPECT_EQ(log.records(), plain.records());
+  EXPECT_TRUE(plain.run_labels().empty());
 }
 
 TEST(MessageStoreTest, PreservesOrderWithinRun) {
-  MessageStore store;
+  EvidenceLog log;
   for (int i = 0; i < 10; ++i) {
-    store.add("r", {"sent", "propose", "peer", Bytes{static_cast<uint8_t>(i)}});
+    log.append("propose.sent", Bytes{static_cast<uint8_t>(i)}, 0, {"r"});
+    log.append("propose.sent", Bytes{0xff}, 0, {"other"});
   }
-  const auto& messages = store.run("r");
+  const auto records = log.run("r");
+  ASSERT_EQ(records.size(), 10u);
   for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(messages[static_cast<std::size_t>(i)].payload[0], i);
+    EXPECT_EQ(records[static_cast<std::size_t>(i)]->payload[0], i);
   }
 }
 
 TEST(MessageStoreTest, RunLabelsSorted) {
-  MessageStore store;
-  store.add("b", {"sent", "k", "x", {}});
-  store.add("a", {"sent", "k", "x", {}});
-  store.add("c", {"sent", "k", "x", {}});
-  EXPECT_EQ(store.run_labels(), (std::vector<std::string>{"a", "b", "c"}));
+  EvidenceLog log;
+  log.append("k", {}, 0, {"b"});
+  log.append("k", {}, 0, {"a"});
+  log.append("k", {}, 0, {"c", "a"});  // one record, two runs
+  EXPECT_EQ(log.run_labels(), (std::vector<std::string>{"a", "b", "c"}));
+  EXPECT_EQ(log.run("a").size(), 2u);
 }
 
 }  // namespace
