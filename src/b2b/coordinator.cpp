@@ -128,21 +128,6 @@ Coordinator::Coordinator(Config config, net::Transport& transport,
     // Anchor whatever the previous incarnation left unsealed (it may have
     // died between closing a run and sealing it).
     seal_evidence();
-    // Mirror checkpoints into the journal from here on. Set *after* replay
-    // so replayed puts are not re-journaled. The observer fires under the
-    // store's internal lock; the nested journal lock is the innermost in
-    // the documented order.
-    checkpoints_.set_observer(
-        [this](const ObjectId& object, const store::Checkpoint& checkpoint) {
-          wire::Encoder enc;
-          enc.str(object.str())
-              .u64(checkpoint.sequence)
-              .blob(checkpoint.tuple)
-              .blob(checkpoint.state)
-              .u64(checkpoint.time_micros);
-          std::lock_guard<std::mutex> lock(journal_mutex_);
-          journal_->append(walrec::kCheckpoint, std::move(enc).take());
-        });
   }
   locked_rng_ = std::make_unique<LockedRng>(*rng_);
   known_keys_.emplace(self_, key_.public_key());
@@ -351,8 +336,7 @@ Replica& Coordinator::register_object(const ObjectId& object,
     };
   }
   shard->replica = std::make_unique<Replica>(self_, object, impl, key_,
-                                             *locked_rng_, std::move(callbacks),
-                                             checkpoints_);
+                                             *locked_rng_, std::move(callbacks));
   shard->replica->set_sponsor_policy(sponsor_policy_);
   shard->replica->set_decision_rule(decision_rule_);
   shard->replica->set_run_probe(run_probe_interval_micros_, max_run_probes_);
@@ -646,17 +630,6 @@ void Coordinator::replay_journal() {
         unsealed_ = kind != evidence_kind::kEvidenceAnchor;
         evidence_.append(std::move(kind), std::move(framed), time,
                          run_labels);
-        break;
-      }
-      case walrec::kCheckpoint: {
-        ObjectId object{dec.str()};
-        store::Checkpoint checkpoint;
-        checkpoint.sequence = dec.u64();
-        checkpoint.tuple = dec.blob();
-        checkpoint.state = dec.blob();
-        checkpoint.time_micros = dec.u64();
-        dec.expect_done();
-        checkpoints_.put(object, std::move(checkpoint));
         break;
       }
       case walrec::kRetiredMessage:
@@ -957,8 +930,8 @@ void Coordinator::replay_object_record(std::uint8_t type,
     }
     default:
       // Unknown record type: written by a newer version, or a retired one
-      // (31–34; 4 is skipped before it gets here). The CRC vouched for its
-      // integrity; skipping it is the conservative choice.
+      // (3, 31–34; 4 is skipped before it gets here). The CRC vouched for
+      // its integrity; skipping it is the conservative choice.
       break;
   }
 }

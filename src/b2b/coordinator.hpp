@@ -4,7 +4,7 @@
 // (one per shared object), the certificate directory (party -> public key),
 // the non-repudiation log (anchored by trusted time-stamps, and indexed by
 // run label: it is also the store of every protocol message, §4.2) and
-// the checkpoint store, and it connects the replicas to the reliable
+// the write-ahead journal, and it connects the replicas to the reliable
 // transport. Its propagate_* methods are the paper's
 // B2BCoordinatorLocal propagation interface: they insulate the application
 // (the Controller) from protocol-specific detail.
@@ -22,9 +22,9 @@
 // (global_mutex_), the hash-chained evidence log (evidence_mutex_, which
 // also fixes the journal-append order of evidence records), protocol
 // stats (stats_mutex_) and the single append-only journal stream
-// (journal_mutex_). Lock order: shard -> {global | evidence | stats |
-// store} -> journal; no path takes a shard mutex while holding any of the
-// narrower ones.
+// (journal_mutex_). Lock order: shard -> {global | evidence | stats} ->
+// journal; no path takes a shard mutex while holding any of the narrower
+// ones.
 //
 // Runtime seam: the coordinator depends only on the abstract Transport /
 // Clock / Rng interfaces (net/runtime.hpp), never on the simulator. On the
@@ -87,8 +87,8 @@ class Coordinator {
     /// entirely (the protocol then behaves exactly as without this
     /// feature: no durability, no idempotent duplicate handling, no run
     /// probes). Non-empty: the journal is opened (replaying any previous
-    /// incarnation's records) and every protocol message, evidence entry
-    /// and checkpoint is journaled before the action it precedes.
+    /// incarnation's records) and every evidence entry, run record and
+    /// replica snapshot is journaled before the action it precedes.
     std::string journal_dir;
     /// Honour journal barriers with a real fsync (bench knob).
     bool journal_fsync = true;
@@ -210,7 +210,6 @@ class Coordinator {
     std::lock_guard<std::mutex> lock(evidence_mutex_);
     return evidence_;
   }
-  store::CheckpointStore& checkpoints() { return checkpoints_; }
   /// Compatibility accessor for the benchmark's correctness gate: the
   /// evidence log is the message store. Removed by the benchmark-only
   /// change that switches the gate to evidence().
@@ -477,9 +476,6 @@ class Coordinator {
 
   mutable std::mutex observer_mutex_;
   std::function<void(const CoordEvent&)> observer_;
-
-  // Internally locked; shared by every shard's replica.
-  store::CheckpointStore checkpoints_;
 
   // --- router stats -------------------------------------------------------------
   mutable std::atomic<std::uint64_t> stat_lookups_{0};

@@ -1245,10 +1245,6 @@ void Replica::handle_connect_welcome(const PartyId& from, const Bytes& body) {
   note_sequence(msg.new_group.sequence);
   note_sequence(msg.agreed.sequence);
   connected_ = true;
-  checkpoints_.put(object_,
-                   store::Checkpoint{agreed_tuple_.sequence,
-                                     agreed_tuple_.encode(), agreed_state_,
-                                     callbacks_.now()});
   record_evidence(evidence_kind::kMembershipApplied, msg.new_group.encode());
   journal_snapshot();
   close_subject_request(to_hex(pending.request.request_nonce));

@@ -14,11 +14,13 @@
 //                      str(run label)...  [to the end: the runs whose
 //                      transcript the record belongs to, so replay
 //                      rebuilds the evidence log's run index]
-//   kCheckpoint        str(object) u64(seq) blob(tuple) blob(state) u64(time)
 //   kSnapshot          str(object) blob(ReplicaSnapshot::encode)
 //
 // The evidence log is the only store of protocol messages (§4.2); there
-// is no separate per-message record.
+// is no separate per-message record. The latest kSnapshot is the only
+// durable image of an object's agreed state (§3's checkpoint), written
+// once per install at a size that does not grow with history: replay
+// protection is rebuilt from the run records below, not from snapshots.
 //
 // A state run carries K >= 1 hash-chained items (a single run is a batch
 // of one, DESIGN.md §13), so one record family covers both wire formats;
@@ -89,7 +91,10 @@ namespace walrec {
 // Type 0 is store::Journal::kIncarnationMarker (journal-internal).
 inline constexpr std::uint8_t kPartyKey = 1;
 inline constexpr std::uint8_t kEvidence = 2;
-inline constexpr std::uint8_t kCheckpoint = 3;
+// 3 was a second copy of every installed state (a checkpoint history
+// that recovery never read), retired when the snapshot became the only
+// durable image of it. Never reuse it: its first field is an object id,
+// so replay's object-scoped default branch skips it as unknown.
 // 4 was a second copy of every protocol message, retired when the
 // evidence log became the only message store. Never reuse it: replay
 // skips it explicitly (its first field is a run label, not an object id).

@@ -24,14 +24,13 @@ bool consistent_accept(const Response& r, const Proposal& prop) {
 
 Replica::Replica(PartyId self, ObjectId object, B2BObject& impl,
                  const crypto::RsaPrivateKey& key, net::Rng& rng,
-                 Callbacks callbacks, store::CheckpointStore& checkpoints)
+                 Callbacks callbacks)
     : self_(std::move(self)),
       object_(std::move(object)),
       impl_(impl),
       key_(key),
       rng_(rng),
-      callbacks_(std::move(callbacks)),
-      checkpoints_(checkpoints) {}
+      callbacks_(std::move(callbacks)) {}
 
 // ---------------------------------------------------------------------------
 // Bootstrap
@@ -54,9 +53,6 @@ void Replica::bootstrap(std::vector<PartyId> members,
   impl_.apply_state(initial_state);
   last_seen_seq_ = 0;
   connected_ = true;
-  checkpoints_.put(object_, store::Checkpoint{0, agreed_tuple_.encode(),
-                                              agreed_state_,
-                                              callbacks_.now()});
   journal_snapshot();
 }
 
@@ -217,7 +213,7 @@ void Replica::install_agreed_state(const StateTuple& tuple, Bytes state,
                                    bool apply_to_object, bool bookkeep) {
   if (agreed_tuple_ == tuple && agreed_state_ == state) {
     // Recovery redo of an already-installed state: installation is
-    // idempotent, so neither checkpoint nor evidence is duplicated.
+    // idempotent, so neither evidence nor snapshot is duplicated.
     if (apply_to_object) impl_.apply_state(agreed_state_);
     return;
   }
@@ -225,9 +221,9 @@ void Replica::install_agreed_state(const StateTuple& tuple, Bytes state,
   agreed_state_ = std::move(state);
   if (apply_to_object) impl_.apply_state(agreed_state_);
   if (!bookkeep) return;
-  checkpoints_.put(object_,
-                   store::Checkpoint{tuple.sequence, tuple.encode(),
-                                     agreed_state_, callbacks_.now()});
+  // The snapshot is the installed state's only durable image (§3's
+  // checkpoint): replay restores the latest one, and rollback reads the
+  // in-memory agreed state.
   record_evidence(evidence_kind::kStateInstalled, tuple.encode());
   journal_snapshot();
 }
@@ -342,8 +338,6 @@ Bytes ReplicaSnapshot::encode() const {
   group_tuple.encode_into(enc);
   agreed_tuple.encode_into(enc);
   enc.blob(agreed_state).u64(last_seen_sequence);
-  enc.varint(seen_run_labels.size());
-  for (const std::string& label : seen_run_labels) enc.str(label);
   return std::move(enc).take();
 }
 
@@ -358,11 +352,6 @@ ReplicaSnapshot ReplicaSnapshot::decode(BytesView data) {
   snap.agreed_tuple = StateTuple::decode_from(dec);
   snap.agreed_state = dec.blob();
   snap.last_seen_sequence = dec.u64();
-  std::uint64_t labels = dec.varint();
-  snap.seen_run_labels.reserve(labels);
-  for (std::uint64_t i = 0; i < labels; ++i) {
-    snap.seen_run_labels.push_back(dec.str());
-  }
   dec.expect_done();
   return snap;
 }
@@ -375,45 +364,7 @@ ReplicaSnapshot Replica::export_snapshot() const {
   snap.agreed_tuple = agreed_tuple_;
   snap.agreed_state = agreed_state_;
   snap.last_seen_sequence = last_seen_seq_;
-  snap.seen_run_labels.assign(seen_run_labels_.begin(),
-                              seen_run_labels_.end());
   return snap;
-}
-
-void Replica::restore_snapshot(const ReplicaSnapshot& snapshot) {
-  connected_ = snapshot.connected;
-  members_ = snapshot.members;
-  group_tuple_ = snapshot.group_tuple;
-  agreed_tuple_ = snapshot.agreed_tuple;
-  agreed_state_ = snapshot.agreed_state;
-  last_seen_seq_ = snapshot.last_seen_sequence;
-  seen_run_labels_.clear();
-  seen_run_labels_.insert(snapshot.seen_run_labels.begin(),
-                          snapshot.seen_run_labels.end());
-  // Volatile run state did not survive the crash.
-  if (proposer_run_.has_value()) {
-    complete(proposer_run_->result, RunResult::Outcome::kAborted,
-             "lost in crash", {}, 0, "");
-    proposer_run_.reset();
-  }
-  if (sponsor_run_.has_value()) {
-    complete(sponsor_run_->result, RunResult::Outcome::kAborted,
-             "lost in crash", {}, 0, "");
-    sponsor_run_.reset();
-  }
-  responder_runs_.clear();
-  membership_responder_runs_.clear();
-  accept_lock_.reset();
-  subject_request_.reset();
-  relayed_eviction_result_.reset();
-  pending_subject_record_.reset();
-  recovered_membership_decide_.reset();
-  pending_redo_membership_decides_.clear();
-  recovered_termination_submissions_.clear();
-  pending_redo_verdicts_.clear();
-
-  if (connected_) impl_.apply_state(agreed_state_);
-  record_evidence("recovery", agreed_tuple_.encode());
 }
 
 // ---------------------------------------------------------------------------
@@ -528,12 +479,10 @@ void Replica::restore_recovered(const RecoveredObjectState& recovered) {
     agreed_tuple_ = snap.agreed_tuple;
     agreed_state_ = snap.agreed_state;
     last_seen_seq_ = snap.last_seen_sequence;
-    seen_run_labels_.insert(snap.seen_run_labels.begin(),
-                            snap.seen_run_labels.end());
     if (connected_) impl_.apply_state(agreed_state_);
   }
-  // Replay protection must cover every run the journal has ever seen,
-  // snapshotted or not: a replayed label is a replay even after recovery.
+  // Replay protection covers every run the journal has ever seen: a
+  // replayed label is a replay even after recovery.
   seen_run_labels_.insert(recovered.seen_labels.begin(),
                           recovered.seen_labels.end());
   note_sequence(recovered.max_sequence);
@@ -1063,7 +1012,7 @@ void Replica::finish_run_as_proposer() {
   event.party = self_;
   if (agreed) {
     // The proposer's object already holds the final state (invariant 2);
-    // record every item as agreed and checkpoint.
+    // record every item as agreed and snapshot the last.
     event.kind = CoordEvent::Kind::kStateAgreed;
     install_run(run.propose.items, std::move(run.states),
                 /*apply_to_object=*/false, event);

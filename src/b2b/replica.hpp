@@ -32,7 +32,6 @@
 #include "b2b/tuples.hpp"
 #include "crypto/rsa.hpp"
 #include "net/runtime.hpp"
-#include "store/checkpoint_store.hpp"
 
 namespace b2b::core {
 
@@ -63,12 +62,11 @@ struct RunResult {
 
 using RunHandle = std::shared_ptr<RunResult>;
 
-/// Durable image of a replica's replicated state (§3: "persistence of
-/// both validated object state and of the information required to reach
-/// validation decisions"). Everything needed to resume participation
-/// after a full process restart; volatile run state is deliberately
-/// excluded (an interrupted run resumes via retransmission or is resolved
-/// out of band).
+/// Durable image of a replica's replicated state (§3: "check-pointing of
+/// object state upon installation of a newly-validated state"), journaled
+/// at every change to it; replay restores the latest. Its size does not
+/// grow with history: replay protection and in-flight runs come back from
+/// the journal's run records, not from the snapshot.
 struct ReplicaSnapshot {
   bool connected = false;
   std::vector<PartyId> members;
@@ -76,7 +74,6 @@ struct ReplicaSnapshot {
   StateTuple agreed_tuple;
   Bytes agreed_state;
   std::uint64_t last_seen_sequence = 0;
-  std::vector<std::string> seen_run_labels;  // replay protection survives
 
   Bytes encode() const;
   static ReplicaSnapshot decode(BytesView data);  // throws CodecError
@@ -198,7 +195,7 @@ class Replica {
 
   Replica(PartyId self, ObjectId object, B2BObject& impl,
           const crypto::RsaPrivateKey& key, net::Rng& rng,
-          Callbacks callbacks, store::CheckpointStore& checkpoints);
+          Callbacks callbacks);
 
   Replica(const Replica&) = delete;
   Replica& operator=(const Replica&) = delete;
@@ -399,19 +396,6 @@ class Replica {
   void enable_ttp_termination(TtpConfig config);
   bool ttp_termination_enabled() const { return ttp_.has_value(); }
 
-  // --- crash recovery ----------------------------------------------------------
-
-  /// Capture the durable state (taken after every installed state in a
-  /// real deployment; here callable at any quiescent point).
-  ReplicaSnapshot export_snapshot() const;
-
-  /// Rebuild from a snapshot after a restart: replicated state and replay
-  /// protection are restored, the application object is re-initialised
-  /// with the agreed state, and any half-finished local runs are dropped
-  /// (peers recover via retransmission or extra-protocol resolution).
-  /// Records a "recovery" evidence record.
-  void restore_snapshot(const ReplicaSnapshot& snapshot);
-
   // --- journal-based recovery (write-ahead journal replay) ---------------------
 
   /// Durable image of an in-flight proposer-side state run of K >= 1
@@ -487,7 +471,10 @@ class Replica {
 
   /// Everything the coordinator's journal replay reconstructed for one
   /// object: the latest snapshot, the still-open runs on both sides, and
-  /// the replay-protection facts that must outlive any snapshot.
+  /// replay protection. Snapshots carry no run labels: `seen_labels`
+  /// collects every label the run records name, which is every label the
+  /// replica ever saw (each path that notes one journals its run record
+  /// before the next snapshot).
   struct RecoveredObjectState {
     std::optional<ReplicaSnapshot> snapshot;
     std::optional<ProposerRunRecord> proposer_run;
@@ -567,6 +554,7 @@ class Replica {
   void journal_record(std::uint8_t type, const Bytes& payload);
   void journal_barrier();
   void hit_crash_point(const char* point);
+  ReplicaSnapshot export_snapshot() const;
   /// Journal the current durable replicated state (kSnapshot + barrier).
   void journal_snapshot();
   /// A run closed at this party: journal that it closed (record `type`,
@@ -630,14 +618,14 @@ class Replica {
   void record_anomaly(const std::string& what, const PartyId& party);
   void send_envelope(const PartyId& to, MsgType type, Bytes body);
   bool is_member(const PartyId& party) const;
-  /// `bookkeep = false` installs the tuple/state without checkpoint,
-  /// evidence or journal snapshot — used for the intermediate items of a
-  /// run, whose bookkeeping the final item's install subsumes (the
-  /// checkpoint store only keeps the latest state per object, and the
-  /// decide evidence already carries every item tuple). Skipping it keeps
-  /// a batch's per-item cost to hashing and installs: records carry no
-  /// stamp of their own (the run's anchor covers them), but each still
-  /// costs a journal append, a chain hash and a checkpoint.
+  /// `bookkeep = false` installs the tuple/state without evidence or
+  /// journal snapshot — used for the intermediate items of a run, whose
+  /// bookkeeping the final item's install subsumes (replay restores only
+  /// the latest snapshot, and the decide evidence already carries every
+  /// item tuple). Skipping it keeps a batch's per-item cost to hashing
+  /// and installs: records carry no stamp of their own (the run's anchor
+  /// covers them), but each would still cost a journal append and a
+  /// chain hash, and a snapshot another append.
   void install_agreed_state(const StateTuple& tuple, Bytes state,
                             bool apply_to_object, bool bookkeep = true);
   /// Install every item of an agreed run in order (bookkeeping on the
@@ -749,7 +737,6 @@ class Replica {
   const crypto::RsaPrivateKey& key_;
   net::Rng& rng_;
   Callbacks callbacks_;
-  store::CheckpointStore& checkpoints_;
 
   // --- replicated state --------------------------------------------------------
   bool connected_ = false;

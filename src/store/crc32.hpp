@@ -1,8 +1,8 @@
 // CRC-32 (IEEE 802.3, polynomial 0xEDB88320) for on-disk framing.
 //
-// The persistent stores (write-ahead journal, checkpoint store) frame
-// their on-disk bytes with a CRC so that torn writes and bit rot are
-// detected deterministically on open instead of surfacing as undefined
+// The write-ahead journal frames its on-disk records (and the socket
+// runtime its wire frames) with a CRC so that torn writes and bit rot are
+// detected deterministically instead of surfacing as undefined
 // decoding behaviour. This is an integrity check against accidental
 // corruption only — tampering detection is the evidence log's hash
 // chain, not the CRC.

@@ -5,8 +5,9 @@
 // violation it detects — is appended here. Records are hash-chained
 // (each record binds the hash of its predecessor) so local tampering with
 // history is detectable; verify_chain() replays the chain. The log can be
-// persisted to disk and reloaded, which is what makes crash recovery and
-// extra-protocol dispute resolution possible.
+// saved to a file and reloaded, so it can be handed to an arbiter for
+// extra-protocol dispute resolution. Crash recovery does not read that
+// file: a coordinator rebuilds its log by replaying its journal.
 //
 // §4.2: "protocol messages are held in local persistent storage at sender
 // and recipient." This log is that storage: the appender files each

@@ -1,6 +1,6 @@
 // Coordinator-level behaviour: trusted time-stamps on evidence anchors,
-// the certificate directory, multi-object independence, checkpointing
-// and protocol statistics.
+// the certificate directory, multi-object independence and protocol
+// statistics.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -288,23 +288,6 @@ TEST(CoordinatorTest, RegisteringSameObjectTwiceThrows) {
   EXPECT_THROW(t.fed.coordinator("alpha").replica(ObjectId{"nope"}), Error);
   EXPECT_TRUE(t.fed.coordinator("alpha").has_object(kObj));
   EXPECT_FALSE(t.fed.coordinator("alpha").has_object(ObjectId{"nope"}));
-}
-
-TEST(CoordinatorTest, CheckpointsAccumulatePerAgreedState) {
-  CoordFixture t;
-  t.agree(bytes_of("v1"));
-  t.agree(bytes_of("v2"));
-  auto& checkpoints = t.fed.coordinator("beta").checkpoints();
-  // genesis + two installs.
-  EXPECT_EQ(checkpoints.count(kObj), 3u);
-  auto latest = checkpoints.latest(kObj);
-  ASSERT_TRUE(latest.has_value());
-  EXPECT_EQ(latest->state, bytes_of("v2"));
-  EXPECT_EQ(latest->sequence, 2u);
-  // Rollback material: the previous agreed state is retained.
-  auto old = checkpoints.at_sequence(kObj, 1);
-  ASSERT_TRUE(old.has_value());
-  EXPECT_EQ(old->state, bytes_of("v1"));
 }
 
 TEST(CoordinatorTest, ProtocolStatsCountPerMessageType) {

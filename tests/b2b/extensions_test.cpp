@@ -1,6 +1,7 @@
 // Tests for the §7 / §4 extension features: majority decision rule,
-// composite objects, the dispute-resolution arbiter, replica snapshots
-// (crash recovery), and TTP-certified termination.
+// composite objects, the dispute-resolution arbiter and TTP-certified
+// termination. (Replica snapshots are tested with crash recovery, in
+// recovery_test.cpp.)
 #include <gtest/gtest.h>
 
 #include "b2b/arbiter.hpp"
@@ -294,105 +295,6 @@ TEST(ArbiterTest, UnknownRunYieldsNothingToArbitrate) {
       t.arbiter().arbitrate(t.fed.coordinator("alpha").evidence(), "404:dead");
   EXPECT_FALSE(report.proposal_found);
   EXPECT_NE(report.ruling.find("nothing to arbitrate"), std::string::npos);
-}
-
-// ---------------------------------------------------------------------------
-// Replica snapshots (crash recovery)
-// ---------------------------------------------------------------------------
-
-TEST(Snapshot, EncodeDecodeRoundTrip) {
-  ReplicaSnapshot snap;
-  snap.connected = true;
-  snap.members = {PartyId{"a"}, PartyId{"b"}};
-  snap.group_tuple = GroupTuple{3, crypto::Sha256::hash(bytes_of("g")),
-                                hash_members(snap.members)};
-  snap.agreed_tuple = StateTuple{7, crypto::Sha256::hash(bytes_of("r")),
-                                 crypto::Sha256::hash(bytes_of("s"))};
-  snap.agreed_state = bytes_of("s");
-  snap.last_seen_sequence = 9;
-  snap.seen_run_labels = {"1:aa", "2:bb"};
-  EXPECT_EQ(ReplicaSnapshot::decode(snap.encode()), snap);
-}
-
-TEST(Snapshot, RestoreRebuildsReplicatedState) {
-  Federation fed{{"a", "b"}};
-  TestRegister a_obj, b_obj;
-  fed.register_object("a", kObj, a_obj);
-  fed.register_object("b", kObj, b_obj);
-  fed.bootstrap_object(kObj, {"a", "b"}, bytes_of("genesis"));
-  a_obj.value = bytes_of("v1");
-  RunHandle h =
-      fed.coordinator("a").propagate_new_state(kObj, a_obj.get_state());
-  ASSERT_TRUE(fed.run_until_done(h));
-  fed.settle();
-
-  Replica& replica = fed.coordinator("b").replica(kObj);
-  ReplicaSnapshot snap = replica.export_snapshot();
-
-  // Simulated crash: the application object loses its state entirely.
-  b_obj.value = bytes_of("amnesia");
-  replica.restore_snapshot(snap);
-  EXPECT_EQ(b_obj.value, bytes_of("v1"));
-  EXPECT_EQ(replica.agreed_tuple().sequence, 1u);
-  EXPECT_TRUE(replica.connected());
-
-  // The recovered party participates in new coordinations.
-  a_obj.value = bytes_of("v2");
-  RunHandle h2 =
-      fed.coordinator("a").propagate_new_state(kObj, a_obj.get_state());
-  ASSERT_TRUE(fed.run_until_done(h2));
-  EXPECT_EQ(h2->outcome, RunResult::Outcome::kAgreed);
-  fed.settle();
-  EXPECT_EQ(b_obj.value, bytes_of("v2"));
-}
-
-TEST(Snapshot, RestorePreservesReplayProtection) {
-  Federation fed{{"a", "b"}};
-  TestRegister a_obj, b_obj;
-  fed.register_object("a", kObj, a_obj);
-  fed.register_object("b", kObj, b_obj);
-  fed.bootstrap_object(kObj, {"a", "b"}, bytes_of("genesis"));
-  a_obj.value = bytes_of("v1");
-  RunHandle h =
-      fed.coordinator("a").propagate_new_state(kObj, a_obj.get_state());
-  ASSERT_TRUE(fed.run_until_done(h));
-  fed.settle();
-
-  Replica& replica = fed.coordinator("b").replica(kObj);
-  ReplicaSnapshot snap = replica.export_snapshot();
-  EXPECT_FALSE(snap.seen_run_labels.empty());
-  replica.restore_snapshot(snap);
-  // A replay of the finished run is still detected after recovery.
-  std::uint64_t violations_before = replica.violations_detected();
-  // The propose heads the run's transcript in a's evidence log; replay it
-  // at b.
-  const auto stored = fed.coordinator("a").evidence().run(h->run_label);
-  ASSERT_FALSE(stored.empty());
-  ASSERT_EQ(stored[0]->kind, evidence_kind::kProposeSent);
-  Envelope env{MsgType::kPropose, kObj,
-               Coordinator::decode_evidence_payload(stored[0]->payload).payload};
-  fed.endpoint("a").send(PartyId{"b"}, env.encode());
-  fed.settle();
-  EXPECT_GT(replica.violations_detected(), violations_before);
-}
-
-TEST(Snapshot, RestoreAbortsInFlightLocalRuns) {
-  Federation fed{{"a", "b"}};
-  TestRegister a_obj, b_obj;
-  fed.register_object("a", kObj, a_obj);
-  fed.register_object("b", kObj, b_obj);
-  fed.bootstrap_object(kObj, {"a", "b"}, bytes_of("genesis"));
-  Replica& replica = fed.coordinator("a").replica(kObj);
-  ReplicaSnapshot snap = replica.export_snapshot();
-
-  a_obj.value = bytes_of("in-flight");
-  RunHandle h =
-      fed.coordinator("a").propagate_new_state(kObj, a_obj.get_state());
-  EXPECT_FALSE(h->done());
-  replica.restore_snapshot(snap);  // crash before any response arrived
-  EXPECT_TRUE(h->done());
-  EXPECT_EQ(h->outcome, RunResult::Outcome::kAborted);
-  EXPECT_EQ(a_obj.value, bytes_of("genesis"));
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 // Durable crash recovery (write-ahead journal, §4.2 "stable storage"):
 // graceful restart, the crash-point fault-injection campaign, recovery
-// determinism, and transport-level suspicion of unreachable peers.
+// determinism, transport-level suspicion of unreachable peers, and the
+// replica snapshot as the one durable image of the agreed state.
 //
 // The campaign sweeps every named crash point in replica.cpp (see
 // src/b2b/recovery.hpp) at the party whose protocol role passes that
@@ -14,6 +15,7 @@
 //              (and goes quiescent) after recovery.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
@@ -25,6 +27,7 @@
 
 #include "b2b/arbiter.hpp"
 #include "b2b/federation.hpp"
+#include "b2b/recovery.hpp"
 #include "common/error.hpp"
 #include "store/journal.hpp"
 #include "wire/codec.hpp"
@@ -429,8 +432,6 @@ TEST_P(Recovery, GracefulRestartPreservesStateAndResumesService) {
     // The journal restored the validated state...
     EXPECT_EQ(p.beta_obj.value, bytes_of("warm"));
     EXPECT_EQ(revived.replica(kObj).agreed_tuple().sequence, 1u);
-    ASSERT_TRUE(revived.checkpoints().latest(kObj).has_value());
-    EXPECT_EQ(revived.checkpoints().latest(kObj)->state, bytes_of("warm"));
 
     // ...and the restarted party is a full citizen again.
     p.alpha_obj.value = bytes_of("after-restart");
@@ -650,7 +651,7 @@ TEST(CrashCampaign, CrashWithInFlightRunsOnTwoObjectsResumesBoth) {
     fed.bootstrap_object(kOrd, {"alpha", "beta", "gamma"},
                          bytes_of("o-genesis"));
 
-    // Warm both objects so each shard has a checkpoint to restore.
+    // Warm both objects so each shard has a snapshot to restore.
     alpha_led.value = bytes_of("warm");
     RunHandle w1 = fed.coordinator("alpha").propagate_new_state(
         kObj, alpha_led.get_state());
@@ -683,7 +684,7 @@ TEST(CrashCampaign, CrashWithInFlightRunsOnTwoObjectsResumesBoth) {
     fed.register_object("alpha", kObj, alpha_led);
     fed.register_object("alpha", kOrd, alpha_ord);
     EXPECT_TRUE(revived.recovered());
-    // Each shard came back to its checkpointed state before any redo:
+    // Each shard came back to its snapshotted state before any redo:
     // neither in-flight decide had installed.
     EXPECT_EQ(revived.replica(kObj).agreed_tuple().sequence, 1u);
     EXPECT_EQ(revived.replica(kOrd).agreed_tuple().sequence, 1u);
@@ -1260,6 +1261,140 @@ TEST(Recovery, RetiredMessageRecordCreatesNoObjectState) {
     // Restoring a replica from replayed state records "recovery".
     EXPECT_TRUE(alpha.evidence().find_kind("recovery").empty());
     EXPECT_FALSE(alpha.replica(kObj).connected());
+  }
+  fs::remove_all(root);
+}
+
+// ---------------------------------------------------------------------------
+// Replica snapshots: the one durable image of the agreed state
+// ---------------------------------------------------------------------------
+
+TEST(Snapshot, EncodeDecodeRoundTrip) {
+  ReplicaSnapshot snap;
+  snap.connected = true;
+  snap.members = {PartyId{"a"}, PartyId{"b"}};
+  snap.group_tuple = GroupTuple{3, crypto::Sha256::hash(bytes_of("g")),
+                                hash_members(snap.members)};
+  snap.agreed_tuple = StateTuple{7, crypto::Sha256::hash(bytes_of("r")),
+                                 crypto::Sha256::hash(bytes_of("s"))};
+  snap.agreed_state = bytes_of("s");
+  snap.last_seen_sequence = 9;
+  EXPECT_EQ(ReplicaSnapshot::decode(snap.encode()), snap);
+}
+
+/// Restarts beta from its journal with its application object wiped, as
+/// after a process crash.
+Coordinator& restart_beta_with_amnesia(Parties& p) {
+  p.fed.crash_party("beta");
+  p.beta_obj.value = bytes_of("amnesia");
+  Coordinator& revived = p.fed.recover_party("beta");
+  p.fed.register_object("beta", kObj, p.beta_obj);
+  revived.resume_recovered_runs();
+  p.fed.settle();
+  return revived;
+}
+
+TEST(Snapshot, RestoreRebuildsReplicatedState) {
+  const std::string tag = "snapshot_rebuild";
+  {
+    Parties p(tag, RuntimeKind::kSim, campaign_seed());
+    p.warm_up();
+
+    Coordinator& beta = restart_beta_with_amnesia(p);
+    EXPECT_TRUE(beta.recovered());
+    EXPECT_EQ(p.beta_obj.value, bytes_of("warm"));
+    EXPECT_EQ(beta.replica(kObj).agreed_tuple().sequence, 1u);
+    EXPECT_TRUE(beta.replica(kObj).connected());
+
+    // The restarted party takes part in new coordinations.
+    p.alpha_obj.value = bytes_of("v2");
+    RunHandle h = p.fed.coordinator("alpha").propagate_new_state(
+        kObj, p.alpha_obj.get_state());
+    ASSERT_TRUE(p.fed.run_until_done(h));
+    EXPECT_EQ(h->outcome, RunResult::Outcome::kAgreed);
+    p.fed.settle();
+    EXPECT_EQ(p.beta_obj.value, bytes_of("v2"));
+  }
+  fs::remove_all(fs::temp_directory_path() / ("b2b_recovery_" + tag));
+}
+
+/// Replay protection survives a restart although the snapshot carries no
+/// run labels: replay rebuilds them from the run records. A replayed
+/// propose of a closed run gets no answer and installs nothing.
+TEST(Snapshot, RestorePreservesReplayProtection) {
+  const std::string tag = "snapshot_replay";
+  {
+    Parties p(tag, RuntimeKind::kSim, campaign_seed());
+    p.warm_up();
+    // The propose heads the warm-up run's transcript in alpha's log.
+    const std::string label =
+        p.fed.coordinator("alpha").replica(kObj).agreed_tuple().label();
+    const auto stored = p.fed.coordinator("alpha").evidence().run(label);
+    ASSERT_FALSE(stored.empty());
+    ASSERT_EQ(stored[0]->kind, evidence_kind::kProposeSent);
+    Envelope replayed{
+        MsgType::kPropose, kObj,
+        Coordinator::decode_evidence_payload(stored[0]->payload).payload};
+
+    Coordinator& beta = restart_beta_with_amnesia(p);
+    const std::uint64_t sent_before = beta.protocol_stats().envelopes_sent;
+    const std::size_t installs_before =
+        beta.evidence().find_kind(evidence_kind::kStateInstalled).size();
+    p.fed.transport("alpha").send(PartyId{"beta"}, replayed.encode());
+    p.fed.settle();
+
+    EXPECT_EQ(beta.protocol_stats().envelopes_sent, sent_before);
+    EXPECT_EQ(beta.evidence().find_kind(evidence_kind::kStateInstalled).size(),
+              installs_before);
+    EXPECT_EQ(beta.replica(kObj).agreed_tuple().sequence, 1u);
+    EXPECT_EQ(p.beta_obj.value, bytes_of("warm"));
+    EXPECT_TRUE(anomaly_recorded(beta.evidence(),
+                                 "duplicate proposal for closed run " + label));
+  }
+  fs::remove_all(fs::temp_directory_path() / ("b2b_recovery_" + tag));
+}
+
+/// Each install journals one snapshot of the same size, however long the
+/// object's history: the snapshot holds the agreed state, not the labels
+/// of every run before it.
+TEST(Recovery, SnapshotRecordsDoNotGrowWithHistory) {
+  const std::string tag = "flat_snapshots";
+  const std::string root = fresh_journal_root(tag);
+  constexpr int kOverwrites = 30;
+  {
+    Federation::Options options =
+        test::runtime_options(RuntimeKind::kSim, campaign_seed());
+    options.journal_root = root;
+    TestRegister alpha_obj;
+    TestRegister beta_obj;
+    Federation fed({"alpha", "beta"}, options);
+    fed.register_object("alpha", kObj, alpha_obj);
+    fed.register_object("beta", kObj, beta_obj);
+    fed.bootstrap_object(kObj, {"alpha", "beta"}, Bytes(64, 0));
+    for (int i = 1; i <= kOverwrites; ++i) {
+      alpha_obj.value = Bytes(64, static_cast<std::uint8_t>(i));
+      RunHandle h = fed.coordinator("alpha").propagate_new_state(
+          kObj, alpha_obj.get_state());
+      ASSERT_TRUE(fed.run_until_done(h));
+      ASSERT_EQ(h->outcome, RunResult::Outcome::kAgreed);
+      fed.settle();
+    }
+  }
+  for (const std::string name : {"alpha", "beta"}) {
+    store::Journal journal(root + "/" + name);
+    std::vector<std::size_t> sizes;
+    for (const store::JournalRecord& record : journal.records()) {
+      if (record.type == walrec::kSnapshot) {
+        sizes.push_back(record.payload.size());
+      }
+    }
+    // The genesis snapshot, then one per install.
+    ASSERT_EQ(sizes.size(), static_cast<std::size_t>(kOverwrites + 1))
+        << name;
+    const auto [smallest, largest] =
+        std::minmax_element(sizes.begin(), sizes.end());
+    // A few bytes of slack for varints.
+    EXPECT_LE(*largest - *smallest, 4u) << name;
   }
   fs::remove_all(root);
 }

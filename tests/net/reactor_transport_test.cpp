@@ -1056,9 +1056,12 @@ TEST(ReactorTransportTest, BothBacklogsRetireWhenSplicesKillEveryConnection) {
   proxy.set_active(true);
   a->set_alive(true);
   b->set_alive(true);
-  ASSERT_TRUE(
-      wait_for([&] { return a->unacked() == 0 && b->unacked() == 0; }))
-      << "a unacked=" << a->unacked() << " b unacked=" << b->unacked()
+  // A frame is acked before its handler runs on a pool worker, so wait
+  // for the deliveries too before reading the sinks.
+  ASSERT_TRUE(wait_for([&] {
+    return a->unacked() == 0 && b->unacked() == 0 && a_sink.count() >= 2 &&
+           b_sink.count() >= 2;
+  })) << "a unacked=" << a->unacked() << " b unacked=" << b->unacked()
       << " connections=" << proxy.stats().connections_intercepted;
   EXPECT_GT(proxy.stats().spliced, 0u);
   EXPECT_GT(a->stats().frames_rejected_auth + b->stats().frames_rejected_auth,

@@ -1,12 +1,11 @@
 // Persistence substrate: hash-chained evidence log (incl. tamper
-// detection, file round trips and the run index), checkpoint store.
+// detection, file round trips and the run index).
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
 
 #include "common/error.hpp"
-#include "store/checkpoint_store.hpp"
 #include "store/evidence_log.hpp"
 
 namespace b2b::store {
@@ -116,109 +115,6 @@ TEST(EvidenceLogTest, TruncatedFileThrows) {
   std::filesystem::resize_file(path, 50);
   EXPECT_THROW(EvidenceLog::load(path), StoreError);
   std::remove(path.c_str());
-}
-
-// --- CheckpointStore ------------------------------------------------------------
-
-TEST(CheckpointStoreTest, LatestReturnsMostRecent) {
-  CheckpointStore store;
-  ObjectId obj{"o"};
-  EXPECT_FALSE(store.latest(obj).has_value());
-  store.put(obj, Checkpoint{1, Bytes{1}, bytes_of("s1"), 10});
-  store.put(obj, Checkpoint{2, Bytes{2}, bytes_of("s2"), 20});
-  auto latest = store.latest(obj);
-  ASSERT_TRUE(latest.has_value());
-  EXPECT_EQ(latest->sequence, 2u);
-  EXPECT_EQ(latest->state, bytes_of("s2"));
-}
-
-TEST(CheckpointStoreTest, AtSequenceFindsHistoricStates) {
-  CheckpointStore store;
-  ObjectId obj{"o"};
-  for (std::uint64_t s = 1; s <= 5; ++s) {
-    store.put(obj, Checkpoint{s, {}, bytes_of("v" + std::to_string(s)), s});
-  }
-  auto cp = store.at_sequence(obj, 3);
-  ASSERT_TRUE(cp.has_value());
-  EXPECT_EQ(cp->state, bytes_of("v3"));
-  EXPECT_FALSE(store.at_sequence(obj, 99).has_value());
-}
-
-TEST(CheckpointStoreTest, HistoryIsOrderedAndCounted) {
-  CheckpointStore store;
-  ObjectId obj{"o"};
-  store.put(obj, Checkpoint{1, {}, bytes_of("a"), 1});
-  store.put(obj, Checkpoint{2, {}, bytes_of("b"), 2});
-  EXPECT_EQ(store.count(obj), 2u);
-  EXPECT_EQ(store.history(obj)[0].state, bytes_of("a"));
-  EXPECT_TRUE(store.history(ObjectId{"other"}).empty());
-  EXPECT_EQ(store.count(ObjectId{"other"}), 0u);
-}
-
-TEST(CheckpointStoreTest, SaveLoadRoundTrip) {
-  std::string path = temp_path("checkpoints.bin");
-  CheckpointStore store;
-  store.put(ObjectId{"x"}, Checkpoint{1, Bytes{1, 2}, bytes_of("xs"), 11});
-  store.put(ObjectId{"y"}, Checkpoint{5, Bytes{3}, bytes_of("ys"), 22});
-  store.put(ObjectId{"y"}, Checkpoint{6, Bytes{4}, bytes_of("ys2"), 33});
-  store.save(path);
-  CheckpointStore loaded = CheckpointStore::load(path);
-  EXPECT_EQ(loaded.count(ObjectId{"x"}), 1u);
-  EXPECT_EQ(loaded.count(ObjectId{"y"}), 2u);
-  EXPECT_EQ(loaded.latest(ObjectId{"y"})->state, bytes_of("ys2"));
-  EXPECT_EQ(loaded.history(ObjectId{"x"}), store.history(ObjectId{"x"}));
-  std::remove(path.c_str());
-}
-
-TEST(CheckpointStoreTest, LoadCorruptFileThrows) {
-  std::string path = temp_path("corrupt_checkpoints.bin");
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  std::fputs("garbage that is not a checkpoint store", f);
-  std::fclose(f);
-  EXPECT_THROW(CheckpointStore::load(path), StoreError);
-  std::remove(path.c_str());
-}
-
-TEST(CheckpointStoreTest, LoadTruncatedFileThrows) {
-  std::string path = temp_path("truncated_checkpoints.bin");
-  CheckpointStore store;
-  store.put(ObjectId{"x"}, Checkpoint{1, Bytes{1, 2}, Bytes(200, 0x5a), 11});
-  store.save(path);
-  std::filesystem::resize_file(
-      path, std::filesystem::file_size(path) / 2);
-  EXPECT_THROW(CheckpointStore::load(path), StoreError);
-  std::remove(path.c_str());
-}
-
-TEST(CheckpointStoreTest, LoadBitFlippedFileThrows) {
-  std::string path = temp_path("bitflip_checkpoints.bin");
-  CheckpointStore store;
-  store.put(ObjectId{"x"}, Checkpoint{1, Bytes{1, 2}, bytes_of("state"), 11});
-  store.save(path);
-  // Flip a byte in the body: the CRC header must reject the file rather
-  // than let damaged bytes reach the decoder.
-  std::FILE* f = std::fopen(path.c_str(), "rb+");
-  ASSERT_NE(f, nullptr);
-  std::fseek(f, -3, SEEK_END);
-  int c = std::fgetc(f);
-  std::fseek(f, -3, SEEK_END);
-  std::fputc(c ^ 0x40, f);
-  std::fclose(f);
-  EXPECT_THROW(CheckpointStore::load(path), StoreError);
-  std::remove(path.c_str());
-}
-
-TEST(CheckpointStoreTest, ObserverSeesEveryPut) {
-  CheckpointStore store;
-  std::vector<std::pair<ObjectId, std::uint64_t>> seen;
-  store.set_observer([&](const ObjectId& object, const Checkpoint& cp) {
-    seen.emplace_back(object, cp.sequence);
-  });
-  store.put(ObjectId{"a"}, Checkpoint{1, {}, {}, 0});
-  store.put(ObjectId{"b"}, Checkpoint{2, {}, {}, 0});
-  ASSERT_EQ(seen.size(), 2u);
-  EXPECT_EQ(seen[0].first, ObjectId{"a"});
-  EXPECT_EQ(seen[1].second, 2u);
 }
 
 // --- The evidence log's run index (the message store) --------------------------
