@@ -165,7 +165,9 @@ TEST(RsaTest, VerifyWithUnusableKeyReturnsFalse) {
 TEST(RsaTest, KnownAnswerSignatures) {
   // PKCS#1 v1.5 signing is deterministic: these signatures were recorded
   // before the Montgomery kernel was rewritten and must never change. The
-  // 1024-bit key is generated here, so key generation is pinned too.
+  // 1024- and 2048-bit keys are generated here, so key generation is
+  // pinned too; the 2048-bit answers were recorded before the kernel was
+  // made fixed-width.
   Digest zeros{};
   Digest counting{};
   for (std::size_t i = 0; i < counting.size(); ++i) {
@@ -174,6 +176,8 @@ TEST(RsaTest, KnownAnswerSignatures) {
   Digest abc = Sha256::hash(bytes_of("abc"));
   ChaCha20Rng rng(std::uint64_t{0xb2b0400});
   RsaPrivateKey key1024 = generate_rsa_keypair(1024, rng);
+  ChaCha20Rng rng2048(std::uint64_t{0xb2b0800});
+  RsaPrivateKey key2048 = generate_rsa_keypair(2048, rng2048);
 
   struct Case {
     const RsaPrivateKey* key;
@@ -205,6 +209,33 @@ TEST(RsaTest, KnownAnswerSignatures) {
        "027bf4ad9d4bd8ca548ba8bf55c734daced001a937a4948632d7efa12cae85cd"
        "5cf55261fdf0395a69378293309937b19b38ebb2b2096c9cc5fc48db3fa694a5"
        "4c6ab5ac8a09d6c32332eb42de134bb289811eda8ef44ce246e5c3df286b4db9"},
+      {&key2048, &zeros,
+       "79ef26f1692bc47acc0b771d34f3456177cecb99d59e8bb49bd748f4d75f4d14"
+       "262a7407ddc49cef4b19bc59dcec0a26269be78de0102383be836df15381a462"
+       "34be129fe925e7faffe1f77e6e21563af54313210b9264406fa8d4884567cd93"
+       "f1e93ea53cf5e6610647b11a6d1507cc67f7b87f1b47cc051413e714eb24e8cd"
+       "0ce51d90c88e88f641815e504eaa8e6f8d163ada063f6ce8880b9d5711087293"
+       "d1f0ce323af01523f8bc0e9818cfc538dc7fff430c7444c558b67ef984c6d4e3"
+       "6d676b5f412a2560b6c2dcf84ad6fa522eca8e0e22835246d6bb17bdc4375743"
+       "6c3193a416c8490350a77b89f14e68f4e7ba986116b3bbd9ab3005184197627c"},
+      {&key2048, &counting,
+       "74048e5eb9cf89797bb92bec4084f70c9ee8e559ee8e13b591b0bf71c3939abf"
+       "46f1ba1f7875ccac9e060922c3d80f5f1ea611320c15f63eeb43c4af7ab9eb83"
+       "708716531a0d6b4c7cc51ef6430485296fa8b6a83c5619d39e4e9315e8e6e7f0"
+       "35cc122db71a12cdd4debf9b249d5283524531bbbc33ab5bd28086de471c5f3d"
+       "ddd652a4493dee58ec915900266fd0e92967a693bae48a6e5c57109b42734871"
+       "95bea29e1f28a25ec47e28dea43445e625d33225479054313601fb7df69319ac"
+       "499e52d1f03aa0044cd718043982fec0d972c0daf2976223854e77e42626e4e7"
+       "3906b875f53c021fddbd8f773372afc99129199f2969d6d4eb33c06970a3f851"},
+      {&key2048, &abc,
+       "d5f6d5bbb0daaeca9f616d7845ff60221242e62e29e621026bbd709d027e9be7"
+       "f1c12bc149f8140934b5b12cbb75fe16c71f4197d55d129f71a0d93d92311054"
+       "233fd57ac08c63ed4babbda1ccec7884fb04c253b47c63b22c80a4f52377ba34"
+       "eca8d8175cf54c619866e52fcc75f7a0c2ba9445dd07ec8eeaafda282dad799e"
+       "44493c27b5726a55da61b4d1a737d02b61ab0691b58bb715d4ff3a7b3902bb1f"
+       "def11c11286c68844f8cec34c0dedef568c9210365a99ba258c932841989ece4"
+       "3b059f352de28b73d2a98a8a499a867a1e3d15510001cc9ec987beba672b2615"
+       "5d04d92f876257ddb2ff4a4e31d5935ae092761a27ffe1f2c27325571efb60fb"},
   };
   for (const Case& c : cases) {
     Bytes signature = c.key->sign_digest(*c.digest);
