@@ -1,7 +1,8 @@
 #include "crypto/bigint.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <bit>
+#include <cstring>
 #include <stdexcept>
 
 #include "common/error.hpp"
@@ -20,6 +21,23 @@ int hex_value(char c) {
   throw std::invalid_argument("BigInt::from_hex: invalid character");
 }
 
+// Eight big-endian bytes as one limb, and back.
+u64 load_be64(const std::uint8_t* bytes) {
+  u64 value = 0;
+  std::memcpy(&value, bytes, sizeof value);
+  if constexpr (std::endian::native == std::endian::little) {
+    value = __builtin_bswap64(value);
+  }
+  return value;
+}
+
+void store_be64(std::uint8_t* bytes, u64 value) {
+  if constexpr (std::endian::native == std::endian::little) {
+    value = __builtin_bswap64(value);
+  }
+  std::memcpy(bytes, &value, sizeof value);
+}
+
 }  // namespace
 
 BigInt::BigInt(u64 value) {
@@ -31,13 +49,19 @@ void BigInt::normalize() {
 }
 
 BigInt BigInt::from_bytes_be(BytesView bytes) {
+  // Limb i holds the eight bytes that end 8 * i bytes before the last; the
+  // top limb takes whatever is left over at the front.
   BigInt out;
-  out.limbs_.assign((bytes.size() + 7) / 8, 0);
-  for (std::size_t i = 0; i < bytes.size(); ++i) {
-    // bytes[0] is most significant; byte i contributes to bit position
-    // 8 * (size - 1 - i).
-    std::size_t bit_pos = 8 * (bytes.size() - 1 - i);
-    out.limbs_[bit_pos / 64] |= static_cast<u64>(bytes[i]) << (bit_pos % 64);
+  out.limbs_.resize((bytes.size() + 7) / 8);
+  std::size_t end = bytes.size();
+  for (u64& limb : out.limbs_) {
+    if (end >= 8) {
+      end -= 8;
+      limb = load_be64(bytes.data() + end);
+    } else {
+      for (std::size_t i = 0; i < end; ++i) limb = (limb << 8) | bytes[i];
+      end = 0;
+    }
   }
   out.normalize();
   return out;
@@ -53,11 +77,17 @@ Bytes BigInt::to_bytes_be(std::size_t width) const {
   if (bit_length() > width * 8) {
     throw std::invalid_argument("BigInt::to_bytes_be: value too large");
   }
+  // Whole limbs from the back. A top limb that straddles the front writes
+  // only its low bytes: the value fits, so its high bytes are zero.
   Bytes out(width, 0);
-  for (std::size_t i = 0; i < width; ++i) {
-    std::size_t bit_pos = 8 * (width - 1 - i);
-    out[i] = static_cast<std::uint8_t>(
-        (limb(bit_pos / 64) >> (bit_pos % 64)) & 0xff);
+  std::size_t end = width;
+  for (u64 limb : limbs_) {
+    if (end >= 8) {
+      end -= 8;
+      store_be64(out.data() + end, limb);
+    } else {
+      for (; end > 0; limb >>= 8) out[--end] = static_cast<std::uint8_t>(limb);
+    }
   }
   return out;
 }
@@ -113,13 +143,8 @@ std::string BigInt::to_decimal() const {
 
 std::size_t BigInt::bit_length() const {
   if (limbs_.empty()) return 0;
-  u64 top = limbs_.back();
-  std::size_t bits = (limbs_.size() - 1) * 64;
-  while (top != 0) {
-    ++bits;
-    top >>= 1;
-  }
-  return bits;
+  return limbs_.size() * 64 -
+         static_cast<std::size_t>(std::countl_zero(limbs_.back()));
 }
 
 bool BigInt::bit(std::size_t i) const {
@@ -392,6 +417,15 @@ BigInt mod_inverse(const BigInt& a, const BigInt& m) {
   return result;
 }
 
+namespace {
+
+// Widths at which pow squares with the SOS kernel: where bench_crypto's
+// BM_MontSquare beats BM_MontMultiply (EXPERIMENTS.md E12). Elsewhere it
+// squares with the multiply.
+bool squaring_beats_multiply(std::size_t width) { return width > 8; }
+
+}  // namespace
+
 MontgomeryContext::MontgomeryContext(const BigInt& modulus)
     : modulus_(modulus), limbs_(modulus.limb_count()) {
   if (!modulus.is_odd() || modulus <= BigInt(1)) {
@@ -406,6 +440,10 @@ MontgomeryContext::MontgomeryContext(const BigInt& modulus)
   for (int i = 0; i < 6; ++i) inv *= 2 - m0 * inv;
   n0_inv_ = ~inv + 1;  // -inv mod 2^64
 
+  mul_ = detail::mont_mul_kernel(limbs_);
+  sqr_ = squaring_beats_multiply(limbs_) ? detail::mont_sqr_kernel(limbs_)
+                                         : mul_;
+
   BigInt r_mod = (BigInt(1) << (64 * limbs_)) % modulus_;
   one_.resize(limbs_);
   r2_.resize(limbs_);
@@ -413,19 +451,47 @@ MontgomeryContext::MontgomeryContext(const BigInt& modulus)
   load(r2_.data(), (r_mod * r_mod) % modulus_);
 }
 
-void MontgomeryContext::mul_limbs(u64* out, const u64* a, const u64* b,
-                                  u64* t) const {
+namespace detail {
+namespace {
+
+constexpr std::size_t kMaxLimbs = MontgomeryContext::kMaxLimbs;
+
+// Each kernel below is one template body. Its width is N when N > 0, so
+// the compiler sees constant trip counts, unrolls, and keeps more of the
+// carry chains in registers; N == 0 is the run-time-width instantiation,
+// which reads the width from its argument and sizes its scratch from
+// kMaxLimbs.
+
+// out = (top:t) - mod unless that borrows past `top`, else t. Callers
+// keep (top:t) below 2 * mod, so out is fully reduced. `out` may alias the
+// kernel's inputs but not `t`.
+template <std::size_t N>
+void subtract_modulus_once(u64* out, const u64* t, u64 top, const u64* mod,
+                           std::size_t width) {
+  const std::size_t n = N > 0 ? N : width;
+  u64 borrow = 0;
+  for (std::size_t j = 0; j < n; ++j) {
+    u128 diff = static_cast<u128>(t[j]) - mod[j] - borrow;
+    out[j] = static_cast<u64>(diff);
+    borrow = static_cast<u64>(diff >> 64) & 1;
+  }
+  if (top < borrow) std::copy(t, t + n, out);
+}
+
+template <std::size_t N>
+void mont_mul(u64* out, const u64* a, const u64* b, const u64* mod,
+              u64 n0_inv, std::size_t width) {
   // CIOS Montgomery multiplication over 64-bit limbs, with the product
   // and reduction passes fused: each step adds a_i * b and m * modulus,
   // m chosen so the low limb cancels, and shifts t down one limb. t stays
   // below 2 * modulus, so one conditional subtraction reduces it.
-  const std::size_t n = limbs_;
-  const u64* mod = modulus_.limbs_.data();
+  const std::size_t n = N > 0 ? N : width;
+  u64 t[(N > 0 ? N : kMaxLimbs) + 1];
   std::fill(t, t + n + 1, 0);
   for (std::size_t i = 0; i < n; ++i) {
     const u64 a_i = a[i];
     u128 prod = static_cast<u128>(a_i) * b[0] + t[0];
-    const u64 m = static_cast<u64>(prod) * n0_inv_;
+    const u64 m = static_cast<u64>(prod) * n0_inv;
     u128 red = static_cast<u128>(m) * mod[0] + static_cast<u64>(prod);
     u64 prod_carry = static_cast<u64>(prod >> 64);
     u64 red_carry = static_cast<u64>(red >> 64);
@@ -440,15 +506,85 @@ void MontgomeryContext::mul_limbs(u64* out, const u64* a, const u64* b,
     t[n - 1] = static_cast<u64>(top);
     t[n] = static_cast<u64>(top >> 64);
   }
-  // out = t - modulus unless that borrows past t's top limb.
-  u64 borrow = 0;
-  for (std::size_t j = 0; j < n; ++j) {
-    u128 diff = static_cast<u128>(t[j]) - mod[j] - borrow;
-    out[j] = static_cast<u64>(diff);
-    borrow = static_cast<u64>(diff >> 64) & 1;
-  }
-  if (t[n] < borrow) std::copy(t, t + n, out);
+  subtract_modulus_once<N>(out, t, t[n], mod, n);
 }
+
+template <std::size_t N>
+void mont_sqr(u64* out, const u64* a, const u64* /*b == a*/, const u64* mod,
+              u64 n0_inv, std::size_t width) {
+  // SOS squaring: the full 2n-limb square a^2, then n reduction rounds.
+  // The square computes each cross product a_i * a_j (i < j) once and
+  // doubles their sum, so it takes n(n+1)/2 multiplies where a general
+  // product takes n^2.
+  const std::size_t n = N > 0 ? N : width;
+  u64 t[2 * (N > 0 ? N : kMaxLimbs) + 1];
+  std::fill(t, t + 2 * n + 1, 0);
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    u64 carry = 0;
+    for (std::size_t j = i + 1; j < n; ++j) {
+      u128 cur = static_cast<u128>(a[i]) * a[j] + t[i + j] + carry;
+      t[i + j] = static_cast<u64>(cur);
+      carry = static_cast<u64>(cur >> 64);
+    }
+    t[i + n] = carry;
+  }
+  // Double the cross products and add the squares a_i^2 on the diagonal.
+  // a^2 < 2^(128n), so nothing carries out of limb 2n - 1.
+  u64 shifted_out = 0;
+  u64 carry = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const u128 square = static_cast<u128>(a[i]) * a[i];
+    const u64 lo = (t[2 * i] << 1) | shifted_out;
+    const u64 hi = (t[2 * i + 1] << 1) | (t[2 * i] >> 63);
+    shifted_out = t[2 * i + 1] >> 63;
+    u128 sum = static_cast<u128>(lo) + static_cast<u64>(square) + carry;
+    t[2 * i] = static_cast<u64>(sum);
+    sum = static_cast<u128>(hi) + static_cast<u64>(square >> 64) + (sum >> 64);
+    t[2 * i + 1] = static_cast<u64>(sum);
+    carry = static_cast<u64>(sum >> 64);
+  }
+  // Round i adds m * modulus at limb i, m chosen so limb i cancels. The
+  // carry out of limb i + n is held back and added at limb i + n + 1 by the
+  // next round; the last round leaves it in t[2n]. t[n..2n] then holds
+  // (a^2 + M * modulus) / R < 2 * modulus.
+  for (std::size_t i = 0; i < n; ++i) {
+    const u64 m = t[i] * n0_inv;
+    u64 mul_carry = 0;
+    for (std::size_t j = 0; j < n; ++j) {
+      u128 cur = static_cast<u128>(m) * mod[j] + t[i + j] + mul_carry;
+      t[i + j] = static_cast<u64>(cur);
+      mul_carry = static_cast<u64>(cur >> 64);
+    }
+    u128 cur = static_cast<u128>(t[i + n]) + mul_carry + t[2 * n];
+    t[i + n] = static_cast<u64>(cur);
+    t[2 * n] = static_cast<u64>(cur >> 64);
+  }
+  subtract_modulus_once<N>(out, t + n, t[2 * n], mod, n);
+}
+
+}  // namespace
+
+MontKernel mont_mul_kernel(std::size_t width) {
+  switch (width) {
+    case 4: return mont_mul<4>;
+    case 8: return mont_mul<8>;
+    case 16: return mont_mul<16>;
+    case 32: return mont_mul<32>;
+    default: return mont_mul<0>;
+  }
+}
+
+MontKernel mont_sqr_kernel(std::size_t width) {
+  switch (width) {
+    case 4: return mont_sqr<4>;
+    case 8: return mont_sqr<8>;
+    case 16: return mont_sqr<16>;
+    case 32: return mont_sqr<32>;
+    default: return mont_sqr<0>;
+  }
+}
+
+}  // namespace detail
 
 void MontgomeryContext::load(u64* out, const BigInt& value) const {
   for (std::size_t i = 0; i < limbs_; ++i) out[i] = value.limb(i);
@@ -464,10 +600,9 @@ BigInt MontgomeryContext::store(const u64* limbs) const {
 BigInt MontgomeryContext::mul(const BigInt& a, const BigInt& b) const {
   u64 x[kMaxLimbs] = {};
   u64 y[kMaxLimbs] = {};
-  u64 t[kMaxLimbs + 1] = {};
   load(x, a);
   load(y, b);
-  mul_limbs(x, x, y, t);
+  mul_limbs(x, x, y);
   return store(x);
 }
 
@@ -487,7 +622,6 @@ BigInt MontgomeryContext::pow(const BigInt& base, const BigInt& exponent) const 
   // table[1]. Stride n, so a 4-limb modulus keeps the table in 512 bytes.
   u64 table[kTableSize * kMaxLimbs] = {};
   u64 acc[kMaxLimbs] = {};
-  u64 t[kMaxLimbs + 1] = {};
 
   if (base < modulus_) {
     load(acc, base);
@@ -495,19 +629,19 @@ BigInt MontgomeryContext::pow(const BigInt& base, const BigInt& exponent) const 
     load(acc, base % modulus_);
   }
   u64* x = table + n;
-  mul_limbs(x, acc, r2_.data(), t);  // to Montgomery form
+  mul_limbs(x, acc, r2_.data());  // to Montgomery form
 
   const std::size_t bits = exponent.bit_length();
   if (bits <= 64) {
     std::copy(one_.begin(), one_.end(), acc);
     for (std::size_t i = bits; i-- > 0;) {
-      mul_limbs(acc, acc, acc, t);
-      if (exponent.bit(i)) mul_limbs(acc, acc, x, t);
+      sqr_limbs(acc);
+      if (exponent.bit(i)) mul_limbs(acc, acc, x);
     }
   } else {
     std::copy(one_.begin(), one_.end(), table);
     for (std::size_t d = 2; d < kTableSize; ++d) {
-      mul_limbs(table + d * n, table + (d - 1) * n, x, t);
+      mul_limbs(table + d * n, table + (d - 1) * n, x);
     }
     // A digit never straddles a limb: 64 is a multiple of kWindowBits.
     auto digit = [&exponent](std::size_t window) {
@@ -519,15 +653,13 @@ BigInt MontgomeryContext::pow(const BigInt& base, const BigInt& exponent) const 
     const u64* top = table + digit(windows - 1) * n;
     std::copy(top, top + n, acc);
     for (std::size_t w = windows - 1; w-- > 0;) {
-      for (std::size_t s = 0; s < kWindowBits; ++s) {
-        mul_limbs(acc, acc, acc, t);
-      }
-      mul_limbs(acc, acc, table + digit(w) * n, t);
+      for (std::size_t s = 0; s < kWindowBits; ++s) sqr_limbs(acc);
+      mul_limbs(acc, acc, table + digit(w) * n);
     }
   }
   // Out of Montgomery form: multiply by plain 1.
   u64 unit[kMaxLimbs] = {1};
-  mul_limbs(acc, acc, unit, t);
+  mul_limbs(acc, acc, unit);
   return store(acc);
 }
 

@@ -1,6 +1,7 @@
 #include "crypto/rsa.hpp"
 
 #include <stdexcept>
+#include <string>
 
 #include "common/error.hpp"
 
@@ -38,6 +39,14 @@ constexpr std::uint64_t kSmallPrimes[] = {
     61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131,
     137, 139, 149, 151, 157, 163, 167, 173, 179, 181, 191, 193, 197, 199,
     211, 223, 227, 229, 233, 239, 241, 251};
+
+// Bounds on the searches below, so that a broken primality test or
+// Montgomery kernel fails key generation instead of spinning. About one odd
+// candidate in 710 is prime at 2048 bits, the widest prime a 4096-bit key
+// needs, so 100,000 candidates is 140 times the expected count. A key
+// attempt fails only when p == q or e divides p - 1 or q - 1.
+constexpr int kMaxPrimeCandidates = 100'000;
+constexpr int kMaxKeyAttempts = 64;
 
 }  // namespace
 
@@ -218,7 +227,7 @@ bool is_probable_prime(const BigInt& candidate, ChaCha20Rng& rng, int rounds) {
 BigInt generate_prime(std::size_t bits, ChaCha20Rng& rng) {
   if (bits < 16) throw std::invalid_argument("generate_prime: bits too small");
   std::size_t num_bytes = (bits + 7) / 8;
-  for (;;) {
+  for (int tries = 0; tries < kMaxPrimeCandidates; ++tries) {
     Bytes raw = rng.bytes(num_bytes);
     // Clear excess leading bits, then set the top two bits and the low bit.
     std::size_t excess = num_bytes * 8 - bits;
@@ -232,6 +241,8 @@ BigInt generate_prime(std::size_t bits, ChaCha20Rng& rng) {
     BigInt candidate = BigInt::from_bytes_be(raw);
     if (is_probable_prime(candidate, rng)) return candidate;
   }
+  throw CryptoError("generate_prime: no prime among " +
+                    std::to_string(kMaxPrimeCandidates) + " candidates");
 }
 
 RsaPrivateKey generate_rsa_keypair(std::size_t bits, ChaCha20Rng& rng) {
@@ -239,7 +250,7 @@ RsaPrivateKey generate_rsa_keypair(std::size_t bits, ChaCha20Rng& rng) {
     throw std::invalid_argument("generate_rsa_keypair: need 512..4096 bits");
   }
   BigInt e(65537);
-  for (;;) {
+  for (int tries = 0; tries < kMaxKeyAttempts; ++tries) {
     BigInt p = generate_prime(bits / 2, rng);
     BigInt q = generate_prime(bits / 2, rng);
     if (p == q) continue;
@@ -253,6 +264,8 @@ RsaPrivateKey generate_rsa_keypair(std::size_t bits, ChaCha20Rng& rng) {
     return RsaPrivateKey(std::move(n), e, std::move(d), std::move(p),
                          std::move(q));
   }
+  throw CryptoError("generate_rsa_keypair: no usable key in " +
+                    std::to_string(kMaxKeyAttempts) + " attempts");
 }
 
 }  // namespace b2b::crypto

@@ -103,6 +103,7 @@ class RsaPrivateKey {
 
 /// Generate a keypair with an n of `bits` bits (e = 65537).
 /// `bits` must be in [512, 4096]; tests use 512 for speed, benches go larger.
+/// Throws CryptoError if a bounded number of attempts finds no key.
 RsaPrivateKey generate_rsa_keypair(std::size_t bits, ChaCha20Rng& rng);
 
 /// Miller-Rabin probable-prime test with `rounds` random bases.
@@ -110,7 +111,9 @@ bool is_probable_prime(const BigInt& candidate, ChaCha20Rng& rng,
                        int rounds = 20);
 
 /// Random probable prime of exactly `bits` bits (top two bits set so that
-/// the product of two such primes has exactly 2*bits bits).
+/// the product of two such primes has exactly 2*bits bits). Throws
+/// CryptoError if none of a bounded number of candidates passes; at the
+/// sizes keys use, only a broken primality test exhausts the bound.
 BigInt generate_prime(std::size_t bits, ChaCha20Rng& rng);
 
 }  // namespace b2b::crypto

@@ -149,6 +149,27 @@ TEST_P(BigIntPropertyTest, AdditionSubtractionInverse) {
   }
 }
 
+TEST_P(BigIntPropertyTest, BytesRoundTripAtEveryLength) {
+  // Whole limbs and every length of partial top limb, leading zero bytes
+  // included; hex and shifts are the references.
+  ChaCha20Rng rng(GetParam() + 59);
+  for (std::size_t len = 0; len <= 40; ++len) {
+    Bytes raw = rng.bytes(len);
+    if (len > 0 && rng.next_below(2) == 0) raw[0] = 0;
+    BigInt v = BigInt::from_bytes_be(raw);
+    EXPECT_EQ(v, BigInt::from_hex(to_hex(raw))) << len;
+    EXPECT_EQ(v.to_bytes_be(len), raw) << len;
+    Bytes wider(3, 0);
+    wider.insert(wider.end(), raw.begin(), raw.end());
+    EXPECT_EQ(v.to_bytes_be(len + 3), wider) << len;
+    const std::size_t bits = v.bit_length();
+    EXPECT_TRUE((v >> bits).is_zero()) << len;
+    if (bits > 0) {
+      EXPECT_EQ(v >> (bits - 1), BigInt(1)) << len;
+    }
+  }
+}
+
 TEST_P(BigIntPropertyTest, HexRoundTrip) {
   ChaCha20Rng rng(GetParam() + 101);
   for (int i = 0; i < 10; ++i) {
@@ -189,10 +210,27 @@ TEST(BigIntModExpTest, EvenModulusPathAgrees) {
   EXPECT_EQ(mod_exp(BigInt(3), BigInt(5), BigInt(16)), BigInt(3));
 }
 
+// An odd modulus `limbs` limbs wide whose limbs above the lowest are all
+// ones (R - 2k - 1), and one with random limbs and the top bit set.
+BigInt all_ones_modulus(std::size_t limbs, ChaCha20Rng& rng) {
+  return (BigInt(1) << (64 * limbs)) - BigInt(2 * rng.next_below(1u << 20) + 1);
+}
+
+BigInt random_modulus(std::size_t limbs, ChaCha20Rng& rng) {
+  Bytes raw = rng.bytes(8 * limbs);
+  raw.front() |= 0x80;
+  raw.back() |= 0x01;
+  return BigInt::from_bytes_be(raw);
+}
+
 TEST(BigIntModExpTest, MontgomeryMatchesNaiveOnRandomInputs) {
-  // Every modulus width from one limb to the kernel's 64, exponents on
-  // both sides of the square-and-multiply / 4-bit-window boundary (64
-  // bits) and at full width, and the edge bases.
+  // The compiled kernel widths (4, 8, 16 and 32 limbs) and run-time widths
+  // beside them (1, 2, 3, 5, 12 and the kernel's 64), exponents on both
+  // sides of the square-and-multiply / 4-bit-window boundary (64 bits)
+  // and at full width, and the edge bases. Each width runs a random
+  // modulus and one whose limbs above the lowest are all ones
+  // (R - 2k - 1): that drives the multiply's top limb and the squaring's
+  // final carry hardest.
   ChaCha20Rng rng(7);
   auto random_bits = [&rng](std::size_t bits) {
     if (bits == 0) return BigInt();
@@ -200,26 +238,28 @@ TEST(BigIntModExpTest, MontgomeryMatchesNaiveOnRandomInputs) {
     value = value % (BigInt(1) << (bits - 1));
     return value + (BigInt(1) << (bits - 1));  // exactly `bits` bits
   };
-  for (std::size_t limbs : {1u, 2u, 4u, 8u, 16u, 32u, 64u}) {
-    BigInt m = random_bits(64 * limbs);
-    if (!m.is_odd()) m = m + BigInt(1);
-    for (std::size_t exp_bits : {std::size_t{0}, std::size_t{1},
-                                 std::size_t{17}, std::size_t{64},
-                                 std::size_t{65}, 64 * limbs}) {
-      BigInt exp = random_bits(exp_bits);
-      for (const BigInt& base :
-           {BigInt(0), BigInt(1), m - BigInt(1), random_bits(64 * limbs) % m,
-            m + random_bits(64 * limbs)}) {
-        // Naive: repeated square-and-multiply with divmod reduction.
-        BigInt reduced = base % m;
-        BigInt expect(1);
-        for (std::size_t bit = exp.bit_length(); bit-- > 0;) {
-          expect = (expect * expect) % m;
-          if (exp.bit(bit)) expect = (expect * reduced) % m;
+  for (std::size_t limbs : {1u, 2u, 3u, 4u, 5u, 8u, 12u, 16u, 32u, 64u}) {
+    BigInt random_m = random_bits(64 * limbs);
+    if (!random_m.is_odd()) random_m = random_m + BigInt(1);
+    for (const BigInt& m : {random_m, all_ones_modulus(limbs, rng)}) {
+      for (std::size_t exp_bits : {std::size_t{0}, std::size_t{1},
+                                   std::size_t{17}, std::size_t{64},
+                                   std::size_t{65}, 64 * limbs}) {
+        BigInt exp = random_bits(exp_bits);
+        for (const BigInt& base :
+             {BigInt(0), BigInt(1), m - BigInt(1), random_bits(64 * limbs) % m,
+              m + random_bits(64 * limbs)}) {
+          // Naive: repeated square-and-multiply with divmod reduction.
+          BigInt reduced = base % m;
+          BigInt expect(1);
+          for (std::size_t bit = exp.bit_length(); bit-- > 0;) {
+            expect = (expect * expect) % m;
+            if (exp.bit(bit)) expect = (expect * reduced) % m;
+          }
+          EXPECT_EQ(mod_exp(base, exp, m), expect)
+              << limbs << " limbs, modulus " << m.to_hex() << ", "
+              << exp_bits << "-bit exponent, base " << base.to_hex();
         }
-        EXPECT_EQ(mod_exp(base, exp, m), expect)
-            << limbs << " limbs, " << exp_bits << "-bit exponent, base "
-            << base.to_hex();
       }
     }
   }
@@ -259,6 +299,76 @@ TEST(MontgomeryContextTest, MulMatchesPlainModularProduct) {
   BigInt a(123456789), b(987654321);
   BigInt got = ctx.from_mont(ctx.mul(ctx.to_mont(a), ctx.to_mont(b)));
   EXPECT_EQ(got, (a * b) % m);
+}
+
+TEST(MontgomeryContextTest, MulMatchesPlainProductAtEveryKernelWidth) {
+  // mul, to_mont and from_mont on each compiled width, against (a * b) % m.
+  ChaCha20Rng rng(5);
+  for (std::size_t limbs : {4u, 8u, 16u, 32u}) {
+    for (const BigInt& m : {random_modulus(limbs, rng),
+                            all_ones_modulus(limbs, rng)}) {
+      MontgomeryContext ctx(m);
+      for (int i = 0; i < 8; ++i) {
+        BigInt a = i == 0 ? m - BigInt(1)
+                          : BigInt::from_bytes_be(rng.bytes(8 * limbs)) % m;
+        BigInt b = BigInt::from_bytes_be(rng.bytes(8 * limbs)) % m;
+        BigInt a_mont = ctx.to_mont(a);
+        EXPECT_EQ(a_mont, (a << (64 * limbs)) % m) << limbs << " limbs";
+        EXPECT_EQ(ctx.from_mont(a_mont), a) << limbs << " limbs";
+        EXPECT_EQ(ctx.from_mont(ctx.mul(a_mont, ctx.to_mont(b))), (a * b) % m)
+            << limbs << " limbs, modulus " << m.to_hex();
+        EXPECT_EQ(ctx.from_mont(ctx.mul(a_mont, a_mont)), (a * a) % m)
+            << limbs << " limbs, modulus " << m.to_hex();
+      }
+    }
+  }
+}
+
+TEST(MontgomeryKernelTest, MultiplyAndSquareMatchReferenceAtEveryWidth) {
+  // Both raw kernels at every width the context accepts, the squaring
+  // included at widths where pow multiplies instead, each writing over its
+  // first input as pow does: r < m and r * R = a * b (mod m).
+  ChaCha20Rng rng(13);
+  const BigInt word = BigInt(1) << 64;
+  auto value = [](const std::vector<std::uint64_t>& limbs_of) {
+    BigInt out;
+    for (std::size_t i = limbs_of.size(); i-- > 0;) {
+      out = (out << 64) + BigInt(limbs_of[i]);
+    }
+    return out;
+  };
+  for (std::size_t limbs = 1; limbs <= MontgomeryContext::kMaxLimbs; ++limbs) {
+    const BigInt r = BigInt(1) << (64 * limbs);
+    auto raw = [limbs](const BigInt& v) {
+      std::vector<std::uint64_t> out(limbs);
+      for (std::size_t i = 0; i < limbs; ++i) out[i] = v.limb(i);
+      return out;
+    };
+    for (const BigInt& m : {random_modulus(limbs, rng),
+                            all_ones_modulus(limbs, rng)}) {
+      const std::uint64_t n0_inv =
+          (word - mod_inverse(m % word, word)).low_u64();
+      const std::vector<std::uint64_t> mod = raw(m);
+      for (const BigInt& a :
+           {BigInt(0), BigInt(1), m - BigInt(1), m - BigInt(2),
+            BigInt::from_bytes_be(rng.bytes(8 * limbs)) % m}) {
+        const BigInt b = BigInt::from_bytes_be(rng.bytes(8 * limbs)) % m;
+        std::vector<std::uint64_t> product = raw(a);
+        std::vector<std::uint64_t> other = raw(b);
+        detail::mont_mul_kernel(limbs)(product.data(), product.data(),
+                                       other.data(), mod.data(), n0_inv, limbs);
+        EXPECT_LT(value(product), m) << limbs << " limbs";
+        EXPECT_EQ((value(product) * r) % m, (a * b) % m)
+            << limbs << " limbs, modulus " << m.to_hex() << ", a " << a.to_hex();
+        std::vector<std::uint64_t> square = raw(a);
+        detail::mont_sqr_kernel(limbs)(square.data(), square.data(),
+                                       square.data(), mod.data(), n0_inv, limbs);
+        EXPECT_LT(value(square), m) << limbs << " limbs";
+        EXPECT_EQ((value(square) * r) % m, (a * a) % m)
+            << limbs << " limbs, modulus " << m.to_hex() << ", a " << a.to_hex();
+      }
+    }
+  }
 }
 
 TEST(NumberTheoryTest, GcdKnownValues) {
