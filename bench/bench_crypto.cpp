@@ -4,10 +4,8 @@
 // 1 verification per recipient, hashing of the state and of every
 // message, plus one anchor signature and one TSS stamp per party when the
 // run closes. These micro-benchmarks explain the constant factor measured
-// in E9; the Montgomery kernels under them are timed on their own too.
+// in E9; the Montgomery exponentiation under them is timed on its own too.
 #include <benchmark/benchmark.h>
-
-#include <vector>
 
 #include "b2b/federation.hpp"
 #include "crypto/bigint.hpp"
@@ -99,48 +97,6 @@ void BM_ModExp(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ModExp)->Arg(512)->Arg(1024)->Arg(2048)->Unit(benchmark::kMicrosecond);
-
-// The kernels of BM_MontPow on raw limbs, per modulus width in limbs:
-// the multiply, and the squaring MontgomeryContext uses only at the widths
-// where it beats the multiply. 4, 8, 16 and 32 limbs are the compiled
-// widths; 5, 12 and 24 run on the run-time-width instantiation.
-template <bool kSquare>
-void mont_kernel_bench(benchmark::State& state) {
-  const std::size_t width = static_cast<std::size_t>(state.range(0));
-  ChaCha20Rng rng(std::uint64_t{9});
-  std::vector<std::uint64_t> mod(width);
-  for (std::uint64_t& limb : mod) limb = rng.next_u64();
-  mod.front() |= 1;
-  mod.back() |= std::uint64_t{1} << 63;
-  std::uint64_t inv = mod.front();  // -mod^-1 mod 2^64, by Newton
-  for (int i = 0; i < 6; ++i) inv *= 2 - mod.front() * inv;
-  const std::uint64_t n0_inv = ~inv + 1;
-  std::vector<std::uint64_t> a(width);
-  std::vector<std::uint64_t> b(width);
-  for (std::size_t i = 0; i < width; ++i) {
-    a[i] = rng.next_u64();
-    b[i] = rng.next_u64();
-  }
-  a.back() >>= 1;  // below the modulus, whose top bit is set
-  b.back() >>= 1;
-  const crypto::detail::MontKernel kernel =
-      kSquare ? crypto::detail::mont_sqr_kernel(width)
-              : crypto::detail::mont_mul_kernel(width);
-  for (auto _ : state) {
-    // Feed each result back in, as pow does, so calls cannot overlap.
-    kernel(a.data(), a.data(), kSquare ? a.data() : b.data(), mod.data(),
-           n0_inv, width);
-    benchmark::DoNotOptimize(a.data());
-  }
-}
-
-void BM_MontMultiply(benchmark::State& state) {
-  mont_kernel_bench<false>(state);
-}
-BENCHMARK(BM_MontMultiply)->Arg(4)->Arg(5)->Arg(8)->Arg(12)->Arg(16)->Arg(24)->Arg(32);
-
-void BM_MontSquare(benchmark::State& state) { mont_kernel_bench<true>(state); }
-BENCHMARK(BM_MontSquare)->Arg(4)->Arg(5)->Arg(8)->Arg(12)->Arg(16)->Arg(24)->Arg(32);
 
 // One exponentiation on a cached context, full-width exponent: the work of
 // one CRT half of a sign, without the context construction BM_ModExp pays

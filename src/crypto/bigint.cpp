@@ -419,65 +419,10 @@ BigInt mod_inverse(const BigInt& a, const BigInt& m) {
 
 namespace {
 
-// Widths at which pow squares with the SOS kernel: where bench_crypto's
-// BM_MontSquare beats BM_MontMultiply (EXPERIMENTS.md E12). Elsewhere it
-// squares with the multiply.
-bool squaring_beats_multiply(std::size_t width) { return width > 8; }
-
-}  // namespace
-
-MontgomeryContext::MontgomeryContext(const BigInt& modulus)
-    : modulus_(modulus), limbs_(modulus.limb_count()) {
-  if (!modulus.is_odd() || modulus <= BigInt(1)) {
-    throw std::invalid_argument("MontgomeryContext: modulus must be odd > 1");
-  }
-  if (limbs_ > kMaxLimbs) {
-    throw std::invalid_argument("MontgomeryContext: modulus too wide");
-  }
-  // n0_inv = -modulus^{-1} mod 2^64 via Newton iteration on 64-bit words.
-  u64 m0 = modulus.limb(0);
-  u64 inv = m0;  // correct to 3 bits initially (m0 odd)
-  for (int i = 0; i < 6; ++i) inv *= 2 - m0 * inv;
-  n0_inv_ = ~inv + 1;  // -inv mod 2^64
-
-  mul_ = detail::mont_mul_kernel(limbs_);
-  sqr_ = squaring_beats_multiply(limbs_) ? detail::mont_sqr_kernel(limbs_)
-                                         : mul_;
-
-  BigInt r_mod = (BigInt(1) << (64 * limbs_)) % modulus_;
-  one_.resize(limbs_);
-  r2_.resize(limbs_);
-  load(one_.data(), r_mod);
-  load(r2_.data(), (r_mod * r_mod) % modulus_);
-}
-
-namespace detail {
-namespace {
-
-constexpr std::size_t kMaxLimbs = MontgomeryContext::kMaxLimbs;
-
-// Each kernel below is one template body. Its width is N when N > 0, so
-// the compiler sees constant trip counts, unrolls, and keeps more of the
-// carry chains in registers; N == 0 is the run-time-width instantiation,
-// which reads the width from its argument and sizes its scratch from
-// kMaxLimbs.
-
-// out = (top:t) - mod unless that borrows past `top`, else t. Callers
-// keep (top:t) below 2 * mod, so out is fully reduced. `out` may alias the
-// kernel's inputs but not `t`.
-template <std::size_t N>
-void subtract_modulus_once(u64* out, const u64* t, u64 top, const u64* mod,
-                           std::size_t width) {
-  const std::size_t n = N > 0 ? N : width;
-  u64 borrow = 0;
-  for (std::size_t j = 0; j < n; ++j) {
-    u128 diff = static_cast<u128>(t[j]) - mod[j] - borrow;
-    out[j] = static_cast<u64>(diff);
-    borrow = static_cast<u64>(diff >> 64) & 1;
-  }
-  if (top < borrow) std::copy(t, t + n, out);
-}
-
+// One template body for every width. Its width is N when N > 0, so the
+// compiler sees constant trip counts, unrolls, and keeps more of the carry
+// chains in registers; N == 0 is the run-time-width instantiation, which
+// reads the width from its argument and sizes its scratch from kMaxLimbs.
 template <std::size_t N>
 void mont_mul(u64* out, const u64* a, const u64* b, const u64* mod,
               u64 n0_inv, std::size_t width) {
@@ -486,7 +431,7 @@ void mont_mul(u64* out, const u64* a, const u64* b, const u64* mod,
   // m chosen so the low limb cancels, and shifts t down one limb. t stays
   // below 2 * modulus, so one conditional subtraction reduces it.
   const std::size_t n = N > 0 ? N : width;
-  u64 t[(N > 0 ? N : kMaxLimbs) + 1];
+  u64 t[(N > 0 ? N : MontgomeryContext::kMaxLimbs) + 1];
   std::fill(t, t + n + 1, 0);
   for (std::size_t i = 0; i < n; ++i) {
     const u64 a_i = a[i];
@@ -506,85 +451,44 @@ void mont_mul(u64* out, const u64* a, const u64* b, const u64* mod,
     t[n - 1] = static_cast<u64>(top);
     t[n] = static_cast<u64>(top >> 64);
   }
-  subtract_modulus_once<N>(out, t, t[n], mod, n);
-}
-
-template <std::size_t N>
-void mont_sqr(u64* out, const u64* a, const u64* /*b == a*/, const u64* mod,
-              u64 n0_inv, std::size_t width) {
-  // SOS squaring: the full 2n-limb square a^2, then n reduction rounds.
-  // The square computes each cross product a_i * a_j (i < j) once and
-  // doubles their sum, so it takes n(n+1)/2 multiplies where a general
-  // product takes n^2.
-  const std::size_t n = N > 0 ? N : width;
-  u64 t[2 * (N > 0 ? N : kMaxLimbs) + 1];
-  std::fill(t, t + 2 * n + 1, 0);
-  for (std::size_t i = 0; i + 1 < n; ++i) {
-    u64 carry = 0;
-    for (std::size_t j = i + 1; j < n; ++j) {
-      u128 cur = static_cast<u128>(a[i]) * a[j] + t[i + j] + carry;
-      t[i + j] = static_cast<u64>(cur);
-      carry = static_cast<u64>(cur >> 64);
-    }
-    t[i + n] = carry;
+  // out = t - modulus unless that borrows past t's top limb.
+  u64 borrow = 0;
+  for (std::size_t j = 0; j < n; ++j) {
+    u128 diff = static_cast<u128>(t[j]) - mod[j] - borrow;
+    out[j] = static_cast<u64>(diff);
+    borrow = static_cast<u64>(diff >> 64) & 1;
   }
-  // Double the cross products and add the squares a_i^2 on the diagonal.
-  // a^2 < 2^(128n), so nothing carries out of limb 2n - 1.
-  u64 shifted_out = 0;
-  u64 carry = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const u128 square = static_cast<u128>(a[i]) * a[i];
-    const u64 lo = (t[2 * i] << 1) | shifted_out;
-    const u64 hi = (t[2 * i + 1] << 1) | (t[2 * i] >> 63);
-    shifted_out = t[2 * i + 1] >> 63;
-    u128 sum = static_cast<u128>(lo) + static_cast<u64>(square) + carry;
-    t[2 * i] = static_cast<u64>(sum);
-    sum = static_cast<u128>(hi) + static_cast<u64>(square >> 64) + (sum >> 64);
-    t[2 * i + 1] = static_cast<u64>(sum);
-    carry = static_cast<u64>(sum >> 64);
-  }
-  // Round i adds m * modulus at limb i, m chosen so limb i cancels. The
-  // carry out of limb i + n is held back and added at limb i + n + 1 by the
-  // next round; the last round leaves it in t[2n]. t[n..2n] then holds
-  // (a^2 + M * modulus) / R < 2 * modulus.
-  for (std::size_t i = 0; i < n; ++i) {
-    const u64 m = t[i] * n0_inv;
-    u64 mul_carry = 0;
-    for (std::size_t j = 0; j < n; ++j) {
-      u128 cur = static_cast<u128>(m) * mod[j] + t[i + j] + mul_carry;
-      t[i + j] = static_cast<u64>(cur);
-      mul_carry = static_cast<u64>(cur >> 64);
-    }
-    u128 cur = static_cast<u128>(t[i + n]) + mul_carry + t[2 * n];
-    t[i + n] = static_cast<u64>(cur);
-    t[2 * n] = static_cast<u64>(cur >> 64);
-  }
-  subtract_modulus_once<N>(out, t + n, t[2 * n], mod, n);
+  if (t[n] < borrow) std::copy(t, t + n, out);
 }
 
 }  // namespace
 
-MontKernel mont_mul_kernel(std::size_t width) {
-  switch (width) {
-    case 4: return mont_mul<4>;
-    case 8: return mont_mul<8>;
-    case 16: return mont_mul<16>;
-    case 32: return mont_mul<32>;
-    default: return mont_mul<0>;
+MontgomeryContext::MontgomeryContext(const BigInt& modulus)
+    : modulus_(modulus), limbs_(modulus.limb_count()) {
+  if (!modulus.is_odd() || modulus <= BigInt(1)) {
+    throw std::invalid_argument("MontgomeryContext: modulus must be odd > 1");
   }
-}
-
-MontKernel mont_sqr_kernel(std::size_t width) {
-  switch (width) {
-    case 4: return mont_sqr<4>;
-    case 8: return mont_sqr<8>;
-    case 16: return mont_sqr<16>;
-    case 32: return mont_sqr<32>;
-    default: return mont_sqr<0>;
+  if (limbs_ > kMaxLimbs) {
+    throw std::invalid_argument("MontgomeryContext: modulus too wide");
   }
-}
+  // n0_inv = -modulus^{-1} mod 2^64 via Newton iteration on 64-bit words.
+  u64 m0 = modulus.limb(0);
+  u64 inv = m0;  // correct to 3 bits initially (m0 odd)
+  for (int i = 0; i < 6; ++i) inv *= 2 - m0 * inv;
+  n0_inv_ = ~inv + 1;  // -inv mod 2^64
 
-}  // namespace detail
+  switch (limbs_) {
+    case 4: mul_ = mont_mul<4>; break;
+    case 8: mul_ = mont_mul<8>; break;
+    default: mul_ = mont_mul<0>; break;
+  }
+
+  BigInt r_mod = (BigInt(1) << (64 * limbs_)) % modulus_;
+  one_.resize(limbs_);
+  r2_.resize(limbs_);
+  load(one_.data(), r_mod);
+  load(r2_.data(), (r_mod * r_mod) % modulus_);
+}
 
 void MontgomeryContext::load(u64* out, const BigInt& value) const {
   for (std::size_t i = 0; i < limbs_; ++i) out[i] = value.limb(i);
@@ -635,7 +539,7 @@ BigInt MontgomeryContext::pow(const BigInt& base, const BigInt& exponent) const 
   if (bits <= 64) {
     std::copy(one_.begin(), one_.end(), acc);
     for (std::size_t i = bits; i-- > 0;) {
-      sqr_limbs(acc);
+      mul_limbs(acc, acc, acc);
       if (exponent.bit(i)) mul_limbs(acc, acc, x);
     }
   } else {
@@ -653,7 +557,9 @@ BigInt MontgomeryContext::pow(const BigInt& base, const BigInt& exponent) const 
     const u64* top = table + digit(windows - 1) * n;
     std::copy(top, top + n, acc);
     for (std::size_t w = windows - 1; w-- > 0;) {
-      for (std::size_t s = 0; s < kWindowBits; ++s) sqr_limbs(acc);
+      for (std::size_t s = 0; s < kWindowBits; ++s) {
+        mul_limbs(acc, acc, acc);
+      }
       mul_limbs(acc, acc, table + digit(w) * n);
     }
   }

@@ -110,27 +110,6 @@ BigInt mod_inverse(const BigInt& a, const BigInt& m);
 BigInt mod_exp(const BigInt& base, const BigInt& exponent,
                const BigInt& modulus);
 
-namespace detail {
-
-/// A Montgomery kernel over raw little-endian limbs, for an odd modulus
-/// `mod` that is `width` limbs wide, with n0_inv = -mod^-1 mod 2^64:
-/// out = a * b * R^-1 mod `mod`, where R = 2^(64 * width) and a, b < mod.
-/// `out` may alias `a` or `b`; the scratch is on the caller's stack.
-using MontKernel = void (*)(std::uint64_t* out, const std::uint64_t* a,
-                            const std::uint64_t* b, const std::uint64_t* mod,
-                            std::uint64_t n0_inv, std::size_t width);
-
-/// The CIOS multiply for `width` limbs: compiled at that width for 4, 8,
-/// 16 and 32 limbs (the CRT halves and moduli of 512- to 4096-bit keys),
-/// at run-time width for every other modulus.
-MontKernel mont_mul_kernel(std::size_t width);
-
-/// The SOS squaring for `width` limbs, instantiated the same way. It
-/// reads only `a`; callers pass b == a.
-MontKernel mont_sqr_kernel(std::size_t width);
-
-}  // namespace detail
-
 /// Montgomery arithmetic modulo one odd modulus, built once and reused:
 /// RSA keys hold one per modulus (p, q and n), Miller-Rabin one per
 /// candidate. Immutable after construction; every operation keeps its
@@ -139,7 +118,7 @@ MontKernel mont_sqr_kernel(std::size_t width);
 class MontgomeryContext {
  public:
   /// Widest modulus supported, in 64-bit limbs (4096 bits); this bounds
-  /// the stack scratch of pow() and of the run-time-width kernels.
+  /// the stack scratch of pow() and of the run-time-width multiply.
   static constexpr std::size_t kMaxLimbs = 64;
 
   /// Throws std::invalid_argument unless modulus is odd, > 1 and at most
@@ -157,20 +136,24 @@ class MontgomeryContext {
 
   /// base^exponent mod modulus (inputs/outputs in ordinary form). Exponents
   /// up to 64 bits (e = 65537) use square-and-multiply; longer ones a fixed
-  /// 4-bit window that squares four times and multiplies once on every
-  /// digit, zero included, so the sequence of squarings and
-  /// multiplications depends only on the exponent's length.
+  /// 4-bit window that multiplies on every digit, zero included, so the
+  /// sequence of multiplications depends only on the exponent's length.
   BigInt pow(const BigInt& base, const BigInt& exponent) const;
 
  private:
+  /// The CIOS multiply over raw little-endian limbs: out = a * b * R^-1
+  /// mod `mod`, for a `width`-limb odd `mod` with n0_inv = -mod^-1 mod
+  /// 2^64, R = 2^(64 * width) and a, b < mod. `out` may alias `a` or `b`;
+  /// the scratch is on the stack.
+  using Kernel = void (*)(std::uint64_t* out, const std::uint64_t* a,
+                          const std::uint64_t* b, const std::uint64_t* mod,
+                          std::uint64_t n0_inv, std::size_t width);
+
   /// out = a * b * R^-1 mod modulus over limbs_-wide arrays; `out` may
-  /// alias `a` or `b`. sqr_limbs squares `a` in place.
+  /// alias `a` or `b`.
   void mul_limbs(std::uint64_t* out, const std::uint64_t* a,
                  const std::uint64_t* b) const {
     mul_(out, a, b, modulus_.limbs_.data(), n0_inv_, limbs_);
-  }
-  void sqr_limbs(std::uint64_t* a) const {
-    sqr_(a, a, a, modulus_.limbs_.data(), n0_inv_, limbs_);
   }
   /// Copy `value` (< modulus) into a limbs_-wide array, and back.
   void load(std::uint64_t* out, const BigInt& value) const;
@@ -179,11 +162,10 @@ class MontgomeryContext {
   BigInt modulus_;
   std::size_t limbs_;       // width of the modulus in limbs
   std::uint64_t n0_inv_;    // -modulus^{-1} mod 2^64
-  // The kernels for this width, picked once here: the CIOS multiply, and
-  // for squaring the SOS kernel at widths where it beats the multiply,
-  // the multiply elsewhere.
-  detail::MontKernel mul_;
-  detail::MontKernel sqr_;
+  // The multiply for this width, picked once here: compiled at that width
+  // for 4 and 8 limbs (the CRT halves and modulus of an RSA-512 key, the
+  // size the benchmark runs), at run-time width for every other modulus.
+  Kernel mul_;
   std::vector<std::uint64_t> one_;  // R mod modulus (Montgomery form of 1)
   std::vector<std::uint64_t> r2_;   // R^2 mod modulus: into Montgomery form
 };

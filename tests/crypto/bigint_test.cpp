@@ -224,13 +224,12 @@ BigInt random_modulus(std::size_t limbs, ChaCha20Rng& rng) {
 }
 
 TEST(BigIntModExpTest, MontgomeryMatchesNaiveOnRandomInputs) {
-  // The compiled kernel widths (4, 8, 16 and 32 limbs) and run-time widths
-  // beside them (1, 2, 3, 5, 12 and the kernel's 64), exponents on both
+  // The compiled kernel widths (4 and 8 limbs) and run-time widths beside
+  // them (1, 2, 3, 5, 12, 16, 32 and the kernel's 64), exponents on both
   // sides of the square-and-multiply / 4-bit-window boundary (64 bits)
   // and at full width, and the edge bases. Each width runs a random
   // modulus and one whose limbs above the lowest are all ones
-  // (R - 2k - 1): that drives the multiply's top limb and the squaring's
-  // final carry hardest.
+  // (R - 2k - 1): that drives the multiply's top limb hardest.
   ChaCha20Rng rng(7);
   auto random_bits = [&rng](std::size_t bits) {
     if (bits == 0) return BigInt();
@@ -302,7 +301,9 @@ TEST(MontgomeryContextTest, MulMatchesPlainModularProduct) {
 }
 
 TEST(MontgomeryContextTest, MulMatchesPlainProductAtEveryKernelWidth) {
-  // mul, to_mont and from_mont on each compiled width, against (a * b) % m.
+  // mul, to_mont and from_mont on each compiled width (4 and 8 limbs) and
+  // on the RSA-1024 and RSA-2048 moduli (16 and 32 limbs, run-time width),
+  // against (a * b) % m; mul's result must be fully reduced.
   ChaCha20Rng rng(5);
   for (std::size_t limbs : {4u, 8u, 16u, 32u}) {
     for (const BigInt& m : {random_modulus(limbs, rng),
@@ -314,58 +315,12 @@ TEST(MontgomeryContextTest, MulMatchesPlainProductAtEveryKernelWidth) {
         BigInt b = BigInt::from_bytes_be(rng.bytes(8 * limbs)) % m;
         BigInt a_mont = ctx.to_mont(a);
         EXPECT_EQ(a_mont, (a << (64 * limbs)) % m) << limbs << " limbs";
+        EXPECT_LT(ctx.mul(a_mont, a_mont), m) << limbs << " limbs";
         EXPECT_EQ(ctx.from_mont(a_mont), a) << limbs << " limbs";
         EXPECT_EQ(ctx.from_mont(ctx.mul(a_mont, ctx.to_mont(b))), (a * b) % m)
             << limbs << " limbs, modulus " << m.to_hex();
         EXPECT_EQ(ctx.from_mont(ctx.mul(a_mont, a_mont)), (a * a) % m)
             << limbs << " limbs, modulus " << m.to_hex();
-      }
-    }
-  }
-}
-
-TEST(MontgomeryKernelTest, MultiplyAndSquareMatchReferenceAtEveryWidth) {
-  // Both raw kernels at every width the context accepts, the squaring
-  // included at widths where pow multiplies instead, each writing over its
-  // first input as pow does: r < m and r * R = a * b (mod m).
-  ChaCha20Rng rng(13);
-  const BigInt word = BigInt(1) << 64;
-  auto value = [](const std::vector<std::uint64_t>& limbs_of) {
-    BigInt out;
-    for (std::size_t i = limbs_of.size(); i-- > 0;) {
-      out = (out << 64) + BigInt(limbs_of[i]);
-    }
-    return out;
-  };
-  for (std::size_t limbs = 1; limbs <= MontgomeryContext::kMaxLimbs; ++limbs) {
-    const BigInt r = BigInt(1) << (64 * limbs);
-    auto raw = [limbs](const BigInt& v) {
-      std::vector<std::uint64_t> out(limbs);
-      for (std::size_t i = 0; i < limbs; ++i) out[i] = v.limb(i);
-      return out;
-    };
-    for (const BigInt& m : {random_modulus(limbs, rng),
-                            all_ones_modulus(limbs, rng)}) {
-      const std::uint64_t n0_inv =
-          (word - mod_inverse(m % word, word)).low_u64();
-      const std::vector<std::uint64_t> mod = raw(m);
-      for (const BigInt& a :
-           {BigInt(0), BigInt(1), m - BigInt(1), m - BigInt(2),
-            BigInt::from_bytes_be(rng.bytes(8 * limbs)) % m}) {
-        const BigInt b = BigInt::from_bytes_be(rng.bytes(8 * limbs)) % m;
-        std::vector<std::uint64_t> product = raw(a);
-        std::vector<std::uint64_t> other = raw(b);
-        detail::mont_mul_kernel(limbs)(product.data(), product.data(),
-                                       other.data(), mod.data(), n0_inv, limbs);
-        EXPECT_LT(value(product), m) << limbs << " limbs";
-        EXPECT_EQ((value(product) * r) % m, (a * b) % m)
-            << limbs << " limbs, modulus " << m.to_hex() << ", a " << a.to_hex();
-        std::vector<std::uint64_t> square = raw(a);
-        detail::mont_sqr_kernel(limbs)(square.data(), square.data(),
-                                       square.data(), mod.data(), n0_inv, limbs);
-        EXPECT_LT(value(square), m) << limbs << " limbs";
-        EXPECT_EQ((value(square) * r) % m, (a * a) % m)
-            << limbs << " limbs, modulus " << m.to_hex() << ", a " << a.to_hex();
       }
     }
   }
