@@ -130,7 +130,7 @@ int main() {
 
     MembershipWorld world(n, options);
     const std::string sponsor = "org" + std::to_string(n - 1);
-    world.fed.coordinator(sponsor).arm_crash_point("m-decide.journaled");
+    world.fed.coordinator(sponsor).arm_crash_point("decide.journaled");
     core::RunHandle h = world.fed.coordinator("joiner").propagate_connect(
         kObj, PartyId{sponsor});
     if (!world.fed.executor().run_until([&] {

@@ -24,91 +24,132 @@ bool is_kind(const std::string& kind, const char* sent, const char* received) {
   return kind == sent || kind == received;
 }
 
-}  // namespace
+/// A run's transcript as one party's log holds it, in the run's format:
+/// the first proposal, the first response per responder (with those the
+/// decide aggregates, which a responder holds only there) and the first
+/// decide.
+struct Transcript {
+  std::optional<RunPropose> propose;
+  std::vector<RunResponse> responses;
+  std::optional<RunDecide> decide;
+};
 
-std::optional<RunTranscript> Arbiter::reconstruct(
-    const store::EvidenceLog& log, const std::string& run_label) {
-  RunTranscript transcript;
-  bool have_propose = false;
+Transcript transcript_of(const store::EvidenceLog& log,
+                         const std::string& run_label,
+                         const RunFormat& format) {
+  Transcript transcript;
   std::set<PartyId> responders_seen;
-
+  // Later equivocations are separate evidence, not part of the
+  // canonical transcript.
+  auto add = [&](const RunResponse& resp) {
+    if (responders_seen.insert(resp.responder()).second) {
+      transcript.responses.push_back(resp);
+    }
+  };
   for (const store::EvidenceRecord* record : log.run(run_label)) {
     const std::string& kind = record->kind;
     try {
-      if (is_kind(kind, evidence_kind::kProposeSent,
-                  evidence_kind::kProposeReceived)) {
-        if (!have_propose) {
-          transcript.propose = ProposeMsg::decode(message_of(*record));
-          have_propose = true;
+      if (is_kind(kind, format.propose_sent, format.propose_received)) {
+        if (!transcript.propose.has_value()) {
+          transcript.propose =
+              RunPropose::decode(format.propose, message_of(*record));
         }
-      } else if (is_kind(kind, evidence_kind::kRespondSent,
-                         evidence_kind::kRespondReceived)) {
-        RespondMsg resp = RespondMsg::decode(message_of(*record));
-        // Keep the first copy per responder (later equivocations are
-        // separate evidence, not part of the canonical transcript).
-        if (responders_seen.insert(resp.response.responder).second) {
-          transcript.responses.push_back(std::move(resp));
-        }
-      } else if (is_kind(kind, evidence_kind::kDecideSent,
-                         evidence_kind::kDecideReceived) &&
+      } else if (is_kind(kind, format.respond_sent, format.respond_received)) {
+        add(RunResponse::decode(format.respond, message_of(*record)));
+      } else if (is_kind(kind, format.decide_sent, format.decide_received) &&
                  !transcript.decide.has_value()) {
-        transcript.decide = DecideMsg::decode(message_of(*record));
+        transcript.decide =
+            RunDecide::decode(format.decide, message_of(*record));
       }
     } catch (const CodecError&) {
       // Undecodable record: skip; the verifier will flag any gap.
     }
   }
-  if (!have_propose) return std::nullopt;
-  // Prefer the responses aggregated in the decide when the local store
-  // lacks direct copies (responders only hold their own response).
   if (transcript.decide.has_value()) {
-    for (const RespondMsg& resp : transcript.decide->responses) {
-      if (responders_seen.insert(resp.response.responder).second) {
-        transcript.responses.push_back(resp);
-      }
-    }
+    for (const RunResponse& resp : transcript.decide->responses()) add(resp);
   }
   return transcript;
+}
+
+/// The paper's single-run transcript of a state run.
+RunTranscript state_transcript(const Transcript& transcript) {
+  RunTranscript out{transcript.propose->state()->single(), {}, std::nullopt};
+  for (const RunResponse& resp : transcript.responses) {
+    out.responses.push_back(*resp.state());
+  }
+  if (transcript.decide.has_value()) {
+    const BatchDecideMsg& d = *transcript.decide->state();
+    out.decide = DecideMsg{d.proposer, d.object, d.proposed, d.responses,
+                           d.authenticators.front()};
+  }
+  return out;
+}
+
+}  // namespace
+
+std::optional<RunTranscript> Arbiter::reconstruct(
+    const store::EvidenceLog& log, const std::string& run_label) {
+  Transcript transcript = transcript_of(log, run_label, RunFormat::of(1));
+  if (!transcript.propose.has_value()) return std::nullopt;
+  return state_transcript(transcript);
 }
 
 ArbitrationReport Arbiter::arbitrate(
     const store::EvidenceLog& log, const std::string& run_label,
     const std::vector<PartyId>* expected_recipients) const {
   ArbitrationReport report;
-  std::optional<RunTranscript> transcript = reconstruct(log, run_label);
-  if (!transcript.has_value()) {
+  // A membership run's label is its new group tuple's ("g"-prefixed).
+  const bool membership = run_label.starts_with("g");
+  const Transcript transcript = transcript_of(
+      log, run_label,
+      membership ? RunFormat::membership() : RunFormat::of(1));
+  if (!transcript.propose.has_value()) {
     report.ruling = "no proposal on record for run " + run_label +
                     ": nothing to arbitrate";
     return report;
   }
   report.proposal_found = true;
-  report.decide_found = transcript->decide.has_value();
-  report.verdict =
-      verifier_.verify_state_run(*transcript, expected_recipients);
+  report.decide_found = transcript.decide.has_value();
+  const std::string who = transcript.propose->proposer().str();
+  const std::string what = membership ? "membership change" : "state";
+  const std::string identified = membership ? "group" : "state";
+  if (const MembershipProposeMsg* propose = transcript.propose->membership()) {
+    std::vector<MembershipRespondMsg> responses;
+    for (const RunResponse& resp : transcript.responses) {
+      responses.push_back(*resp.membership());
+    }
+    report.verdict = verifier_.verify_membership_run(
+        *propose, responses,
+        report.decide_found ? &transcript.decide->membership()->authenticator
+                            : nullptr,
+        expected_recipients);
+  } else {
+    report.verdict = verifier_.verify_state_run(state_transcript(transcript),
+                                                expected_recipients);
+  }
 
-  const Proposal& prop = transcript->propose.proposal;
-  std::string who = prop.proposer.str();
   if (report.verdict.agreed) {
-    report.ruling = "run " + run_label + ": state proposed by " + who +
-                    " was unanimously agreed; evidence intact; the state "
-                    "identified by the proposal is VALID";
+    report.ruling = "run " + run_label + ": " + what + " proposed by " + who +
+                    " was unanimously agreed; evidence intact; the " +
+                    identified + " identified by the proposal is VALID";
   } else if (!report.verdict.vetoers.empty() && report.verdict.evidence_intact) {
     std::string vetoers;
     for (const PartyId& v : report.verdict.vetoers) {
       if (!vetoers.empty()) vetoers += ", ";
       vetoers += v.str();
     }
-    report.ruling = "run " + run_label + ": state proposed by " + who +
-                    " was vetoed by " + vetoers +
-                    "; evidence intact; the state is INVALID";
+    report.ruling = "run " + run_label + ": " + what + " proposed by " + who +
+                    " was vetoed by " + vetoers + "; evidence intact; the " +
+                    identified + " is INVALID";
   } else if (!report.decide_found) {
     report.ruling = "run " + run_label + ": proposed by " + who +
                     " but no decision message is on record; the run is "
-                    "INCOMPLETE and the state cannot be shown valid";
+                    "INCOMPLETE and the " + identified +
+                    " cannot be shown valid";
   } else {
     report.ruling = "run " + run_label + ": evidence is NOT intact (" +
                     std::to_string(report.verdict.violations.size()) +
-                    " defect(s)); the state cannot be shown valid";
+                    " defect(s)); the " + identified + " cannot be shown valid";
   }
   return report;
 }

@@ -7,8 +7,10 @@
 // filed under its run (§4.2) — it reconstructs the transcript of a named
 // run and verifies it with only public keys, reaching the same verdict a
 // participant would, and listing every defect when the evidence is not
-// intact. Batched runs (K >= 2 items) are not reconstructed; their
-// evidence is checked through the anchors (verify_anchored_spans).
+// intact. A membership run (§4.5), filed under its "g"-prefixed group-run
+// label, is rebuilt from its membership.* records and verified the same
+// way. Batched runs (K >= 2 items) are not reconstructed; their evidence
+// is checked through the anchors (verify_anchored_spans).
 #pragma once
 
 #include <optional>
@@ -44,9 +46,10 @@ class Arbiter {
   static std::optional<RunTranscript> reconstruct(
       const store::EvidenceLog& log, const std::string& run_label);
 
-  /// Arbitrate the run: reconstruct, verify, and rule. When
-  /// `expected_recipients` is given, response completeness is enforced
-  /// (required to rule a state *valid*).
+  /// Arbitrate the run: reconstruct, verify, and rule — a state run, or a
+  /// membership run under a group-run label. When `expected_recipients` is
+  /// given, response completeness is enforced (required to rule a state
+  /// or group *valid*).
   ArbitrationReport arbitrate(
       const store::EvidenceLog& log, const std::string& run_label,
       const std::vector<PartyId>* expected_recipients = nullptr) const;

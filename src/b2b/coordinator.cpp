@@ -690,11 +690,11 @@ namespace {
 /// Every item of a journaled run enters replay protection and the
 /// sequence watermark.
 void note_run_items(Replica::RecoveredObjectState& rec,
-                    const BatchProposeMsg& propose) {
-  for (const BatchItem& item : propose.items) {
-    rec.seen_labels.insert(item.proposed.label());
-    rec.max_sequence = std::max(rec.max_sequence, item.proposed.sequence);
+                    const RunPropose& propose) {
+  for (const std::string& label : propose.labels()) {
+    rec.seen_labels.insert(label);
   }
+  rec.max_sequence = std::max(rec.max_sequence, propose.sequence());
 }
 
 }  // namespace
@@ -716,32 +716,31 @@ void Coordinator::replay_object_record(std::uint8_t type,
       auto run = Replica::ProposerRunRecord::decode(dec.blob());
       dec.expect_done();
       note_run_items(rec, run.propose);
+      // The sponsor of a membership run re-answers (never re-runs) a
+      // duplicate of the request it acted on.
+      if (const MembershipProposeMsg* m = run.propose.membership()) {
+        rec.processed_nonces.insert(to_hex(m->proposal.request.request_nonce));
+      }
       rec.proposer_run = std::move(run);
       rec.proposer_responses.clear();
       rec.proposer_decide.reset();
       break;
     }
     case walrec::kResponseReceived: {
-      RespondMsg response = RespondMsg::decode(dec.blob());
+      RunResponse response = RunResponse::decode_from(dec);
       dec.expect_done();
       if (!rec.proposer_run.has_value() ||
-          response.response.proposed !=
-              rec.proposer_run->propose.proposal.proposed) {
+          !response.answers(rec.proposer_run->propose)) {
         break;  // response for an already-closed run
       }
-      const bool duplicate = std::any_of(
-          rec.proposer_responses.begin(), rec.proposer_responses.end(),
-          [&](const RespondMsg& existing) {
-            return existing.response.responder == response.response.responder;
-          });
-      if (!duplicate) rec.proposer_responses.push_back(std::move(response));
+      rec.proposer_responses.emplace(response.responder(), response);
       break;
     }
     case walrec::kDecideSent: {
-      BatchDecideMsg decide = BatchDecideMsg::decode_from(dec);
+      RunDecide decide = RunDecide::decode_from(dec);
       dec.expect_done();
       if (rec.proposer_run.has_value() &&
-          decide.proposed == rec.proposer_run->propose.proposal.proposed) {
+          decide.label() == rec.proposer_run->propose.label()) {
         rec.proposer_decide = std::move(decide);
       }
       break;
@@ -751,7 +750,7 @@ void Coordinator::replay_object_record(std::uint8_t type,
       dec.expect_done();
       rec.seen_labels.insert(label);
       if (rec.proposer_run.has_value() &&
-          rec.proposer_run->propose.proposal.proposed.label() == label) {
+          rec.proposer_run->propose.label() == label) {
         rec.proposer_run.reset();
         rec.proposer_responses.clear();
         rec.proposer_decide.reset();
@@ -765,14 +764,14 @@ void Coordinator::replay_object_record(std::uint8_t type,
       auto run = Replica::ResponderRunRecord::decode(dec.blob());
       dec.expect_done();
       note_run_items(rec, run.propose);
-      const std::string label = run.propose.proposal.proposed.label();
+      const std::string label = run.propose.label();
       rec.responder_runs.insert_or_assign(label, std::move(run));
       break;
     }
     case walrec::kDecideDelivered: {
-      BatchDecideMsg decide = BatchDecideMsg::decode_from(dec);
+      RunDecide decide = RunDecide::decode_from(dec);
       dec.expect_done();
-      const std::string label = decide.proposed.label();
+      const std::string label = decide.label();
       if (rec.responder_runs.contains(label)) {
         rec.responder_decides.insert_or_assign(label, std::move(decide));
       }
@@ -786,87 +785,6 @@ void Coordinator::replay_object_record(std::uint8_t type,
       rec.responder_decides.erase(label);
       rec.termination_submissions.erase(label);
       rec.verdicts.erase(label);
-      break;
-    }
-    case walrec::kSponsorRun: {
-      auto run = Replica::SponsorRunRecord::decode(dec.blob());
-      dec.expect_done();
-      const GroupTuple& new_group = run.propose.proposal.new_group;
-      rec.seen_labels.insert(new_group.label());
-      rec.max_sequence = std::max(rec.max_sequence, new_group.sequence);
-      // The request nonce is marked processed so a recovered sponsor
-      // re-answers (never re-runs) a duplicate of the same request.
-      rec.processed_nonces.insert(
-          to_hex(run.propose.proposal.request.request_nonce));
-      rec.sponsor_run = std::move(run);
-      rec.sponsor_responses.clear();
-      rec.sponsor_decide.reset();
-      break;
-    }
-    case walrec::kMembershipResponse: {
-      MembershipRespondMsg response = MembershipRespondMsg::decode(dec.blob());
-      dec.expect_done();
-      if (!rec.sponsor_run.has_value() ||
-          response.response.new_group !=
-              rec.sponsor_run->propose.proposal.new_group) {
-        break;  // response for an already-closed run
-      }
-      const bool duplicate = std::any_of(
-          rec.sponsor_responses.begin(), rec.sponsor_responses.end(),
-          [&](const MembershipRespondMsg& existing) {
-            return existing.response.responder == response.response.responder;
-          });
-      if (!duplicate) rec.sponsor_responses.push_back(std::move(response));
-      break;
-    }
-    case walrec::kMembershipDecideSent: {
-      MembershipDecideMsg decide = MembershipDecideMsg::decode(dec.blob());
-      dec.expect_done();
-      if (rec.sponsor_run.has_value() &&
-          decide.new_group == rec.sponsor_run->propose.proposal.new_group) {
-        rec.sponsor_decide = std::move(decide);
-      }
-      break;
-    }
-    case walrec::kSponsorClosed: {
-      std::string label = dec.str();
-      dec.expect_done();
-      rec.seen_labels.insert(label);
-      if (rec.sponsor_run.has_value() &&
-          rec.sponsor_run->propose.proposal.new_group.label() == label) {
-        // processed_nonces keeps the request nonce: a late duplicate of
-        // the request must be re-answered, not re-run.
-        rec.sponsor_run.reset();
-        rec.sponsor_responses.clear();
-        rec.sponsor_decide.reset();
-      }
-      break;
-    }
-    case walrec::kMembershipResponderRun: {
-      auto run = Replica::MembershipResponderRunRecord::decode(dec.blob());
-      dec.expect_done();
-      const GroupTuple& new_group = run.propose.proposal.new_group;
-      rec.seen_labels.insert(new_group.label());
-      rec.max_sequence = std::max(rec.max_sequence, new_group.sequence);
-      rec.membership_responder_runs.insert_or_assign(new_group.label(),
-                                                     std::move(run));
-      break;
-    }
-    case walrec::kMembershipDecideDelivered: {
-      MembershipDecideMsg decide = MembershipDecideMsg::decode(dec.blob());
-      dec.expect_done();
-      const std::string label = decide.new_group.label();
-      if (rec.membership_responder_runs.contains(label)) {
-        rec.membership_decides.insert_or_assign(label, std::move(decide));
-      }
-      break;
-    }
-    case walrec::kMembershipResponderClosed: {
-      std::string label = dec.str();
-      dec.expect_done();
-      rec.seen_labels.insert(label);
-      rec.membership_responder_runs.erase(label);
-      rec.membership_decides.erase(label);
       break;
     }
     case walrec::kSubjectRequest: {
@@ -930,8 +848,8 @@ void Coordinator::replay_object_record(std::uint8_t type,
     }
     default:
       // Unknown record type: written by a newer version, or a retired one
-      // (3, 31–34; 4 is skipped before it gets here). The CRC vouched for
-      // its integrity; skipping it is the conservative choice.
+      // (3, 13–19, 31–34; 4 is skipped before it gets here). The CRC
+      // vouched for its integrity; skipping it is the conservative choice.
       break;
   }
 }

@@ -344,6 +344,18 @@ void Replica::process_membership_request(MembershipRequest request,
   const PartyId& subject = request.subjects.empty() ? request.sender
                                                     : request.subjects[0];
 
+  // Act on each distinct request once, however many relayed or deferred
+  // copies reach us (the nonce uniquely labels the request): a duplicate
+  // is never relayed or deferred. One from a crashed-and-recovered subject
+  // re-probing under its original nonce is re-answered from the stored
+  // answer (journal-gated); one that arrives while its run is still open
+  // is dropped, as that run's outcome answers it.
+  std::string nonce_key = to_hex(request.request_nonce);
+  if (sponsor_nonces_.contains(nonce_key)) {
+    maybe_reanswer_membership_request(nonce_key, subject);
+    return;
+  }
+
   // Re-resolve the legitimate sponsor at processing time (membership may
   // have changed while the request waited): relay if it is not us.
   if (request.kind == MembershipKind::kConnect) {
@@ -379,36 +391,13 @@ void Replica::process_membership_request(MembershipRequest request,
     return;
   }
 
-  // Act on each distinct request once, however many relayed or deferred
-  // copies reach us (the nonce uniquely labels the request). A duplicate
-  // from a crashed-and-recovered subject re-probing under its original
-  // nonce is re-answered from the stored answer (journal-gated).
-  std::string nonce_key = to_hex(request.request_nonce);
-  if (!sponsor_nonces_.insert(nonce_key)) {
-    maybe_reanswer_membership_request(nonce_key, subject);
-    return;
-  }
-
+  sponsor_nonces_.insert(nonce_key);
   switch (request.kind) {
     case MembershipKind::kConnect: {
-      auto reject_subject = [&] {
-        ConnectRejectMsg reject;
-        reject.sponsor = self_;
-        reject.object = object_;
-        reject.request_nonce = request.request_nonce;
-        reject.signature = key_.sign(reject.signed_bytes());
-        Bytes encoded = reject.encode();
-        remember_subject_answer(nonce_key, MsgType::kConnectReject, encoded);
-        send_envelope(subject, MsgType::kConnectReject, std::move(encoded));
-      };
-      if (is_member(subject)) {
-        reject_subject();
-        return;
-      }
       // The sponsor's own local policy can reject immediately (§4.5.3).
       ValidationContext ctx{self_, subject, object_, next_sequence()};
-      if (!impl_.validate_connect(subject, ctx).accept) {
-        reject_subject();
+      if (is_member(subject) || !impl_.validate_connect(subject, ctx).accept) {
+        reject_connect(request);
         return;
       }
       start_membership_run(std::move(request), std::move(signature), nullptr);
@@ -444,6 +433,10 @@ void Replica::drain_deferred_membership() {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Membership runs: the four per-kind steps of the run engine (replica.cpp)
+// ---------------------------------------------------------------------------
+
 RunHandle Replica::start_membership_run(MembershipRequest request,
                                         Bytes request_signature,
                                         RunHandle handle) {
@@ -456,394 +449,55 @@ RunHandle Replica::start_membership_run(MembershipRequest request,
              "");
     return handle;
   }
+  if (busy()) {
+    // Only a sponsor proposing an eviction itself gets here busy: relayed
+    // and deferred requests wait until no run is open (§4.5.1).
+    complete(handle, RunResult::Outcome::kAborted,
+             "busy: another coordination run is active", {}, 0, "");
+    return handle;
+  }
 
-  B2B_DEBUG(self_, " sponsoring membership run kind=",
-            static_cast<int>(request.kind), " subject=",
-            request.subjects.empty() ? request.sender : request.subjects[0]);
-  SponsorRun run;
-  run.authenticator = fresh_random();
+  ProposerRun run;
   run.result = handle;
-
-  MembershipProposal& prop = run.propose.proposal;
+  run.authenticators.push_back(fresh_random());
+  MembershipProposeMsg propose;
+  MembershipProposal& prop = propose.proposal;
   prop.sponsor = self_;
   prop.object = object_;
   prop.request = std::move(request);
   prop.request_signature = std::move(request_signature);
   prop.current_group = group_tuple_;
-  prop.new_group = GroupTuple{next_sequence(),
-                              crypto::Sha256::hash(run.authenticator),
-                              hash_members(*new_members)};
+  prop.new_group =
+      GroupTuple{next_sequence(), crypto::Sha256::hash(run.authenticators[0]),
+                 hash_members(*new_members)};
   prop.agreed = agreed_tuple_;
   prop.new_members = std::move(*new_members);
-  run.propose.signature = key_.sign(prop.signed_bytes());
-
-  note_sequence(prop.new_group.sequence);
-  const std::string label = prop.new_group.label();
-  seen_run_labels_.insert(label);
-
-  // Recipient set: current members minus the sponsor minus any subject
-  // being removed (connect subjects are not yet members).
+  propose.signature = key_.sign(prop.signed_bytes());
+  run.propose.msg = std::move(propose);
+  // Recipients: every member but the sponsor and the members being
+  // removed (a connect subject is not yet a member).
   for (const PartyId& member : members_) {
-    if (member == self_) continue;
-    if (prop.request.kind != MembershipKind::kConnect &&
-        contains(prop.request.subjects, member)) {
-      continue;
-    }
-    run.recipients.push_back(member);
+    if (run.propose.asks(member)) run.recipients.push_back(member);
   }
-
-  Bytes encoded = run.propose.encode();
-  hit_crash_point("m-propose.pre-journal");
-  if (journaling()) {
-    SponsorRunRecord record{run.propose, run.authenticator, run.recipients};
-    wire::Encoder enc;
-    enc.blob(record.encode());
-    journal_record(walrec::kSponsorRun, std::move(enc).take());
-  }
-  record_evidence(evidence_kind::kMembershipPropose, encoded, label);
-  journal_barrier();
-  hit_crash_point("m-propose.journaled");
-  for (const PartyId& recipient : run.recipients) {
-    send_envelope(recipient, MsgType::kMembershipPropose, encoded);
-  }
-
-  sponsor_run_ = std::move(run);
-  arm_membership_probe(label, /*as_sponsor=*/true, 1);
-  hit_crash_point("m-propose.sent");
-  if (sponsor_run_->recipients.empty()) {
-    finish_membership_run_as_sponsor();
-  }
+  journal_run_open(run);
+  send_run_open(std::move(run));
   return handle;
 }
 
-void Replica::handle_membership_respond(const PartyId& from,
-                                        const Bytes& body) {
-  MembershipRespondMsg msg = MembershipRespondMsg::decode(body);
-  const MembershipResponse& resp = msg.response;
-
-  if (resp.responder != from) {
-    record_violation("membership response sender mismatch", from);
-    return;
-  }
-  if (!sponsor_run_.has_value() ||
-      sponsor_run_->propose.proposal.new_group != resp.new_group) {
-    const std::string stray = resp.new_group.label();
-    if (journaling() && seen_run_labels_.contains(stray)) {
-      // A recipient re-probing a membership run we already closed (it may
-      // have lost our decide in its crash window): re-send the stored
-      // decide so it can conclude.
-      if (maybe_resend_membership_decide(stray, from)) {
-        // A verified retry closes the run here once more, so it is sealed
-        // like the close was; a forged one buys no RSA work.
-        const crypto::RsaPublicKey* pub = callbacks_.key_of(from);
-        if (pub != nullptr && pub->verify(resp.signed_bytes(), msg.signature)) {
-          seal_evidence();
-        }
-        return;
-      }
-      record_anomaly("membership response for closed run " + stray, from);
-      return;
-    }
-    record_violation("membership response for no active run", from);
-    return;
-  }
-  SponsorRun& run = *sponsor_run_;
-  if (!contains(run.recipients, from)) {
-    record_violation("membership response from non-recipient", from);
-    return;
-  }
-  const crypto::RsaPublicKey* pub = callbacks_.key_of(from);
-  if (pub == nullptr || !pub->verify(resp.signed_bytes(), msg.signature)) {
-    record_violation("bad signature on membership response", from);
-    return;
-  }
-  auto existing = run.responses.find(from);
-  if (existing != run.responses.end()) {
-    if (!(existing->second == msg)) {
-      record_evidence(evidence_kind::kMembershipRespond, msg.encode());
-      record_violation("equivocating membership responses", from);
-    }
-    return;
-  }
-  const std::string label = resp.new_group.label();
-  if (journaling()) {
-    wire::Encoder enc;
-    enc.blob(msg.encode());
-    journal_record(walrec::kMembershipResponse, std::move(enc).take());
-  }
-  record_evidence(evidence_kind::kMembershipRespond, msg.encode(), label);
-  journal_barrier();
-  hit_crash_point("m-response.journaled");
-  run.responses.emplace(from, std::move(msg));
-
-  if (run.responses.size() == run.recipients.size()) {
-    finish_membership_run_as_sponsor();
-  }
-}
-
-void Replica::finish_membership_run_as_sponsor() {
-  SponsorRun run = std::move(*sponsor_run_);
-  sponsor_run_.reset();
-  const MembershipProposal& prop = run.propose.proposal;
-  const std::string label = prop.new_group.label();
-
-  MembershipDecideMsg decide;
-  decide.sponsor = self_;
-  decide.object = object_;
-  decide.new_group = prop.new_group;
-  decide.authenticator = run.authenticator;
-
-  std::vector<PartyId> vetoers;
-  std::string first_diagnostic;
-  bool views_consistent = true;
-  for (const PartyId& recipient : run.recipients) {
-    const MembershipRespondMsg& resp = run.responses.at(recipient);
-    decide.responses.push_back(resp);
-    const MembershipResponse& r = resp.response;
-    if (!r.decision.accept) {
-      vetoers.push_back(recipient);
-      if (first_diagnostic.empty()) first_diagnostic = r.decision.diagnostic;
-    } else if (r.group_view != prop.current_group ||
-               r.agreed_view != prop.agreed) {
-      record_violation("inconsistent accept in membership response",
-                       recipient);
-      views_consistent = false;
-      vetoers.push_back(recipient);
-    }
-  }
-  bool agreed = vetoers.empty() && views_consistent;
-
-  B2B_DEBUG(self_, " membership run ", label, " agreed=", agreed);
-  Bytes encoded = decide.encode();
-  hit_crash_point("m-decide.pre-journal");
-  if (journaling()) {
-    wire::Encoder enc;
-    enc.blob(encoded);
-    journal_record(walrec::kMembershipDecideSent, std::move(enc).take());
-  }
-  record_evidence(evidence_kind::kMembershipDecide, encoded, label);
-  journal_barrier();
-  hit_crash_point("m-decide.journaled");
-  bool first_send = true;
-  for (const PartyId& recipient : run.recipients) {
-    send_envelope(recipient, MsgType::kMembershipDecide, encoded);
-    if (first_send) {
-      first_send = false;
-      hit_crash_point("m-decide.mid-send");
-    }
-  }
-  hit_crash_point("m-decide.sent");
-
-  const std::string nonce_key = to_hex(prop.request.request_nonce);
-  if (agreed) {
-    apply_membership_change(prop);
-    if (prop.request.kind == MembershipKind::kConnect) {
-      // Deliver the agreed state and the full member/key directory to the
-      // new member (§4.5.3).
-      ConnectWelcomeMsg welcome;
-      welcome.sponsor = self_;
-      welcome.object = object_;
-      welcome.new_group = prop.new_group;
-      welcome.members = prop.new_members;
-      for (const PartyId& member : prop.new_members) {
-        if (member == prop.request.sender) {
-          welcome.member_public_keys.push_back(prop.request.subject_public_key);
-        } else {
-          const crypto::RsaPublicKey* pub = callbacks_.key_of(member);
-          welcome.member_public_keys.push_back(pub != nullptr ? pub->encode()
-                                                              : Bytes{});
-        }
-      }
-      welcome.agreed = agreed_tuple_;
-      welcome.agreed_state = agreed_state_;
-      welcome.responses = decide.responses;
-      welcome.authenticator = run.authenticator;
-      welcome.sponsor_signature = key_.sign(welcome.signed_bytes());
-      Bytes welcome_encoded = welcome.encode();
-      remember_subject_answer(nonce_key, MsgType::kConnectWelcome,
-                              welcome_encoded);
-      send_envelope(prop.request.sender, MsgType::kConnectWelcome,
-                    std::move(welcome_encoded));
-    } else if (prop.request.kind == MembershipKind::kVoluntaryDisconnect) {
-      DisconnectConfirmMsg confirm;
-      confirm.sponsor = self_;
-      confirm.object = object_;
-      confirm.new_group = prop.new_group;
-      confirm.responses = decide.responses;
-      confirm.authenticator = run.authenticator;
-      Bytes confirm_encoded = confirm.encode();
-      remember_subject_answer(nonce_key, MsgType::kDisconnectConfirm,
-                              confirm_encoded);
-      send_envelope(prop.request.subjects[0], MsgType::kDisconnectConfirm,
-                    std::move(confirm_encoded));
-    }
-    complete(run.result, RunResult::Outcome::kAgreed, "", {},
-             prop.new_group.sequence, label);
-  } else {
-    if (prop.request.kind == MembershipKind::kConnect) {
-      // §4.5.3: a vetoed subject receives exactly the same rejection shape
-      // as an immediately rejected one.
-      ConnectRejectMsg reject;
-      reject.sponsor = self_;
-      reject.object = object_;
-      reject.request_nonce = prop.request.request_nonce;
-      reject.signature = key_.sign(reject.signed_bytes());
-      Bytes reject_encoded = reject.encode();
-      remember_subject_answer(nonce_key, MsgType::kConnectReject,
-                              reject_encoded);
-      send_envelope(prop.request.sender, MsgType::kConnectReject,
-                    std::move(reject_encoded));
-    } else if (prop.request.kind == MembershipKind::kVoluntaryDisconnect) {
-      // The departure itself cannot be refused (§4.5.4); a veto here only
-      // means a recipient's view was transiently inconsistent or busy
-      // (e.g. a racing state run). Retry with backoff — an immediate
-      // retry would keep colliding with a steady stream of state runs —
-      // up to a bound.
-      int attempt = ++voluntary_retry_counts_[nonce_key];
-      if (attempt <= kMaxVoluntaryRetries) {
-        sponsor_nonces_.erase(nonce_key);
-        if (callbacks_.schedule) {
-          std::uint64_t backoff =
-              50'000ull * static_cast<std::uint64_t>(attempt);
-          callbacks_.schedule(
-              backoff, [this, request = prop.request,
-                        signature = prop.request_signature]() mutable {
-                process_membership_request(std::move(request),
-                                           std::move(signature));
-              });
-        } else {
-          deferred_membership_.emplace_back(prop.request,
-                                            prop.request_signature);
-        }
-      }
-    }
-    complete(run.result, RunResult::Outcome::kVetoed, first_diagnostic,
-             std::move(vetoers), prop.new_group.sequence, label);
-  }
-  // A relayed eviction whose sponsorship rotated to the requester itself:
-  // we are both requester and sponsor, so no decide message ever comes
-  // back to settle the relayed handle (that normally happens on decide
-  // receipt) — settle it here.
-  if (relayed_eviction_result_.has_value() &&
-      prop.request.kind == MembershipKind::kEvict &&
-      prop.request.sender == self_ &&
-      to_hex(prop.request.request_nonce) == relayed_eviction_nonce_) {
-    RunHandle relayed = *relayed_eviction_result_;
-    relayed_eviction_result_.reset();
-    close_subject_request(to_hex(prop.request.request_nonce));
-    complete(relayed,
-             agreed ? RunResult::Outcome::kAgreed : RunResult::Outcome::kVetoed,
-             agreed ? "" : first_diagnostic, {}, prop.new_group.sequence,
-             label);
-  }
-  close_run(walrec::kSponsorClosed, label);
-  hit_crash_point("m-decide.installed");
-  drain_deferred_membership();
-}
-
-// ---------------------------------------------------------------------------
-// Recipient side
-// ---------------------------------------------------------------------------
-
-void Replica::handle_membership_propose(const PartyId& from,
-                                        const Bytes& body) {
-  MembershipProposeMsg msg = MembershipProposeMsg::decode(body);
-  const MembershipProposal& prop = msg.proposal;
-
-  if (prop.sponsor != from) {
-    record_violation("membership proposal from wrong party", from);
-    return;
-  }
-  const crypto::RsaPublicKey* pub = callbacks_.key_of(from);
-  if (pub == nullptr || !pub->verify(prop.signed_bytes(), msg.signature)) {
-    record_violation("bad signature on membership proposal", from);
-    return;
-  }
-  if (!connected_ || !is_member(from)) {
-    // We have departed (or the sponsor is outside our group view): send a
-    // signed reject so the sponsor's run terminates instead of blocking.
-    if (connected_ && !is_member(from)) {
-      record_anomaly("membership proposal from non-member", from);
-    }
-    MembershipResponse stale;
-    stale.responder = self_;
-    stale.object = object_;
-    stale.new_group = prop.new_group;
-    stale.group_view = group_tuple_;
-    stale.agreed_view = agreed_tuple_;
-    stale.decision = Decision::rejected(
-        connected_ ? "inconsistent group view"
-                   : "recipient has disconnected from this group");
-    MembershipRespondMsg out;
-    out.response = stale;
-    out.signature = key_.sign(stale.signed_bytes());
-    record_evidence(evidence_kind::kMembershipRespond, out.encode());
-    send_envelope(from, MsgType::kMembershipRespond, out.encode());
-    return;
-  }
-  if (prop.object != object_) {
-    record_violation("membership proposal for wrong object", from);
-    return;
-  }
-  const std::string label = prop.new_group.label();
-  if (seen_run_labels_.contains(label)) {
-    if (journaling()) {
-      // A crashed-and-recovered sponsor re-driving its run: if we still
-      // hold an open responder run for this label, re-send our journaled
-      // response; if we already concluded it, note the duplicate without
-      // blame (the sponsor lost our response in its crash window).
-      auto open = membership_responder_runs_.find(label);
-      if (open != membership_responder_runs_.end() &&
-          open->second.propose.proposal.sponsor == from) {
-        record_anomaly("re-sent membership response for run " + label, from);
-        send_envelope(from, MsgType::kMembershipRespond,
-                      open->second.my_response.encode());
-        return;
-      }
-      record_anomaly("duplicate membership proposal " + label, from);
-      return;
-    }
-    record_violation("replayed membership proposal " + label, from);
-    return;
-  }
-  seen_run_labels_.insert(label);
-  note_sequence(prop.new_group.sequence);
-  record_evidence(evidence_kind::kMembershipPropose, msg.encode(), label);
-
-  Decision decision = evaluate_membership_proposal(msg);
-
-  MembershipResponse resp;
+RunResponse Replica::respond_to(const MembershipProposeMsg& msg,
+                                std::optional<Decision> verdict,
+                                std::vector<Bytes>* /*states*/) {
+  MembershipRespondMsg out;
+  MembershipResponse& resp = out.response;
   resp.responder = self_;
   resp.object = object_;
-  resp.new_group = prop.new_group;
+  resp.new_group = msg.proposal.new_group;
   resp.group_view = group_tuple_;
   resp.agreed_view = agreed_tuple_;
-  resp.decision = decision;
-
-  MembershipRespondMsg out;
-  out.response = resp;
+  resp.decision = verdict.has_value() ? std::move(*verdict)
+                                      : evaluate_membership_proposal(msg);
   out.signature = key_.sign(resp.signed_bytes());
-
-  MembershipResponderRun run;
-  run.propose = msg;
-  run.my_response = out;
-  run.members_at_response = members_;
-
-  Bytes encoded = out.encode();
-  if (journaling()) {
-    MembershipResponderRunRecord record{run.propose, run.my_response,
-                                        run.members_at_response};
-    wire::Encoder enc;
-    enc.blob(record.encode());
-    journal_record(walrec::kMembershipResponderRun, std::move(enc).take());
-  }
-  membership_responder_runs_.emplace(label, std::move(run));
-  record_evidence(evidence_kind::kMembershipRespond, encoded, label);
-  journal_barrier();
-  hit_crash_point("m-respond.journaled");
-  send_envelope(from, MsgType::kMembershipRespond, encoded);
-  arm_membership_probe(label, /*as_sponsor=*/false, 1);
-  hit_crash_point("m-respond.sent");
+  return {std::move(out)};
 }
 
 Decision Replica::evaluate_membership_proposal(
@@ -951,139 +605,125 @@ Decision Replica::evaluate_membership_proposal(
   return Decision::rejected("unknown membership kind");
 }
 
-void Replica::handle_membership_decide(const PartyId& from,
-                                       const Bytes& body) {
-  if (!connected_) {
-    B2B_DEBUG(self_, " dropping membership decide on ", object_,
-              " (not connected)");
-    return;
-  }
-  MembershipDecideMsg msg = MembershipDecideMsg::decode(body);
-  const std::string label = msg.new_group.label();
-
-  auto it = membership_responder_runs_.find(label);
-  if (it == membership_responder_runs_.end()) {
-    record_anomaly("membership decide for unknown run " + label, from);
-    // The very decide this run closed on, sent again: sealed like the
-    // close was. A forged decide buys no RSA work. (Our own decide,
-    // bounced back at us, was never received here.)
-    if (msg.sponsor != self_ &&
-        received_before(label, evidence_kind::kMembershipDecide,
-                        msg.encode())) {
-      seal_evidence();
-    }
-    return;
-  }
-  {
-    const MembershipProposal& prop = it->second.propose.proposal;
-    if (msg.sponsor != prop.sponsor || from != prop.sponsor) {
-      record_violation("membership decide not from the sponsor", from);
-      return;
-    }
-    if (crypto::Sha256::hash(msg.authenticator) != prop.new_group.rand_hash) {
-      record_violation("membership decide authenticator mismatch (forgery)",
-                       from);
-      return;
-    }
-  }
-  hit_crash_point("m-decide-recv.pre-journal");
-  if (journaling()) {
-    wire::Encoder enc;
-    enc.blob(msg.encode());
-    journal_record(walrec::kMembershipDecideDelivered, std::move(enc).take());
-  }
-  record_evidence(evidence_kind::kMembershipDecide, msg.encode(), label);
-  journal_barrier();
-  hit_crash_point("m-decide-recv.journaled");
-  MembershipResponderRun run = std::move(it->second);
-  membership_responder_runs_.erase(it);
-  conclude_membership_responder_run(label, std::move(run), msg);
-}
-
-/// The post-durability half of decide handling: verify the aggregated
-/// responses, apply the change if agreed, and close the run. Reached both
-/// from live delivery (after the decide is journaled) and from recovery
-/// replay of a journaled-but-unapplied decide.
-void Replica::conclude_membership_responder_run(const std::string& label,
-                                                MembershipResponderRun run,
-                                                const MembershipDecideMsg& msg) {
-  const MembershipProposal& prop = run.propose.proposal;
-  const PartyId& from = prop.sponsor;
-
-  bool intact = true;
-  bool all_accept = true;
-  std::set<PartyId> responders;
-  for (const MembershipRespondMsg& resp_msg : msg.responses) {
-    const MembershipResponse& resp = resp_msg.response;
-    const crypto::RsaPublicKey* pub = callbacks_.key_of(resp.responder);
-    if (pub == nullptr ||
-        !pub->verify(resp.signed_bytes(), resp_msg.signature)) {
-      record_violation("membership decide aggregates badly signed response",
-                       from);
-      intact = false;
-      continue;
-    }
-    if (resp.new_group != prop.new_group) {
-      record_violation("membership decide aggregates foreign response", from);
-      intact = false;
-      continue;
-    }
-    responders.insert(resp.responder);
-    if (!resp.decision.accept) all_accept = false;
-    if (resp.responder == self_ && !(resp_msg == run.my_response)) {
-      record_violation("own membership response misrepresented", from);
-      intact = false;
-    }
-  }
-  // Coverage: every member that should have been asked (per the
-  // membership as of our response) must be present. A shortfall on a run
-  // that already contains a veto is explainable by concurrent membership
-  // changes; only an all-accept decide with missing responses
-  // misrepresents the outcome.
-  for (const PartyId& member : run.members_at_response) {
-    if (member == prop.sponsor) continue;
-    if (prop.request.kind != MembershipKind::kConnect &&
-        contains(prop.request.subjects, member)) {
-      continue;
-    }
-    if (!responders.contains(member)) {
-      if (all_accept) {
-        record_violation(
-            "membership decide omits response from " + member.str(), from);
-      } else {
-        record_anomaly(
-            "membership decide lacks response from " + member.str(), from);
-      }
-      intact = false;
-    }
-  }
-
-  bool agreed = intact && all_accept;
-
+void Replica::proposer_outcome(const MembershipProposeMsg& propose,
+                               ProposerRun& run, bool agreed,
+                               std::vector<PartyId> vetoers,
+                               const std::string& diagnostic,
+                               const RunDecide& decide) {
+  const MembershipProposal& prop = propose.proposal;
+  const MembershipRequest& request = prop.request;
+  const std::string label = prop.new_group.label();
+  const std::string nonce_key = to_hex(request.request_nonce);
+  const std::vector<MembershipRespondMsg>& responses =
+      decide.membership()->responses;
   if (agreed) {
     apply_membership_change(prop);
-  }
-
-  // A non-sponsor eviction proposer learns the outcome here.
-  if (relayed_eviction_result_.has_value() &&
-      prop.request.kind == MembershipKind::kEvict &&
-      prop.request.sender == self_ &&
-      to_hex(prop.request.request_nonce) == relayed_eviction_nonce_) {
-    RunHandle handle = *relayed_eviction_result_;
-    relayed_eviction_result_.reset();
-    close_subject_request(to_hex(prop.request.request_nonce));
-    std::vector<PartyId> vetoers;
-    for (const MembershipRespondMsg& r : msg.responses) {
-      if (!r.response.decision.accept) vetoers.push_back(r.response.responder);
+    if (request.kind == MembershipKind::kConnect) {
+      // Deliver the agreed state and the full member/key directory to the
+      // new member (§4.5.3).
+      ConnectWelcomeMsg welcome;
+      welcome.sponsor = self_;
+      welcome.object = object_;
+      welcome.new_group = prop.new_group;
+      welcome.members = prop.new_members;
+      for (const PartyId& member : prop.new_members) {
+        if (member == request.sender) {
+          welcome.member_public_keys.push_back(request.subject_public_key);
+        } else {
+          const crypto::RsaPublicKey* pub = callbacks_.key_of(member);
+          welcome.member_public_keys.push_back(pub != nullptr ? pub->encode()
+                                                              : Bytes{});
+        }
+      }
+      welcome.agreed = agreed_tuple_;
+      welcome.agreed_state = agreed_state_;
+      welcome.responses = responses;
+      welcome.authenticator = run.authenticators[0];
+      welcome.sponsor_signature = key_.sign(welcome.signed_bytes());
+      answer_subject(nonce_key, request.sender, MsgType::kConnectWelcome,
+                     welcome.encode());
+    } else if (request.kind == MembershipKind::kVoluntaryDisconnect) {
+      DisconnectConfirmMsg confirm;
+      confirm.sponsor = self_;
+      confirm.object = object_;
+      confirm.new_group = prop.new_group;
+      confirm.responses = responses;
+      confirm.authenticator = run.authenticators[0];
+      answer_subject(nonce_key, request.subjects[0],
+                     MsgType::kDisconnectConfirm, confirm.encode());
     }
-    complete(handle,
-             agreed ? RunResult::Outcome::kAgreed : RunResult::Outcome::kVetoed,
-             agreed ? "" : "eviction vetoed", std::move(vetoers),
+    complete(run.result, RunResult::Outcome::kAgreed, "", {},
+             prop.new_group.sequence, label);
+  } else {
+    if (request.kind == MembershipKind::kConnect) {
+      // §4.5.3: a vetoed subject receives exactly the same rejection shape
+      // as an immediately rejected one.
+      reject_connect(request);
+    } else if (request.kind == MembershipKind::kVoluntaryDisconnect) {
+      // The departure itself cannot be refused (§4.5.4); a veto here only
+      // means a recipient's view was transiently inconsistent or busy
+      // (e.g. a racing state run). Retry with backoff — an immediate
+      // retry would keep colliding with a steady stream of state runs —
+      // up to a bound.
+      int attempt = ++voluntary_retry_counts_[nonce_key];
+      if (attempt <= kMaxVoluntaryRetries) {
+        sponsor_nonces_.erase(nonce_key);
+        if (callbacks_.schedule) {
+          std::uint64_t backoff =
+              50'000ull * static_cast<std::uint64_t>(attempt);
+          callbacks_.schedule(
+              backoff, [this, request = request,
+                        signature = prop.request_signature]() mutable {
+                process_membership_request(std::move(request),
+                                           std::move(signature));
+              });
+        } else {
+          deferred_membership_.emplace_back(request, prop.request_signature);
+        }
+      }
+    }
+    complete(run.result, RunResult::Outcome::kVetoed, diagnostic, vetoers,
              prop.new_group.sequence, label);
   }
-  close_run(walrec::kMembershipResponderClosed, label);
-  hit_crash_point("m-decide-recv.installed");
-  drain_deferred_membership();
+  // A relayed eviction whose sponsorship rotated to the requester itself:
+  // we are both requester and sponsor, so no decide message ever comes
+  // back to settle the relayed handle (that normally happens on decide
+  // receipt) — settle it here.
+  settle_relayed_eviction(request, agreed, agreed ? "" : diagnostic, {},
+                          prop.new_group.sequence, label);
+}
+
+void Replica::responder_outcome(const MembershipProposeMsg& propose,
+                                ResponderRun& /*run*/, bool agreed,
+                                const std::vector<RunResponse>& responses) {
+  const MembershipProposal& prop = propose.proposal;
+  if (agreed) apply_membership_change(prop);
+  // A non-sponsor eviction proposer learns the outcome here.
+  std::vector<PartyId> vetoers;
+  for (const RunResponse& r : responses) {
+    if (!r.decision().accept) vetoers.push_back(r.responder());
+  }
+  settle_relayed_eviction(prop.request, agreed, agreed ? "" : "eviction vetoed",
+                          std::move(vetoers), prop.new_group.sequence,
+                          prop.new_group.label());
+}
+
+void Replica::settle_relayed_eviction(const MembershipRequest& request,
+                                      bool agreed, std::string diagnostic,
+                                      std::vector<PartyId> vetoers,
+                                      std::uint64_t sequence,
+                                      const std::string& label) {
+  if (!relayed_eviction_result_.has_value() ||
+      request.kind != MembershipKind::kEvict || request.sender != self_ ||
+      to_hex(request.request_nonce) != relayed_eviction_nonce_) {
+    return;
+  }
+  RunHandle handle = *relayed_eviction_result_;
+  relayed_eviction_result_.reset();
+  close_subject_request(to_hex(request.request_nonce));
+  complete(handle,
+           agreed ? RunResult::Outcome::kAgreed : RunResult::Outcome::kVetoed,
+           std::move(diagnostic), std::move(vetoers), sequence, label);
 }
 
 void Replica::apply_membership_change(const MembershipProposal& proposal) {
@@ -1336,36 +976,11 @@ void Replica::abort_runs_on_departure() {
     close_run(walrec::kResponderClosed, label);
   }
   responder_runs_.clear();
-  accept_lock_.reset();
-  for (const auto& [label, run] : membership_responder_runs_) {
-    wire::Encoder note;
-    note.str(label).str(self_.str());
-    record_evidence("run.abandoned", std::move(note).take());
-    close_run(walrec::kMembershipResponderClosed, label);
-  }
-  membership_responder_runs_.clear();
 }
 
 // ---------------------------------------------------------------------------
 // Membership journaling & recovery helpers
 // ---------------------------------------------------------------------------
-
-bool Replica::maybe_resend_membership_decide(const std::string& label,
-                                             const PartyId& to) {
-  if (!journaling()) return false;
-  // The transcript holds the decide whichever way it travelled: re-send
-  // only one we sent as sponsor (a recipient never bounces the decide it
-  // received).
-  std::vector<Bytes> decides =
-      callbacks_.run_evidence(label, evidence_kind::kMembershipDecide);
-  for (auto it = decides.rbegin(); it != decides.rend(); ++it) {
-    if (MembershipDecideMsg::decode(*it).sponsor != self_) continue;
-    record_anomaly("re-sent membership decide of closed run " + label, to);
-    send_envelope(to, MsgType::kMembershipDecide, std::move(*it));
-    return true;
-  }
-  return false;
-}
 
 bool Replica::maybe_reanswer_membership_request(const std::string& nonce_key,
                                                 const PartyId& subject) {
@@ -1378,13 +993,27 @@ bool Replica::maybe_reanswer_membership_request(const std::string& nonce_key,
   return true;
 }
 
-void Replica::remember_subject_answer(const std::string& nonce_key,
-                                      MsgType type, const Bytes& payload) {
-  if (!journaling()) return;
-  wire::Encoder enc;
-  enc.str(nonce_key).u8(static_cast<std::uint8_t>(type)).blob(payload);
-  journal_record(walrec::kSubjectAnswer, std::move(enc).take());
-  subject_answers_.insert_or_assign(nonce_key, std::make_pair(type, payload));
+void Replica::answer_subject(const std::string& nonce_key,
+                             const PartyId& subject, MsgType type,
+                             Bytes payload) {
+  if (journaling()) {
+    wire::Encoder enc;
+    enc.str(nonce_key).u8(static_cast<std::uint8_t>(type)).blob(payload);
+    journal_record(walrec::kSubjectAnswer, std::move(enc).take());
+    subject_answers_.insert_or_assign(nonce_key,
+                                      std::make_pair(type, payload));
+  }
+  send_envelope(subject, type, std::move(payload));
+}
+
+void Replica::reject_connect(const MembershipRequest& request) {
+  ConnectRejectMsg reject;
+  reject.sponsor = self_;
+  reject.object = object_;
+  reject.request_nonce = request.request_nonce;
+  reject.signature = key_.sign(reject.signed_bytes());
+  answer_subject(to_hex(request.request_nonce), request.sender,
+                 MsgType::kConnectReject, reject.encode());
 }
 
 void Replica::journal_subject_request(const MembershipRequest& request,
@@ -1413,39 +1042,6 @@ void Replica::close_subject_request(const std::string& nonce_key) {
   }
   // The subject's side of the membership run closed here.
   seal_evidence();
-}
-
-void Replica::arm_membership_probe(const std::string& label, bool as_sponsor,
-                                   int attempt) {
-  if (!journaling() || !callbacks_.schedule ||
-      run_probe_interval_micros_ == 0 || attempt > max_run_probes_) {
-    return;
-  }
-  callbacks_.schedule(
-      run_probe_interval_micros_, [this, label, as_sponsor, attempt] {
-        if (as_sponsor) {
-          if (!sponsor_run_.has_value() ||
-              sponsor_run_->propose.proposal.new_group.label() != label) {
-            return;  // run concluded; probe dies
-          }
-          // Re-drive recipients whose responses are still missing: either
-          // our propose or their response was acked-then-lost in a crash
-          // window, and retransmission alone cannot recover an acked frame.
-          Bytes encoded = sponsor_run_->propose.encode();
-          for (const PartyId& recipient : sponsor_run_->recipients) {
-            if (!sponsor_run_->responses.contains(recipient)) {
-              send_envelope(recipient, MsgType::kMembershipPropose, encoded);
-            }
-          }
-        } else {
-          auto it = membership_responder_runs_.find(label);
-          if (it == membership_responder_runs_.end()) return;
-          send_envelope(it->second.propose.proposal.sponsor,
-                        MsgType::kMembershipRespond,
-                        it->second.my_response.encode());
-        }
-        arm_membership_probe(label, as_sponsor, attempt + 1);
-      });
 }
 
 void Replica::arm_subject_probe(std::string nonce_key, int attempt) {
@@ -1508,8 +1104,8 @@ void Replica::resend_subject_request() {
     if (sponsor.has_value()) {
       if (*sponsor == self_) {
         // Sponsorship rotated to us while the request waited: act on our
-        // own request as sponsor (§4.5.4). finish_membership_run_as_sponsor
-        // settles the relayed handle.
+        // own request as sponsor (§4.5.4). The run's outcome settles the
+        // relayed handle.
         process_membership_request(rec.request, rec.signature);
         return;
       }
@@ -1521,116 +1117,6 @@ void Replica::resend_subject_request() {
                      : MsgType::kConnectRequest;
   send_envelope(target, type,
                 encode_request_with_signature(rec.request, rec.signature));
-}
-
-void Replica::restore_recovered_membership(
-    const RecoveredObjectState& recovered) {
-  for (const std::string& nonce : recovered.processed_nonces) {
-    sponsor_nonces_.insert(nonce);
-  }
-  subject_answers_ = recovered.subject_answers;
-  if (recovered.sponsor_run.has_value()) {
-    SponsorRun run;
-    run.propose = recovered.sponsor_run->propose;
-    run.authenticator = recovered.sponsor_run->authenticator;
-    run.recipients = recovered.sponsor_run->recipients;
-    run.result = std::make_shared<RunResult>();
-    for (const MembershipRespondMsg& resp : recovered.sponsor_responses) {
-      run.responses.emplace(resp.response.responder, resp);
-    }
-    sponsor_run_ = std::move(run);
-  }
-  recovered_membership_decide_ = recovered.sponsor_decide;
-  for (const auto& [label, record] : recovered.membership_responder_runs) {
-    MembershipResponderRun run;
-    run.propose = record.propose;
-    run.my_response = record.my_response;
-    run.members_at_response = record.members_at_response;
-    membership_responder_runs_.insert_or_assign(label, std::move(run));
-  }
-  pending_redo_membership_decides_ = recovered.membership_decides;
-  if (recovered.subject_request.has_value()) {
-    pending_subject_record_ = recovered.subject_request;
-    if (recovered.subject_request->relayed_eviction) {
-      relayed_eviction_nonce_ =
-          to_hex(recovered.subject_request->request.request_nonce);
-      relayed_eviction_result_ = std::make_shared<RunResult>();
-    } else {
-      subject_request_ = SubjectRequest{recovered.subject_request->request,
-                                        std::make_shared<RunResult>()};
-    }
-  }
-  recovered_termination_submissions_ = recovered.termination_submissions;
-  pending_redo_verdicts_ = recovered.verdicts;
-}
-
-void Replica::resume_recovered_membership(std::vector<RunHandle>& handles) {
-  // Delivered-but-possibly-unapplied membership decides: conclude again.
-  // apply_membership_change is idempotent against the snapshot having
-  // already captured the new group.
-  auto redo_decides = std::move(pending_redo_membership_decides_);
-  pending_redo_membership_decides_.clear();
-  for (auto& [label, decide] : redo_decides) {
-    auto it = membership_responder_runs_.find(label);
-    if (it == membership_responder_runs_.end()) continue;
-    MembershipResponderRun run = std::move(it->second);
-    membership_responder_runs_.erase(it);
-    conclude_membership_responder_run(label, std::move(run), decide);
-  }
-
-  // Sponsor side: re-drive the in-flight run.
-  if (sponsor_run_.has_value()) {
-    handles.push_back(sponsor_run_->result);
-    const std::string label = sponsor_run_->propose.proposal.new_group.label();
-    if (recovered_membership_decide_.has_value()) {
-      // The decide was journaled: the outcome is fixed. Rebuild the
-      // response set from the decide itself and redo the decide phase
-      // (re-send, re-apply, re-answer the subject, close the run).
-      MembershipDecideMsg decide = std::move(*recovered_membership_decide_);
-      recovered_membership_decide_.reset();
-      sponsor_run_->responses.clear();
-      for (const MembershipRespondMsg& resp : decide.responses) {
-        sponsor_run_->responses.emplace(resp.response.responder, resp);
-      }
-      finish_membership_run_as_sponsor();
-    } else if (sponsor_run_->responses.size() ==
-               sponsor_run_->recipients.size()) {
-      finish_membership_run_as_sponsor();
-    } else {
-      Bytes encoded = sponsor_run_->propose.encode();
-      for (const PartyId& recipient : sponsor_run_->recipients) {
-        if (!sponsor_run_->responses.contains(recipient)) {
-          send_envelope(recipient, MsgType::kMembershipPropose, encoded);
-        }
-      }
-      arm_membership_probe(label, /*as_sponsor=*/true, 1);
-    }
-  } else {
-    recovered_membership_decide_.reset();
-  }
-
-  // Responder side: re-send our journaled response so the sponsor's run
-  // can conclude, and probe until the decide arrives.
-  for (const auto& [label, run] : membership_responder_runs_) {
-    send_envelope(run.propose.proposal.sponsor, MsgType::kMembershipRespond,
-                  run.my_response.encode());
-    arm_membership_probe(label, /*as_sponsor=*/false, 1);
-  }
-
-  // Subject side: re-probe the sponsor under the ORIGINAL nonce; the
-  // answer (welcome/reject/confirm or the relayed decide) concludes it.
-  if (pending_subject_record_.has_value()) {
-    if (pending_subject_record_->relayed_eviction) {
-      if (relayed_eviction_result_.has_value()) {
-        handles.push_back(*relayed_eviction_result_);
-      }
-    } else if (subject_request_.has_value()) {
-      handles.push_back(subject_request_->result);
-    }
-    resend_subject_request();
-    arm_subject_probe(to_hex(pending_subject_record_->request.request_nonce),
-                      1);
-  }
 }
 
 }  // namespace b2b::core

@@ -1,7 +1,10 @@
 #include "b2b/messages.hpp"
 
+#include <algorithm>
+
 #include "b2b/evidence.hpp"
 #include "common/error.hpp"
+#include "crypto/rsa.hpp"
 
 namespace b2b::core {
 
@@ -148,6 +151,8 @@ Bytes Response::signed_bytes() const {
   return std::move(enc).take();
 }
 
+const RunFormat& RespondMsg::format() const { return RunFormat::of(1); }
+
 void RespondMsg::encode_into(wire::Encoder& enc) const {
   response.encode_into(enc);
   enc.blob(signature);
@@ -261,22 +266,47 @@ const RunFormat& RunFormat::of(std::size_t items) {
   static const RunFormat kSingle{
       false,
       MsgType::kPropose,
+      MsgType::kRespond,
       MsgType::kDecide,
       evidence_kind::kProposeSent,
       evidence_kind::kProposeReceived,
+      evidence_kind::kRespondSent,
+      evidence_kind::kRespondReceived,
       evidence_kind::kDecideSent,
       evidence_kind::kDecideReceived,
   };
   static const RunFormat kBatch{
       true,
       MsgType::kBatchPropose,
+      MsgType::kRespond,
       MsgType::kBatchDecide,
       evidence_kind::kBatchProposeSent,
       evidence_kind::kBatchProposeReceived,
+      evidence_kind::kRespondSent,
+      evidence_kind::kRespondReceived,
       evidence_kind::kBatchDecideSent,
       evidence_kind::kBatchDecideReceived,
   };
   return items > 1 ? kBatch : kSingle;
+}
+
+const RunFormat& RunFormat::membership() {
+  static const RunFormat kMembership{
+      false,
+      MsgType::kMembershipPropose,
+      MsgType::kMembershipRespond,
+      MsgType::kMembershipDecide,
+      evidence_kind::kMembershipPropose,
+      evidence_kind::kMembershipPropose,
+      evidence_kind::kMembershipRespond,
+      evidence_kind::kMembershipRespond,
+      evidence_kind::kMembershipDecide,
+      evidence_kind::kMembershipDecide,
+      /*unanimous=*/true,
+      /*locks_on_reject=*/true,
+      "membership ",
+  };
+  return kMembership;
 }
 
 crypto::Digest BatchProposeMsg::payload_digest() const {
@@ -675,6 +705,155 @@ DisconnectConfirmMsg DisconnectConfirmMsg::decode(BytesView data) {
   msg.authenticator = dec.blob();
   dec.expect_done();
   return msg;
+}
+
+// --------------------------------------------------------------------------
+// The messages of a run of either kind
+// --------------------------------------------------------------------------
+
+const PartyId& RunPropose::proposer() const {
+  return with([](auto& m) -> const PartyId& { return m.proposer(); });
+}
+
+const ObjectId& RunPropose::object() const {
+  return with([](auto& m) -> const ObjectId& { return m.proposal.object; });
+}
+
+std::uint64_t RunPropose::sequence() const {
+  return with([](auto& m) { return m.tuple().sequence; });
+}
+
+std::vector<std::string> RunPropose::labels() const {
+  if (membership() != nullptr) return {label()};
+  std::vector<std::string> out;
+  for (const BatchItem& item : state()->items) {
+    out.push_back(item.proposed.label());
+  }
+  return out;
+}
+
+std::vector<crypto::Digest> RunPropose::rand_hashes() const {
+  if (membership() != nullptr) return {membership()->tuple().rand_hash};
+  std::vector<crypto::Digest> out;
+  for (const BatchItem& item : state()->items) {
+    out.push_back(item.proposed.rand_hash);
+  }
+  return out;
+}
+
+bool RunPropose::asks(const PartyId& member) const {
+  if (member == proposer()) return false;
+  if (membership() == nullptr) return true;
+  const MembershipRequest& request = membership()->proposal.request;
+  return request.kind == MembershipKind::kConnect ||
+         std::find(request.subjects.begin(), request.subjects.end(),
+                   member) == request.subjects.end();
+}
+
+bool RunPropose::signed_by(const crypto::RsaPublicKey* key) const {
+  return key != nullptr && with([&](auto& m) {
+           return key->verify(m.signed_bytes(), m.signature);
+         });
+}
+
+RunPropose RunPropose::decode(MsgType type, BytesView data) {
+  if (type == MsgType::kMembershipPropose) {
+    return {MembershipProposeMsg::decode(data)};
+  }
+  BatchProposeMsg msg = BatchProposeMsg::decode(type, data);
+  if (msg.items.back().proposed != msg.proposal.proposed) {
+    throw CodecError("proposal items inconsistent with head tuple");
+  }
+  return {std::move(msg)};
+}
+
+const PartyId& RunResponse::responder() const {
+  return with([](auto& m) -> const PartyId& { return m.response.responder; });
+}
+
+const Decision& RunResponse::decision() const {
+  return with([](auto& m) -> const Decision& { return m.response.decision; });
+}
+
+bool RunResponse::answers(const RunPropose& propose) const {
+  if (const RespondMsg* s = state()) {
+    return propose.state() != nullptr && s->tuple() == propose.state()->tuple();
+  }
+  return propose.membership() != nullptr &&
+         membership()->tuple() == propose.membership()->tuple();
+}
+
+bool RunResponse::consistent_accept(const RunPropose& propose) const {
+  if (!decision().accept || !answers(propose)) return false;
+  if (const RespondMsg* s = state()) {
+    const Response& r = s->response;
+    const Proposal& prop = propose.state()->proposal;
+    return r.agreed_view == prop.agreed && r.current_view == prop.agreed &&
+           r.group_view == prop.group &&
+           r.payload_integrity == prop.payload_hash;
+  }
+  const MembershipResponse& r = membership()->response;
+  const MembershipProposal& prop = propose.membership()->proposal;
+  return r.group_view == prop.current_group && r.agreed_view == prop.agreed;
+}
+
+bool RunResponse::signed_by(const crypto::RsaPublicKey* key) const {
+  return key != nullptr && with([&](auto& m) {
+           return key->verify(m.response.signed_bytes(), m.signature);
+         });
+}
+
+RunResponse RunResponse::decode(MsgType type, BytesView data) {
+  if (type == MsgType::kMembershipRespond) {
+    return {MembershipRespondMsg::decode(data)};
+  }
+  if (type != MsgType::kRespond) throw CodecError("not a respond");
+  return {RespondMsg::decode(data)};
+}
+
+RunDecide RunDecide::of(const RunPropose& propose, const PartyId& proposer,
+                        const std::vector<RunResponse>& responses,
+                        const std::vector<Bytes>& authenticators) {
+  if (const BatchProposeMsg* s = propose.state()) {
+    BatchDecideMsg decide{proposer, s->proposal.object, s->tuple(), {},
+                          authenticators};
+    for (const RunResponse& r : responses) {
+      decide.responses.push_back(*r.state());
+    }
+    return {std::move(decide)};
+  }
+  const MembershipProposeMsg& m = *propose.membership();
+  MembershipDecideMsg decide{proposer, m.proposal.object, m.tuple(), {},
+                             authenticators.front()};
+  for (const RunResponse& r : responses) {
+    decide.responses.push_back(*r.membership());
+  }
+  return {std::move(decide)};
+}
+
+const PartyId& RunDecide::proposer() const {
+  if (const BatchDecideMsg* s = state()) return s->proposer;
+  return membership()->sponsor;
+}
+
+std::vector<Bytes> RunDecide::authenticators() const {
+  if (const BatchDecideMsg* s = state()) return s->authenticators;
+  return {membership()->authenticator};
+}
+
+std::vector<RunResponse> RunDecide::responses() const {
+  return with([](auto& m) {
+    std::vector<RunResponse> out;
+    for (const auto& resp : m.responses) out.push_back({resp});
+    return out;
+  });
+}
+
+RunDecide RunDecide::decode(MsgType type, BytesView data) {
+  if (type == MsgType::kMembershipDecide) {
+    return {MembershipDecideMsg::decode(data)};
+  }
+  return {BatchDecideMsg::decode(type, data)};
 }
 
 }  // namespace b2b::core

@@ -14,13 +14,21 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
+#include <variant>
 #include <vector>
 
 #include "b2b/tuples.hpp"
 #include "common/bytes.hpp"
 #include "common/ids.hpp"
 
+namespace b2b::crypto {
+class RsaPublicKey;
+}  // namespace b2b::crypto
+
 namespace b2b::core {
+
+struct RunFormat;
 
 /// Discriminates the payload of a wire envelope.
 enum class MsgType : std::uint8_t {
@@ -127,6 +135,10 @@ struct RespondMsg {
   Response response;
   Bytes signature;
 
+  /// A state response answers runs of any K: both state rows share the
+  /// respond fields.
+  const RunFormat& format() const;
+  const StateTuple& tuple() const { return response.proposed; }
   Bytes encode() const;
   static RespondMsg decode(BytesView data);
   void encode_into(wire::Encoder& enc) const;
@@ -191,24 +203,38 @@ crypto::Digest batch_chain_head(const ObjectId& object,
 /// single-run proposal or vice versa.
 Bytes batch_proposal_signed_bytes(const Proposal& proposal);
 
-/// How a K-item state run goes on the wire — chosen by K alone, here and
-/// nowhere else. K = 1 is exactly the paper's §4.3 run: kPropose carries a
-/// ProposeMsg (payload_hash = H(payload), signed over
-/// Proposal::signed_bytes()) and kDecide closes it. K >= 2 is the
-/// pipelined batch: kBatchPropose carries every item (payload_hash = the
-/// chain head, signed under the batch tag) and kBatchDecide closes it by
-/// revealing every authenticator. A run closes only with the decide of
-/// its own format (§4.4).
+/// How a run goes on the wire: one row per kind of run, here and nowhere
+/// else. A state run's row is chosen by K alone. K = 1 is exactly the
+/// paper's §4.3 run: kPropose carries a ProposeMsg (payload_hash =
+/// H(payload), signed over Proposal::signed_bytes()) and kDecide closes
+/// it. K >= 2 is the pipelined batch: kBatchPropose carries every item
+/// (payload_hash = the chain head, signed under the batch tag) and
+/// kBatchDecide closes it by revealing every authenticator. A membership
+/// run (§4.5) is the same exchange over a group tuple and member list:
+/// kMembershipPropose, kMembershipRespond, kMembershipDecide, under the
+/// membership.* evidence kinds, which carry no direction. A run closes
+/// only with the decide of its own format (§4.4).
 struct RunFormat {
   bool batched = false;
   MsgType propose{};
+  MsgType respond{};
   MsgType decide{};
   const char* propose_sent = "";  // evidence kinds
   const char* propose_received = "";
+  const char* respond_sent = "";
+  const char* respond_received = "";
   const char* decide_sent = "";
   const char* decide_received = "";
+  /// Membership runs stay unanimous whatever the DecisionRule.
+  bool unanimous = false;
+  /// An open responder run holds the replica busy even after a reject
+  /// (a state responder run only once it accepted).
+  bool locks_on_reject = false;
+  /// The kind's word in violation and anomaly texts.
+  const char* kind = "";
 
   static const RunFormat& of(std::size_t items);
+  static const RunFormat& membership();
 };
 
 /// Protocol message 1 of a K-item run: ONE signed proposal for the whole
@@ -222,6 +248,8 @@ struct BatchProposeMsg {
   Bytes signature;
 
   const RunFormat& format() const { return RunFormat::of(items.size()); }
+  const PartyId& proposer() const { return proposal.proposer; }
+  const StateTuple& tuple() const { return proposal.proposed; }
   /// What proposal.payload_hash must commit to: H(payload) for one item,
   /// the chain head (over proposal.object/agreed) for a batch.
   crypto::Digest payload_digest() const;
@@ -258,6 +286,7 @@ struct BatchDecideMsg {
   const RunFormat& format() const {
     return RunFormat::of(authenticators.size());
   }
+  const StateTuple& tuple() const { return proposed; }
   /// The wire body in format(); throws like BatchProposeMsg::decode.
   Bytes encode() const;
   static BatchDecideMsg decode(MsgType type, BytesView data);
@@ -322,6 +351,10 @@ struct MembershipProposeMsg {
   MembershipProposal proposal;
   Bytes signature;  // sponsor's
 
+  const RunFormat& format() const { return RunFormat::membership(); }
+  const PartyId& proposer() const { return proposal.sponsor; }
+  const GroupTuple& tuple() const { return proposal.new_group; }
+  Bytes signed_bytes() const { return proposal.signed_bytes(); }
   Bytes encode() const;
   static MembershipProposeMsg decode(BytesView data);
 
@@ -351,6 +384,8 @@ struct MembershipRespondMsg {
   MembershipResponse response;
   Bytes signature;
 
+  const RunFormat& format() const { return RunFormat::membership(); }
+  const GroupTuple& tuple() const { return response.new_group; }
   Bytes encode() const;
   static MembershipRespondMsg decode(BytesView data);
   void encode_into(wire::Encoder& enc) const;
@@ -368,6 +403,8 @@ struct MembershipDecideMsg {
   std::vector<MembershipRespondMsg> responses;
   Bytes authenticator;  // preimage of new_group.rand_hash
 
+  const RunFormat& format() const { return RunFormat::membership(); }
+  const GroupTuple& tuple() const { return new_group; }
   Bytes encode() const;
   static MembershipDecideMsg decode(BytesView data);
 
@@ -421,6 +458,103 @@ struct DisconnectConfirmMsg {
 
   Bytes encode() const;
   static DisconnectConfirmMsg decode(BytesView data);
+};
+
+// ---------------------------------------------------------------------------
+// The messages of a run of either kind (DESIGN.md §4.5, §13(a))
+// ---------------------------------------------------------------------------
+//
+// One run engine carries state runs and membership runs. It reads their
+// messages only through these wrappers; the per-kind steps take the typed
+// message (state() / membership()).
+
+/// What the three messages of a run share, whatever its kind: the typed
+/// message, the codec (Run::decode picks it by wire type; a journal
+/// record holds u8(wire type) blob(body)) and the run tuple's label.
+template <class Run, class State, class Membership,
+          MsgType RunFormat::*kType>
+struct RunMessage {
+  std::variant<State, Membership> msg;
+
+  const State* state() const { return std::get_if<State>(&msg); }
+  const Membership* membership() const {
+    return std::get_if<Membership>(&msg);
+  }
+  /// Applies `f` to the typed message.
+  template <class F>
+  decltype(auto) with(F&& f) const {
+    return std::visit(std::forward<F>(f), msg);
+  }
+  /// The row of the run's format.
+  const RunFormat& format() const {
+    return with([](const auto& m) -> const RunFormat& { return m.format(); });
+  }
+  /// The label of the run tuple (a state run's final item's).
+  std::string label() const {
+    return with([](const auto& m) { return m.tuple().label(); });
+  }
+  /// The wire body in format().
+  Bytes encode() const {
+    return with([](const auto& m) { return m.encode(); });
+  }
+  void encode_into(wire::Encoder& enc) const {
+    enc.u8(static_cast<std::uint8_t>(format().*kType)).blob(encode());
+  }
+  static Run decode_from(wire::Decoder& dec) {
+    auto type = static_cast<MsgType>(dec.u8());
+    return Run::decode(type, dec.blob());
+  }
+
+  friend bool operator==(const RunMessage&, const RunMessage&) = default;
+};
+
+/// Message 1 of a run: a state run's K-item propose or a membership
+/// propose.
+struct RunPropose : RunMessage<RunPropose, BatchProposeMsg,
+                               MembershipProposeMsg, &RunFormat::propose> {
+  const PartyId& proposer() const;  // the sponsor of a membership run
+  const ObjectId& object() const;
+  std::uint64_t sequence() const;
+  /// Every label the run takes out of replay: one per item.
+  std::vector<std::string> labels() const;
+  /// H(r_i) for each authenticator the decide must reveal, in order.
+  std::vector<crypto::Digest> rand_hashes() const;
+  /// Whether the proposer asks `member` to respond: every member but the
+  /// proposer, and but the members a removal takes out.
+  bool asks(const PartyId& member) const;
+  bool signed_by(const crypto::RsaPublicKey* key) const;
+  /// Throws CodecError, also for a batch whose items contradict the head
+  /// tuple the proposer signed.
+  static RunPropose decode(MsgType type, BytesView data);
+};
+
+/// Message 2: a recipient's signed response of either kind.
+struct RunResponse : RunMessage<RunResponse, RespondMsg, MembershipRespondMsg,
+                                &RunFormat::respond> {
+  const PartyId& responder() const;
+  const Decision& decision() const;
+  /// It echoes `propose`'s run tuple.
+  bool answers(const RunPropose& propose) const;
+  /// An accept whose view fields agree with the proposal: only these count
+  /// towards agreement (an accept contradicting the proposal is internally
+  /// inconsistent content, §4.4).
+  bool consistent_accept(const RunPropose& propose) const;
+  bool signed_by(const crypto::RsaPublicKey* key) const;
+  static RunResponse decode(MsgType type, BytesView data);
+};
+
+/// Message 3: the decide of either kind, aggregating the responses and
+/// revealing the authenticators.
+struct RunDecide : RunMessage<RunDecide, BatchDecideMsg, MembershipDecideMsg,
+                              &RunFormat::decide> {
+  /// The decide `proposer` sends for `propose`'s run.
+  static RunDecide of(const RunPropose& propose, const PartyId& proposer,
+                      const std::vector<RunResponse>& responses,
+                      const std::vector<Bytes>& authenticators);
+  const PartyId& proposer() const;
+  std::vector<Bytes> authenticators() const;
+  std::vector<RunResponse> responses() const;
+  static RunDecide decode(MsgType type, BytesView data);
 };
 
 }  // namespace b2b::core

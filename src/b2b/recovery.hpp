@@ -22,31 +22,23 @@
 // once per install at a size that does not grow with history: replay
 // protection is rebuilt from the run records below, not from snapshots.
 //
-// A state run carries K >= 1 hash-chained items (a single run is a batch
-// of one, DESIGN.md §13), so one record family covers both wire formats;
-// proposes and decides are journaled as u8(MsgType) blob(wire body), the
-// format K chose on the wire. A run is identified by its final item's
-// label; the run records below put every item's label into replay
-// protection:
+// One record family covers every run: a state run of K >= 1 hash-chained
+// items (a single run is a batch of one, DESIGN.md §13) and a membership
+// run (§4.5 connect/disconnect/evict, whose sponsor is its proposer).
+// Proposes, responses and decides are journaled as u8(MsgType)
+// blob(wire body), so the type picks the codec. A run is identified by
+// its run tuple's label (a state run's final item's; a membership run's
+// new group tuple's, "g"-prefixed); the run records below put every
+// item's label into replay protection:
 //   kProposerRun       str(object) blob(Replica::ProposerRunRecord::encode)
-//   kResponseReceived  str(object) blob(RespondMsg::encode)
-//   kDecideSent        str(object) u8(MsgType) blob(BatchDecideMsg::encode)
+//   kResponseReceived  str(object) u8(MsgType) blob(response)
+//   kDecideSent        str(object) u8(MsgType) blob(decide)
 //   kProposerClosed    str(object) str(run label)
 //   kResponderRun      str(object) blob(Replica::ResponderRunRecord::encode)
-//   kDecideDelivered   str(object) u8(MsgType) blob(BatchDecideMsg::encode)
+//   kDecideDelivered   str(object) u8(MsgType) blob(decide)
 //   kResponderClosed   str(object) str(run label)
 //
-// Membership runs (§4.5 connect/disconnect/evict) mirror the state-run
-// taxonomy; a membership run is identified by its proposal's
-// new_group.label():
-//   kSponsorRun            str(object) blob(SponsorRunRecord::encode)
-//   kMembershipResponse    str(object) blob(MembershipRespondMsg::encode)
-//   kMembershipDecideSent  str(object) blob(MembershipDecideMsg::encode)
-//   kSponsorClosed         str(object) str(run label)
-//   kMembershipResponderRun str(object)
-//                          blob(MembershipResponderRunRecord::encode)
-//   kMembershipDecideDelivered str(object) blob(MembershipDecideMsg::encode)
-//   kMembershipResponderClosed str(object) str(run label)
+// The membership request around a run has its own records:
 //   kSubjectRequest        str(object) blob(SubjectRequestRecord::encode)
 //   kSubjectClosed         str(object) str(request nonce)
 //   kSubjectAnswer         str(object) str(request nonce) u8(MsgType)
@@ -107,13 +99,10 @@ inline constexpr std::uint8_t kProposerClosed = 9;
 inline constexpr std::uint8_t kResponderRun = 10;
 inline constexpr std::uint8_t kDecideDelivered = 11;
 inline constexpr std::uint8_t kResponderClosed = 12;
-inline constexpr std::uint8_t kSponsorRun = 13;
-inline constexpr std::uint8_t kMembershipResponse = 14;
-inline constexpr std::uint8_t kMembershipDecideSent = 15;
-inline constexpr std::uint8_t kSponsorClosed = 16;
-inline constexpr std::uint8_t kMembershipResponderRun = 17;
-inline constexpr std::uint8_t kMembershipDecideDelivered = 18;
-inline constexpr std::uint8_t kMembershipResponderClosed = 19;
+// 13–19 were a second record family for membership runs, retired when a
+// membership run became a run of the one engine under types 6–12. Never
+// reuse these numbers: replay skips them as unknown, and a journal
+// written before cannot be replayed.
 inline constexpr std::uint8_t kSubjectRequest = 20;
 inline constexpr std::uint8_t kSubjectClosed = 21;
 inline constexpr std::uint8_t kTerminationSubmitted = 22;

@@ -9,19 +9,6 @@
 
 namespace b2b::core {
 
-namespace {
-
-/// An accept whose view fields agree with the proposal: only these count
-/// towards agreement (an accept contradicting the proposal is internally
-/// inconsistent content, §4.4).
-bool consistent_accept(const Response& r, const Proposal& prop) {
-  return r.decision.accept && r.agreed_view == prop.agreed &&
-         r.current_view == prop.agreed && r.group_view == prop.group &&
-         r.payload_integrity == prop.payload_hash;
-}
-
-}  // namespace
-
 Replica::Replica(PartyId self, ObjectId object, B2BObject& impl,
                  const crypto::RsaPrivateKey& key, net::Rng& rng,
                  Callbacks callbacks)
@@ -110,12 +97,18 @@ bool Replica::received_before(const std::string& label,
 bool Replica::maybe_resend_decide(const std::string& label,
                                   const PartyId& to) {
   if (!journaling()) return false;
-  for (const RunFormat* format : {&RunFormat::of(1), &RunFormat::of(2)}) {
-    std::vector<Bytes> sent = callbacks_.run_evidence(label, format->decide_sent);
-    if (sent.empty()) continue;
-    record_anomaly("re-sent decide of closed run " + label, to);
-    send_envelope(to, format->decide, std::move(sent.back()));
-    return true;
+  for (const RunFormat* format :
+       {&RunFormat::of(1), &RunFormat::of(2), &RunFormat::membership()}) {
+    std::vector<Bytes> sent =
+        callbacks_.run_evidence(label, format->decide_sent);
+    for (auto it = sent.rbegin(); it != sent.rend(); ++it) {
+      if (RunDecide::decode(format->decide, *it).proposer() != self_) continue;
+      record_anomaly(std::string("re-sent ") + format->kind +
+                         "decide of closed run " + label,
+                     to);
+      send_envelope(to, format->decide, std::move(*it));
+      return true;
+    }
   }
   return false;
 }
@@ -139,8 +132,9 @@ void Replica::arm_run_probe(const std::string& label, bool as_proposer,
         } else {
           auto it = responder_runs_.find(label);
           if (it == responder_runs_.end()) return;
-          send_envelope(it->second.propose.proposal.proposer,
-                        MsgType::kRespond, it->second.my_response.encode());
+          const RunPropose& propose = it->second.propose;
+          send_envelope(propose.proposer(), propose.format().respond,
+                        it->second.my_response.encode());
         }
         arm_run_probe(label, as_proposer, attempt + 1);
       });
@@ -152,9 +146,9 @@ void Replica::arm_run_probe(const std::string& label, bool as_proposer,
 
 std::uint64_t Replica::next_sequence() { return last_seen_seq_ + 1; }
 
-bool Replica::group_accepts(std::size_t accepts,
-                            std::size_t recipients) const {
-  if (decision_rule_ == DecisionRule::kUnanimous) {
+bool Replica::group_accepts(std::size_t accepts, std::size_t recipients,
+                            const RunFormat& format) const {
+  if (decision_rule_ == DecisionRule::kUnanimous || format.unanimous) {
     return accepts == recipients;
   }
   // Majority of the FULL group: recipients + the proposer, whose own
@@ -228,6 +222,29 @@ void Replica::install_agreed_state(const StateTuple& tuple, Bytes state,
   journal_snapshot();
 }
 
+void Replica::abort_proposer_run(const std::string& diagnostic,
+                                 const Bytes& note) {
+  ProposerRun run = std::move(*proposer_run_);
+  proposer_run_.reset();
+  const std::string label = run.label();
+  // Roll the object back to the agreed state; a run that proposed no
+  // state is abandoned instead.
+  impl_.apply_state(agreed_state_);
+  record_evidence(run.states.empty() ? "run.abandoned"
+                                     : evidence_kind::kStateRolledBack,
+                  note);
+  complete(run.result, RunResult::Outcome::kAborted, diagnostic, {},
+           run.propose.sequence(), label);
+  close_run(walrec::kProposerClosed, label);
+  drain_deferred_membership();
+}
+
+const Bytes& Replica::held_state() const {
+  return proposer_run_.has_value() && !proposer_run_->states.empty()
+             ? proposer_run_->states.back()
+             : agreed_state_;
+}
+
 void Replica::complete(const RunHandle& handle, RunResult::Outcome outcome,
                        std::string diagnostic, std::vector<PartyId> vetoers,
                        std::uint64_t sequence, const std::string& label) {
@@ -268,12 +285,6 @@ std::vector<std::string> Replica::active_run_labels() const {
     out.push_back(proposer_run_->label());
   }
   for (const auto& [label, run] : responder_runs_) out.push_back(label);
-  if (sponsor_run_.has_value()) {
-    out.push_back(sponsor_run_->propose.proposal.new_group.label());
-  }
-  for (const auto& [label, run] : membership_responder_runs_) {
-    out.push_back(label);
-  }
   return out;
 }
 
@@ -282,45 +293,24 @@ bool Replica::busy() const {
   // sponsor) deliberately does NOT make us busy: it locks no local state,
   // and counting it would deadlock two concurrent departures whose
   // removal runs each need the other subject's response.
-  return proposer_run_.has_value() || sponsor_run_.has_value() ||
-         accept_lock_.has_value() || !membership_responder_runs_.empty();
+  return proposer_run_.has_value() ||
+         std::any_of(responder_runs_.begin(), responder_runs_.end(),
+                     [](const auto& entry) { return entry.second.locks(); });
 }
 
 bool Replica::resolve_blocked_run(const std::string& run_label) {
   wire::Encoder note;
   note.str(run_label).str(self_.str());
   if (proposer_run_.has_value() && proposer_run_->label() == run_label) {
-    // Abandoning our own proposal: roll the object back to agreed state.
-    impl_.apply_state(agreed_state_);
-    record_evidence(evidence_kind::kStateRolledBack, std::move(note).take());
-    complete(proposer_run_->result, RunResult::Outcome::kAborted,
-             "abandoned by extra-protocol resolution", {},
-             proposer_run_->propose.proposal.proposed.sequence, run_label);
-    proposer_run_.reset();
-    close_run(walrec::kProposerClosed, run_label);
+    abort_proposer_run("abandoned by extra-protocol resolution",
+                       std::move(note).take());
     return true;
   }
   if (auto it = responder_runs_.find(run_label); it != responder_runs_.end()) {
     record_evidence("run.abandoned", std::move(note).take());
-    if (accept_lock_ == run_label) accept_lock_.reset();
     responder_runs_.erase(it);
     close_run(walrec::kResponderClosed, run_label);
     drain_deferred_membership();
-    return true;
-  }
-  if (auto it = membership_responder_runs_.find(run_label);
-      it != membership_responder_runs_.end()) {
-    record_evidence("run.abandoned", std::move(note).take());
-    membership_responder_runs_.erase(it);
-    return true;
-  }
-  if (sponsor_run_.has_value() &&
-      sponsor_run_->propose.proposal.new_group.label() == run_label) {
-    record_evidence("run.abandoned", std::move(note).take());
-    complete(sponsor_run_->result, RunResult::Outcome::kAborted,
-             "abandoned by extra-protocol resolution", {},
-             sponsor_run_->propose.proposal.new_group.sequence, run_label);
-    sponsor_run_.reset();
     return true;
   }
   return false;
@@ -383,13 +373,14 @@ Bytes Replica::ProposerRunRecord::encode() const {
 Replica::ProposerRunRecord Replica::ProposerRunRecord::decode(BytesView data) {
   wire::Decoder dec{data};
   ProposerRunRecord record;
-  record.propose = BatchProposeMsg::decode_from(dec);
+  record.propose = RunPropose::decode_from(dec);
   record.authenticators = decode_blob_list(dec);
   record.states = decode_blob_list(dec);
   record.recipients = decode_party_list(dec);
   dec.expect_done();
-  if (record.authenticators.size() != record.propose.items.size() ||
-      record.states.size() != record.propose.items.size()) {
+  const BatchProposeMsg* state = record.propose.state();
+  if (record.authenticators.size() != record.propose.rand_hashes().size() ||
+      record.states.size() != (state != nullptr ? state->items.size() : 0)) {
     throw CodecError("proposer run record: item count mismatch");
   }
   return record;
@@ -399,7 +390,7 @@ Bytes Replica::ResponderRunRecord::encode() const {
   wire::Encoder enc;
   propose.encode_into(enc);
   encode_blob_list(enc, pending_states);
-  enc.blob(my_response.encode());
+  my_response.encode_into(enc);
   encode_party_list(enc, members_at_response);
   return std::move(enc).take();
 }
@@ -408,44 +399,9 @@ Replica::ResponderRunRecord Replica::ResponderRunRecord::decode(
     BytesView data) {
   wire::Decoder dec{data};
   ResponderRunRecord record;
-  record.propose = BatchProposeMsg::decode_from(dec);
+  record.propose = RunPropose::decode_from(dec);
   record.pending_states = decode_blob_list(dec);
-  record.my_response = RespondMsg::decode(dec.blob());
-  record.members_at_response = decode_party_list(dec);
-  dec.expect_done();
-  return record;
-}
-
-Bytes Replica::SponsorRunRecord::encode() const {
-  wire::Encoder enc;
-  enc.blob(propose.encode()).blob(authenticator);
-  encode_party_list(enc, recipients);
-  return std::move(enc).take();
-}
-
-Replica::SponsorRunRecord Replica::SponsorRunRecord::decode(BytesView data) {
-  wire::Decoder dec{data};
-  SponsorRunRecord record;
-  record.propose = MembershipProposeMsg::decode(dec.blob());
-  record.authenticator = dec.blob();
-  record.recipients = decode_party_list(dec);
-  dec.expect_done();
-  return record;
-}
-
-Bytes Replica::MembershipResponderRunRecord::encode() const {
-  wire::Encoder enc;
-  enc.blob(propose.encode()).blob(my_response.encode());
-  encode_party_list(enc, members_at_response);
-  return std::move(enc).take();
-}
-
-Replica::MembershipResponderRunRecord
-Replica::MembershipResponderRunRecord::decode(BytesView data) {
-  wire::Decoder dec{data};
-  MembershipResponderRunRecord record;
-  record.propose = MembershipProposeMsg::decode(dec.blob());
-  record.my_response = MembershipRespondMsg::decode(dec.blob());
+  record.my_response = RunResponse::decode_from(dec);
   record.members_at_response = decode_party_list(dec);
   dec.expect_done();
   return record;
@@ -491,18 +447,16 @@ void Replica::restore_recovered(const RecoveredObjectState& recovered) {
     ProposerRun run;
     static_cast<ProposerRunRecord&>(run) = *recovered.proposer_run;
     run.result = std::make_shared<RunResult>();
-    for (const RespondMsg& resp : recovered.proposer_responses) {
-      run.responses.emplace(resp.response.responder, resp);
-    }
+    run.responses = recovered.proposer_responses;
+    proposer_run_ = std::move(run);
     // Invariant 2: while our proposal is open the local object holds the
     // proposed (final) state, not the agreed one.
-    if (connected_) impl_.apply_state(run.states.back());
-    auto staged = recovered.staged_runs.find(run.label());
+    if (connected_) impl_.apply_state(held_state());
+    auto staged = recovered.staged_runs.find(proposer_run_->label());
     if (staged != recovered.staged_runs.end()) {
-      run.deal_staged = true;
-      run.deal_id = staged->second;
+      proposer_run_->deal_staged = true;
+      proposer_run_->deal_id = staged->second;
     }
-    proposer_run_ = std::move(run);
     recovered_decide_ = recovered.proposer_decide;
   }
 
@@ -515,12 +469,27 @@ void Replica::restore_recovered(const RecoveredObjectState& recovered) {
     }
   }
 
-  for (const auto& [label, record] : recovered.responder_runs) {
-    if (record.my_response.response.decision.accept) accept_lock_ = label;
-    responder_runs_.emplace(label, record);
-  }
+  responder_runs_.insert(recovered.responder_runs.begin(),
+                         recovered.responder_runs.end());
   pending_redo_decides_ = recovered.responder_decides;
-  restore_recovered_membership(recovered);
+
+  for (const std::string& nonce : recovered.processed_nonces) {
+    sponsor_nonces_.insert(nonce);
+  }
+  subject_answers_ = recovered.subject_answers;
+  if (recovered.subject_request.has_value()) {
+    pending_subject_record_ = recovered.subject_request;
+    if (recovered.subject_request->relayed_eviction) {
+      relayed_eviction_nonce_ =
+          to_hex(recovered.subject_request->request.request_nonce);
+      relayed_eviction_result_ = std::make_shared<RunResult>();
+    } else {
+      subject_request_ = SubjectRequest{recovered.subject_request->request,
+                                        std::make_shared<RunResult>()};
+    }
+  }
+  recovered_termination_submissions_ = recovered.termination_submissions;
+  pending_redo_verdicts_ = recovered.verdicts;
 
   record_evidence("recovery", agreed_tuple_.encode());
 }
@@ -530,33 +499,32 @@ std::vector<RunHandle> Replica::resume_recovered_runs() {
 
   // TTP verdicts journaled as delivered but possibly not acted on: redo
   // them first — they may close runs outright, before any re-drive.
-  if (!pending_redo_verdicts_.empty()) {
-    auto verdicts = std::move(pending_redo_verdicts_);
-    pending_redo_verdicts_.clear();
-    for (auto& [label, body] : verdicts) {
-      if (!ttp_.has_value()) {
-        record_anomaly(
-            "journaled TTP verdict dropped: no TTP configured after "
-            "recovery for run " + label,
-            self_);
-        continue;
-      }
-      handle_termination_verdict(ttp_->ttp, body);
+  auto verdicts = std::move(pending_redo_verdicts_);
+  pending_redo_verdicts_.clear();
+  for (auto& [label, body] : verdicts) {
+    if (!ttp_.has_value()) {
+      record_anomaly(
+          "journaled TTP verdict dropped: no TTP configured after "
+          "recovery for run " + label,
+          self_);
+      continue;
     }
+    handle_termination_verdict(ttp_->ttp, body);
   }
 
   // Responder-side redo: a decide that was journaled as delivered but
   // whose installation may have been interrupted. conclude is idempotent
   // (install_agreed_state skips an already-installed state).
-  for (auto& [label, decide] : pending_redo_decides_) {
+  auto redo_decides = std::move(pending_redo_decides_);
+  pending_redo_decides_.clear();
+  for (const auto& [label, decide] : redo_decides) {
     auto it = responder_runs_.find(label);
     if (it == responder_runs_.end()) continue;
     ResponderRun run = std::move(it->second);
     responder_runs_.erase(it);
-    conclude_responder_run(label, std::move(run), decide.responses,
-                           decide.proposer);
+    conclude_responder_run(label, std::move(run), decide.responses(),
+                           decide.proposer());
   }
-  pending_redo_decides_.clear();
 
   // Proposer side.
   if (proposer_run_.has_value()) {
@@ -570,11 +538,11 @@ std::vector<RunHandle> Replica::resume_recovered_runs() {
       // journaled (commit_staged_run runs the same decide phase), so
       // redoing it unconditionally is correct — clear the staging flag.
       proposer_run_->deal_staged = false;
-      BatchDecideMsg decide = std::move(*recovered_decide_);
+      RunDecide decide = std::move(*recovered_decide_);
       recovered_decide_.reset();
       proposer_run_->responses.clear();
-      for (const RespondMsg& resp : decide.responses) {
-        proposer_run_->responses.emplace(resp.response.responder, resp);
+      for (const RunResponse& resp : decide.responses()) {
+        proposer_run_->responses.emplace(resp.responder(), resp);
       }
       finish_run_as_proposer();
     } else if (proposer_run_->deal_staged) {
@@ -597,36 +565,48 @@ std::vector<RunHandle> Replica::resume_recovered_runs() {
   // Responder runs still awaiting a decide: re-send our response (the
   // proposer may never have seen it) and re-arm the probe.
   for (const auto& [label, run] : responder_runs_) {
-    send_envelope(run.propose.proposal.proposer, MsgType::kRespond,
+    send_envelope(run.propose.proposer(), run.propose.format().respond,
                   run.my_response.encode());
     arm_run_probe(label, /*as_proposer=*/false, 1);
     arm_deadline(label, /*as_proposer=*/false);
   }
 
-  resume_recovered_membership(handles);
+  // Subject side: re-probe the sponsor under the ORIGINAL nonce; the
+  // answer (welcome/reject/confirm or the relayed decide) concludes it.
+  if (pending_subject_record_.has_value()) {
+    if (pending_subject_record_->relayed_eviction) {
+      if (relayed_eviction_result_.has_value()) {
+        handles.push_back(*relayed_eviction_result_);
+      }
+    } else if (subject_request_.has_value()) {
+      handles.push_back(subject_request_->result);
+    }
+    std::string nonce_key =
+        to_hex(pending_subject_record_->request.request_nonce);
+    resend_subject_request();
+    arm_subject_probe(std::move(nonce_key), 1);
+  }
 
   // Re-fetch TTP decisions for referrals our previous incarnation had
   // journaled: the TTP caches exactly one verdict per run, so a
   // resubmission is a re-fetch of whatever it already decided, never a
   // second decision.
-  if (!recovered_termination_submissions_.empty()) {
-    auto submissions = std::move(recovered_termination_submissions_);
-    recovered_termination_submissions_.clear();
-    for (const auto& [label, as_proposer] : submissions) {
-      bool still_active =
-          as_proposer
-              ? (proposer_run_.has_value() && proposer_run_->label() == label)
-              : responder_runs_.contains(label);
-      if (!still_active) continue;
-      if (!ttp_.has_value()) {
-        record_anomaly(
-            "journaled TTP referral dropped: no TTP configured after "
-            "recovery for run " + label,
-            self_);
-        continue;
-      }
-      request_termination(label, as_proposer);
+  auto submissions = std::move(recovered_termination_submissions_);
+  recovered_termination_submissions_.clear();
+  for (const auto& [label, as_proposer] : submissions) {
+    bool still_active =
+        as_proposer
+            ? (proposer_run_.has_value() && proposer_run_->label() == label)
+            : responder_runs_.contains(label);
+    if (!still_active) continue;
+    if (!ttp_.has_value()) {
+      record_anomaly(
+          "journaled TTP referral dropped: no TTP configured after "
+          "recovery for run " + label,
+          self_);
+      continue;
     }
+    request_termination(label, as_proposer);
   }
 
   return handles;
@@ -641,26 +621,20 @@ void Replica::handle(const PartyId& from, const Envelope& envelope) {
     switch (envelope.type) {
       case MsgType::kPropose:
       case MsgType::kBatchPropose:
+      case MsgType::kMembershipPropose:
         handle_propose(from, envelope.type, envelope.body);
         break;
       case MsgType::kRespond:
-        handle_respond(from, envelope.body);
+      case MsgType::kMembershipRespond:
+        handle_respond(from, envelope.type, envelope.body);
         break;
       case MsgType::kDecide:
       case MsgType::kBatchDecide:
+      case MsgType::kMembershipDecide:
         handle_decide(from, envelope.type, envelope.body);
         break;
       case MsgType::kConnectRequest:
         handle_connect_request(from, envelope.body);
-        break;
-      case MsgType::kMembershipPropose:
-        handle_membership_propose(from, envelope.body);
-        break;
-      case MsgType::kMembershipRespond:
-        handle_membership_respond(from, envelope.body);
-        break;
-      case MsgType::kMembershipDecide:
-        handle_membership_decide(from, envelope.body);
         break;
       case MsgType::kConnectWelcome:
         handle_connect_welcome(from, envelope.body);
@@ -694,7 +668,7 @@ void Replica::handle(const PartyId& from, const Envelope& envelope) {
 }
 
 // ---------------------------------------------------------------------------
-// State coordination — proposer side (§4.3)
+// The run engine — proposer side (§4.3, §4.5)
 // ---------------------------------------------------------------------------
 
 RunHandle Replica::propose_state(Bytes new_state) {
@@ -730,10 +704,7 @@ RunHandle Replica::open_run(std::vector<BatchOp> ops,
     // proposal needs it restored to what the object must hold: our own
     // still-active proposal's state (invariant 2) if one is in flight,
     // else the agreed state.
-    if (object_holds_proposal) {
-      impl_.apply_state(proposer_run_.has_value() ? proposer_run_->states.back()
-                                                  : agreed_state_);
-    }
+    if (object_holds_proposal) impl_.apply_state(held_state());
     complete(handle, RunResult::Outcome::kAborted,
              "busy: another coordination run is active", {}, 0, "");
     return handle;
@@ -746,7 +717,8 @@ RunHandle Replica::open_run(std::vector<BatchOp> ops,
   run.result = handle;
   run.deal_staged = !deal_id.empty();
   run.deal_id = deal_id;
-  std::vector<BatchItem>& items = run.propose.items;
+  BatchProposeMsg propose;
+  std::vector<BatchItem>& items = propose.items;
   const std::uint64_t first_sequence = next_sequence();
   crypto::Digest prev_state_hash = agreed_tuple_.state_hash;
   for (std::size_t i = 0; i < ops.size(); ++i) {
@@ -767,31 +739,46 @@ RunHandle Replica::open_run(std::vector<BatchOp> ops,
     prev_state_hash = state_hash;
   }
 
-  Proposal& prop = run.propose.proposal;
+  Proposal& prop = propose.proposal;
   prop.proposer = self_;
   prop.object = object_;
   prop.group = group_tuple_;
   prop.agreed = agreed_tuple_;
   prop.proposed = items.back().proposed;
   // A batch is a composite delta; only a single item's flag is meaningful.
-  prop.is_update = run.propose.format().batched || items.front().is_update;
-  prop.payload_hash = run.propose.payload_digest();
+  prop.is_update = propose.format().batched || items.front().is_update;
+  prop.payload_hash = propose.payload_digest();
   // ONE signature covers the whole run.
-  run.propose.signature = key_.sign(run.propose.signed_bytes());
-
-  note_sequence(prop.proposed.sequence);
-  const std::string label = prop.proposed.label();
-  for (const BatchItem& item : items) {
-    seen_run_labels_.insert(item.proposed.label());
-  }
+  propose.signature = key_.sign(propose.signed_bytes());
+  run.propose.msg = std::move(propose);
   for (const PartyId& member : members_) {
-    if (member != self_) run.recipients.push_back(member);
+    if (run.propose.asks(member)) run.recipients.push_back(member);
   }
   // Invariant 2: the proposer's object holds the proposed (final) state
   // while its run is open.
   if (!object_holds_proposal) impl_.apply_state(run.states.back());
 
-  const RunFormat& format = run.propose.format();
+  if (!journal_run_open(run)) return handle;
+  if (run.recipients.empty()) {
+    // Singleton group: trivially unanimous, and no one to tell.
+    const std::string label = run.label();
+    install_run(run.propose.state()->items, std::move(run.states),
+                /*apply_to_object=*/false, std::nullopt);
+    close_run(walrec::kProposerClosed, label);
+    complete(handle, RunResult::Outcome::kAgreed, "", {},
+             run.propose.sequence(), label);
+    return handle;
+  }
+  send_run_open(std::move(run));
+  return handle;
+}
+
+bool Replica::journal_run_open(ProposerRun& run) {
+  note_sequence(run.propose.sequence());
+  for (const std::string& label : run.propose.labels()) {
+    seen_run_labels_.insert(label);
+  }
+  const std::string label = run.label();
   Bytes encoded = run.propose.encode();
   if (run.deal_staged) {
     hit_crash_point("deal-stage.pre-journal");
@@ -807,36 +794,32 @@ RunHandle Replica::open_run(std::vector<BatchOp> ops,
       // all-or-nothing. The reverse orphan (staged marker without a run)
       // is inert.
       wire::Encoder staged;
-      staged.str(label).str(deal_id);
+      staged.str(label).str(run.deal_id);
       journal_record(walrec::kDealStaged, std::move(staged).take());
     }
     wire::Encoder enc;
     enc.blob(run.encode());
     journal_record(walrec::kProposerRun, std::move(enc).take());
   }
-  record_evidence(format.propose_sent, encoded, label);
+  record_evidence(run.propose.format().propose_sent, encoded, label);
   journal_barrier();
   if (run.deal_staged) {
     // Staged: the deal layer sends it (launch_staged_run) once the deal
     // is open, and decides it across all legs.
     proposer_run_ = std::move(run);
-    return handle;
+    return false;
   }
   hit_crash_point("propose.journaled");
+  return true;
+}
 
-  if (run.recipients.empty()) {
-    // Singleton group: trivially unanimous.
-    install_run(items, std::move(run.states), /*apply_to_object=*/false,
-                std::nullopt);
-    close_run(walrec::kProposerClosed, label);
-    complete(handle, RunResult::Outcome::kAgreed, "", {},
-             prop.proposed.sequence, label);
-    return handle;
-  }
-
+void Replica::send_run_open(ProposerRun run) {
+  const std::string label = run.label();
+  const MsgType type = run.propose.format().propose;
+  Bytes encoded = run.propose.encode();
   bool first_send = true;
   for (const PartyId& recipient : run.recipients) {
-    send_envelope(recipient, format.propose, encoded);
+    send_envelope(recipient, type, encoded);
     if (first_send) {
       first_send = false;
       hit_crash_point("propose.mid-send");
@@ -846,42 +829,38 @@ RunHandle Replica::open_run(std::vector<BatchOp> ops,
   arm_deadline(label, /*as_proposer=*/true);
   arm_run_probe(label, /*as_proposer=*/true, 1);
   hit_crash_point("propose.sent");
-  return handle;
+  if (proposer_run_->recipients.empty()) finish_run_as_proposer();
 }
 
-void Replica::resend_propose_to_silent() {
+void Replica::resend_propose_to_silent(const Bytes& enlist) {
   const ProposerRun& run = *proposer_run_;
   Bytes encoded = run.propose.encode();
   for (const PartyId& recipient : run.recipients) {
-    if (!run.responses.contains(recipient)) {
-      send_envelope(recipient, run.propose.format().propose, encoded);
+    if (run.responses.contains(recipient)) continue;
+    send_envelope(recipient, run.propose.format().propose, encoded);
+    if (!enlist.empty()) {
+      send_envelope(recipient, MsgType::kDealEnlist, enlist);
     }
   }
 }
 
-std::vector<bool> Replica::verify_responses(
-    const std::vector<RespondMsg>& responses) const {
-  std::vector<bool> ok;
-  ok.reserve(responses.size());
-  for (const RespondMsg& msg : responses) {
-    const crypto::RsaPublicKey* pub = callbacks_.key_of(msg.response.responder);
-    ok.push_back(pub != nullptr &&
-                 pub->verify(msg.response.signed_bytes(), msg.signature));
-  }
-  return ok;
+bool Replica::response_signed(const RunResponse& response) const {
+  return response.signed_by(callbacks_.key_of(response.responder()));
 }
 
-void Replica::handle_respond(const PartyId& from, const Bytes& body) {
-  RespondMsg msg = RespondMsg::decode(body);
-  const Response& resp = msg.response;
+void Replica::handle_respond(const PartyId& from, MsgType type,
+                             const Bytes& body) {
+  RunResponse msg = RunResponse::decode(type, body);
+  const RunFormat& format = msg.format();
+  const std::string kind = format.kind;
 
-  if (resp.responder != from) {
-    record_violation("response sender does not match responder field", from);
+  if (msg.responder() != from) {
+    record_violation(kind + "response sender does not match responder field",
+                     from);
     return;
   }
-  if (!proposer_run_.has_value() ||
-      proposer_run_->propose.proposal.proposed != resp.proposed) {
-    const std::string stray_label = resp.proposed.label();
+  if (!proposer_run_.has_value() || !msg.answers(proposer_run_->propose)) {
+    const std::string stray_label = msg.label();
     if (journaling() && seen_run_labels_.contains(stray_label)) {
       // A responder re-probing a run we already closed (it may have lost
       // our decide in its crash window): re-send the stored decide so it
@@ -892,33 +871,34 @@ void Replica::handle_respond(const PartyId& from, const Bytes& body) {
           maybe_resend_deal_decision(stray_label, from)) {
         // A verified retry closes the run here once more, so it is sealed
         // like the close was; a forged one buys no RSA work.
-        if (verify_responses({msg}).front()) seal_evidence();
+        if (response_signed(msg)) seal_evidence();
         return;
       }
-      record_anomaly("response for closed run " + stray_label, from);
+      record_anomaly(kind + "response for closed run " + stray_label, from);
       return;
     }
-    record_violation("response for no active run (stray or replayed)", from);
+    record_violation(kind + "response for no active run (stray or replayed)",
+                     from);
     return;
   }
   ProposerRun& run = *proposer_run_;
   if (std::find(run.recipients.begin(), run.recipients.end(), from) ==
       run.recipients.end()) {
-    record_violation("response from non-recipient", from);
+    record_violation(kind + "response from non-recipient", from);
     return;
   }
-  if (!verify_responses({msg}).front()) {
-    record_violation("bad signature on response", from);
+  if (!response_signed(msg)) {
+    record_violation("bad signature on " + kind + "response", from);
     return;
   }
-  const std::string label = resp.proposed.label();
+  const std::string label = run.label();
   auto existing = run.responses.find(from);
   if (existing != run.responses.end()) {
     if (!(existing->second == msg)) {
       // Two different signed responses from the same party for the same
       // run: equivocation. Both are kept as evidence.
-      record_evidence(evidence_kind::kRespondReceived, msg.encode());
-      record_violation("equivocating responses", from);
+      record_evidence(format.respond_received, msg.encode());
+      record_violation("equivocating " + kind + "responses", from);
     }
     return;
   }
@@ -926,10 +906,10 @@ void Replica::handle_respond(const PartyId& from, const Bytes& body) {
   hit_crash_point("response.pre-journal");
   if (journaling()) {
     wire::Encoder enc;
-    enc.blob(msg.encode());
+    msg.encode_into(enc);
     journal_record(walrec::kResponseReceived, std::move(enc).take());
   }
-  record_evidence(evidence_kind::kRespondReceived, msg.encode(), label);
+  record_evidence(format.respond_received, msg.encode(), label);
   journal_barrier();
   hit_crash_point("response.journaled");
   run.responses.emplace(from, std::move(msg));
@@ -944,7 +924,7 @@ void Replica::handle_respond(const PartyId& from, const Bytes& body) {
   // hook runs under this shard's lock and may only touch deal-internal
   // state / schedule work.
   record_evidence(evidence_kind::kDealPrepared,
-                  run.propose.proposal.proposed.encode());
+                  run.propose.state()->proposal.proposed.encode());
   if (deal_hooks_.on_leg_prepared) {
     StagedRunStatus status = staged_run_status(label);
     deal_hooks_.on_leg_prepared(object_, label, status.all_accept,
@@ -955,37 +935,41 @@ void Replica::handle_respond(const PartyId& from, const Bytes& body) {
 void Replica::finish_run_as_proposer() {
   ProposerRun run = std::move(*proposer_run_);
   proposer_run_.reset();
-  const Proposal& prop = run.propose.proposal;
   const RunFormat& format = run.propose.format();
-  const std::string label = prop.proposed.label();
+  const std::string label = run.label();
 
-  BatchDecideMsg decide;
-  decide.proposer = self_;
-  decide.object = object_;
-  decide.proposed = prop.proposed;
-  decide.authenticators = run.authenticators;
+  // Tally: a reject vetoes, and so does an accept that contradicts the
+  // proposal (§4.4).
+  std::vector<RunResponse> responses;
   std::vector<PartyId> vetoers;
   std::string first_diagnostic;
   std::size_t consistent_accepts = 0;
   for (const PartyId& recipient : run.recipients) {
-    const RespondMsg& resp = run.responses.at(recipient);
-    decide.responses.push_back(resp);
-    const Response& r = resp.response;
-    if (!r.decision.accept) {
-      vetoers.push_back(recipient);
-      if (first_diagnostic.empty()) first_diagnostic = r.decision.diagnostic;
-    } else if (!consistent_accept(r, prop)) {
-      record_violation("inconsistent accept response", recipient);
-      vetoers.push_back(recipient);
-      if (first_diagnostic.empty()) {
-        first_diagnostic =
-            "inconsistent accept response from " + recipient.str();
-      }
-    } else {
+    const RunResponse& resp = run.responses.at(recipient);
+    responses.push_back(resp);
+    if (resp.consistent_accept(run.propose)) {
       ++consistent_accepts;
+      continue;
+    }
+    vetoers.push_back(recipient);
+    if (!resp.decision().accept) {
+      if (first_diagnostic.empty()) {
+        first_diagnostic = resp.decision().diagnostic;
+      }
+      continue;
+    }
+    record_violation(std::string("inconsistent accept ") + format.kind +
+                         "response",
+                     recipient);
+    if (first_diagnostic.empty()) {
+      first_diagnostic = std::string("inconsistent accept ") + format.kind +
+                         "response from " + recipient.str();
     }
   }
-  bool agreed = group_accepts(consistent_accepts, run.recipients.size());
+  const bool agreed =
+      group_accepts(consistent_accepts, run.recipients.size(), format);
+  const RunDecide decide =
+      RunDecide::of(run.propose, self_, responses, run.authenticators);
 
   Bytes encoded = decide.encode();
   hit_crash_point("decide.pre-journal");
@@ -1007,6 +991,23 @@ void Replica::finish_run_as_proposer() {
   }
   hit_crash_point("decide.sent");
 
+  std::visit(
+      [&](const auto& propose) {
+        proposer_outcome(propose, run, agreed, std::move(vetoers),
+                         first_diagnostic, decide);
+      },
+      run.propose.msg);
+  close_run(walrec::kProposerClosed, label);
+  hit_crash_point("decide.installed");
+  drain_deferred_membership();
+}
+
+void Replica::proposer_outcome(const BatchProposeMsg& propose,
+                               ProposerRun& run, bool agreed,
+                               std::vector<PartyId> vetoers,
+                               const std::string& diagnostic,
+                               const RunDecide& /*decide*/) {
+  const StateTuple& proposed = propose.proposal.proposed;
   CoordEvent event;
   event.object = object_;
   event.party = self_;
@@ -1014,24 +1015,21 @@ void Replica::finish_run_as_proposer() {
     // The proposer's object already holds the final state (invariant 2);
     // record every item as agreed and snapshot the last.
     event.kind = CoordEvent::Kind::kStateAgreed;
-    install_run(run.propose.items, std::move(run.states),
+    install_run(propose.items, std::move(run.states),
                 /*apply_to_object=*/false, event);
     // Under the majority rule, `vetoers` lists overridden dissenters.
     complete(run.result, RunResult::Outcome::kAgreed, "", std::move(vetoers),
-             prop.proposed.sequence, label);
-  } else {
-    impl_.apply_state(agreed_state_);
-    record_evidence(evidence_kind::kStateRolledBack, prop.proposed.encode());
-    event.kind = CoordEvent::Kind::kStateVetoed;
-    event.sequence = prop.proposed.sequence;
-    event.detail = first_diagnostic;
-    emit(event);
-    complete(run.result, RunResult::Outcome::kVetoed, first_diagnostic,
-             std::move(vetoers), prop.proposed.sequence, label);
+             proposed.sequence, proposed.label());
+    return;
   }
-  close_run(walrec::kProposerClosed, label);
-  hit_crash_point("decide.installed");
-  drain_deferred_membership();
+  impl_.apply_state(agreed_state_);
+  record_evidence(evidence_kind::kStateRolledBack, proposed.encode());
+  event.kind = CoordEvent::Kind::kStateVetoed;
+  event.sequence = proposed.sequence;
+  event.detail = diagnostic;
+  emit(event);
+  complete(run.result, RunResult::Outcome::kVetoed, diagnostic,
+           std::move(vetoers), proposed.sequence, proposed.label());
 }
 
 void Replica::install_run(const std::vector<BatchItem>& items,
@@ -1048,31 +1046,24 @@ void Replica::install_run(const std::vector<BatchItem>& items,
 }
 
 // ---------------------------------------------------------------------------
-// State coordination — responder side (§4.3, checks of §4.4)
+// The run engine — responder side (§4.3, §4.5, checks of §4.4)
 // ---------------------------------------------------------------------------
 
 void Replica::handle_propose(const PartyId& from, MsgType type,
                              const Bytes& body) {
-  BatchProposeMsg msg = BatchProposeMsg::decode(type, body);
-  const Proposal& prop = msg.proposal;
+  RunPropose msg = RunPropose::decode(type, body);
   const RunFormat& format = msg.format();
+  const std::string kind = format.kind;
 
-  if (prop.proposer != from) {
-    record_violation("proposal sender does not match proposer field", from);
+  if (msg.proposer() != from) {
+    record_violation(kind + "proposal sender does not match proposer field",
+                     from);
     return;
   }
-  const crypto::RsaPublicKey* pub = callbacks_.key_of(from);
-  if (pub == nullptr || !pub->verify(msg.signed_bytes(), msg.signature)) {
-    record_violation("bad signature on proposal", from);
+  if (!msg.signed_by(callbacks_.key_of(from))) {
+    record_violation("bad signature on " + kind + "proposal", from);
     return;
   }
-  if (msg.items.back().proposed != prop.proposed) {
-    record_violation("proposal items inconsistent with head tuple", from);
-    return;
-  }
-  // H(payload) for a single item; the recomputed chain head for a batch,
-  // which a mutated, reordered or dropped item breaks.
-  const crypto::Digest digest = msg.payload_digest();
   if (!is_member(from) || !connected_) {
     // Either a verifiable proposal from a party outside the current group
     // (typically an evicted member with a stale view — §4.5.4: "any
@@ -1080,30 +1071,23 @@ void Replica::handle_propose(const PartyId& from, MsgType type,
     // have ourselves departed and the proposer has not yet learnt it. Send
     // a signed reject so the proposer's run terminates as vetoed instead
     // of blocking, and record the event.
-    if (!is_member(from)) record_anomaly("proposal from non-member", from);
-    Response stale;
-    stale.responder = self_;
-    stale.object = object_;
-    stale.proposed = prop.proposed;
-    stale.agreed_view = agreed_tuple_;
-    stale.current_view = agreed_tuple_;
-    stale.group_view = group_tuple_;
-    stale.payload_integrity = digest;
-    stale.decision = Decision::rejected(
+    if (!is_member(from)) {
+      record_anomaly(kind + "proposal from non-member", from);
+    }
+    const Decision stale = Decision::rejected(
         connected_ ? "inconsistent group view"
                    : "recipient has disconnected from this group");
-    RespondMsg out;
-    out.response = stale;
-    out.signature = key_.sign(stale.signed_bytes());
-    record_evidence(evidence_kind::kRespondSent, out.encode());
-    send_envelope(from, MsgType::kRespond, out.encode());
+    const RunResponse out = std::visit(
+        [&](const auto& m) { return respond_to(m, stale, nullptr); }, msg.msg);
+    record_evidence(format.respond_sent, out.encode());
+    send_envelope(from, format.respond, out.encode());
     return;
   }
-  if (prop.object != object_) {
-    record_violation("proposal for wrong object", from);
+  if (msg.object() != object_) {
+    record_violation(kind + "proposal for wrong object", from);
     return;
   }
-  const std::string label = prop.proposed.label();
+  const std::string label = msg.label();
   if (seen_run_labels_.contains(label)) {
     if (journaling()) {
       // With a journal behind us a duplicate proposal is the expected
@@ -1112,45 +1096,35 @@ void Replica::handle_propose(const PartyId& from, MsgType type,
       // deployments keep the strict §4.4 replay stance below.)
       auto it = responder_runs_.find(label);
       if (it != responder_runs_.end() &&
-          it->second.propose.proposal.proposer == from) {
-        record_anomaly("duplicate proposal re-answered " + label, from);
-        send_envelope(from, MsgType::kRespond,
-                      it->second.my_response.encode());
+          it->second.propose.proposer() == from) {
+        record_anomaly("duplicate " + kind + "proposal re-answered " + label,
+                       from);
+        send_envelope(from, format.respond, it->second.my_response.encode());
         return;
       }
       if (it == responder_runs_.end()) {
-        record_anomaly("duplicate proposal for closed run " + label, from);
+        record_anomaly("duplicate " + kind + "proposal for closed run " + label,
+                       from);
         return;
       }
     }
-    // §4.4: T_prop uniquely labels a run; a re-appearance is a replay.
-    record_violation("replayed proposal " + label, from);
+    // §4.4: the run tuple uniquely labels a run; a re-appearance is a
+    // replay.
+    record_violation("replayed " + kind + "proposal " + label, from);
     return;
   }
-  for (const BatchItem& item : msg.items) {
-    seen_run_labels_.insert(item.proposed.label());
-  }
-  note_sequence(prop.proposed.sequence);
+  for (const std::string& item : msg.labels()) seen_run_labels_.insert(item);
+  note_sequence(msg.sequence());
   hit_crash_point("respond.pre-journal");
   record_evidence(format.propose_received, msg.encode(), label);
 
+  // ONE signed response answers the whole run.
   ResponderRun run;
-  Decision decision = validate_run(msg, digest, &run.pending_states);
-  if (!decision.accept) run.pending_states.clear();
-
-  // ONE standard signed response answers the whole run.
-  Response& resp = run.my_response.response;
-  resp.responder = self_;
-  resp.object = object_;
-  resp.proposed = prop.proposed;
-  resp.agreed_view = agreed_tuple_;
-  resp.current_view = proposer_run_.has_value()
-                          ? proposer_run_->propose.proposal.proposed
-                          : agreed_tuple_;
-  resp.group_view = group_tuple_;
-  resp.payload_integrity = digest;
-  resp.decision = decision;
-  run.my_response.signature = key_.sign(resp.signed_bytes());
+  run.my_response = std::visit(
+      [&](const auto& m) {
+        return respond_to(m, std::nullopt, &run.pending_states);
+      },
+      msg.msg);
   run.propose = std::move(msg);
   run.members_at_response = members_;
 
@@ -1161,15 +1135,44 @@ void Replica::handle_propose(const PartyId& from, MsgType type,
     journal_record(walrec::kResponderRun, std::move(enc).take());
   }
   responder_runs_.emplace(label, std::move(run));
-  if (decision.accept) accept_lock_ = label;
 
-  record_evidence(evidence_kind::kRespondSent, encoded, label);
+  record_evidence(format.respond_sent, encoded, label);
   journal_barrier();
   hit_crash_point("respond.journaled");
-  send_envelope(from, MsgType::kRespond, encoded);
+  send_envelope(from, format.respond, encoded);
   arm_deadline(label, /*as_proposer=*/false);
   arm_run_probe(label, /*as_proposer=*/false, 1);
   hit_crash_point("respond.sent");
+}
+
+RunResponse Replica::respond_to(const BatchProposeMsg& msg,
+                                std::optional<Decision> verdict,
+                                std::vector<Bytes>* states) {
+  const Proposal& prop = msg.proposal;
+  // H(payload) for a single item; the recomputed chain head for a batch,
+  // which a mutated, reordered or dropped item breaks.
+  const crypto::Digest digest = msg.payload_digest();
+  RespondMsg out;
+  Response& resp = out.response;
+  resp.responder = self_;
+  resp.object = object_;
+  resp.proposed = prop.proposed;
+  resp.agreed_view = agreed_tuple_;
+  resp.current_view = agreed_tuple_;
+  resp.group_view = group_tuple_;
+  resp.payload_integrity = digest;
+  if (verdict.has_value()) {
+    resp.decision = std::move(*verdict);
+  } else {
+    resp.decision = validate_run(msg, digest, states);
+    if (!resp.decision.accept) states->clear();
+    // Our view of the current state: our own open proposal's, if any.
+    if (proposer_run_.has_value() && proposer_run_->propose.state()) {
+      resp.current_view = proposer_run_->propose.state()->proposal.proposed;
+    }
+  }
+  out.signature = key_.sign(resp.signed_bytes());
+  return {std::move(out)};
 }
 
 Decision Replica::validate_run(const BatchProposeMsg& msg,
@@ -1276,47 +1279,52 @@ Decision Replica::evaluate_proposal(const Proposal& prop,
   return decision;
 }
 
+
 void Replica::handle_decide(const PartyId& from, MsgType type,
                             const Bytes& body) {
   if (!connected_) return;
-  BatchDecideMsg msg = BatchDecideMsg::decode(type, body);
-  const std::string label = msg.proposed.label();
+  RunDecide msg = RunDecide::decode(type, body);
+  const RunFormat& format = msg.format();
+  const std::string kind = format.kind;
+  const std::string label = msg.label();
 
   auto it = responder_runs_.find(label);
   if (it == responder_runs_.end()) {
     // Either we never saw the proposal (selective sending, §4.4), we
     // answered it from outside the group, or this is a duplicate of a
     // finished run: evidence-worthy, but explainable by benign races.
-    record_anomaly("decide for unknown or finished run " + label, from);
+    record_anomaly(kind + "decide for unknown or finished run " + label, from);
     // The very decide this run closed on, sent again (a recovering
     // proposer re-drives its run): sealed like the close was. A forged
-    // decide buys no RSA work.
-    if (received_before(label, msg.format().decide_received, msg.encode())) {
+    // decide buys no RSA work. (Our own decide, bounced back at us, was
+    // never received here.)
+    if (msg.proposer() != self_ &&
+        received_before(label, format.decide_received, msg.encode())) {
       seal_evidence();
     }
     return;
   }
-  const BatchProposeMsg& propose = it->second.propose;
-  if (msg.authenticators.size() != propose.items.size()) {
+  const RunPropose& propose = it->second.propose;
+  const std::vector<Bytes> authenticators = msg.authenticators();
+  const std::vector<crypto::Digest> rand_hashes = propose.rand_hashes();
+  if (authenticators.size() != rand_hashes.size()) {
     // A run closes only with the decide of its own format: a single-run
     // decide cannot authenticate a batch's intermediate items (it would
     // install a hole in the sequence), and vice versa.
     record_violation("decide of the wrong format for run " + label, from);
     return;
   }
-  if (msg.proposer != propose.proposal.proposer ||
-      from != propose.proposal.proposer) {
-    record_violation("decide not from the proposer", from);
+  if (msg.proposer() != propose.proposer() || from != propose.proposer()) {
+    record_violation(kind + "decide not from the proposer", from);
     return;
   }
-  // EVERY item's authenticator must be revealed and check out: only the
-  // proposer can produce them, and each sub-tuple is installed on the
-  // strength of its own. A mismatch means forgery; the run stays active
-  // (we keep waiting for the genuine decide).
-  for (std::size_t i = 0; i < propose.items.size(); ++i) {
-    if (crypto::Sha256::hash(msg.authenticators[i]) !=
-        propose.items[i].proposed.rand_hash) {
-      record_violation("decide authenticator mismatch (forgery)", from);
+  // EVERY authenticator must be revealed and check out: only the proposer
+  // can produce them, and each sub-tuple is installed on the strength of
+  // its own. A mismatch means forgery; the run stays active (we keep
+  // waiting for the genuine decide).
+  for (std::size_t i = 0; i < rand_hashes.size(); ++i) {
+    if (crypto::Sha256::hash(authenticators[i]) != rand_hashes[i]) {
+      record_violation(kind + "decide authenticator mismatch (forgery)", from);
       return;
     }
   }
@@ -1326,105 +1334,116 @@ void Replica::handle_decide(const PartyId& from, MsgType type,
     msg.encode_into(enc);
     journal_record(walrec::kDecideDelivered, std::move(enc).take());
   }
-  record_evidence(msg.format().decide_received, msg.encode(), label);
+  record_evidence(format.decide_received, msg.encode(), label);
   journal_barrier();
   hit_crash_point("decide-recv.journaled");
 
   ResponderRun finished = std::move(it->second);
   responder_runs_.erase(it);
-  conclude_responder_run(label, std::move(finished), msg.responses, from);
+  conclude_responder_run(label, std::move(finished), msg.responses(), from);
 }
 
 void Replica::conclude_responder_run(const std::string& label,
                                      ResponderRun run,
-                                     const std::vector<RespondMsg>& responses,
+                                     const std::vector<RunResponse>& responses,
                                      const PartyId& from) {
-  const Proposal& prop = run.propose.proposal;
+  const RunPropose& propose = run.propose;
+  const RunFormat& format = propose.format();
+  const std::string kind = format.kind;
   // Verify the aggregation: every response signed, every response for this
   // run, our own response present and unaltered, full recipient coverage.
-  const std::vector<bool> signed_ok = verify_responses(responses);
   bool intact = true;
   std::size_t consistent_accepts = 0;
   std::size_t expected_recipients = 0;
   std::set<PartyId> responders;
   bool any_reject = false;
-  for (std::size_t i = 0; i < responses.size(); ++i) {
-    const RespondMsg& resp_msg = responses[i];
-    const Response& resp = resp_msg.response;
-    if (!resp.decision.accept) any_reject = true;
-    if (!signed_ok[i]) {
-      record_violation("decide aggregates badly signed response from " +
-                           resp.responder.str(),
+  for (const RunResponse& resp : responses) {
+    if (!resp.decision().accept) any_reject = true;
+    if (!response_signed(resp)) {
+      record_violation(kind + "decide aggregates badly signed response from " +
+                           resp.responder().str(),
                        from);
       intact = false;
       continue;
     }
-    if (resp.proposed != prop.proposed) {
-      record_violation("decide aggregates response from another run", from);
+    if (!resp.answers(propose)) {
+      record_violation(kind + "decide aggregates response from another run",
+                       from);
       intact = false;
       continue;
     }
-    if (!responders.insert(resp.responder).second) continue;  // duplicate
-    if (consistent_accept(resp, prop)) ++consistent_accepts;
-    if (resp.responder == self_ && !(resp_msg == run.my_response)) {
-      record_violation("own response misrepresented in decide", from);
+    if (!responders.insert(resp.responder()).second) continue;  // duplicate
+    if (resp.consistent_accept(propose)) ++consistent_accepts;
+    if (resp.responder() == self_ && !(resp == run.my_response)) {
+      record_violation("own " + kind + "response misrepresented in decide",
+                       from);
       intact = false;
     }
   }
   for (const PartyId& member : run.members_at_response) {
-    if (member == prop.proposer) continue;
+    if (!propose.asks(member)) continue;
     ++expected_recipients;
     if (!responders.contains(member)) {
       // Omitting a response only misrepresents the outcome when the
       // decide would otherwise read as an agreement; on a vetoed run a
       // shortfall is explainable by concurrent membership changes.
       if (any_reject) {
-        record_anomaly("decide lacks response from " + member.str(), from);
+        record_anomaly(kind + "decide lacks response from " + member.str(),
+                       from);
       } else {
-        record_violation("decide omits response from " + member.str(), from);
+        record_violation(kind + "decide omits response from " + member.str(),
+                         from);
       }
       intact = false;
     }
   }
 
-  bool agreed = intact && !responses.empty() &&
-                group_accepts(consistent_accepts, expected_recipients);
-
-  CoordEvent event;
-  event.object = object_;
-  event.party = prop.proposer;
-  if (agreed) {
-    std::optional<std::vector<Bytes>> to_install;
-    if (run.my_response.response.decision.accept &&
-        run.pending_states.size() == run.propose.items.size()) {
-      to_install = std::move(run.pending_states);
-    } else {
-      // Majority rule overrode our veto: derive the agreed states from the
-      // proposal we hold (never install anything whose hash we cannot
-      // confirm against the agreed tuples).
-      to_install = derive_agreed_states(run.propose);
-    }
-    if (to_install.has_value()) {
-      event.kind = CoordEvent::Kind::kStateInstalled;
-      install_run(run.propose.items, std::move(*to_install),
-                  /*apply_to_object=*/true, event);
-    } else {
-      // Our local copy of the payload cannot reproduce the agreed state
-      // (e.g. we rejected it for integrity). We hold the evidence but need
-      // an out-of-band state transfer to catch up.
-      record_evidence("state.transfer-required", prop.proposed.encode());
-      B2B_WARN(self_, " cannot materialise agreed state for run ", label);
-    }
-  } else {
-    event.kind = CoordEvent::Kind::kStateVetoed;
-    event.sequence = prop.proposed.sequence;
-    emit(event);
-  }
-
-  if (accept_lock_ == label) accept_lock_.reset();
+  const bool agreed =
+      intact && !responses.empty() &&
+      group_accepts(consistent_accepts, expected_recipients, format);
+  std::visit(
+      [&](const auto& msg) { responder_outcome(msg, run, agreed, responses); },
+      propose.msg);
   close_run(walrec::kResponderClosed, label);
   hit_crash_point("decide-recv.installed");
   drain_deferred_membership();
+}
+
+void Replica::responder_outcome(const BatchProposeMsg& propose,
+                                ResponderRun& run, bool agreed,
+                                const std::vector<RunResponse>& /*responses*/) {
+  const Proposal& prop = propose.proposal;
+  CoordEvent event;
+  event.object = object_;
+  event.party = prop.proposer;
+  if (!agreed) {
+    event.kind = CoordEvent::Kind::kStateVetoed;
+    event.sequence = prop.proposed.sequence;
+    emit(event);
+    return;
+  }
+  std::optional<std::vector<Bytes>> to_install;
+  if (run.my_response.decision().accept &&
+      run.pending_states.size() == propose.items.size()) {
+    to_install = std::move(run.pending_states);
+  } else {
+    // Majority rule overrode our veto: derive the agreed states from the
+    // proposal we hold (never install anything whose hash we cannot
+    // confirm against the agreed tuples).
+    to_install = derive_agreed_states(propose);
+  }
+  if (to_install.has_value()) {
+    event.kind = CoordEvent::Kind::kStateInstalled;
+    install_run(propose.items, std::move(*to_install),
+                /*apply_to_object=*/true, event);
+  } else {
+    // Our local copy of the payload cannot reproduce the agreed state
+    // (e.g. we rejected it for integrity). We hold the evidence but need
+    // an out-of-band state transfer to catch up.
+    record_evidence("state.transfer-required", prop.proposed.encode());
+    B2B_WARN(self_, " cannot materialise agreed state for run ",
+             prop.proposed.label());
+  }
 }
 
 std::optional<std::vector<Bytes>> Replica::derive_agreed_states(
@@ -1470,11 +1489,11 @@ void Replica::enable_ttp_termination(TtpConfig config) {
 
 void Replica::arm_deadline(const std::string& label, bool as_proposer) {
   if (!ttp_.has_value()) return;
-  // A §7 verdict certifies one tuple: batches (K >= 2) are never referred.
-  const BatchProposeMsg& propose = as_proposer
-                                       ? proposer_run_->propose
-                                       : responder_runs_.at(label).propose;
-  if (propose.format().batched) return;
+  // A §7 verdict certifies one state tuple: batches (K >= 2) and
+  // membership runs are never referred.
+  const RunPropose& propose = as_proposer ? proposer_run_->propose
+                                          : responder_runs_.at(label).propose;
+  if (&propose.format() != &RunFormat::of(1)) return;
   callbacks_.schedule(ttp_->deadline_micros, [this, label, as_proposer] {
     bool still_active =
         as_proposer
@@ -1496,18 +1515,13 @@ void Replica::arm_deadline(const std::string& label, bool as_proposer) {
 void Replica::request_termination(const std::string& label,
                                   bool as_proposer) {
   TerminationRequest request;
-  request.requester = self_;
-  request.object = object_;
   if (as_proposer) {
-    const ProposerRun& run = *proposer_run_;
-    request.proposed = run.propose.proposal.proposed;
-    request.propose = run.propose.single();
-    for (const auto& [responder, resp] : run.responses) {
-      request.responses.push_back(resp);
-    }
-    request.claimed_recipients = run.recipients;
+    request = proposer_termination_request();
   } else {
-    request.proposed = responder_runs_.at(label).propose.proposal.proposed;
+    request.requester = self_;
+    request.object = object_;
+    request.proposed =
+        responder_runs_.at(label).propose.state()->proposal.proposed;
   }
   Bytes signature = key_.sign(request.signed_bytes());
   if (journaling()) {
@@ -1540,10 +1554,11 @@ void Replica::handle_termination_verdict(const PartyId& from,
   // Journal the signed verdict before acting on it, but only while a run
   // it concludes is still open (a late duplicate for a closed run would
   // only bloat the journal).
-  bool run_open = (proposer_run_.has_value() &&
-                   proposer_run_->propose.proposal.proposed ==
-                       verdict.proposed) ||
-                  responder_runs_.contains(label);
+  const BatchProposeMsg* proposed =
+      proposer_run_.has_value() ? proposer_run_->propose.state() : nullptr;
+  const bool proposer_open =
+      proposed != nullptr && proposed->proposal.proposed == verdict.proposed;
+  bool run_open = proposer_open || responder_runs_.contains(label);
   if (run_open && journaling()) {
     wire::Encoder enc;
     enc.blob(body);
@@ -1558,42 +1573,36 @@ void Replica::handle_termination_verdict(const PartyId& from,
     hit_crash_point("verdict.journaled");
   }
 
+  std::vector<RunResponse> responses;
+  for (const RespondMsg& resp : verdict.responses) responses.push_back({resp});
+
   // Proposer side.
-  if (proposer_run_.has_value() &&
-      proposer_run_->propose.proposal.proposed == verdict.proposed) {
+  if (proposer_open && verdict.kind == TerminationVerdict::Kind::kAbort) {
+    abort_proposer_run("TTP-certified abort", verdict.proposed.encode());
+    return;
+  }
+  if (proposer_open) {
+    // A certified decision carries the full verified response set; we
+    // conclude exactly as if we had assembled the decide ourselves.
     ProposerRun run = std::move(*proposer_run_);
     proposer_run_.reset();
-    if (verdict.kind == TerminationVerdict::Kind::kAbort) {
-      impl_.apply_state(agreed_state_);
-      record_evidence(evidence_kind::kStateRolledBack,
-                      verdict.proposed.encode());
-      complete(run.result, RunResult::Outcome::kAborted,
-               "TTP-certified abort", {}, verdict.proposed.sequence, label);
+    std::size_t consistent_accepts = 0;
+    for (const RunResponse& resp : responses) {
+      if (response_signed(resp) && resp.consistent_accept(run.propose)) {
+        ++consistent_accepts;
+      }
+    }
+    const std::uint64_t sequence = run.propose.sequence();
+    if (group_accepts(consistent_accepts, run.recipients.size(),
+                      run.propose.format())) {
+      install_run(run.propose.state()->items, std::move(run.states),
+                  /*apply_to_object=*/false, std::nullopt);
+      complete(run.result, RunResult::Outcome::kAgreed,
+               "TTP-certified decision", {}, sequence, label);
     } else {
-      // A certified decision carries the full verified response set; we
-      // conclude exactly as if we had assembled the decide ourselves.
-      const Proposal& prop = run.propose.proposal;
-      const std::vector<bool> signed_ok = verify_responses(verdict.responses);
-      std::size_t consistent_accepts = 0;
-      for (std::size_t i = 0; i < verdict.responses.size(); ++i) {
-        const Response& r = verdict.responses[i].response;
-        if (signed_ok[i] && r.proposed == prop.proposed &&
-            consistent_accept(r, prop)) {
-          ++consistent_accepts;
-        }
-      }
-      bool agreed = group_accepts(consistent_accepts, run.recipients.size());
-      if (agreed) {
-        install_run(run.propose.items, std::move(run.states),
-                    /*apply_to_object=*/false, std::nullopt);
-        complete(run.result, RunResult::Outcome::kAgreed,
-                 "TTP-certified decision", {}, prop.proposed.sequence, label);
-      } else {
-        impl_.apply_state(agreed_state_);
-        complete(run.result, RunResult::Outcome::kVetoed,
-                 "TTP-certified decision: vetoed", {}, prop.proposed.sequence,
-                 label);
-      }
+      impl_.apply_state(agreed_state_);
+      complete(run.result, RunResult::Outcome::kVetoed,
+               "TTP-certified decision: vetoed", {}, sequence, label);
     }
     close_run(walrec::kProposerClosed, label);
     return;
@@ -1605,19 +1614,18 @@ void Replica::handle_termination_verdict(const PartyId& from,
   ResponderRun run = std::move(it->second);
   responder_runs_.erase(it);
   if (verdict.kind == TerminationVerdict::Kind::kAbort) {
-    if (accept_lock_ == label) accept_lock_.reset();
     close_run(walrec::kResponderClosed, label);
     CoordEvent event;
     event.kind = CoordEvent::Kind::kStateVetoed;
     event.object = object_;
-    event.party = run.propose.proposal.proposer;
+    event.party = run.propose.proposer();
     event.sequence = verdict.proposed.sequence;
     event.detail = "TTP-certified abort";
     emit(event);
     drain_deferred_membership();
     return;
   }
-  conclude_responder_run(label, std::move(run), verdict.responses, from);
+  conclude_responder_run(label, std::move(run), responses, from);
 }
 
 // ---------------------------------------------------------------------------
@@ -1641,7 +1649,7 @@ Replica::StagedLeg Replica::stage_deal_run(bool is_update, Bytes payload,
                         deal_id);
   if (leg.handle->done()) return leg;
   leg.label = proposer_run_->label();
-  leg.proposed = proposer_run_->propose.proposal.proposed;
+  leg.proposed = proposer_run_->propose.state()->proposal.proposed;
   leg.recipient_count = proposer_run_->recipients.size();
   return leg;
 }
@@ -1694,38 +1702,22 @@ void Replica::abort_staged_run(const std::string& label,
   if (!staged(label)) {
     return;
   }
-  ProposerRun run = std::move(*proposer_run_);
-  proposer_run_.reset();
-  const Proposal& prop = run.propose.proposal;
   Bytes encoded = decision.encode();
-  for (const PartyId& recipient : run.recipients) {
+  for (const PartyId& recipient : proposer_run_->recipients) {
     send_envelope(recipient, MsgType::kDealDecision, encoded);
   }
-  impl_.apply_state(agreed_state_);
-  record_evidence(evidence_kind::kStateRolledBack, prop.proposed.encode());
-  complete(run.result, RunResult::Outcome::kAborted,
-           decision.decision.diagnostic.empty()
-               ? "deal aborted"
-               : decision.decision.diagnostic,
-           {}, prop.proposed.sequence, label);
-  close_run(walrec::kProposerClosed, label);
-  drain_deferred_membership();
+  abort_proposer_run(decision.decision.diagnostic.empty()
+                         ? "deal aborted"
+                         : decision.decision.diagnostic,
+                     proposer_run_->propose.state()->tuple().encode());
 }
 
 void Replica::cancel_staged_run(const std::string& label) {
   if (!staged(label)) {
     return;
   }
-  ProposerRun run = std::move(*proposer_run_);
-  proposer_run_.reset();
-  impl_.apply_state(agreed_state_);
-  record_evidence(evidence_kind::kStateRolledBack,
-                  run.propose.proposal.proposed.encode());
-  complete(run.result, RunResult::Outcome::kAborted,
-           "deal never opened: staged leg cancelled", {},
-           run.propose.proposal.proposed.sequence, label);
-  close_run(walrec::kProposerClosed, label);
-  drain_deferred_membership();
+  abort_proposer_run("deal never opened: staged leg cancelled",
+                     proposer_run_->propose.state()->tuple().encode());
 }
 
 bool Replica::resume_staged_run(const std::string& label,
@@ -1733,14 +1725,7 @@ bool Replica::resume_staged_run(const std::string& label,
   if (!staged(label)) {
     return false;
   }
-  ProposerRun& run = *proposer_run_;
-  Bytes encoded = run.propose.encode();
-  Bytes enlist_encoded = enlist.encode();
-  for (const PartyId& recipient : run.recipients) {
-    if (run.responses.contains(recipient)) continue;
-    send_envelope(recipient, run.propose.format().propose, encoded);
-    send_envelope(recipient, MsgType::kDealEnlist, enlist_encoded);
-  }
+  resend_propose_to_silent(enlist.encode());
   arm_run_probe(label, /*as_proposer=*/true, 1);
   arm_deadline(label, /*as_proposer=*/true);
   return true;
@@ -1753,7 +1738,6 @@ Replica::StagedRunStatus Replica::staged_run_status(
     return status;
   }
   const ProposerRun& run = *proposer_run_;
-  const Proposal& prop = run.propose.proposal;
   status.open = true;
   status.complete = run.responses.size() == run.recipients.size();
   status.all_accept = status.complete;
@@ -1763,7 +1747,7 @@ Replica::StagedRunStatus Replica::staged_run_status(
       status.all_accept = false;
       continue;
     }
-    if (!consistent_accept(it->second.response, prop)) {
+    if (!it->second.consistent_accept(run.propose)) {
       status.all_accept = false;
       status.vetoers.push_back(recipient);
     }
@@ -1785,14 +1769,18 @@ std::optional<TerminationRequest> Replica::staged_termination_request(
   if (!staged(label)) {
     return std::nullopt;
   }
+  return proposer_termination_request();
+}
+
+TerminationRequest Replica::proposer_termination_request() const {
   const ProposerRun& run = *proposer_run_;
   TerminationRequest request;
   request.requester = self_;
   request.object = object_;
-  request.proposed = run.propose.proposal.proposed;
-  request.propose = run.propose.single();
+  request.proposed = run.propose.state()->proposal.proposed;
+  request.propose = run.propose.state()->single();
   for (const auto& [responder, resp] : run.responses) {
-    request.responses.push_back(resp);
+    request.responses.push_back(*resp.state());
   }
   request.claimed_recipients = run.recipients;
   return request;
@@ -1895,7 +1883,7 @@ void Replica::handle_deal_decision(const PartyId& from, const Bytes& body) {
     }
     auto it = responder_runs_.find(label);
     if (it == responder_runs_.end()) continue;  // not parked / already closed
-    if (it->second.propose.proposal.proposer != from) {
+    if (it->second.propose.proposer() != from) {
       record_violation("deal abort for a run proposed by another party",
                        from);
       continue;
@@ -1903,7 +1891,6 @@ void Replica::handle_deal_decision(const PartyId& from, const Bytes& body) {
     hit_crash_point("deal-abort-recv.pre-journal");
     ResponderRun run = std::move(it->second);
     responder_runs_.erase(it);
-    if (accept_lock_ == label) accept_lock_.reset();
     close_run(walrec::kResponderClosed, label);
     hit_crash_point("deal-abort-recv.journaled");
     CoordEvent event;

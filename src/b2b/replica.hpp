@@ -398,60 +398,41 @@ class Replica {
 
   // --- journal-based recovery (write-ahead journal replay) ---------------------
 
-  /// Durable image of an in-flight proposer-side state run of K >= 1
-  /// items, journaled before the propose is sent. Carries every item's
-  /// authenticator and full state, so a recovered proposer can redo the
+  /// Durable image of an in-flight proposer-side run, journaled before
+  /// the propose is sent: a state run of K >= 1 items or a membership run
+  /// (§4.5, whose sponsor is its proposer). Carries every authenticator
+  /// and every item's full state, so a recovered proposer can redo the
   /// decide (which reveals every authenticator) and the installs.
   struct ProposerRunRecord {
-    BatchProposeMsg propose;
+    RunPropose propose;
     std::vector<Bytes> authenticators;  // r_i: preimage of item i's rand_hash
-    std::vector<Bytes> states;          // full state after item i
+    std::vector<Bytes> states;  // full state after item i; none for membership
     std::vector<PartyId> recipients;
 
     Bytes encode() const;
     static ProposerRunRecord decode(BytesView data);  // throws CodecError
   };
 
-  /// Durable image of an in-flight responder-side state run, journaled
-  /// (with the validated per-item scratch states) before the signed
-  /// response is sent. It is also the live responder run.
+  /// Durable image of an in-flight responder-side run, journaled (with
+  /// the validated per-item scratch states) before the signed response is
+  /// sent. It is also the live responder run.
   struct ResponderRunRecord {
-    BatchProposeMsg propose;
+    RunPropose propose;
     std::vector<Bytes> pending_states;  // empty when we rejected the run
-    RespondMsg my_response;
+    RunResponse my_response;
     /// Membership at response time: the decide's response coverage is
     /// checked against this, not against the (possibly since-changed)
     /// current member list.
     std::vector<PartyId> members_at_response;
 
+    /// The run holds this replica busy while it is open: once accepted,
+    /// or from the start for a kind that locks on reject.
+    bool locks() const {
+      return my_response.decision().accept || propose.format().locks_on_reject;
+    }
+
     Bytes encode() const;
     static ResponderRunRecord decode(BytesView data);  // throws CodecError
-  };
-
-  /// Durable image of an in-flight sponsor-side membership run (§4.5),
-  /// journaled before the membership propose is sent. The signed request
-  /// (and its signature) ride inside the proposal; `report_to` is not
-  /// persisted because a relayed eviction proposer learns the outcome
-  /// from the decide broadcast, not from a sponsor report.
-  struct SponsorRunRecord {
-    MembershipProposeMsg propose;
-    Bytes authenticator;
-    std::vector<PartyId> recipients;
-
-    Bytes encode() const;
-    static SponsorRunRecord decode(BytesView data);  // throws CodecError
-  };
-
-  /// Durable image of a recipient-side membership run, journaled before
-  /// the signed membership response is sent.
-  struct MembershipResponderRunRecord {
-    MembershipProposeMsg propose;
-    MembershipRespondMsg my_response;
-    std::vector<PartyId> members_at_response;
-
-    Bytes encode() const;
-    // throws CodecError
-    static MembershipResponderRunRecord decode(BytesView data);
   };
 
   /// Durable image of a subject-side connect/disconnect request (or a
@@ -478,28 +459,18 @@ class Replica {
   struct RecoveredObjectState {
     std::optional<ReplicaSnapshot> snapshot;
     std::optional<ProposerRunRecord> proposer_run;
-    std::vector<RespondMsg> proposer_responses;
+    std::map<PartyId, RunResponse> proposer_responses;
     /// Set when the decide was journaled but the run not closed: the
     /// decide phase is redone (idempotently) to the journaled outcome.
-    std::optional<BatchDecideMsg> proposer_decide;
+    std::optional<RunDecide> proposer_decide;
     std::map<std::string, ResponderRunRecord> responder_runs;
     /// Decides journaled as delivered whose installation may not have
     /// completed before the crash; concluded again on resume.
-    std::map<std::string, BatchDecideMsg> responder_decides;
+    std::map<std::string, RunDecide> responder_decides;
     std::set<std::string> seen_labels;
     std::uint64_t max_sequence = 0;
 
-    // --- membership runs (§4.5) ---------------------------------------------
-    std::optional<SponsorRunRecord> sponsor_run;
-    std::vector<MembershipRespondMsg> sponsor_responses;
-    /// Membership decide journaled but the run not closed: redone on
-    /// resume, exactly like proposer_decide.
-    std::optional<MembershipDecideMsg> sponsor_decide;
-    std::map<std::string, MembershipResponderRunRecord>
-        membership_responder_runs;
-    /// Membership decides journaled as delivered whose installation may
-    /// not have completed; concluded again on resume.
-    std::map<std::string, MembershipDecideMsg> membership_decides;
+    // --- membership requests (§4.5) ---------------------------------------
     std::optional<SubjectRequestRecord> subject_request;
     /// Membership-request nonces the sponsor side had acted on: survives
     /// so a recovered sponsor does not re-run an already-applied change
@@ -545,8 +516,6 @@ class Replica {
   }
 
  private:
-  friend class ReplicaMembership;
-
   // --- journaling helpers ----------------------------------------------------
   bool journaling() const {
     return static_cast<bool>(callbacks_.journal_record);
@@ -571,41 +540,44 @@ class Replica {
   /// payload is exactly `body`.
   bool received_before(const std::string& label, const std::string& kind,
                        const Bytes& body) const;
-  /// Re-send the decide (of either format) this party sent for a closed
-  /// run to `to` (a recovering responder probing us). Returns false if
-  /// no decide is on record.
+  /// Re-send the decide (of any format) this party sent for a closed run
+  /// to `to` (a recovering responder probing us). Only a decide this
+  /// party proposed, never one it received: the membership evidence
+  /// kinds carry no direction. Returns false if none is on record.
   bool maybe_resend_decide(const std::string& label, const PartyId& to);
   /// Arm one capped re-probe of a still-open run (journal-gated).
   void arm_run_probe(const std::string& label, bool as_proposer, int attempt);
 
-  // --- membership journaling & recovery (membership.cpp) ---------------------
-  /// Like maybe_resend_decide, for membership decides: only a decide
-  /// this party sent as sponsor, never one it received.
-  bool maybe_resend_membership_decide(const std::string& label,
-                                      const PartyId& to);
+  // --- membership requests (membership.cpp) ----------------------------------
   /// Re-send the stored welcome/reject/confirm answer of an already
   /// answered subject request (journal-gated duplicate handling).
   bool maybe_reanswer_membership_request(const std::string& nonce_key,
                                          const PartyId& subject);
-  /// Journal and keep the answer to a subject request so a duplicate of
-  /// the same request (recovering subject probing us) can be re-answered.
-  void remember_subject_answer(const std::string& nonce_key, MsgType type,
-                               const Bytes& payload);
+  /// Answer a subject request; journal and keep the answer so a duplicate
+  /// of the same request (recovering subject probing us) can be
+  /// re-answered.
+  void answer_subject(const std::string& nonce_key, const PartyId& subject,
+                      MsgType type, Bytes payload);
+  /// Refuse a connect request, signed (§4.5.3: the same shape whether the
+  /// sponsor or a member refused).
+  void reject_connect(const MembershipRequest& request);
   /// Journal the pending subject-side request (kSubjectRequest + barrier).
   void journal_subject_request(const MembershipRequest& request,
                                const Bytes& signature, const PartyId& sent_to,
                                bool relayed_eviction);
   /// Close the pending subject-side request (kSubjectClosed + barrier).
   void close_subject_request(const std::string& nonce_key);
-  /// Capped re-probe of a still-open membership run (journal-gated).
-  void arm_membership_probe(const std::string& label, bool as_sponsor,
-                            int attempt);
   /// Capped re-probe of the pending subject request (journal-gated).
   void arm_subject_probe(std::string nonce_key, int attempt);
   void resend_subject_request();
+  /// Settle a relayed eviction whose run concluded here (we requested it,
+  /// and either sponsored it after all or received its decide).
+  void settle_relayed_eviction(const MembershipRequest& request, bool agreed,
+                               std::string diagnostic,
+                               std::vector<PartyId> vetoers,
+                               std::uint64_t sequence,
+                               const std::string& label);
   void abort_runs_on_departure();
-  void restore_recovered_membership(const RecoveredObjectState& recovered);
-  void resume_recovered_membership(std::vector<RunHandle>& handles);
 
   // --- shared helpers (replica_common in replica.cpp) -----------------------
   std::uint64_t next_sequence();
@@ -639,27 +611,74 @@ class Replica {
                 std::uint64_t sequence, const std::string& label);
   /// Surface a protocol event to the application and the coordinator.
   void emit(const CoordEvent& event);
+  /// The state the object holds: our open run's proposed state (invariant
+  /// 2), else the agreed one.
+  const Bytes& held_state() const;
 
-  // --- state coordination: proposer side -------------------------------------
-  /// The one run opener behind propose_state/propose_update/propose_batch
-  /// and stage_deal_run. `object_holds_proposal`: the caller already
-  /// applied the proposed state (invariant 2), so an abort must restore
-  /// the object instead of leaving it alone. A non-empty `deal_id` stages
-  /// the run for the deal layer: journaled, but neither sent nor decided.
+  // --- the run engine: proposer side ----------------------------------------
+  struct ProposerRun : ProposerRunRecord {
+    std::map<PartyId, RunResponse> responses;
+    RunHandle result;
+    /// Deal leg (DESIGN.md §12): park the completed response set for the
+    /// deal layer instead of auto-deciding.
+    bool deal_staged = false;
+    std::string deal_id;
+
+    std::string label() const { return propose.label(); }
+  };
+  /// The state run builder behind propose_state/propose_update/
+  /// propose_batch and stage_deal_run. `object_holds_proposal`: the caller
+  /// already applied the proposed state (invariant 2), so an abort must
+  /// restore the object instead of leaving it alone. A non-empty `deal_id`
+  /// stages the run for the deal layer: journaled, but neither sent nor
+  /// decided.
   RunHandle open_run(std::vector<BatchOp> ops, bool object_holds_proposal,
                      const std::string& deal_id = "");
-  /// Re-send our open run's propose to every recipient whose response is
-  /// still missing.
-  void resend_propose_to_silent();
-  void handle_respond(const PartyId& from, const Bytes& body);
+  /// The membership run builder (§4.5): the sponsor proposes the change
+  /// `request` asks for.
+  RunHandle start_membership_run(MembershipRequest request,
+                                 Bytes request_signature, RunHandle handle);
+  /// The opener, first half: take the run's labels out of replay and
+  /// journal its propose. A staged run is parked here (returns false).
+  bool journal_run_open(ProposerRun& run);
+  /// The opener, second half: send the propose, arm the run's deadline and
+  /// probe. A run with no one to ask decides at once.
+  void send_run_open(ProposerRun run);
+  /// Re-send our open run's propose (and a deal leg's `enlist`) to every
+  /// recipient whose response is still missing.
+  void resend_propose_to_silent(const Bytes& enlist = {});
+  /// Close our open run as aborted: roll back (or abandon) with `note` on
+  /// record, complete its handle with `diagnostic`, close it.
+  void abort_proposer_run(const std::string& diagnostic, const Bytes& note);
+  void handle_respond(const PartyId& from, MsgType type, const Bytes& body);
+  /// The decide step: tally the responses, journal and send the decide,
+  /// act on the outcome, close the run.
   void finish_run_as_proposer();
-  /// Check each response's signature against its responder's key.
-  std::vector<bool> verify_responses(
-      const std::vector<RespondMsg>& responses) const;
+  bool response_signed(const RunResponse& response) const;
+  /// Per-kind: act on a decided run at its proposer (install the states,
+  /// or apply the member change and answer the subject).
+  void proposer_outcome(const BatchProposeMsg& propose, ProposerRun& run,
+                        bool agreed, std::vector<PartyId> vetoers,
+                        const std::string& diagnostic,
+                        const RunDecide& decide);
+  void proposer_outcome(const MembershipProposeMsg& propose, ProposerRun& run,
+                        bool agreed, std::vector<PartyId> vetoers,
+                        const std::string& diagnostic,
+                        const RunDecide& decide);
 
-  // --- state coordination: responder side ------------------------------------
+  // --- the run engine: responder side ---------------------------------------
+  using ResponderRun = ResponderRunRecord;
   void handle_propose(const PartyId& from, MsgType type, const Bytes& body);
   void handle_decide(const PartyId& from, MsgType type, const Bytes& body);
+  /// Per-kind: judge the proposal and sign the response — or, given
+  /// `verdict`, answer with that decision unjudged. A state run's
+  /// validated item states go to `states`.
+  RunResponse respond_to(const BatchProposeMsg& propose,
+                         std::optional<Decision> verdict,
+                         std::vector<Bytes>* states);
+  RunResponse respond_to(const MembershipProposeMsg& propose,
+                         std::optional<Decision> verdict,
+                         std::vector<Bytes>* states);
   /// The responder validation loop: run-level checks (`digest` is the
   /// recomputed payload_digest()), then every item in order against the
   /// state the previous item produced. Appends the validated per-item
@@ -672,7 +691,7 @@ class Replica {
   Decision evaluate_proposal(const Proposal& prop, const BatchItem& item,
                              const crypto::Digest& prev_state_hash,
                              Bytes* state_out);
-  using ResponderRun = ResponderRunRecord;
+  Decision evaluate_membership_proposal(const MembershipProposeMsg& msg);
   /// Re-derive every item state of an agreed run from our own copy of the
   /// payloads (nullopt if any hash cannot be confirmed).
   std::optional<std::vector<Bytes>> derive_agreed_states(
@@ -680,15 +699,24 @@ class Replica {
 
   /// Shared tail of handle_decide, TTP-certified decisions and the
   /// recovery redo: verify the aggregated responses, compute the group
-  /// decision, install every item in order or discard, release the lock.
-  /// `run` must already be removed from the map.
+  /// decision, act on it, close the run. `run` must already be removed
+  /// from the map.
   void conclude_responder_run(const std::string& label, ResponderRun run,
-                              const std::vector<RespondMsg>& responses,
+                              const std::vector<RunResponse>& responses,
                               const PartyId& attribute_to);
+  /// Per-kind: act on a decided run at a responder.
+  void responder_outcome(const BatchProposeMsg& propose, ResponderRun& run,
+                         bool agreed,
+                         const std::vector<RunResponse>& responses);
+  void responder_outcome(const MembershipProposeMsg& propose,
+                         ResponderRun& run, bool agreed,
+                         const std::vector<RunResponse>& responses);
 
   // --- TTP termination helpers ---------------------------------------------------
   void arm_deadline(const std::string& label, bool as_proposer);
   void request_termination(const std::string& label, bool as_proposer);
+  /// Our open state run's transcript, as its proposer refers it.
+  TerminationRequest proposer_termination_request() const;
   void handle_termination_verdict(const PartyId& from, const Bytes& body);
 
   // --- deal legs ----------------------------------------------------------------
@@ -700,27 +728,13 @@ class Replica {
   /// a probing responder. Returns false if none is on record.
   bool maybe_resend_deal_decision(const std::string& label, const PartyId& to);
 
-  // --- membership (implementation in membership.cpp) --------------------------
+  // --- membership requests and answers (membership.cpp) --------------------
   void handle_connect_request(const PartyId& from, const Bytes& body);
-  void handle_membership_propose(const PartyId& from, const Bytes& body);
-  void handle_membership_respond(const PartyId& from, const Bytes& body);
-  void handle_membership_decide(const PartyId& from, const Bytes& body);
-  /// Shared tail of handle_membership_decide and the recovery redo:
-  /// verify the aggregated responses, apply or discard the change, close
-  /// the run. `run` must already be removed from the map.
-  struct MembershipResponderRun;
-  void conclude_membership_responder_run(const std::string& label,
-                                         MembershipResponderRun run,
-                                         const MembershipDecideMsg& msg);
   void handle_connect_welcome(const PartyId& from, const Bytes& body);
   void handle_connect_reject(const PartyId& from, const Bytes& body);
   void handle_disconnect_request(const PartyId& from, const Bytes& body);
   void handle_disconnect_confirm(const PartyId& from, const Bytes& body);
-  RunHandle start_membership_run(MembershipRequest request,
-                                 Bytes request_signature, RunHandle handle);
-  void finish_membership_run_as_sponsor();
   void apply_membership_change(const MembershipProposal& proposal);
-  Decision evaluate_membership_proposal(const MembershipProposeMsg& msg);
   /// Sponsor-side request intake shared by fresh and deferred requests.
   void process_membership_request(MembershipRequest request, Bytes signature);
   /// Hand a request we cannot serve (departed) to another member.
@@ -752,47 +766,18 @@ class Replica {
   std::optional<TtpConfig> ttp_;
 
   /// Group decision from (consistent) accept count under the configured
-  /// rule; `accepts` counts recipient accepts (the proposer is implicit).
-  bool group_accepts(std::size_t accepts, std::size_t recipients) const;
+  /// rule (a unanimous format ignores it); `accepts` counts recipient
+  /// accepts (the proposer is implicit).
+  bool group_accepts(std::size_t accepts, std::size_t recipients,
+                     const RunFormat& format) const;
 
-  // --- proposer-side active state run ------------------------------------------
-  struct ProposerRun : ProposerRunRecord {
-    std::map<PartyId, RespondMsg> responses;
-    RunHandle result;
-    /// Deal leg (DESIGN.md §12): park the completed response set for the
-    /// deal layer instead of auto-deciding.
-    bool deal_staged = false;
-    std::string deal_id;
-
-    std::string label() const { return propose.proposal.proposed.label(); }
-  };
+  // --- the open runs ---------------------------------------------------------
+  /// Our own open run, of either kind: at most one at a time.
   std::optional<ProposerRun> proposer_run_;
-
-  // --- responder-side active state runs -----------------------------------------
+  /// The runs we responded to and whose decide is still due.
   std::map<std::string, ResponderRun> responder_runs_;
-  /// Label of the run this replica has *accepted* and is provisionally
-  /// locked on (at most one at a time; others are rejected as busy).
-  std::optional<std::string> accept_lock_;
 
-  // --- membership runs -----------------------------------------------------------
-  struct SponsorRun {
-    MembershipProposeMsg propose;
-    Bytes authenticator;
-    std::vector<PartyId> recipients;
-    std::map<PartyId, MembershipRespondMsg> responses;
-    RunHandle result;
-    /// For eviction relayed by a non-sponsor proposer: where to report.
-    std::optional<PartyId> report_to;
-  };
-  std::optional<SponsorRun> sponsor_run_;
-
-  struct MembershipResponderRun {
-    MembershipProposeMsg propose;
-    MembershipRespondMsg my_response;
-    std::vector<PartyId> members_at_response;
-  };
-  std::map<std::string, MembershipResponderRun> membership_responder_runs_;
-
+  // --- membership requests -------------------------------------------------
   /// Subject-side pending connect/disconnect request.
   struct SubjectRequest {
     MembershipRequest request;
@@ -826,14 +811,9 @@ class Replica {
   // --- journal-based recovery state ----------------------------------------------
   /// Decide journaled by our previous incarnation but not confirmed
   /// installed: redone (to the journaled outcome) in resume_recovered_runs.
-  std::optional<BatchDecideMsg> recovered_decide_;
+  std::optional<RunDecide> recovered_decide_;
   /// Delivered decides whose conclusion must be redone on resume.
-  std::map<std::string, BatchDecideMsg> pending_redo_decides_;
-  /// Membership decide journaled by our previous incarnation as sponsor
-  /// but not confirmed installed: redone in resume_recovered_runs.
-  std::optional<MembershipDecideMsg> recovered_membership_decide_;
-  /// Delivered membership decides whose conclusion must be redone.
-  std::map<std::string, MembershipDecideMsg> pending_redo_membership_decides_;
+  std::map<std::string, RunDecide> pending_redo_decides_;
   /// The durable image of our own pending subject-side request: set while
   /// the request is unanswered (journal-gated), drives the subject probe
   /// and the recovery re-send under the original nonce.

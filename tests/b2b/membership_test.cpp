@@ -4,8 +4,10 @@
 // rotation, and the consistency of group views afterwards.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 
+#include "b2b/arbiter.hpp"
 #include "b2b/federation.hpp"
 #include "b2b/messages.hpp"
 #include "b2b/replica.hpp"
@@ -142,6 +144,79 @@ TEST(Membership, ConnectVetoedByMemberYieldsReject) {
   fed.settle();
   EXPECT_EQ(fed.coordinator("alpha").replica(kObj).members().size(), 2u);
   EXPECT_FALSE(fed.coordinator("gamma").replica(kObj).connected());
+}
+
+/// The Arbiter rules on a membership run from one party's log, at the
+/// sponsor and at a recipient, as on a state run: the run's group label
+/// files its membership.* records.
+TEST(Membership, ArbiterRulesOnConnectRunsFromOnePartysLog) {
+  struct VetoingRegister : TestRegister {
+    bool veto = false;
+    Decision validate_connect(const PartyId&,
+                              const ValidationContext&) override {
+      return veto ? Decision::rejected("we are full") : Decision::accepted();
+    }
+  };
+  VetoingRegister alpha_obj;
+  TestRegister beta_obj, gamma_obj, delta_obj, epsilon_obj;
+  Federation fed{{"alpha", "beta", "gamma", "delta", "epsilon"}};
+  fed.register_object("alpha", kObj, alpha_obj);
+  fed.register_object("beta", kObj, beta_obj);
+  fed.register_object("gamma", kObj, gamma_obj);
+  fed.register_object("delta", kObj, delta_obj);
+  fed.register_object("epsilon", kObj, epsilon_obj);
+  fed.bootstrap_object(kObj, {"alpha", "beta", "gamma"}, bytes_of("genesis"));
+  const Arbiter arbiter{fed.make_verifier()};
+
+  // Agreed: gamma sponsors delta's connect; alpha and beta respond.
+  RunHandle joined =
+      fed.coordinator("delta").propagate_connect(kObj, PartyId{"gamma"});
+  ASSERT_TRUE(fed.run_until_done(joined));
+  ASSERT_EQ(joined->outcome, RunResult::Outcome::kAgreed);
+  fed.settle();
+  const std::vector<PartyId> asked{PartyId{"alpha"}, PartyId{"beta"}};
+  for (const char* name : {"gamma", "beta"}) {
+    const ArbitrationReport report = arbiter.arbitrate(
+        fed.coordinator(name).evidence(), joined->run_label, &asked);
+    EXPECT_TRUE(report.proposal_found) << name << ": " << report.ruling;
+    EXPECT_TRUE(report.decide_found) << name;
+    EXPECT_TRUE(report.verdict.evidence_intact) << name << ": "
+                                                << report.ruling;
+    EXPECT_TRUE(report.verdict.agreed) << name << ": " << report.ruling;
+  }
+
+  // Vetoed: delta, now the most recent member, sponsors epsilon's
+  // connect, and alpha vetoes it.
+  alpha_obj.veto = true;
+  const std::vector<std::string> before =
+      fed.coordinator("delta").evidence().run_labels();
+  RunHandle refused =
+      fed.coordinator("epsilon").propagate_connect(kObj, PartyId{"delta"});
+  ASSERT_TRUE(fed.run_until_done(refused));
+  ASSERT_EQ(refused->outcome, RunResult::Outcome::kVetoed);
+  fed.settle();
+  std::string label;
+  for (const std::string& candidate :
+       fed.coordinator("delta").evidence().run_labels()) {
+    if (std::find(before.begin(), before.end(), candidate) == before.end()) {
+      label = candidate;
+    }
+  }
+  ASSERT_EQ(label.front(), 'g');
+  const std::vector<PartyId> all_asked{PartyId{"alpha"}, PartyId{"beta"},
+                                       PartyId{"gamma"}};
+  for (const char* name : {"delta", "beta"}) {
+    const ArbitrationReport report = arbiter.arbitrate(
+        fed.coordinator(name).evidence(), label, &all_asked);
+    EXPECT_TRUE(report.proposal_found) << name << ": " << report.ruling;
+    EXPECT_TRUE(report.verdict.evidence_intact) << name << ": "
+                                                << report.ruling;
+    EXPECT_FALSE(report.verdict.agreed) << name;
+    EXPECT_EQ(report.verdict.vetoers, std::vector<PartyId>{PartyId{"alpha"}})
+        << name;
+    EXPECT_NE(report.ruling.find("vetoed by alpha"), std::string::npos)
+        << report.ruling;
+  }
 }
 
 TEST(Membership, SponsorImmediateRejectionLooksIdentical) {

@@ -20,6 +20,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -44,15 +45,13 @@ using test::TestRegister;
 // The campaign's point lists live in tests/support/crash_points.hpp,
 // shared with the multi-object campaign in sharding_test.cpp. In this
 // file the crashers are: "alpha" for proposer points, "beta" for
-// responder points, "gamma" (the rotating sponsor of the trio) for
-// sponsor-membership points, "beta" for recipient-membership points,
+// responder points, "gamma" (the rotating sponsor of the trio) for the
+// proposer points of a membership run, "beta" for its responder points,
 // "delta" for the subject point, "alpha" (the blocked proposer) for
 // termination points.
 using test::campaign_seed;
 using test::kProposerPoints;
-using test::kRecipientMembershipPoints;
 using test::kResponderPoints;
-using test::kSponsorMembershipPoints;
 using test::kSubjectPoint;
 using test::kTerminationPoints;
 
@@ -457,7 +456,7 @@ TEST_P(Recovery, MembershipDecideJournaledButUnappliedConverges) {
     MemberParties p(tag, GetParam(), /*seed=*/9);
     p.warm_up();
 
-    p.fed.coordinator("beta").arm_crash_point("m-decide-recv.journaled");
+    p.fed.coordinator("beta").arm_crash_point("decide-recv.journaled");
     RunHandle h =
         p.fed.coordinator("delta").propagate_connect(kObj, PartyId{"gamma"});
     ASSERT_TRUE(p.fed.executor().run_until(
@@ -518,14 +517,14 @@ TEST(CrashCampaign, ResponderCrashEveryPoint) {
 }
 
 TEST(CrashCampaign, SponsorCrashEveryMembershipPoint) {
-  for (const std::string& point : kSponsorMembershipPoints) {
+  for (const std::string& point : kProposerPoints) {
     SCOPED_TRACE(point);
     run_membership_sim_case(point, "gamma", campaign_seed());
   }
 }
 
 TEST(CrashCampaign, RecipientCrashEveryMembershipPoint) {
-  for (const std::string& point : kRecipientMembershipPoints) {
+  for (const std::string& point : kResponderPoints) {
     SCOPED_TRACE(point);
     run_membership_sim_case(point, "beta", campaign_seed());
   }
@@ -594,7 +593,7 @@ TEST(CrashCampaign, DisconnectSponsorCrashAtDecideJournaled) {
 
     // alpha leaves voluntarily; the sponsor for alpha's departure is
     // gamma (most recently joined member not itself leaving).
-    p.fed.coordinator("gamma").arm_crash_point("m-decide.journaled");
+    p.fed.coordinator("gamma").arm_crash_point("decide.journaled");
     RunHandle h = p.fed.coordinator("alpha").propagate_disconnect(kObj);
     EXPECT_TRUE(p.fed.executor().run_until(
         [&] { return p.fed.coordinator("gamma").crashed(); }));
@@ -746,7 +745,7 @@ TEST(CrashCampaign, RecoveryIsDeterministic) {
 TEST(CrashCampaign, MembershipRecoveryIsDeterministic) {
   for (const auto& [point, crasher] :
        std::vector<std::pair<std::string, std::string>>{
-           {"m-response.journaled", "gamma"}, {"m-respond.sent", "beta"}}) {
+           {"response.journaled", "gamma"}, {"respond.sent", "beta"}}) {
     SCOPED_TRACE(point);
     Bytes first = run_membership_sim_case(point, crasher, /*seed=*/23, "_det");
     Bytes second = run_membership_sim_case(point, crasher, /*seed=*/23, "_det");
@@ -770,7 +769,7 @@ TEST(CrashCampaignCombined, SponsorCrashDuringPartitionThatHeals) {
         {PartyId{"alpha"}},
         {PartyId{"beta"}, PartyId{"gamma"}, PartyId{"delta"}},
         p.fed.scheduler().now() + 400'000);
-    p.fed.coordinator("gamma").arm_crash_point("m-response.journaled");
+    p.fed.coordinator("gamma").arm_crash_point("response.journaled");
     RunHandle h =
         p.fed.coordinator("delta").propagate_connect(kObj, PartyId{"gamma"});
     EXPECT_TRUE(p.fed.executor().run_until(
@@ -817,7 +816,7 @@ TEST(CrashCampaignCombined, EvictionTargetsTheCrashedSponsor) {
     MemberParties p(tag, RuntimeKind::kSim, campaign_seed());
     p.warm_up();
 
-    p.fed.coordinator("gamma").arm_crash_point("m-propose.journaled");
+    p.fed.coordinator("gamma").arm_crash_point("propose.journaled");
     RunHandle connect =
         p.fed.coordinator("delta").propagate_connect(kObj, PartyId{"gamma"});
     EXPECT_TRUE(p.fed.executor().run_until(
@@ -987,22 +986,22 @@ void run_realtime_membership_case(const std::string& point,
 }
 
 TEST(CrashCampaignThreaded, SponsorCrashAfterMembershipDecideJournaled) {
-  run_realtime_membership_case("m-decide.journaled", "gamma",
+  run_realtime_membership_case("decide.journaled", "gamma",
                                RuntimeKind::kThreaded);
 }
 
 TEST(CrashCampaignThreaded, RecipientCrashAfterMembershipRespondJournaled) {
-  run_realtime_membership_case("m-respond.journaled", "beta",
+  run_realtime_membership_case("respond.journaled", "beta",
                                RuntimeKind::kThreaded);
 }
 
 TEST(CrashCampaignReactor, SponsorCrashAfterMembershipDecideJournaled) {
-  run_realtime_membership_case("m-decide.journaled", "gamma",
+  run_realtime_membership_case("decide.journaled", "gamma",
                                RuntimeKind::kReactor);
 }
 
 TEST(CrashCampaignReactor, RecipientCrashAfterMembershipRespondJournaled) {
-  run_realtime_membership_case("m-respond.journaled", "beta",
+  run_realtime_membership_case("respond.journaled", "beta",
                                RuntimeKind::kReactor);
 }
 
@@ -1395,6 +1394,107 @@ TEST(Recovery, SnapshotRecordsDoNotGrowWithHistory) {
         std::minmax_element(sizes.begin(), sizes.end());
     // A few bytes of slack for varints.
     EXPECT_LE(*largest - *smallest, 4u) << name;
+  }
+  fs::remove_all(root);
+}
+
+/// A party that resolves a blocked membership run out of band (§7)
+/// closes it like any run it takes part in: journaled closed, sealed, and
+/// gone after a restart. Beta goes silent, so gamma's connect run blocks
+/// on beta's response and alpha, which answered, blocks on gamma's decide.
+TEST(Recovery, ResolvedMembershipRunsStayClosedAfterRestart) {
+  const std::string tag = "resolved_membership";
+  {
+    MemberParties p(tag, RuntimeKind::kSim, campaign_seed());
+    p.warm_up();
+    p.fed.network().partition(
+        {PartyId{"beta"}},
+        {PartyId{"alpha"}, PartyId{"gamma"}, PartyId{"delta"}},
+        std::uint64_t{1} << 62);
+    RunHandle h =
+        p.fed.coordinator("delta").propagate_connect(kObj, PartyId{"gamma"});
+    p.fed.scheduler().run_until(p.fed.scheduler().now() + 30'000'000);
+    ASSERT_FALSE(h->done());
+
+    const std::vector<std::string> open =
+        p.fed.coordinator("gamma").replica(kObj).active_run_labels();
+    ASSERT_EQ(open.size(), 1u);
+    const std::string label = open.front();
+    ASSERT_EQ(p.fed.coordinator("alpha").replica(kObj).active_run_labels(),
+              open);
+    for (const std::string name : {"gamma", "alpha"}) {
+      Coordinator& coord = p.fed.coordinator(name);
+      EXPECT_TRUE(coord.replica(kObj).resolve_blocked_run(label)) << name;
+      const Arbiter::AnchorReport anchors = Arbiter::verify_anchored_spans(
+          coord.evidence(), coord.public_key(), &p.fed.tss()->public_key());
+      EXPECT_TRUE(anchors.all_anchors_valid) << name;
+      EXPECT_EQ(anchors.trailing_records, 0u) << name;
+    }
+    EXPECT_EQ(h->outcome, RunResult::Outcome::kPending);
+
+    for (const std::string name : {"gamma", "alpha"}) {
+      p.fed.crash_party(name);
+      Coordinator& revived = p.fed.recover_party(name);
+      p.fed.register_object(name, kObj, p.obj(name));
+      revived.resume_recovered_runs();
+      const Replica& replica = revived.replica(kObj);
+      EXPECT_FALSE(replica.busy()) << name;
+      EXPECT_TRUE(replica.active_run_labels().empty()) << name;
+    }
+  }
+  fs::remove_all(fs::temp_directory_path() / ("b2b_recovery_" + tag));
+}
+
+/// Membership runs journal the one run record family (6–12): a connect,
+/// a relayed eviction and a voluntary disconnect leave no record of the
+/// retired membership family (13–19) in any party's journal, and each
+/// run's group label closes a proposer run (its sponsor's) and a
+/// responder run (a recipient's).
+TEST(Recovery, MembershipRunsJournalTheRunRecordFamily) {
+  const std::string tag = "run_record_family";
+  const std::string root =
+      (fs::temp_directory_path() / ("b2b_recovery_" + tag)).string();
+  const std::vector<std::string> kAll = {"alpha", "beta", "gamma", "delta"};
+  std::vector<std::string> group_labels;
+  {
+    MemberParties p(tag, RuntimeKind::kSim, campaign_seed());
+    p.warm_up();
+    auto drive = [&](const RunHandle& h) {
+      ASSERT_TRUE(p.fed.run_until_done(h));
+      ASSERT_EQ(h->outcome, RunResult::Outcome::kAgreed) << h->diagnostic;
+      p.fed.settle();
+      group_labels.push_back(h->run_label);
+    };
+    // Gamma sponsors delta's connect; delta, now the most recent member,
+    // sponsors alpha's eviction of beta and then gamma's departure.
+    drive(p.fed.coordinator("delta").propagate_connect(kObj, PartyId{"gamma"}));
+    drive(p.fed.coordinator("alpha").propagate_eviction(kObj, {PartyId{"beta"}}));
+    drive(p.fed.coordinator("gamma").propagate_disconnect(kObj));
+  }
+  std::set<std::string> proposer_closed;
+  std::set<std::string> responder_closed;
+  for (const std::string& name : kAll) {
+    store::Journal journal(root + "/" + name);
+    for (const store::JournalRecord& record : journal.records()) {
+      EXPECT_FALSE(record.type >= 13 && record.type <= 19)
+          << name << " journaled record type " << int{record.type};
+      if (record.type != walrec::kProposerClosed &&
+          record.type != walrec::kResponderClosed) {
+        continue;
+      }
+      wire::Decoder dec{record.payload};
+      dec.str();  // object
+      std::string label = dec.str();
+      (record.type == walrec::kProposerClosed ? proposer_closed
+                                              : responder_closed)
+          .insert(std::move(label));
+    }
+  }
+  ASSERT_EQ(group_labels.size(), 3u);
+  for (const std::string& label : group_labels) {
+    EXPECT_EQ(label.front(), 'g') << label;
+    EXPECT_TRUE(proposer_closed.contains(label)) << label;
+    EXPECT_TRUE(responder_closed.contains(label)) << label;
   }
   fs::remove_all(root);
 }

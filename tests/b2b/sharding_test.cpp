@@ -690,14 +690,14 @@ TEST(MultiObjectCrashCampaign, ResponderCrashEveryPoint) {
 }
 
 TEST(MultiObjectCrashCampaign, SponsorCrashEveryMembershipPoint) {
-  for (const std::string& point : test::kSponsorMembershipPoints) {
+  for (const std::string& point : test::kProposerPoints) {
     SCOPED_TRACE(point);
     run_multi_membership_case(point, "gamma", test::campaign_seed());
   }
 }
 
 TEST(MultiObjectCrashCampaign, RecipientCrashEveryMembershipPoint) {
-  for (const std::string& point : test::kRecipientMembershipPoints) {
+  for (const std::string& point : test::kResponderPoints) {
     SCOPED_TRACE(point);
     run_multi_membership_case(point, "beta", test::campaign_seed());
   }

@@ -2,10 +2,12 @@
 // (see src/b2b/recovery.hpp), grouped by the protocol role whose code path
 // passes it. Shared by the single-object campaign in recovery_test.cpp,
 // the multi-object (sharded) campaign in sharding_test.cpp, and the batch
-// campaign in pipeline_test.cpp (a state run of any size passes the same
-// proposer/responder points), so none can silently fall out of date when
-// a point is added; tests/scripts/crash_points_in_sync.sh fails on any
-// drift between these lists and the source.
+// campaign in pipeline_test.cpp. Every run passes the same proposer and
+// responder points, whatever its size or kind: the membership campaigns
+// sweep kProposerPoints at the sponsor and kResponderPoints at the
+// recipient. So none can silently fall out of date when a point is added;
+// tests/scripts/crash_points_in_sync.sh fails on any drift between these
+// lists and the source.
 #pragma once
 
 #include <cstdint>
@@ -15,7 +17,8 @@
 
 namespace b2b::test {
 
-// Crash points passed on the proposer's code path.
+// Crash points passed on the proposer's code path: a state run's
+// proposer, or a membership run's sponsor (one run engine).
 inline const std::vector<std::string> kProposerPoints = {
     "propose.pre-journal",  "propose.journaled", "propose.mid-send",
     "propose.sent",         "response.pre-journal", "response.journaled",
@@ -23,27 +26,13 @@ inline const std::vector<std::string> kProposerPoints = {
     "decide.sent",          "run.pre-seal",      "decide.installed",
 };
 
-// Crash points passed on a responder's code path.
+// Crash points passed on a responder's code path: a state run's
+// responder, or a membership run's recipient.
 inline const std::vector<std::string> kResponderPoints = {
     "respond.pre-journal",     "respond.journaled",
     "respond.sent",            "decide-recv.pre-journal",
     "decide-recv.journaled",   "run.pre-seal",
     "decide-recv.installed",
-};
-
-// Membership crash points passed on the sponsor's code path during a
-// connect run.
-inline const std::vector<std::string> kSponsorMembershipPoints = {
-    "m-propose.pre-journal", "m-propose.journaled",  "m-propose.sent",
-    "m-response.journaled",  "m-decide.pre-journal", "m-decide.journaled",
-    "m-decide.mid-send",     "m-decide.sent",        "m-decide.installed",
-};
-
-// Membership crash points passed on a recipient's code path.
-inline const std::vector<std::string> kRecipientMembershipPoints = {
-    "m-respond.journaled",       "m-respond.sent",
-    "m-decide-recv.pre-journal", "m-decide-recv.journaled",
-    "m-decide-recv.installed",
 };
 
 // The one crash point on the subject's (joiner's) code path.
