@@ -9,7 +9,7 @@
 // the subject's own request), so the durability tax is measured on this
 // path separately from E16a.
 //
-// Table 2: the sponsor crashes at `m-decide.journaled` — the worst-case
+// Table 2: the sponsor crashes at `decide.journaled` — the worst-case
 // point, where the decide for the join is durable but nothing was sent —
 // and the stopwatch covers its full restart: journal replay (Coordinator
 // construction), object re-registration, and resume_recovered_runs()
@@ -120,7 +120,7 @@ int main() {
   }
 
   bench::print_header(
-      "E17b: sponsor recovery from m-decide.journaled vs. group size",
+      "E17b: sponsor recovery from decide.journaled vs. group size",
       "  N | journal records |  replay+resume ms |  converge ms (virtual)");
 
   for (std::size_t n : {2u, 4u, 8u}) {

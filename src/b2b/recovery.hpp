@@ -99,10 +99,12 @@ inline constexpr std::uint8_t kProposerClosed = 9;
 inline constexpr std::uint8_t kResponderRun = 10;
 inline constexpr std::uint8_t kDecideDelivered = 11;
 inline constexpr std::uint8_t kResponderClosed = 12;
-// 13–19 were a second record family for membership runs, retired when a
-// membership run became a run of the one engine under types 6–12. Never
-// reuse these numbers: replay skips them as unknown, and a journal
-// written before cannot be replayed.
+// 13–19 (kSponsorRun, kMembershipResponse, kMembershipDecideSent,
+// kSponsorClosed, kMembershipResponderRun, kMembershipDecideDelivered,
+// kMembershipResponderClosed) were a second record family for membership
+// runs, retired when a membership run became a run of the one engine
+// under types 6–12. Never reuse these numbers: replay skips them as
+// unknown, and a journal written before cannot be replayed.
 inline constexpr std::uint8_t kSubjectRequest = 20;
 inline constexpr std::uint8_t kSubjectClosed = 21;
 inline constexpr std::uint8_t kTerminationSubmitted = 22;
