@@ -1,7 +1,7 @@
 // Experiment E23 — the price of atomicity (DESIGN.md §12 deals).
 //
 // K independent objects are updated every round by the same initiator on
-// the threaded runtime (3 organisations, everyone a member of every
+// the reactor runtime (3 organisations, everyone a member of every
 // object, journals on with fsync off). Three ways to move the same K
 // states:
 //
@@ -43,7 +43,7 @@ core::Federation::Options make_options(const std::string& tag) {
   const fs::path root = fs::temp_directory_path() / ("b2b_bench_deals_" + tag);
   fs::remove_all(root);
   core::Federation::Options options;
-  options.runtime = core::RuntimeKind::kThreaded;
+  options.runtime = core::RuntimeKind::kReactor;
   options.seed = 23;
   // The deal layer assumes the paper's stable storage (§4.2); fsync off
   // so the table prices the protocol, not the disk (E16 prices fsync).
@@ -117,7 +117,7 @@ double run_config(Mode mode, std::size_t num_objects) {
 int main() {
   std::printf(
       "E23 — the price of atomicity: K-leg deals vs K independent runs, "
-      "threaded runtime, 3 orgs, %d rounds\n\n",
+      "reactor runtime, 3 orgs, %d rounds\n\n",
       kRounds);
 
   std::printf("Table 1: deal layer vs non-atomic baseline\n");

@@ -43,14 +43,14 @@ Row run_config(std::size_t batch) {
   core::Federation::Options options;
   // The deterministic simulator delivers inline on one thread, so wall
   // time here IS protocol CPU — overwhelmingly the RSA floor this
-  // experiment prices. (The threaded runtime adds ~2.5 ms/run of thread
-  // handoff that buries the crypto; E18/E20 price transports.)
+  // experiment prices. (A socket runtime adds thread handoff and
+  // loopback latency that bury the crypto; E18/E20 price transports.)
   options.runtime = core::RuntimeKind::kSim;
   options.seed = 24;
   options.pipeline = batch > 1;
   bench::RegisterFederation f(kParties, options);
   f.agree_once(bytes_of("warm"));  // exclude bootstrap/warm-up from timing
-  // reset_stats() needs the sim network; on the threaded runtime count
+  // reset_stats() needs the sim network; on a socket runtime count
   // protocol messages by delta instead.
   const std::uint64_t messages_before = f.total_protocol_messages();
 

@@ -1,17 +1,19 @@
 // Experiment E18 — what real kernel sockets cost.
 //
 // Table 1: raw transport round-trip latency. A two-party ping-pong
-// (handler of b echoes back to a) over the in-process threaded fabric
-// and over ReactorTransport on localhost, same ack/retransmit/dedup
-// stack on both. The gap is the price of the kernel boundary: syscalls,
-// TCP framing, loopback scheduling, the hop onto the delivery pool.
+// (handler of b echoes back to a) over ReactorTransport on localhost:
+// plain, with wire v3 session auth, and through a passive relay. The
+// rows price the kernel boundary (syscalls, TCP framing, loopback
+// scheduling, the hop onto the delivery pool) and what auth and the
+// relay add to it.
 //
 // Table 2: protocol-level agreed-overwrite latency. The identical
 // workload (agreed 1 KiB overwrites, N=3) on all three runtimes. The
 // simulator row reports wall time of the discrete-event run (virtual
-// latency is free); threaded and reactor rows are honest end-to-end
-// numbers including RSA signing, which dominates — so the transport gap
-// largely disappears at the protocol level.
+// latency is free); the socket rows (every party on one node, and a
+// node per party) are honest end-to-end numbers including RSA signing,
+// which dominates — so the transport gap largely disappears at the
+// protocol level.
 #include <atomic>
 #include <algorithm>
 #include <cstdio>
@@ -20,7 +22,6 @@
 #include "bench/support/bench_util.hpp"
 #include "net/intruder_proxy.hpp"
 #include "net/reactor_runtime.hpp"
-#include "net/threaded_runtime.hpp"
 #include "net/wire_auth.hpp"
 
 using namespace b2b;
@@ -103,7 +104,7 @@ double agreed_overwrites_ms(core::RuntimeKind kind, int rounds,
 const char* runtime_name(core::RuntimeKind kind) {
   switch (kind) {
     case core::RuntimeKind::kSim: return "sim";
-    case core::RuntimeKind::kThreaded: return "threaded";
+    case core::RuntimeKind::kThreaded: return "per-party";
     case core::RuntimeKind::kReactor: return "reactor";
   }
   return "?";
@@ -164,18 +165,9 @@ int main() {
 
   bench::print_header(
       "E18a: transport round-trip latency "
-      "(1 KiB ping-pong, ack/dedup stack on both)",
+      "(1 KiB ping-pong, ack/dedup stack)",
       "  runtime      | rounds |  mean us |  p50 us  |  p99 us");
 
-  {
-    net::ThreadedRuntime::Options options;
-    net::ThreadedRuntime runtime(options);
-    net::Transport& a = runtime.add_party(PartyId{"a"});
-    net::Transport& b = runtime.add_party(PartyId{"b"});
-    print_row("threaded", kRounds,
-              ping_pong(a, b, PartyId{"a"}, PartyId{"b"}, kRounds, kPayload));
-    print_adversarial_stats("threaded", a.stats());
-  }
   // One reactor bundle (loop, pool, both parties) per socket row.
   // `auth` turns wire v3 session authentication on, `mitm` relays every
   // byte through a passive IntruderProxy with both parties interposed.

@@ -1,17 +1,19 @@
 // Experiment E19 — what per-object sharding buys (§4.1 coordinator,
 // this repo's shard/router split).
 //
-// K independent objects are driven concurrently on the threaded runtime
-// (3 organisations, one state run per object per round, all proposed at
-// once). Two coordinator configurations run the identical workload:
+// K independent objects are driven concurrently on the reactor runtime
+// (3 organisations on one node, one state run per object per round, all
+// proposed at once). Two coordinator configurations run the identical
+// workload:
 //
 //   coarse  — LockMode::kCoarse, no dispatch lanes: every replica at a
 //             party shares one mutex and inbound dispatch runs inline on
-//             the transport's delivery thread, so independent objects
+//             the transport's delivery strand, so independent objects
 //             serialise (the pre-shard coordinator's behaviour).
 //   sharded — LockMode::kPerObject with per-shard dispatch lanes: each
-//             object owns its mutex and its lane thread, so runs on
-//             distinct objects overlap end to end.
+//             object owns its mutex and a strand on the node's pool, so
+//             runs on distinct objects overlap end to end, as far as the
+//             pool's workers allow.
 //
 // Table 1 models the paper's B2B deployment: each responder's validate
 // upcall sleeps 10 ms (an organisation's local policy check hits its own
@@ -42,11 +44,10 @@ constexpr int kValidateSleepMicros = 10'000;
 
 core::Federation::Options make_options(bool sharded) {
   core::Federation::Options options;
-  options.runtime = core::RuntimeKind::kThreaded;
+  options.runtime = core::RuntimeKind::kReactor;
   options.seed = 19;
   options.lock_mode = sharded ? core::Coordinator::LockMode::kPerObject
                               : core::Coordinator::LockMode::kCoarse;
-  options.shard_lanes = sharded;
   return options;
 }
 
@@ -114,7 +115,7 @@ void run_table(bool sleepy) {
 
 int main() {
   std::printf(
-      "E19 — per-object sharding: K independent objects, threaded runtime, "
+      "E19 — per-object sharding: K independent objects, reactor runtime, "
       "3 orgs, %d rounds\n\n", kRounds);
   std::printf("Table 1: responder validate sleeps %d us (org-local policy "
               "check)\n", kValidateSleepMicros);

@@ -478,11 +478,9 @@ int main(int argc, char** argv) {
   }
   config.run_probe_interval_micros = 200'000;
   config.max_run_probes = 100;
-  // Real deployment: per-object dispatch lanes, so a slow run on one
-  // shared object never delays another object's runs.
-  config.shard_lanes = true;
-  // Lanes drain on the runtime's shared executor pool instead of one
-  // thread per object shard.
+  // Real deployment: per-object dispatch lanes, strands on the runtime's
+  // executor pool, so a slow run on one shared object never delays
+  // another object's runs.
   config.lane_pool = runtime.pool();
   core::Coordinator coordinator(config, transport, runtime.clock(), nullptr);
   // Teardown on every return path is the two-stage barrier

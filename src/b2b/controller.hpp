@@ -19,7 +19,7 @@
 //                     on_complete hook.
 //
 // Blocking goes through the abstract Executor (net/runtime.hpp): on the
-// simulator that pumps the event queue; on the threaded runtime it just
+// simulator that pumps the event queue; on the socket runtimes it just
 // waits while transport threads make progress.
 #pragma once
 

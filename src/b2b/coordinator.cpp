@@ -12,77 +12,6 @@
 namespace b2b::core {
 
 // ---------------------------------------------------------------------------
-// ShardLane
-// ---------------------------------------------------------------------------
-
-Coordinator::ShardLane::ShardLane() {
-  worker_ = std::thread([this] { worker_loop(); });
-}
-
-Coordinator::ShardLane::ShardLane(std::shared_ptr<net::TaskPool> pool)
-    : strand_(std::make_unique<net::Strand>(std::move(pool))) {}
-
-Coordinator::ShardLane::~ShardLane() { stop(); }
-
-void Coordinator::ShardLane::post(std::function<void()> task) {
-  if (strand_) {
-    strand_->post(std::move(task));
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (stopping_) return;
-    queue_.push_back(std::move(task));
-  }
-  cv_.notify_all();
-}
-
-bool Coordinator::ShardLane::idle() const {
-  if (strand_) return strand_->idle();
-  std::lock_guard<std::mutex> lock(mutex_);
-  return queue_.empty() && !running_;
-}
-
-void Coordinator::ShardLane::wait_idle() const {
-  if (strand_) {
-    strand_->wait_idle();
-    return;
-  }
-  std::unique_lock<std::mutex> lock(mutex_);
-  cv_.wait(lock, [this] { return (queue_.empty() && !running_) || stopping_; });
-}
-
-void Coordinator::ShardLane::stop() {
-  if (strand_) {
-    strand_->stop();
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stopping_ = true;
-    queue_.clear();  // the coordinator is dying; queued work is discarded
-  }
-  cv_.notify_all();
-  if (worker_.joinable()) worker_.join();
-}
-
-void Coordinator::ShardLane::worker_loop() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  for (;;) {
-    cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-    if (stopping_) return;
-    std::function<void()> task = std::move(queue_.front());
-    queue_.pop_front();
-    running_ = true;
-    lock.unlock();
-    task();
-    lock.lock();
-    running_ = false;
-    if (queue_.empty()) cv_.notify_all();  // wake wait_idle / quiescence
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Construction / teardown
 // ---------------------------------------------------------------------------
 
@@ -99,9 +28,9 @@ Coordinator::Coordinator(Config config, net::Transport& transport,
       clock_(clock),
       tss_(tss),
       lock_mode_(config.lock_mode),
-      shard_lanes_(config.shard_lanes &&
-                   config.lock_mode == LockMode::kPerObject),
-      lane_pool_(config.lane_pool),
+      lane_pool_(config.lock_mode == LockMode::kPerObject
+                     ? std::move(config.lane_pool)
+                     : nullptr),
       sponsor_policy_(config.sponsor_policy),
       decision_rule_(config.decision_rule),
       run_probe_interval_micros_(config.run_probe_interval_micros),
@@ -153,8 +82,8 @@ Coordinator::~Coordinator() {
     anchor_->coordinator = nullptr;
   }
   // With the anchor cleared no timer can post new lane work; stop every
-  // lane (joining its worker, discarding queued tasks) while all members
-  // are still alive for any task caught mid-dispatch.
+  // lane (waiting for its in-flight task, discarding queued ones) while
+  // all members are still alive for any task caught mid-dispatch.
   stop_lanes();
 }
 
@@ -341,10 +270,7 @@ Replica& Coordinator::register_object(const ObjectId& object,
   shard->replica->set_decision_rule(decision_rule_);
   shard->replica->set_run_probe(run_probe_interval_micros_, max_run_probes_);
   shard->replica->set_deal_hooks(deals_->make_hooks());
-  if (shard_lanes_) {
-    shard->lane = lane_pool_ ? std::make_unique<ShardLane>(lane_pool_)
-                             : std::make_unique<ShardLane>();
-  }
+  if (lane_pool_) shard->lane = std::make_unique<net::Strand>(lane_pool_);
   Replica& ref = *shard->replica;
   if (auto it = recovered_.find(object); it != recovered_.end()) {
     std::lock_guard<std::recursive_mutex> lock(*shard_ptr->mutex);

@@ -12,10 +12,10 @@
 // Concurrency architecture (DESIGN.md §9): the coordinator is sharded by
 // ObjectId. Each registered object lives in an ObjectShard that owns the
 // replica, a per-shard mutex serialising everything that touches that
-// replica (message dispatch, propagate_*, timers), and — when lanes are
-// enabled on the real-thread runtimes — a dedicated dispatch thread
-// (strand), so a slow or stalled run on one object never delays another
-// object's runs. A thin router (a shared_mutex-guarded map) dispatches
+// replica (message dispatch, propagate_*, timers), and — when the
+// coordinator is given a lane pool — a dispatch strand on that pool, so
+// a slow or stalled run on one object never delays another object's
+// runs. A thin router (a shared_mutex-guarded map) dispatches
 // inbound protocol messages to the owning shard; read-only lookups on
 // distinct objects never contend. A small global section remains for
 // membership-wide state: the certificate directory and suspect set
@@ -28,14 +28,13 @@
 //
 // Runtime seam: the coordinator depends only on the abstract Transport /
 // Clock / Rng interfaces (net/runtime.hpp), never on the simulator. On the
-// deterministic runtime every call arrives on one thread, lanes are off,
-// and every mutex is uncontended, so seeded runs reproduce the pre-shard
-// behaviour bit-for-bit (the sharding equivalence suite pins this).
+// deterministic runtime every call arrives on one thread, there are no
+// lanes, and every mutex is uncontended, so seeded runs reproduce the
+// pre-shard behaviour bit-for-bit (the sharding equivalence suite pins
+// this).
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -44,13 +43,12 @@
 #include <set>
 #include <shared_mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 
 #include "b2b/deal.hpp"
 #include "b2b/replica.hpp"
 #include "crypto/timestamp.hpp"
-#include "net/reactor.hpp"  // TaskPool / Strand (pool-backed shard lanes)
+#include "net/reactor.hpp"  // TaskPool / Strand (shard lanes)
 #include "net/runtime.hpp"
 #include "store/evidence_log.hpp"
 #include "store/journal.hpp"
@@ -98,18 +96,15 @@ class Coordinator {
     int max_run_probes = 12;
     /// Shard locking mode (see LockMode).
     LockMode lock_mode = LockMode::kPerObject;
-    /// Give each shard its own dispatch thread (strand): inbound messages
-    /// and timer callbacks are posted to the owning shard's lane instead
-    /// of running on the transport/clock thread, so a replica blocked in
-    /// validation cannot stall deliveries to other objects. Only
-    /// meaningful with kPerObject; keep false on the deterministic
-    /// simulator (inline dispatch preserves bit-for-bit event order).
-    bool shard_lanes = false;
-    /// When set (reactor runtime), shard lanes run as FIFO strands on
-    /// this bounded pool instead of spawning one thread per shard:
-    /// thread count stays flat in the number of objects. Dispatch
-    /// semantics (FIFO per shard, discard-on-stop) are identical.
-    /// Shared ownership: a queued drain task survives the coordinator.
+    /// When set (with kPerObject), each shard gets a dispatch lane: a
+    /// FIFO strand on this bounded pool. Inbound messages and timer
+    /// callbacks are posted to the owning shard's lane instead of
+    /// running on the transport/clock thread, so a replica blocked in
+    /// validation cannot stall deliveries to other objects, and thread
+    /// count stays flat in the number of objects. Leave null on the
+    /// deterministic simulator (inline dispatch preserves bit-for-bit
+    /// event order). Shared ownership: a queued drain task survives the
+    /// coordinator.
     std::shared_ptr<net::TaskPool> lane_pool;
     /// Run pipelining (DESIGN.md §13): enables propagate_batch. Must
     /// match federation-wide, like the decision rule.
@@ -263,7 +258,7 @@ class Coordinator {
   /// queued on a lane.
   bool lanes_idle() const;
 
-  /// Teardown barrier: join every shard lane, discarding queued tasks
+  /// Teardown barrier: stop every shard lane, discarding queued tasks
   /// (idempotent; the destructor calls it too). Harnesses that are about
   /// to destroy the transport this coordinator sends on call this first —
   /// after stopping the runtime threads that feed the lanes — so no lane
@@ -319,33 +314,6 @@ class Coordinator {
     Coordinator* coordinator = nullptr;
   };
 
-  /// A shard's dispatch strand. Two backings with identical semantics
-  /// (FIFO, one task at a time, stop discards the queue): a dedicated
-  /// worker thread (threaded runtime), or a net::Strand multiplexed
-  /// onto a shared bounded TaskPool (reactor runtime) so lane count is
-  /// decoupled from thread count.
-  class ShardLane {
-   public:
-    ShardLane();
-    explicit ShardLane(std::shared_ptr<net::TaskPool> pool);
-    ~ShardLane();
-    void post(std::function<void()> task);
-    bool idle() const;
-    void wait_idle() const;
-    void stop();
-
-   private:
-    void worker_loop();
-
-    std::unique_ptr<net::Strand> strand_;  // pool mode; else own thread:
-    mutable std::mutex mutex_;
-    mutable std::condition_variable cv_;
-    std::deque<std::function<void()>> queue_;
-    bool running_ = false;
-    bool stopping_ = false;
-    std::thread worker_;
-  };
-
   /// Everything one object needs to coordinate independently: the
   /// replica, the mutex serialising it, the optional lane, and dispatch
   /// counters. Shards are created by register_object and never erased, so
@@ -360,7 +328,8 @@ class Coordinator {
     std::recursive_mutex* mutex = nullptr;
     std::recursive_mutex own_mutex;
     std::unique_ptr<Replica> replica;
-    std::unique_ptr<ShardLane> lane;
+    /// FIFO, one task at a time, stop discards the queue.
+    std::unique_ptr<net::Strand> lane;
     std::atomic<std::uint64_t> messages_dispatched{0};
     std::atomic<std::uint64_t> timer_fires{0};
     std::atomic<std::uint64_t> lane_posts{0};
@@ -432,10 +401,9 @@ class Coordinator {
   const crypto::TimestampService* tss_;
 
   LockMode lock_mode_;
-  bool shard_lanes_ = false;
   /// Pipeline mode (DESIGN.md §13): batch proposals.
   bool pipeline_ = false;
-  /// Backing pool for strand-mode lanes (null = thread-mode lanes).
+  /// Backing pool of the shard lanes (null = no lanes, inline dispatch).
   std::shared_ptr<net::TaskPool> lane_pool_;
   SponsorPolicy sponsor_policy_;
   DecisionRule decision_rule_;

@@ -68,60 +68,67 @@ Federation::Federation(std::vector<std::string> party_names)
 
 Federation::Federation(std::vector<std::string> party_names,
                        const Options& options)
-    : options_(options), runtime_(options.runtime), rsa_bits_(options.rsa_bits) {
+    : options_(options),
+      node_executor_([this] {
+        for (const auto& node : nodes_) {
+          if (!node->quiescent()) return false;
+        }
+        return true;
+      }),
+      runtime_(options.runtime),
+      rsa_bits_(options.rsa_bits) {
   if (runtime_ == RuntimeKind::kSim) {
     net::SimRuntime::Options sim_options;
     sim_options.seed = options.seed;
     sim_options.faults = options.faults;
     sim_options.reliable = options.reliable;
     sim_ = std::make_unique<net::SimRuntime>(sim_options);
-  } else if (runtime_ == RuntimeKind::kThreaded) {
-    net::ThreadedRuntime::Options threaded_options;
-    threaded_options.seed = options.seed;
-    threaded_options.faults = options.threaded_faults;
-    threaded_options.transport = options.threaded_transport;
-    threaded_options.executor = options.threaded_executor;
-    threaded_ = std::make_unique<net::ThreadedRuntime>(threaded_options);
   } else {
-    net::ReactorRuntime::Options reactor_options;
-    reactor_options.directory = options.tcp_directory;
-    reactor_options.seed = options.seed;
-    reactor_options.faults = options.reactor_faults;
-    reactor_options.transport = options.reactor_transport;
-    reactor_options.executor = options.threaded_executor;
-    reactor_options.workers = options.reactor_workers;
+    // Every node shares one directory, so parties on different nodes
+    // find each other.
+    node_options_.directory = options.tcp_directory
+                                  ? options.tcp_directory
+                                  : std::make_shared<net::PeerDirectory>();
+    node_options_.seed = options.seed;
+    node_options_.faults = options.reactor_faults;
+    node_options_.transport = options.reactor_transport;
+    node_options_.workers = options.reactor_workers;
     if (options.wire_auth) {
-      reactor_options.wire_auth = wire_auth_hook(party_names, options.rsa_bits);
+      node_options_.wire_auth = wire_auth_hook(party_names, options.rsa_bits);
     }
-    reactor_ = std::make_unique<net::ReactorRuntime>(reactor_options);
+    // kReactor: the node every party shares. kThreaded: the trusted
+    // services' node (the TTP's transport, the TSS clock).
+    add_node();
   }
 
   if (options.use_tss) {
     // The TSS gets its own identity (index well away from party keys).
     tss_ = std::make_unique<crypto::TimestampService>(
         shared_keypair(options.rsa_bits, 999),
-        [this] { return clock().now_micros(); });
+        [&clock = clock()] { return clock.now_micros(); });
   }
 
   for (std::size_t i = 0; i < party_names.size(); ++i) {
     auto party = std::make_unique<Party>();
     party->id = PartyId{party_names[i]};
-    party->transport = &runtime_impl().add_party(party->id);
+    if (runtime_ == RuntimeKind::kThreaded) add_node();
+    if (!sim_) party->node = nodes_.back().get();
+    net::Runtime& host =
+        party->node ? static_cast<net::Runtime&>(*party->node) : *sim_;
+    party->transport = &host.add_party(party->id);
     parties_.push_back(std::move(party));
     parties_.back()->coordinator = std::make_unique<Coordinator>(
-        party_config(i), *parties_.back()->transport, clock(), tss_.get());
+        party_config(i), *parties_.back()->transport, host.clock(),
+        tss_.get());
     // A frame acked by the transport may still be queued on one of the
-    // coordinator's shard lanes; teach the runtime's quiescence probe
+    // coordinator's shard lanes; teach the node's quiescence probe
     // about it. Party objects are stable (vector of pointers) and the
-    // runtime — and with it the probe — dies before parties_ does.
+    // node — and with it the probe — dies before parties_ does.
     Party* raw = parties_.back().get();
-    auto lane_probe = [raw] {
-      return !raw->coordinator || raw->coordinator->lanes_idle();
-    };
-    if (threaded_) {
-      threaded_->add_quiescence_probe(lane_probe);
-    } else if (reactor_) {
-      reactor_->add_quiescence_probe(lane_probe);
+    if (raw->node) {
+      raw->node->add_quiescence_probe([raw] {
+        return !raw->coordinator || raw->coordinator->lanes_idle();
+      });
     }
   }
 
@@ -139,27 +146,31 @@ Federation::Federation(std::vector<std::string> party_names,
 }
 
 Federation::~Federation() {
-  // Teardown is a two-stage barrier. First stop every runtime thread
-  // (timer, receivers, retransmitters) so nothing new is posted to a
-  // coordinator shard lane; then join the lanes themselves, so no lane
-  // task can call into a transport the runtime member destructor (which
-  // runs first — runtimes are declared last) is about to destroy.
-  if (threaded_) threaded_->shutdown();
-  if (reactor_) reactor_->shutdown();
+  // Teardown is a two-stage barrier. First stop every node (transports,
+  // loop, pool) so nothing new is posted to a coordinator shard lane;
+  // then stop the lanes themselves, so no lane task can call into a
+  // transport the node destructors (which run first — nodes are
+  // declared last) are about to destroy.
+  for (auto& node : nodes_) node->shutdown();
   for (auto& p : parties_) {
     if (p->coordinator) p->coordinator->stop_lanes();
   }
 }
 
-net::Runtime& Federation::runtime_impl() {
-  if (sim_) return *sim_;
-  if (threaded_) return *threaded_;
-  return *reactor_;
+net::ReactorRuntime& Federation::add_node() {
+  nodes_.push_back(std::make_unique<net::ReactorRuntime>(node_options_));
+  return *nodes_.back();
 }
 
-net::Clock& Federation::clock() { return runtime_impl().clock(); }
+net::Clock& Federation::clock() {
+  if (sim_) return sim_->clock();
+  return nodes_.front()->clock();
+}
 
-net::Executor& Federation::executor() { return runtime_impl().executor(); }
+net::Executor& Federation::executor() {
+  if (sim_) return sim_->executor();
+  return node_executor_;
+}
 
 net::EventScheduler& Federation::scheduler() {
   if (!sim_) throw Error("scheduler(): not running on the sim runtime");
@@ -171,18 +182,9 @@ net::SimNetwork& Federation::network() {
   return sim_->network();
 }
 
-net::ThreadedNetwork& Federation::threaded_network() {
-  if (!threaded_) {
-    throw Error("threaded_network(): not running on the threaded runtime");
-  }
-  return threaded_->network();
-}
-
-net::ReactorRuntime& Federation::reactor_runtime() {
-  if (!reactor_) {
-    throw Error("reactor_runtime(): not running on the reactor runtime");
-  }
-  return *reactor_;
+net::ReactorRuntime& Federation::node(const std::string& name) {
+  if (sim_) throw Error("node(): not running on a socket runtime");
+  return *find_party(name).node;
 }
 
 std::vector<PartyId> Federation::party_ids() const {
@@ -221,12 +223,10 @@ Coordinator::Config Federation::party_config(std::size_t index) const {
   config.run_probe_interval_micros = options_.run_probe_interval_micros;
   config.max_run_probes = options_.max_run_probes;
   config.lock_mode = options_.lock_mode;
-  // Lanes only where real threads exist: the sim dispatches inline on one
-  // thread, preserving bit-for-bit determinism.
-  config.shard_lanes = options_.shard_lanes && runtime_ != RuntimeKind::kSim;
-  // On the reactor runtime, lanes run as strands on the shared executor
-  // pool instead of owning a thread each — flat thread count.
-  if (reactor_) config.lane_pool = reactor_->pool();
+  // Lanes only where real threads exist, as strands on the party's node
+  // pool: the sim dispatches inline on one thread, preserving
+  // bit-for-bit determinism.
+  if (parties_[index]->node) config.lane_pool = parties_[index]->node->pool();
   config.pipeline = options_.pipeline;
   return config;
 }
@@ -245,10 +245,8 @@ void Federation::crash_party(const std::string& name) {
   // state (§4.2).
   if (sim_) {
     sim_->network().set_alive(party.id, false);
-  } else if (threaded_) {
-    threaded_->network().set_alive(party.id, false);
   } else {
-    reactor_->set_alive(party.id, false);
+    party.node->set_alive(party.id, false);
   }
   party.transport->set_handler_sync({});
   party.transport->set_delivery_failure_handler({});
@@ -263,13 +261,12 @@ Coordinator& Federation::recover_party(const std::string& name) {
   }
   if (sim_) {
     sim_->network().set_alive(party.id, true);
-  } else if (threaded_) {
-    threaded_->network().set_alive(party.id, true);
   } else {
-    reactor_->set_alive(party.id, true);
+    party.node->set_alive(party.id, true);
   }
   party.coordinator = std::make_unique<Coordinator>(
-      party_config(index), *party.transport, clock(), tss_.get());
+      party_config(index), *party.transport,
+      party.node ? party.node->clock() : clock(), tss_.get());
   // Re-run the out-of-band PKI exchange for the restarted party: its own
   // certificate directory also comes back via the journal, but the setup
   // keys may predate the first barrier, and the *other* parties' view of
@@ -350,8 +347,9 @@ TerminationTtp& Federation::termination_ttp() {
     for (const auto& p : parties_) {
       keys.emplace(p->id, p->coordinator->public_key());
     }
-    net::Transport& transport = runtime_impl().add_party(
-        PartyId{"termination-ttp"});
+    const PartyId id{"termination-ttp"};
+    net::Transport& transport =
+        sim_ ? sim_->add_party(id) : nodes_.front()->add_party(id);
     termination_ttp_ = std::make_unique<TerminationTtp>(
         transport, clock(), shared_keypair(rsa_bits_, 998), std::move(keys));
   }

@@ -13,22 +13,24 @@
 //    simulator-only instruments (partitions, Dolev-Yao intruder,
 //    virtual-time stepping) are reachable via scheduler()/network()/
 //    endpoint().
-//  * RuntimeKind::kThreaded — every party's transport runs on real OS
-//    threads over an in-process lossy channel (net::ThreadedRuntime); the
-//    clock is real time. scheduler()/network()/endpoint() throw here —
-//    use transport()/threaded_network() instead.
 //  * RuntimeKind::kReactor  — every party's transport speaks real TCP on
 //    localhost (net::ReactorRuntime): kernel sockets, framing,
-//    reconnects, with every party hosted on ONE epoll loop with a timer
-//    wheel and a bounded executor pool, so thread count stays flat no
-//    matter how many parties/connections the federation holds
-//    (DESIGN.md §10). Coordinator shard lanes run as strands on the
-//    shared pool. The cross-process deployment (one coordinator per OS
-//    process, wired by a PeerDirectory) lives in examples/b2bnode.cpp;
-//    the in-process variant here lets the full protocol suites run over
-//    real sockets.
+//    reconnects, with every party hosted on ONE socket node (one epoll
+//    loop with a timer wheel and a bounded executor pool), so thread
+//    count stays flat no matter how many parties/connections the
+//    federation holds (DESIGN.md §10).
+//  * RuntimeKind::kThreaded — the same socket runtime with one node per
+//    party, plus one for the trusted services (the termination TTP and
+//    the time-stamping service's clock), over a shared PeerDirectory.
+//    Each node has its own loop, pool and wheel clock, so every party
+//    runs on threads of its own and the parties share nothing but the
+//    directory and TCP: the shape of separately deployed b2bnode
+//    processes (examples/b2bnode.cpp), in one process.
+// On both socket runtimes the coordinator shard lanes run as strands on
+// the pool of the party's node; scheduler()/network()/endpoint() throw
+// there — use transport()/node() instead.
 //
-// The Federation itself never constructs a concrete substrate; all
+// The Federation never builds a protocol stack of its own; all
 // protocol-layer plumbing goes through the abstract Runtime seam.
 #pragma once
 
@@ -42,13 +44,13 @@
 #include "crypto/timestamp.hpp"
 #include "net/reactor_runtime.hpp"
 #include "net/sim_runtime.hpp"
-#include "net/threaded_runtime.hpp"
 
 namespace b2b::core {
 
 /// Which substrate a Federation assembles its parties on. The values are
 /// fixed, since parameterised test names print them: 2 belonged to the
-/// retired thread-per-peer TCP runtime.
+/// retired thread-per-peer TCP runtime. kThreaded is the socket runtime
+/// with one node per party (see the header comment).
 enum class RuntimeKind { kSim, kThreaded, kReactor = 3 };
 
 class Federation {
@@ -59,34 +61,28 @@ class Federation {
     std::size_t rsa_bits = 512;
     /// Master seed: all randomness (keys aside) derives from it.
     std::uint64_t seed = 1;
-    /// Runtime substrate: deterministic simulator, real threads, or
-    /// real sockets.
+    /// Runtime substrate: deterministic simulator, or real sockets on
+    /// one shared node or on one node per party.
     RuntimeKind runtime = RuntimeKind::kSim;
     /// Default link fault model (sim runtime).
     net::LinkFaults faults{};
     /// Reliable-channel configuration (sim runtime).
     net::ReliableEndpoint::Config reliable{};
-    /// Fault model of the in-process channel (threaded runtime).
-    net::ThreadedFaults threaded_faults{};
-    /// Transport configuration (threaded runtime).
-    net::ThreadedTransport::Config threaded_transport{};
-    /// Executor configuration (threaded and reactor runtimes).
-    net::ThreadedExecutor::Config threaded_executor{};
-    /// Party address book (reactor runtime). Leave null for a fresh
+    /// Party address book (socket runtimes). Leave null for a fresh
     /// directory of localhost ephemeral ports; pass one to pin
     /// addresses.
     std::shared_ptr<net::PeerDirectory> tcp_directory;
-    /// Wire v3 session authentication (reactor runtime): every
+    /// Wire v3 session authentication (socket runtimes): every
     /// transport derives fresh per-connection per-direction MAC keys at
     /// each handshake (wire_auth.hpp), built on the federation's shared
     /// keypair pool — the same PKI the coordinators already sign with.
     /// Parties key by roster index; the termination TTP is covered too.
     bool wire_auth = false;
-    /// Fault model injected at the socket layer (reactor runtime).
+    /// Fault model injected at the socket layer (socket runtimes).
     net::TcpFaults reactor_faults{};
-    /// Transport configuration (reactor runtime).
+    /// Transport configuration (socket runtimes).
     net::ReactorTransport::Config reactor_transport{};
-    /// Executor pool width (reactor runtime): deliveries, shard-lane
+    /// Executor pool width of each socket node: deliveries, shard-lane
     /// dispatch and clock callbacks all share these workers.
     std::size_t reactor_workers = 4;
     /// Provide a trusted time-stamping service to all parties: it stamps
@@ -108,16 +104,13 @@ class Federation {
     int max_run_probes = 12;
     /// Coordinator shard locking (see Coordinator::LockMode). kCoarse
     /// reproduces the pre-shard single-lock contention profile — the
-    /// baseline for the sharding bench and equivalence suite.
+    /// baseline for the sharding bench and equivalence suite. With
+    /// kPerObject on a socket runtime, every object gets a dispatch lane
+    /// (a strand on its party's node pool); the sim stays single-threaded
+    /// and inline, so seeded runs reproduce bit-for-bit. The federation
+    /// registers a lane-idle quiescence probe per party with its node,
+    /// so settle() keeps meaning "nothing left to do anywhere".
     Coordinator::LockMode lock_mode = Coordinator::LockMode::kPerObject;
-    /// Per-object dispatch lanes (strands). Applied on the threaded and
-    /// reactor runtimes — the sim stays single-threaded and
-    /// inline, so seeded runs reproduce bit-for-bit. On the reactor
-    /// runtime the lanes are strands on the shared executor pool (no
-    /// lane threads); elsewhere each lane owns a thread. The federation
-    /// registers a lane-idle quiescence probe per party with the
-    /// runtime, so settle() keeps meaning "nothing left to do anywhere".
-    bool shard_lanes = true;
     /// Run pipelining (DESIGN.md §13): enables propagate_batch at every
     /// party.
     bool pipeline = false;
@@ -139,18 +132,15 @@ class Federation {
   net::Clock& clock();
   net::Executor& executor();
 
-  /// Simulator-only instruments. Throw b2b::Error on the threaded runtime.
+  /// Simulator-only instruments. Throw b2b::Error on the socket runtimes.
   net::EventScheduler& scheduler();
   net::SimNetwork& network();
 
-  /// Threaded-only fabric (crash/recovery, fault injection). Throws
-  /// b2b::Error on the sim runtime.
-  net::ThreadedNetwork& threaded_network();
-
-  /// Reactor-only runtime bundle (epoll loop, wheel, executor pool,
-  /// ports, fault counters, per-party transports). Throws b2b::Error on
-  /// the other runtimes.
-  net::ReactorRuntime& reactor_runtime();
+  /// The socket node hosting party `name` (epoll loop, wheel, executor
+  /// pool, ports, fault counters, transports): the one node every party
+  /// shares on kReactor, the party's own on kThreaded. Throws b2b::Error
+  /// on the sim.
+  net::ReactorRuntime& node(const std::string& name);
 
   const crypto::TimestampService* tss() const { return tss_.get(); }
 
@@ -182,7 +172,7 @@ class Federation {
   net::Transport& transport(const std::string& name);
 
   /// Simulator-only: the raw reliable endpoint under the transport.
-  /// Throws b2b::Error on the threaded runtime.
+  /// Throws b2b::Error on the socket runtimes.
   net::ReliableEndpoint& endpoint(const std::string& name);
 
   /// Process-wide deterministic keypair pool (keys are expensive; reusing
@@ -253,13 +243,15 @@ class Federation {
  private:
   struct Party {
     PartyId id;
+    net::ReactorRuntime* node = nullptr;  // socket runtimes only
     net::Transport* transport = nullptr;  // owned by the runtime bundle
     std::unique_ptr<Coordinator> coordinator;
   };
 
   Party& find_party(const std::string& name);
   std::size_t party_index(const std::string& name) const;
-  net::Runtime& runtime_impl();
+  /// Start one more socket node on the shared directory.
+  net::ReactorRuntime& add_node();
   /// The Coordinator::Config party `index` was (and on recovery, is
   /// again) constructed with.
   Coordinator::Config party_config(std::size_t index) const;
@@ -268,12 +260,17 @@ class Federation {
   std::unique_ptr<crypto::TimestampService> tss_;  // refs the runtime clock
   std::vector<std::unique_ptr<Party>> parties_;
   std::unique_ptr<TerminationTtp> termination_ttp_;
-  // Declared last, destroyed first: every runtime thread (transport
-  // receivers/retransmitters, clock timer) stops before the coordinators
-  // and TTP those threads deliver into die. Exactly one is non-null.
+  /// Socket runtimes: what every node is built with, and an executor
+  /// that waits until every node is quiescent.
+  net::ReactorRuntime::Options node_options_;
+  net::ThreadedExecutor node_executor_;
+  // Declared last, destroyed first: every runtime thread (loops, pools)
+  // stops before the coordinators and TTP those threads deliver into
+  // die. Either sim_ is set, or nodes_ holds the socket nodes: the
+  // shared one (kReactor), or the trusted services' node followed by
+  // one per party (kThreaded).
   std::unique_ptr<net::SimRuntime> sim_;
-  std::unique_ptr<net::ThreadedRuntime> threaded_;
-  std::unique_ptr<net::ReactorRuntime> reactor_;
+  std::vector<std::unique_ptr<net::ReactorRuntime>> nodes_;
 
   RuntimeKind runtime_ = RuntimeKind::kSim;
   std::size_t rsa_bits_ = 512;

@@ -302,6 +302,15 @@ bool Replica::resolve_blocked_run(const std::string& run_label) {
   wire::Encoder note;
   note.str(run_label).str(self_.str());
   if (proposer_run_.has_value() && proposer_run_->label() == run_label) {
+    // A sponsor that gives up a connect run still answers its subject,
+    // with the signed reject a vetoed subject gets; answer_subject
+    // journals it, so a probe after a restart is re-answered.
+    const MembershipProposeMsg* membership =
+        proposer_run_->propose.membership();
+    if (membership != nullptr &&
+        membership->proposal.request.kind == MembershipKind::kConnect) {
+      reject_connect(membership->proposal.request);
+    }
     abort_proposer_run("abandoned by extra-protocol resolution",
                        std::move(note).take());
     return true;

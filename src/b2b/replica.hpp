@@ -36,7 +36,7 @@
 namespace b2b::core {
 
 /// Completion state of one coordination run, shared with the caller.
-/// `outcome` is atomic so an Executor on the threaded runtime can poll
+/// `outcome` is atomic so an Executor on a socket runtime can poll
 /// done() from another thread; the completing replica writes the other
 /// fields *before* storing the outcome, so whoever observes done() also
 /// observes a consistent diagnostic/vetoers/sequence.

@@ -74,8 +74,8 @@ struct TerminationVerdict {
 /// kTerminationVerdict envelopes and never issues two different verdicts
 /// for the same run. The TTP's identity is the transport's bound PartyId.
 ///
-/// Thread-safe: on the threaded runtime the transport delivers requests
-/// from a receiver thread while accessors run on the caller's thread; an
+/// Thread-safe: on the socket runtimes the transport delivers requests
+/// from a pool thread while accessors run on the caller's thread; an
 /// internal mutex serialises message handling, key registration and the
 /// verdict cache.
 class TerminationTtp {

@@ -31,7 +31,7 @@ namespace b2b::baseline {
 using core::RunHandle;
 using core::RunResult;
 
-/// Thread-safe on the threaded runtime: an internal mutex serialises
+/// Thread-safe on the socket runtimes: an internal mutex serialises
 /// propose_state() against transport-thread message delivery.
 class PlainReplica {
  public:

@@ -6,7 +6,9 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <random>
+#include <thread>
 #include <utility>
 
 #include "common/error.hpp"
@@ -846,7 +848,7 @@ ReactorRuntime::ReactorRuntime(const Options& options)
       reactor_(options.reactor),
       pool_(std::make_shared<TaskPool>(options.workers)),
       clock_(reactor_, pool_),
-      executor_([this] { return quiescent(); }, options.executor) {}
+      executor_([this] { return quiescent(); }) {}
 
 ReactorRuntime::~ReactorRuntime() { shutdown(); }
 
@@ -914,6 +916,33 @@ bool ReactorRuntime::quiescent() const {
     if (!probe()) return false;
   }
   return true;
+}
+
+// ---------------------------------------------------------------------------
+// ThreadedExecutor
+// ---------------------------------------------------------------------------
+
+bool ThreadedExecutor::run_until(const std::function<bool()>& predicate) {
+  for (std::uint64_t waited = 0; waited < kTimeoutMicros;
+       waited += kPollIntervalMicros) {
+    if (predicate()) return true;
+    std::this_thread::sleep_for(std::chrono::microseconds(kPollIntervalMicros));
+  }
+  return predicate();
+}
+
+void ThreadedExecutor::settle() {
+  int stable = 0;
+  for (std::uint64_t waited = 0; waited < kTimeoutMicros;
+       waited += kPollIntervalMicros) {
+    if (quiescent_ && quiescent_()) {
+      if (++stable >= kStableSamples) return;
+    } else {
+      stable = 0;
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(kPollIntervalMicros));
+  }
+  B2B_WARN("threaded executor: settle timed out before quiescence");
 }
 
 }  // namespace b2b::net

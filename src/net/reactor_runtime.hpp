@@ -45,16 +45,14 @@
 #include "net/reactor.hpp"
 #include "net/runtime.hpp"
 #include "net/socket.hpp"
-#include "net/threaded_runtime.hpp"  // ThreadedExecutor
 #include "net/wire_auth.hpp"
 
 namespace b2b::net {
 
 /// Send-side fault injection: each frame write (initial or retransmit)
-/// may be dropped or duplicated, sampled from a seeded generator. This
-/// is the socket fabric's analogue of ThreadedFaults — the bytes
-/// genuinely never hit (or hit twice) the socket, so the §4.2 masking
-/// layer is exercised over a real stream.
+/// may be dropped or duplicated, sampled from a seeded generator. The
+/// bytes genuinely never hit (or hit twice) the socket, so the §4.2
+/// masking layer is exercised over a real stream.
 struct TcpFaults {
   double drop_probability = 0.0;
   double duplicate_probability = 0.0;
@@ -127,7 +125,7 @@ class ReactorTransport final : public Transport {
   /// This transport instance's incarnation (fresh random per instance).
   std::uint64_t incarnation() const { return incarnation_; }
 
-  /// Crash-model switch, as ThreadedNetwork::set_alive: while dead,
+  /// Crash-model switch, as SimNetwork::set_alive: while dead,
   /// outgoing writes are suppressed (but stay queued; §4.2 persistent
   /// storage) and incoming frames are dropped un-acked, so peers keep
   /// retransmitting into the downtime and delivery resumes on recovery.
@@ -294,6 +292,27 @@ class ReactorClock final : public Clock {
   std::shared_ptr<TaskPool> pool_;
 };
 
+/// Progress = real time passing while loop and pool threads run.
+/// `run_until` polls the predicate; `settle` waits for a caller-supplied
+/// quiescence probe to hold over several consecutive samples.
+class ThreadedExecutor final : public Executor {
+ public:
+  static constexpr std::uint64_t kPollIntervalMicros = 500;
+  /// run_until / settle give up after this much real time.
+  static constexpr std::uint64_t kTimeoutMicros = 60'000'000;
+  /// Consecutive quiescent samples settle requires.
+  static constexpr int kStableSamples = 3;
+
+  explicit ThreadedExecutor(std::function<bool()> quiescent)
+      : quiescent_(std::move(quiescent)) {}
+
+  bool run_until(const std::function<bool()>& predicate) override;
+  void settle() override;
+
+ private:
+  std::function<bool()> quiescent_;
+};
+
 /// The epoll substrate as one bundle: a shared peer directory, one
 /// Reactor (loop + wheel), one bounded TaskPool, a wheel-backed clock,
 /// one ReactorTransport per local party, and an executor whose
@@ -310,7 +329,6 @@ class ReactorRuntime final : public Runtime {
     std::uint64_t seed = 1;
     TcpFaults faults{};
     ReactorTransport::Config transport{};
-    ThreadedExecutor::Config executor{};
     Reactor::Config reactor{};
     /// Bounded pool width: deliveries, lane dispatch and clock
     /// callbacks all share these workers.

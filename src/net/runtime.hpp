@@ -19,9 +19,9 @@
 //
 // Two implementations exist: sim_runtime.hpp adapts the deterministic
 // discrete-event stack (ReliableEndpoint / EventScheduler), preserving
-// seeded reproducibility bit-for-bit; threaded_runtime.hpp runs each party
-// on real OS threads over an in-process lossy channel with the same
-// delivery semantics.
+// seeded reproducibility bit-for-bit; reactor_runtime.hpp runs parties
+// on real OS threads over kernel sockets with the same delivery
+// semantics.
 //
 // Thread-safety contract: Transport::send and Clock::schedule_after may be
 // called from any thread; a Transport delivers to its handler from at most
@@ -58,13 +58,13 @@ class Transport {
     /// E-series benches can compare wire overhead across transports.
     std::uint64_t bytes_sent = 0;
     std::uint64_t bytes_received = 0;
-    /// Connection-oriented counters; always 0 on datagram-style
-    /// transports (sim, threaded), which have no connections to lose.
+    /// Connection-oriented counters; always 0 on the sim's datagram
+    /// transport, which has no connections to lose.
     std::uint64_t connects = 0;
     std::uint64_t reconnects = 0;
     std::uint64_t frames_dropped_crc = 0;
     /// Adversarial-pressure counters (DESIGN.md §11 wire threat model);
-    /// always 0 on sim/threaded. `frames_rejected_auth` counts frames
+    /// always 0 on the sim. `frames_rejected_auth` counts frames
     /// that failed pre-delivery vetting — hostile length prefixes,
     /// bad magic/version, misdirected or out-of-order handshakes,
     /// unknown types, malformed encodings. `replays_suppressed` counts
@@ -74,7 +74,7 @@ class Transport {
     std::uint64_t frames_rejected_auth = 0;
     std::uint64_t replays_suppressed = 0;
     /// Event-loop scheduling counters (reactor runtime); always 0 on
-    /// sim/threaded, which have no loop, wheel, or shared pool.
+    /// the sim, which has no loop, wheel, or shared pool.
     /// Reported per bundle (every transport of one reactor sees the
     /// same loop), so benches read them from any single transport.
     std::uint64_t epoll_wakeups = 0;
@@ -173,8 +173,8 @@ class DeterministicRng final : public Rng {
 };
 
 /// Drives (or awaits) protocol progress. The simulator implementation
-/// pumps the event queue; the threaded implementation just waits while
-/// worker threads do the work.
+/// pumps the event queue; the socket implementation just waits while
+/// loop and pool threads do the work.
 class Executor {
  public:
   virtual ~Executor() = default;

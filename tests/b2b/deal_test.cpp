@@ -8,8 +8,8 @@
 //   * edge cases on the deterministic simulator (empty/duplicate specs,
 //     staging against a busy object, a silent participant + deadline);
 //   * the crash-point campaign over the deal-specific points in
-//     tests/support/crash_points.hpp, sim-swept and spot-checked on the
-//     threaded runtime, with a determinism check on the full
+//     tests/support/crash_points.hpp, sim-swept and spot-checked on
+//     sockets with a node per party, with a determinism check on the full
 //     post-recovery deployment fingerprint;
 //   * the §7 TTP escape hatches under crashes: a withheld decision ends
 //     in a certified deal abort consistent with the participants'

@@ -2,8 +2,8 @@
 // message loss, duplication, reordering, healing partitions, and node
 // crash/recovery. If nobody misbehaves, agreed interactions complete.
 //
-// The loss/duplication suites run over every runtime (the threaded and
-// socket fabrics inject the same fault classes as the simulated links);
+// The loss/duplication suites run over every runtime (the socket
+// transports inject the same fault classes as the simulated links);
 // partition and crash/recovery choreography needs virtual-time stepping
 // and so stays simulator-only.
 #include <gtest/gtest.h>
@@ -33,14 +33,14 @@ TEST_P(LossSweepTest, CoordinationCompletesDespiteLoss) {
   for (int i = 0; i < 3; ++i) fed.register_object(names[i], kObj, objs[i]);
   fed.bootstrap_object(kObj, {"a", "b", "c"}, bytes_of("genesis"));
 
-  // Three rounds, then (reactor rows with loss on) more rounds, up to 20,
-  // until a frame has been dropped: the reactor samples its faults per
-  // frame write, and an unlucky seed can pass every write of three
-  // rounds (seed 2 at 10%: no drop in 18 sends). The sim and threaded
-  // rows keep their three rounds.
+  // Three rounds, then (socket rows with loss on) more rounds, up to 20,
+  // until a frame has been dropped: a socket transport samples its faults
+  // per frame write, and an unlucky seed can pass every write of three
+  // rounds (seed 2 at 10%: no drop in 18 sends). The sim rows keep their
+  // three rounds.
   auto more_rounds = [&](int round) {
     if (round <= 3) return true;
-    return kind == RuntimeKind::kReactor && drop > 0 && round <= 20 &&
+    return kind != RuntimeKind::kSim && drop > 0 && round <= 20 &&
            test::fabric_stats(fed).dropped == 0;
   };
   for (int round = 1; more_rounds(round); ++round) {

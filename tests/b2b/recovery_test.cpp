@@ -871,12 +871,12 @@ TEST(CrashCampaignCombined, EvictionTargetsTheCrashedSponsor) {
   fs::remove_all(fs::temp_directory_path() / ("b2b_recovery_" + tag));
 }
 
-// --- representative crashes on real threads and real sockets ----------------
+// --- representative crashes on real sockets ---------------------------------
 
-/// One campaign case on a real-time runtime (threaded or reactor): handles
-/// (atomics) are awaited instead of polling replica state from the test
-/// thread, and convergence is asserted only after settle()'s
-/// synchronisation.
+/// One campaign case on a socket runtime (a node per party, or one shared
+/// node): handles (atomics) are awaited instead of polling replica state
+/// from the test thread, and convergence is asserted only after
+/// settle()'s synchronisation.
 void run_realtime_case(const std::string& point, const std::string& crasher,
                        RuntimeKind kind) {
   const std::string tag = sanitized(point) + "_" + crasher + "_" +
@@ -1400,8 +1400,9 @@ TEST(Recovery, SnapshotRecordsDoNotGrowWithHistory) {
 
 /// A party that resolves a blocked membership run out of band (§7)
 /// closes it like any run it takes part in: journaled closed, sealed, and
-/// gone after a restart. Beta goes silent, so gamma's connect run blocks
-/// on beta's response and alpha, which answered, blocks on gamma's decide.
+/// gone after a restart; a sponsor that gives a connect run up rejects
+/// its subject. Beta goes silent, so gamma's connect run blocks on beta's
+/// response and alpha, which answered, blocks on gamma's decide.
 TEST(Recovery, ResolvedMembershipRunsStayClosedAfterRestart) {
   const std::string tag = "resolved_membership";
   {
@@ -1441,6 +1442,11 @@ TEST(Recovery, ResolvedMembershipRunsStayClosedAfterRestart) {
       EXPECT_FALSE(replica.busy()) << name;
       EXPECT_TRUE(replica.active_run_labels().empty()) << name;
     }
+    // The sponsor that gave the connect run up answered its subject with
+    // a signed reject, so the subject's request does not hang.
+    EXPECT_TRUE(p.fed.run_until_done(h));
+    EXPECT_EQ(h->outcome, RunResult::Outcome::kVetoed) << h->diagnostic;
+    EXPECT_EQ(h->vetoers, std::vector<PartyId>{PartyId{"gamma"}});
   }
   fs::remove_all(fs::temp_directory_path() / ("b2b_recovery_" + tag));
 }

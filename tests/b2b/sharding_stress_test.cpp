@@ -1,13 +1,13 @@
 // Sharding stress battery: 8 objects × 4 organisations on the REAL
-// runtimes (OS threads / reactor TCP sockets) under datagram-level fault
-// injection, with per-object dispatch lanes on. Every round drives one
-// state run per object concurrently — eight shards coordinating in
-// parallel at every party — and one object additionally takes a
-// disconnect/reconnect membership cycle while the other seven keep
-// running state runs. This is the suite CI runs under ThreadSanitizer:
-// the per-shard mutexes, the router's shared lock, the lane handoffs and
-// the global evidence/journal/stats sections all get exercised across
-// many true threads at once.
+// runtimes (TCP sockets on one shared node, and on one node per party)
+// under frame-level fault injection, with per-object dispatch lanes on.
+// Every round drives one state run per object concurrently — eight
+// shards coordinating in parallel at every party — and one object
+// additionally takes a disconnect/reconnect membership cycle while the
+// other seven keep running state runs. This is the suite CI runs under
+// ThreadSanitizer: the per-shard mutexes, the router's shared lock, the
+// lane handoffs and the global evidence/journal/stats sections all get
+// exercised across many true threads at once.
 //
 // Pass criteria: every run terminates kAgreed, every object converges
 // (identical agreed tuples and values at all its members), every

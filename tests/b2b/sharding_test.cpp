@@ -1,9 +1,9 @@
 // The sharding concurrency battery (DESIGN.md §9).
 //
 // The coordinator is sharded by ObjectId: each registered object owns its
-// replica behind a per-shard mutex (plus, on the real-thread runtimes, a
-// dedicated dispatch lane), while a shared_mutex-guarded router maps
-// inbound messages to shards. This suite proves the three claims that
+// replica behind a per-shard mutex (plus, on the socket runtimes, a
+// dispatch lane on the node's pool), while a shared_mutex-guarded router
+// maps inbound messages to shards. This suite proves the three claims that
 // split carries:
 //
 //   equivalence — on the deterministic simulator the sharded coordinator

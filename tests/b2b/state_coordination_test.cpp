@@ -2,8 +2,8 @@
 // agreement, veto with rollback, the update variant (§4.3.1), concurrent
 // proposals, multi-party scaling and the three communication modes.
 //
-// Most suites are parameterized over both runtimes (deterministic
-// simulator and real threads); tests that depend on simulator-only
+// Most suites are parameterized over every runtime (deterministic
+// simulator and real sockets); tests that depend on simulator-only
 // instruments (virtual-time stepping, pre-delivery windows) live in the
 // *SimOnly suites.
 #include <gtest/gtest.h>

@@ -341,6 +341,27 @@ TRANSPORT_CASE(CrashRecoveryKeepsChannelState) {
   ASSERT_TRUE(wait_for([&] { return a->unacked() == 0; }));
 }
 
+TRANSPORT_CASE(QuiescenceReflectsOutstandingTraffic) {
+  auto a = fx.make("a");
+  auto b = fx.make("b");
+  a->set_handler([](const PartyId&, const Bytes&) {});
+  b->set_handler([](const PartyId&, const Bytes&) {});
+
+  EXPECT_TRUE(a->quiescent());  // nothing ever sent
+
+  // With the peer down, the un-acked message keeps `a` non-quiescent.
+  b->set_alive(false);
+  a->send(PartyId{"b"}, Bytes{1});
+  EXPECT_FALSE(a->quiescent());
+  std::this_thread::sleep_for(30ms);  // several retransmit intervals
+  EXPECT_FALSE(a->quiescent());
+
+  // Recovery drains the channel; both sides settle.
+  b->set_alive(true);
+  ASSERT_TRUE(wait_for([&] { return a->quiescent() && b->quiescent(); }));
+  EXPECT_EQ(a->unacked(), 0u);
+}
+
 TRANSPORT_CASE(ReconnectsToRestartedPeerWithFreshIncarnation) {
   auto a = fx.make("a");
   auto b = fx.make("b");

@@ -2,11 +2,13 @@
 //
 // A suite derives its fixture from RuntimeParamTest and instantiates with
 // B2B_INSTANTIATE_RUNTIME_SUITE: every TEST_P then runs once on the
-// deterministic simulator, once on real threads over the in-process
-// fabric, and once over real TCP sockets on localhost on the epoll
-// reactor (one loop + bounded pool), proving the protocol layer depends
-// only on the abstract runtime seam (eventual once-only delivery), not on
-// the discrete-event substrate or the threading model underneath.
+// deterministic simulator and twice over real TCP sockets on localhost:
+// once with every party on one socket node (one epoll loop + bounded
+// pool, Reactor), and once with a node per party, each with its own
+// loop, pool and clock (Threaded), as separately deployed processes.
+// That shows the protocol layer depends only on the abstract runtime
+// seam (eventual once-only delivery), not on the discrete-event
+// substrate or the threading model underneath.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -35,9 +37,6 @@ inline core::Federation::Options runtime_options(core::RuntimeKind kind,
       options.faults.max_delay_micros = 20'000;
       options.reliable.retransmit_interval_micros = 40'000;
     }
-  } else if (kind == core::RuntimeKind::kThreaded) {
-    options.threaded_faults.drop_probability = drop;
-    options.threaded_faults.duplicate_probability = dup;
   } else {
     options.reactor_faults.drop_probability = drop;
     options.reactor_faults.duplicate_probability = dup;
@@ -45,7 +44,8 @@ inline core::Federation::Options runtime_options(core::RuntimeKind kind,
   return options;
 }
 
-/// Datagram-level fault counters of whichever fabric is active.
+/// Injected-fault counters of whichever fabric is active: the sim's
+/// datagrams, or the frames of every party's socket transport.
 struct FabricStats {
   std::uint64_t dropped = 0;
   std::uint64_t duplicated = 0;
@@ -56,12 +56,13 @@ inline FabricStats fabric_stats(core::Federation& fed) {
     const auto& stats = fed.network().stats();
     return {stats.datagrams_dropped, stats.datagrams_duplicated};
   }
-  if (fed.runtime() == core::RuntimeKind::kThreaded) {
-    const auto stats = fed.threaded_network().stats();
-    return {stats.datagrams_dropped, stats.datagrams_duplicated};
+  FabricStats total;
+  for (const PartyId& id : fed.party_ids()) {
+    const auto stats = fed.node(id.str()).transport(id)->fabric_stats();
+    total.dropped += stats.frames_dropped_injected;
+    total.duplicated += stats.frames_duplicated_injected;
   }
-  const auto stats = fed.reactor_runtime().fabric_stats();
-  return {stats.frames_dropped_injected, stats.frames_duplicated_injected};
+  return total;
 }
 
 /// Base fixture for suites instantiated over every runtime.
