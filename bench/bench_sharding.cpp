@@ -19,13 +19,10 @@
 // upcall sleeps 10 ms (an organisation's local policy check hits its own
 // back-office systems — §3's "local validation"). That is where sharding
 // pays: with one lock the sleeps on distinct objects queue behind each
-// other; with lanes they overlap, so the round takes ~one sleep instead
-// of ~K of them.
+// other; with lanes they overlap, up to the width of the node's pool.
 //
-// Table 2 is the honest null result: the same workload with no sleep is
-// RSA-bound, and this container has a single CPU core, so overlapping
-// pure-CPU work buys nothing (speedup ~1x). On a multi-core host the
-// signing work itself would also spread across lanes.
+// Table 2 is the null result: the same workload with no sleep is
+// RSA-bound, so overlapping it buys little (speedup ~1x).
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -120,8 +117,7 @@ int main() {
   std::printf("Table 1: responder validate sleeps %d us (org-local policy "
               "check)\n", kValidateSleepMicros);
   run_table(/*sleepy=*/true);
-  std::printf("\nTable 2: no validation sleep (RSA-bound; single-core "
-              "container)\n");
+  std::printf("\nTable 2: no validation sleep (RSA-bound)\n");
   run_table(/*sleepy=*/false);
   return 0;
 }

@@ -128,7 +128,8 @@ class Federation {
 
   RuntimeKind runtime() const { return runtime_; }
 
-  /// The abstract runtime every party shares.
+  /// The federation's clock (the sim's, or that of the node the TTP and
+  /// the TSS run on), and the executor that drives or awaits every party.
   net::Clock& clock();
   net::Executor& executor();
 
