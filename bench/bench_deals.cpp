@@ -17,10 +17,18 @@
 //
 // Table 1 prices the deal layer against the baseline per leg count;
 // Table 2 prices the TTP registration detour on top. Everything is
-// RSA-bound on this container's single core, so the interesting number
-// is the RATIO, not the absolute milliseconds: a deal adds one signed
-// verdict + one enlist per leg on top of the per-leg runs themselves,
-// so the overhead shrinks as K grows and the per-leg work dominates.
+// RSA-bound, so the interesting number is the RATIO, not the absolute
+// milliseconds: a deal adds one signed verdict + one enlist per leg on
+// top of the per-leg runs themselves, so the overhead shrinks as K grows
+// and the per-leg work dominates.
+//
+// A round takes a few milliseconds, so the host's speed drifting between
+// configurations can move a whole column. The sweep over all 12
+// configurations therefore runs kRepetitions times in one process, in
+// alternating order (forward, then backward), and each cell prints the
+// median with the min-max over the repetitions. A ratio cell is the
+// median (min-max) of the ratios taken within each repetition.
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -35,6 +43,7 @@ namespace {
 
 constexpr std::size_t kMaxObjects = 8;
 constexpr int kRounds = 10;
+constexpr int kRepetitions = 5;
 
 enum class Mode { kIndependent, kDeal, kDealTtp };
 
@@ -112,30 +121,73 @@ double run_config(Mode mode, std::size_t num_objects) {
   return total_ms / kRounds;
 }
 
+/// "median (min-max)" of `values`.
+std::string summary(std::vector<double> values, const char* format) {
+  std::sort(values.begin(), values.end());
+  char out[64];
+  std::snprintf(out, sizeof out, format, values[values.size() / 2],
+                values.front(), values.back());
+  return out;
+}
+
+/// Element-wise numerator[i] / denominator[i]: the ratio within each
+/// repetition.
+std::vector<double> ratios(const std::vector<double>& numerator,
+                           const std::vector<double>& denominator) {
+  std::vector<double> out;
+  for (std::size_t i = 0; i < numerator.size(); ++i) {
+    out.push_back(numerator[i] / denominator[i]);
+  }
+  return out;
+}
+
 }  // namespace
 
 int main() {
   std::printf(
       "E23 — the price of atomicity: K-leg deals vs K independent runs, "
-      "reactor runtime, 3 orgs, %d rounds\n\n",
-      kRounds);
+      "reactor runtime, 3 orgs, %d rounds; %d repetitions of the sweep in "
+      "alternating order, median (min-max)\n\n",
+      kRounds, kRepetitions);
+
+  const std::vector<std::size_t> legs = {1, 2, 4, 8};
+  const std::vector<Mode> modes = {Mode::kIndependent, Mode::kDeal,
+                                   Mode::kDealTtp};
+  // ms[mode][leg index] holds one mean round time per repetition.
+  std::vector<std::vector<std::vector<double>>> ms(
+      modes.size(), std::vector<std::vector<double>>(legs.size()));
+  const std::size_t configs = modes.size() * legs.size();
+  for (int rep = 0; rep < kRepetitions; ++rep) {
+    for (std::size_t step = 0; step < configs; ++step) {
+      const std::size_t c = rep % 2 == 0 ? step : configs - 1 - step;
+      const std::size_t leg = c / modes.size();
+      const std::size_t mode = c % modes.size();
+      ms[mode][leg].push_back(run_config(modes[mode], legs[leg]));
+    }
+  }
+  const auto& indep = ms[0];
+  const auto& deal = ms[1];
+  const auto& ttp = ms[2];
+  const char* kMs = "%6.2f (%.2f-%.2f)";
+  const char* kRatio = "%5.2fx (%.2f-%.2f)";
 
   std::printf("Table 1: deal layer vs non-atomic baseline\n");
-  std::printf("  K | independent ms/round | deal ms/round | atomicity tax\n");
-  std::vector<double> deal_ms(kMaxObjects + 1, 0.0);
-  for (std::size_t k : {1u, 2u, 4u, 8u}) {
-    const double indep = run_config(Mode::kIndependent, k);
-    deal_ms[k] = run_config(Mode::kDeal, k);
-    std::printf("  %zu | %20.2f | %13.2f | %12.2fx\n", k, indep, deal_ms[k],
-                deal_ms[k] / indep);
+  std::printf("  K | independent ms/round | deal ms/round        | "
+              "atomicity tax\n");
+  for (std::size_t i = 0; i < legs.size(); ++i) {
+    std::printf("  %zu | %-20s | %-20s | %s\n", legs[i],
+                summary(indep[i], kMs).c_str(), summary(deal[i], kMs).c_str(),
+                summary(ratios(deal[i], indep[i]), kRatio).c_str());
   }
 
-  std::printf("\nTable 2: the TTP escape hatch (atomic commit registration)\n");
-  std::printf("  K | deal ms/round | deal+TTP ms/round | escape tax\n");
-  for (std::size_t k : {1u, 2u, 4u, 8u}) {
-    const double ttp = run_config(Mode::kDealTtp, k);
-    std::printf("  %zu | %13.2f | %17.2f | %9.2fx\n", k, deal_ms[k], ttp,
-                ttp / deal_ms[k]);
+  std::printf("\nTable 2: the TTP escape hatch (atomic commit registration)"
+              "\n");
+  std::printf("  K | deal ms/round        | deal+TTP ms/round    | "
+              "escape tax\n");
+  for (std::size_t i = 0; i < legs.size(); ++i) {
+    std::printf("  %zu | %-20s | %-20s | %s\n", legs[i],
+                summary(deal[i], kMs).c_str(), summary(ttp[i], kMs).c_str(),
+                summary(ratios(ttp[i], deal[i]), kRatio).c_str());
   }
   return 0;
 }

@@ -99,9 +99,14 @@ class Coordinator {
     /// When set (with kPerObject), each shard gets a dispatch lane: a
     /// FIFO strand on this bounded pool. Inbound messages and timer
     /// callbacks are posted to the owning shard's lane instead of
-    /// running on the transport/clock thread, so a replica blocked in
-    /// validation cannot stall deliveries to other objects, and thread
-    /// count stays flat in the number of objects. Leave null on the
+    /// running on the transport/clock thread, and thread count stays
+    /// flat in the number of objects. A replica blocked in validation
+    /// holds one of the pool's workers, which it shares with the
+    /// transports' delivery strands and the clock (a socket node's pool
+    /// has ReactorRuntime::Options::workers, 4 by default). So it cannot
+    /// stall deliveries to other objects only while fewer validations
+    /// block at once than the pool has workers; past that, the others
+    /// wait for a worker (DESIGN.md §9, E19a). Leave null on the
     /// deterministic simulator (inline dispatch preserves bit-for-bit
     /// event order). Shared ownership: a queued drain task survives the
     /// coordinator.

@@ -463,6 +463,296 @@ void mont_mul(u64* out, const u64* a, const u64* b, const u64* mod,
 
 }  // namespace
 
+#if defined(__x86_64__) && defined(__ELF__)
+// The CIOS multiply on MULX, ADCX and ADOX (BMI2 and ADX), written out at
+// 4 and 8 limbs with the MontMulKernel signature (System V: out in rdi, a
+// in rsi, b in rdx, mod in rcx, n0_inv in r8; the width in r9 is unused).
+// Step i makes two passes over t, which is held in registers: t += a_i * b,
+// then t += m * mod with m = t_0 * n0_inv. In each pass mulx gives a
+// product's two halves without touching the flags, adcx adds the low
+// halves through CF and adox the high halves through OF, two carry chains
+// at once; both carries are then folded into the top two limbs of t. The
+// second pass leaves t_0 zero, so the next step, instead of shifting t
+// down a limb, names the registers one further on, and t_0's register
+// becomes the new top limb. t stays below 2 * mod, so the conditional
+// subtraction of the portable template ends it, and every step computes
+// the same m, so the result is the portable one limb for limb. out is
+// written last, after every read of a and b, so it may alias both.
+//
+// At 4 limbs everything lives in registers. At 8 the ten limbs of t, the
+// multiplier (rdx), the two product halves and the b and mod pointers take
+// all fifteen, so out, a and n0_inv live on the stack. Both save the
+// callee-saved registers they use, carry CFI for unwinders, and address
+// memory only through their arguments and rsp, so they are position
+// independent. endbr64 is a no-op without CET.
+asm(R"(
+  # A section of their own, so that the kernels do not shift (and
+  # realign) the functions compiled from this file.
+  .pushsection .text.b2b_crypto_mont_mul_adx, "ax", @progbits
+
+  # Save and restore a callee-saved register, with its CFI.
+  .macro b2b_push reg
+    push \reg
+    .cfi_adjust_cfa_offset 8
+    .cfi_rel_offset \reg, 0
+  .endm
+  .macro b2b_pop reg
+    pop \reg
+    .cfi_adjust_cfa_offset -8
+    .cfi_restore \reg
+  .endm
+
+  # One column of a pass: hi:rax = rdx * off(p); rax joins tj on the CF
+  # chain and hi joins tk, the next limb, on the OF chain.
+  .macro b2b_mac p, off, hi, tj, tk
+    mulx \off(\p), %rax, \hi
+    adcx %rax, \tj
+    adox \hi, \tk
+  .endm
+
+  # Ends a pass: the pending CF goes into top and OF into over, then the
+  # carry out of top into over too. mov leaves the flags alone.
+  .macro b2b_fold top, over
+    mov $0, %eax
+    adcx %rax, \top
+    adox %rax, \over
+    adcx %rax, \over
+  .endm
+
+  # t += rdx * p for the 4-limb t in t0..t3, carries into t4 and t5; CF
+  # and OF clear on entry.
+  .macro b2b_mont_pass4 p, t0, t1, t2, t3, t4, t5
+    b2b_mac \p, 0, %rbx, \t0, \t1
+    b2b_mac \p, 8, %rbx, \t1, \t2
+    b2b_mac \p, 16, %rbx, \t2, \t3
+    b2b_mac \p, 24, %rbx, \t3, \t4
+    b2b_fold \t4, \t5
+  .endm
+
+  # One step, a_i at byte offset `off` of a (rsi), b in r9, mod in rcx,
+  # n0_inv in r8. Leaves t0 zero.
+  .macro b2b_mont_step4 off, t0, t1, t2, t3, t4, t5
+    mov \off(%rsi), %rdx
+    xor %eax, %eax
+    b2b_mont_pass4 %r9, \t0, \t1, \t2, \t3, \t4, \t5
+    mov \t0, %rdx
+    imul %r8, %rdx
+    xor %eax, %eax
+    b2b_mont_pass4 %rcx, \t0, \t1, \t2, \t3, \t4, \t5
+  .endm
+
+  .p2align 5
+  .globl b2b_crypto_mont_mul_adx4
+  .hidden b2b_crypto_mont_mul_adx4
+  .type b2b_crypto_mont_mul_adx4, @function
+b2b_crypto_mont_mul_adx4:
+  .cfi_startproc
+  endbr64
+  b2b_push %rbx
+  b2b_push %rbp
+  b2b_push %r12
+  b2b_push %r13
+  b2b_push %r14
+  mov %rdx, %r9
+  xor %ebp, %ebp
+  xor %r10d, %r10d
+  xor %r11d, %r11d
+  xor %r12d, %r12d
+  xor %r13d, %r13d
+  xor %r14d, %r14d
+  b2b_mont_step4 0, %rbp, %r10, %r11, %r12, %r13, %r14
+  b2b_mont_step4 8, %r10, %r11, %r12, %r13, %r14, %rbp
+  b2b_mont_step4 16, %r11, %r12, %r13, %r14, %rbp, %r10
+  b2b_mont_step4 24, %r12, %r13, %r14, %rbp, %r10, %r11
+  # t is r13, r14, rbp, r10 with r11 on top: out = t - mod unless that
+  # borrows past r11, else t.
+  mov %r13, %rax
+  sub (%rcx), %rax
+  mov %r14, %rbx
+  sbb 8(%rcx), %rbx
+  mov %rbp, %rdx
+  sbb 16(%rcx), %rdx
+  mov %r10, %rsi
+  sbb 24(%rcx), %rsi
+  sbb $0, %r11
+  cmovc %r13, %rax
+  cmovc %r14, %rbx
+  cmovc %rbp, %rdx
+  cmovc %r10, %rsi
+  mov %rax, (%rdi)
+  mov %rbx, 8(%rdi)
+  mov %rdx, 16(%rdi)
+  mov %rsi, 24(%rdi)
+  b2b_pop %r14
+  b2b_pop %r13
+  b2b_pop %r12
+  b2b_pop %rbp
+  b2b_pop %rbx
+  ret
+  .cfi_endproc
+  .size b2b_crypto_mont_mul_adx4, .-b2b_crypto_mont_mul_adx4
+
+  # The 8-limb pass: product halves in rax and rbp.
+  .macro b2b_mont_pass8 p, t0, t1, t2, t3, t4, t5, t6, t7, t8, t9
+    b2b_mac \p, 0, %rbp, \t0, \t1
+    b2b_mac \p, 8, %rbp, \t1, \t2
+    b2b_mac \p, 16, %rbp, \t2, \t3
+    b2b_mac \p, 24, %rbp, \t3, \t4
+    b2b_mac \p, 32, %rbp, \t4, \t5
+    b2b_mac \p, 40, %rbp, \t5, \t6
+    b2b_mac \p, 48, %rbp, \t6, \t7
+    b2b_mac \p, 56, %rbp, \t7, \t8
+    b2b_fold \t8, \t9
+  .endm
+
+  # One step: b in rsi, mod in rcx; n0_inv at 0(%rsp), a at 8(%rsp).
+  .macro b2b_mont_step8 off, t0, t1, t2, t3, t4, t5, t6, t7, t8, t9
+    mov 8(%rsp), %rdx
+    mov \off(%rdx), %rdx
+    xor %eax, %eax
+    b2b_mont_pass8 %rsi, \t0, \t1, \t2, \t3, \t4, \t5, \t6, \t7, \t8, \t9
+    mov \t0, %rdx
+    imul (%rsp), %rdx
+    xor %eax, %eax
+    b2b_mont_pass8 %rcx, \t0, \t1, \t2, \t3, \t4, \t5, \t6, \t7, \t8, \t9
+  .endm
+
+  # out_j = tj - mod_j, out in rdx, on the borrow chain that op (sub,
+  # then sbb) starts or continues.
+  .macro b2b_sub_out op, off, tj
+    mov \tj, %rax
+    \op \off(%rcx), %rax
+    mov %rax, \off(%rdx)
+  .endm
+
+  .p2align 5
+  .globl b2b_crypto_mont_mul_adx8
+  .hidden b2b_crypto_mont_mul_adx8
+  .type b2b_crypto_mont_mul_adx8, @function
+b2b_crypto_mont_mul_adx8:
+  .cfi_startproc
+  endbr64
+  b2b_push %rbx
+  b2b_push %rbp
+  b2b_push %r12
+  b2b_push %r13
+  b2b_push %r14
+  b2b_push %r15
+  push %rdi
+  .cfi_adjust_cfa_offset 8
+  push %rsi
+  .cfi_adjust_cfa_offset 8
+  push %r8
+  .cfi_adjust_cfa_offset 8
+  mov %rdx, %rsi
+  xor %ebx, %ebx
+  xor %edi, %edi
+  xor %r8d, %r8d
+  xor %r9d, %r9d
+  xor %r10d, %r10d
+  xor %r11d, %r11d
+  xor %r12d, %r12d
+  xor %r13d, %r13d
+  xor %r14d, %r14d
+  xor %r15d, %r15d
+  b2b_mont_step8 0, %rbx, %rdi, %r8, %r9, %r10, %r11, %r12, %r13, %r14, %r15
+  b2b_mont_step8 8, %rdi, %r8, %r9, %r10, %r11, %r12, %r13, %r14, %r15, %rbx
+  b2b_mont_step8 16, %r8, %r9, %r10, %r11, %r12, %r13, %r14, %r15, %rbx, %rdi
+  b2b_mont_step8 24, %r9, %r10, %r11, %r12, %r13, %r14, %r15, %rbx, %rdi, %r8
+  b2b_mont_step8 32, %r10, %r11, %r12, %r13, %r14, %r15, %rbx, %rdi, %r8, %r9
+  b2b_mont_step8 40, %r11, %r12, %r13, %r14, %r15, %rbx, %rdi, %r8, %r9, %r10
+  b2b_mont_step8 48, %r12, %r13, %r14, %r15, %rbx, %rdi, %r8, %r9, %r10, %r11
+  b2b_mont_step8 56, %r13, %r14, %r15, %rbx, %rdi, %r8, %r9, %r10, %r11, %r12
+  # t is r14, r15, rbx, rdi, r8, r9, r10, r11 with r12 on top. Write
+  # t - mod to out; unless that borrows past r12, load it back into t's
+  # registers; then write those to out.
+  mov 16(%rsp), %rdx
+  b2b_sub_out sub, 0, %r14
+  b2b_sub_out sbb, 8, %r15
+  b2b_sub_out sbb, 16, %rbx
+  b2b_sub_out sbb, 24, %rdi
+  b2b_sub_out sbb, 32, %r8
+  b2b_sub_out sbb, 40, %r9
+  b2b_sub_out sbb, 48, %r10
+  b2b_sub_out sbb, 56, %r11
+  sbb $0, %r12
+  cmovnc (%rdx), %r14
+  cmovnc 8(%rdx), %r15
+  cmovnc 16(%rdx), %rbx
+  cmovnc 24(%rdx), %rdi
+  cmovnc 32(%rdx), %r8
+  cmovnc 40(%rdx), %r9
+  cmovnc 48(%rdx), %r10
+  cmovnc 56(%rdx), %r11
+  mov %r14, (%rdx)
+  mov %r15, 8(%rdx)
+  mov %rbx, 16(%rdx)
+  mov %rdi, 24(%rdx)
+  mov %r8, 32(%rdx)
+  mov %r9, 40(%rdx)
+  mov %r10, 48(%rdx)
+  mov %r11, 56(%rdx)
+  add $24, %rsp
+  .cfi_adjust_cfa_offset -24
+  b2b_pop %r15
+  b2b_pop %r14
+  b2b_pop %r13
+  b2b_pop %r12
+  b2b_pop %rbp
+  b2b_pop %rbx
+  ret
+  .cfi_endproc
+  .size b2b_crypto_mont_mul_adx8, .-b2b_crypto_mont_mul_adx8
+
+  .popsection
+)");
+
+extern "C" {
+__attribute__((visibility("hidden"))) void b2b_crypto_mont_mul_adx4(
+    u64* out, const u64* a, const u64* b, const u64* mod, u64 n0_inv,
+    std::size_t width);
+__attribute__((visibility("hidden"))) void b2b_crypto_mont_mul_adx8(
+    u64* out, const u64* a, const u64* b, const u64* mod, u64 n0_inv,
+    std::size_t width);
+}
+#endif
+
+namespace detail {
+
+MontMulKernel mont_mul_portable(std::size_t width) {
+  switch (width) {
+    case 4: return mont_mul<4>;
+    case 8: return mont_mul<8>;
+    default: return mont_mul<0>;
+  }
+}
+
+MontMulKernel mont_mul_adx([[maybe_unused]] std::size_t width) {
+#if defined(__x86_64__) && defined(__ELF__)
+  switch (width) {
+    case 4: return b2b_crypto_mont_mul_adx4;
+    case 8: return b2b_crypto_mont_mul_adx8;
+  }
+#endif
+  return nullptr;
+}
+
+bool cpu_has_adx() {
+#if defined(__x86_64__)
+  // A context may be built during static initialisation, before the
+  // runtime's own CPU-model setup, so initialise it here first.
+  static const bool has = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("bmi2") && __builtin_cpu_supports("adx");
+  }();
+  return has;
+#else
+  return false;
+#endif
+}
+
+}  // namespace detail
+
 MontgomeryContext::MontgomeryContext(const BigInt& modulus)
     : modulus_(modulus), limbs_(modulus.limb_count()) {
   if (!modulus.is_odd() || modulus <= BigInt(1)) {
@@ -477,10 +767,9 @@ MontgomeryContext::MontgomeryContext(const BigInt& modulus)
   for (int i = 0; i < 6; ++i) inv *= 2 - m0 * inv;
   n0_inv_ = ~inv + 1;  // -inv mod 2^64
 
-  switch (limbs_) {
-    case 4: mul_ = mont_mul<4>; break;
-    case 8: mul_ = mont_mul<8>; break;
-    default: mul_ = mont_mul<0>; break;
+  mul_ = detail::mont_mul_portable(limbs_);
+  if (detail::cpu_has_adx()) {
+    if (detail::MontMulKernel adx = detail::mont_mul_adx(limbs_)) mul_ = adx;
   }
 
   BigInt r_mod = (BigInt(1) << (64 * limbs_)) % modulus_;

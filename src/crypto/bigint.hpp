@@ -110,6 +110,34 @@ BigInt mod_inverse(const BigInt& a, const BigInt& m);
 BigInt mod_exp(const BigInt& base, const BigInt& exponent,
                const BigInt& modulus);
 
+namespace detail {
+
+/// A CIOS Montgomery multiply over raw little-endian limbs: out = a * b *
+/// R^-1 mod `mod`, for a `width`-limb odd `mod` with n0_inv = -mod^-1 mod
+/// 2^64, R = 2^(64 * width) and a, b < mod. `out` may alias `a`, `b` or
+/// both; the scratch is on the stack.
+using MontMulKernel = void (*)(std::uint64_t* out, const std::uint64_t* a,
+                               const std::uint64_t* b,
+                               const std::uint64_t* mod, std::uint64_t n0_inv,
+                               std::size_t width);
+
+/// The portable C++ multiply for `width`: one template body, compiled at
+/// that width for 4 and 8 limbs and at run-time width for every other.
+/// The reference, and the fallback on every other CPU.
+MontMulKernel mont_mul_portable(std::size_t width);
+
+/// The same on MULX/ADCX/ADOX, written out in assembly at 4 and 8 limbs
+/// for x86-64 ELF targets; nullptr at every other width and on every
+/// other target. Call only when cpu_has_adx().
+MontMulKernel mont_mul_adx(std::size_t width);
+
+/// True when this CPU has BMI2 and ADX, in which case MontgomeryContext
+/// uses mont_mul_adx wherever it is not nullptr. Decided once per process;
+/// always false off x86-64.
+bool cpu_has_adx();
+
+}  // namespace detail
+
 /// Montgomery arithmetic modulo one odd modulus, built once and reused:
 /// RSA keys hold one per modulus (p, q and n), Miller-Rabin one per
 /// candidate. Immutable after construction; every operation keeps its
@@ -141,16 +169,8 @@ class MontgomeryContext {
   BigInt pow(const BigInt& base, const BigInt& exponent) const;
 
  private:
-  /// The CIOS multiply over raw little-endian limbs: out = a * b * R^-1
-  /// mod `mod`, for a `width`-limb odd `mod` with n0_inv = -mod^-1 mod
-  /// 2^64, R = 2^(64 * width) and a, b < mod. `out` may alias `a` or `b`;
-  /// the scratch is on the stack.
-  using Kernel = void (*)(std::uint64_t* out, const std::uint64_t* a,
-                          const std::uint64_t* b, const std::uint64_t* mod,
-                          std::uint64_t n0_inv, std::size_t width);
-
   /// out = a * b * R^-1 mod modulus over limbs_-wide arrays; `out` may
-  /// alias `a` or `b`.
+  /// alias `a`, `b` or both.
   void mul_limbs(std::uint64_t* out, const std::uint64_t* a,
                  const std::uint64_t* b) const {
     mul_(out, a, b, modulus_.limbs_.data(), n0_inv_, limbs_);
@@ -162,10 +182,12 @@ class MontgomeryContext {
   BigInt modulus_;
   std::size_t limbs_;       // width of the modulus in limbs
   std::uint64_t n0_inv_;    // -modulus^{-1} mod 2^64
-  // The multiply for this width, picked once here: compiled at that width
-  // for 4 and 8 limbs (the CRT halves and modulus of an RSA-512 key, the
-  // size the benchmark runs), at run-time width for every other modulus.
-  Kernel mul_;
+  // The multiply for this width, picked once here. At 4 and 8 limbs (the
+  // CRT halves and modulus of an RSA-512 key, the size the benchmark
+  // runs) it is the MULX/ADX kernel when the CPU has BMI2 and ADX, else
+  // the portable template compiled at that width; every other modulus
+  // runs the template at run-time width.
+  detail::MontMulKernel mul_;
   std::vector<std::uint64_t> one_;  // R mod modulus (Montgomery form of 1)
   std::vector<std::uint64_t> r2_;   // R^2 mod modulus: into Montgomery form
 };

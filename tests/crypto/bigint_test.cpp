@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "crypto/chacha20.hpp"
@@ -324,6 +327,98 @@ TEST(MontgomeryContextTest, MulMatchesPlainProductAtEveryKernelWidth) {
       }
     }
   }
+}
+
+// `value` (< 2^(64 * limbs)) as `limbs` little-endian limbs.
+std::vector<std::uint64_t> limbs_of(const BigInt& value, std::size_t limbs) {
+  std::vector<std::uint64_t> out(limbs);
+  for (std::size_t i = 0; i < limbs; ++i) out[i] = value.limb(i);
+  return out;
+}
+
+TEST(MontgomeryKernelTest, AdxMatchesPortableAtFixedWidths) {
+  // The MULX/ADX kernels against the portable template compiled at the
+  // same width, limb for limb. Each width runs 1,000 moduli of three
+  // kinds (random with the top bit set; all ones above a random lowest
+  // limb; R - 2k - 1, just below R = 2^(64 * width)) with 100 operand
+  // pairs each: random ones, and the edges a = m - 1 and b = 0. Each pair
+  // also runs with out aliasing a, and as a squaring with out aliasing a
+  // and b at once, the way pow calls it.
+  if (!detail::cpu_has_adx() || detail::mont_mul_adx(4) == nullptr) {
+    GTEST_SKIP() << "no BMI2 and ADX, or no MULX/ADX kernel for this "
+                    "target: the portable kernels run";
+  }
+  ChaCha20Rng rng(24);
+  for (std::size_t width : {4u, 8u}) {
+    const detail::MontMulKernel portable = detail::mont_mul_portable(width);
+    const detail::MontMulKernel adx = detail::mont_mul_adx(width);
+    ASSERT_NE(adx, nullptr) << width << " limbs";
+    for (int k = 0; k < 1000; ++k) {
+      BigInt m;
+      switch (k % 3) {
+        case 0: m = random_modulus(width, rng); break;
+        case 1:
+          m = (BigInt(1) << (64 * width)) - (BigInt(1) << 64) +
+              BigInt(rng.next_u64() | 1);
+          break;
+        default: m = all_ones_modulus(width, rng); break;
+      }
+      const std::vector<std::uint64_t> mod = limbs_of(m, width);
+      const std::uint64_t n0_inv =
+          ((BigInt(1) << 64) -
+           mod_inverse(BigInt(m.low_u64()), BigInt(1) << 64))
+              .low_u64();
+      auto below_m = [&] {
+        return limbs_of(BigInt::from_bytes_be(rng.bytes(8 * width)) % m,
+                        width);
+      };
+      for (int i = 0; i < 100; ++i) {
+        std::vector<std::uint64_t> a =
+            i == 0 ? limbs_of(m - BigInt(1), width) : below_m();
+        std::vector<std::uint64_t> b =
+            i == 1 ? std::vector<std::uint64_t>(width) : below_m();
+        std::vector<std::uint64_t> expect(width);
+        std::vector<std::uint64_t> got(width);
+        portable(expect.data(), a.data(), b.data(), mod.data(), n0_inv,
+                 width);
+        adx(got.data(), a.data(), b.data(), mod.data(), n0_inv, width);
+        ASSERT_EQ(got, expect) << width << " limbs, modulus " << m.to_hex()
+                               << ", pair " << i;
+        got = a;
+        adx(got.data(), got.data(), b.data(), mod.data(), n0_inv, width);
+        ASSERT_EQ(got, expect) << width << " limbs, out aliasing a, modulus "
+                               << m.to_hex() << ", pair " << i;
+        expect = a;
+        portable(expect.data(), expect.data(), expect.data(), mod.data(),
+                 n0_inv, width);
+        got = a;
+        adx(got.data(), got.data(), got.data(), mod.data(), n0_inv, width);
+        ASSERT_EQ(got, expect) << width << " limbs, squaring in place, "
+                               << "modulus " << m.to_hex() << ", pair " << i;
+      }
+    }
+  }
+  EXPECT_EQ(detail::mont_mul_adx(5), nullptr);
+  EXPECT_EQ(detail::mont_mul_adx(16), nullptr);
+}
+
+TEST(MontgomeryKernelTest, UsesAdxWhenCpuHasIt) {
+  // A broken CPU check would fall back to the portable kernels silently
+  // and pass every other test, so tie it to what the kernel reports.
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  if (!cpuinfo) GTEST_SKIP() << "no /proc/cpuinfo on this system";
+  std::string line;
+  bool listed = false;
+  while (!listed && std::getline(cpuinfo, line)) {
+    listed = line.rfind("flags", 0) == 0 &&
+             (line + " ").find(" bmi2 ") != std::string::npos &&
+             (line + " ").find(" adx ") != std::string::npos;
+  }
+  if (!listed) GTEST_SKIP() << "the kernel does not list both bmi2 and adx";
+  EXPECT_TRUE(detail::cpu_has_adx());
+  // A host that lists them is x86-64 Linux, where both kernels are built.
+  EXPECT_NE(detail::mont_mul_adx(4), nullptr);
+  EXPECT_NE(detail::mont_mul_adx(8), nullptr);
 }
 
 TEST(NumberTheoryTest, GcdKnownValues) {
